@@ -371,8 +371,8 @@ def cmd_simulate(args) -> int:
     messages = None
     if args.messages != "all":
         head, _, count = args.messages.partition(":")
-        if head != "sample" or not count.isdigit():
-            raise ValueError(f"--messages must be 'all' or 'sample:N', got {args.messages!r}")
+        if head != "sample" or not count.isdigit() or int(count) < 1:
+            raise ValueError(f"--messages must be 'all' or 'sample:N', N >= 1, got {args.messages!r}")
         rng = random.Random(args.seed)
         k = encoder.spec.k
         messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
@@ -164,6 +163,23 @@ def _bit_set_patterns(k: int) -> list[int]:
     return _EXPAND_PATTERNS[k]
 
 
+_WEIGHT_SHELLS: dict[int, list[list[int]]] = {}
+
+
+def _weight_shell(k: int, w: int) -> list[int]:
+    """Every k-bit mask of weight w <= k, position sets in lex order, cached
+    per k. Shell w extends each mask of shell w-1 above its highest bit."""
+    shells = _WEIGHT_SHELLS.setdefault(k, [[0]])
+    while len(shells) <= w:
+        shells.append([m | (1 << b) for m in shells[-1] for b in range(m.bit_length(), k)])
+    return shells[w]
+
+
+def _low_weight_masks(k: int, rho: int) -> list[int]:
+    """Every k-bit mask of weight 1..rho, lightest first."""
+    return [e for w in range(1, min(rho, k) + 1) for e in _weight_shell(k, w)]
+
+
 def _expand_once(mask: int, k: int) -> int:
     """The mask together with every message one bit flip away from it."""
     out = mask
@@ -272,12 +288,6 @@ class FccEncoder:
         by_index = [p.value for p in self.parities]
         return [by_index[i] for i in self.spec.index_table]
 
-    @cached_property
-    def codeword_ints(self) -> list[int]:
-        """Full codeword integers indexed by message value."""
-        r = self.r
-        return [(u << r) | p for u, p in enumerate(self.parity_ints)]
-
 
 def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Encoder whose parity depends on the function value only.
@@ -358,13 +368,7 @@ def verify_fcc(
 
     if k > 14:
         raise ValueError(f"k={k} too large for exhaustive verification; pass sample=")
-    diffs = []
-    for wgt in range(1, 2 * t + 1):
-        for pos in combinations(range(k), wgt):
-            e = 0
-            for p in pos:
-                e |= 1 << p
-            diffs.append(e)
+    diffs = _low_weight_masks(k, 2 * t)
     checked = 0
     for u1 in range(1 << k):
         i1 = idx[u1]
@@ -395,32 +399,38 @@ class DecodeResult:
 def decode(encoder: FccEncoder, y: BitWord) -> DecodeResult:
     """Recover the function value from a received word.
 
-    Nearest-codeword search over all messages, reporting the value of the
-    closest one. Within the design guarantee (y at distance <= t from some
-    codeword of a verified encoder) the value is unique. Outside it —
-    best distance above t, or distinct values tied at the best distance —
-    the result carries out_of_model=True and ties resolve to the smallest
-    image index.
+    Nearest-codeword search over the Hamming shells of y's message part: for
+    w = 0, 1, ..., each message u at distance w from it scores w + d(p(u),
+    y's parity part). A codeword at distance d has its message within d of
+    y's, so stopping once w exceeds the best score has seen every nearest
+    codeword, ties included, for any encoder. Within the design guarantee (y
+    at distance <= t from some codeword of a verified encoder) the value is
+    unique. Outside it — best distance above t, or distinct values tied at
+    the best distance — the result carries out_of_model=True and ties
+    resolve to the smallest image index.
     """
     spec = encoder.spec
     if y.length != encoder.block_length:
         raise ValueError(f"received length {y.length}, expected {encoder.block_length}")
+    k, r = spec.k, encoder.r
     idx = spec.index_table
+    par = encoder.parity_ints
+    ym, yp = y.value >> r, y.value & ((1 << r) - 1)
     best_d = y.length + 1
     best_indices: set[int] = set()
-    yv = y.value
-    for u, cw in enumerate(encoder.codeword_ints):
-        d = (cw ^ yv).bit_count()
-        if d < best_d:
-            best_d = d
-            best_indices = {idx[u]}
-            if d == 0:
-                break
-        elif d == best_d:
-            best_indices.add(idx[u])
-    chosen = min(best_indices)
+    for w in range(k + 1):
+        if w > best_d:
+            break
+        for e in _weight_shell(k, w):
+            u = ym ^ e
+            d = w + (par[u] ^ yp).bit_count()
+            if d < best_d:
+                best_d = d
+                best_indices = {idx[u]}
+            elif d == best_d:
+                best_indices.add(idx[u])
     out = best_d > encoder.t or len(best_indices) > 1
-    return DecodeResult(spec.image[chosen], out, best_d)
+    return DecodeResult(spec.image[min(best_indices)], out, best_d)
 
 
 def exact_optimal_redundancy(
@@ -458,12 +468,7 @@ def function_ball(spec: FunctionSpec, u: BitWord, rho: int) -> frozenset:
         raise ValueError(f"negative radius {rho}")
     idx = spec.index_table
     out = {idx[u.value]}
-    for wgt in range(1, min(rho, spec.k) + 1):
-        for pos in combinations(range(spec.k), wgt):
-            e = 0
-            for p in pos:
-                e |= 1 << p
-            out.add(idx[u.value ^ e])
+    out.update(idx[u.value ^ e] for e in _low_weight_masks(spec.k, rho))
     return frozenset(spec.image[i] for i in out)
 
 
@@ -477,13 +482,7 @@ def is_locally_binary(spec: FunctionSpec, rho: int) -> tuple[bool, BitWord | Non
         raise ValueError(f"negative radius {rho}")
     k = spec.k
     idx = spec.index_table
-    diffs = []
-    for wgt in range(1, min(rho, k) + 1):
-        for pos in combinations(range(k), wgt):
-            e = 0
-            for p in pos:
-                e |= 1 << p
-            diffs.append(e)
+    diffs = _low_weight_masks(k, rho)
     for u in range(1 << k):
         first = idx[u]
         second = -1

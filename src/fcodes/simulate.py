@@ -3,7 +3,7 @@
 Exhaustive mode enumerates every pattern of weight 0..t (by weight, then by
 lexicographic position set, so witnesses are canonical); random mode draws
 (message, pattern) pairs from a seeded `random.Random` — same seed, same
-report, always.
+report, always. Both modes cap the pattern weight at the block length.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def simulate(
     rng = random.Random(channel.seed)
     for _ in range(channel.trials):
         u = rng.choice(msg_list)
-        wgt = rng.randint(0, channel.t)
+        wgt = rng.randint(0, min(channel.t, n))
         positions = rng.sample(range(n), wgt) if wgt else []
         pattern = BitWord.zeros(n).flip(positions)
         expected = spec.eval(u)

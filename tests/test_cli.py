@@ -327,6 +327,28 @@ def test_simulate_message_sample(capsys):
     assert "failures=0" in out
 
 
+def test_simulate_random_channel_caps_weight_at_block_length(capsys):
+    # wt k=4 at t=1 gives a 7-bit code; a 12-error budget flips at most 7 bits
+    code, out, err = run(
+        capsys, "simulate", "--function", "wt", "--k", "4", "--t", "1",
+        "--construction", "1", "--channel", "random", "--channel-t", "12",
+        "--trials", "50", "--json",
+    )
+    assert code == 1
+    assert json.loads(out)["trials"] == 50
+    assert err == ""
+
+
+def test_simulate_empty_message_sample_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--function", "wt", "--k", "4", "--t", "1",
+        "--construction", "1", "--channel", "random", "--messages", "sample:0",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "sample:N" in err
+
+
 # --- table and oracle -------------------------------------------------------------
 
 

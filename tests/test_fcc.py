@@ -3,7 +3,8 @@
 `naive_verify` below re-checks the defining distance condition with a plain
 double loop over all message pairs. It shares no code with `verify_fcc`
 (which enumerates difference vectors) and exists so the two can disagree if
-either is wrong.
+either is wrong. `full_scan_decode` plays the same part for `decode`: it
+compares the received word with every codeword instead of searching shells.
 """
 
 from __future__ import annotations
@@ -29,6 +30,29 @@ def naive_verify(encoder: fcc.FccEncoder) -> tuple[bool, tuple | None]:
         if hamming_distance(encoder.encode(u1), encoder.encode(u2)) < 2 * t + 1:
             return False, (u1, u2)
     return True, None
+
+
+def full_scan_nearest(encoder: fcc.FccEncoder, y: BitWord) -> tuple[int, set[int]]:
+    """Distance from y to the nearest codeword, over all 2^k messages, and the
+    image indices of every codeword at that distance."""
+    spec = encoder.spec
+    best_d = y.length + 1
+    best_indices: set[int] = set()
+    for u in all_words(spec.k):
+        d = hamming_distance(encoder.encode(u), y)
+        i = spec.index_of(spec.eval(u))
+        if d < best_d:
+            best_d, best_indices = d, {i}
+        elif d == best_d:
+            best_indices.add(i)
+    return best_d, best_indices
+
+
+def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
+    """The decode contract by brute force: ties go to the smallest image index."""
+    d, indices = full_scan_nearest(encoder, y)
+    out = d > encoder.t or len(indices) > 1
+    return fcc.DecodeResult(encoder.spec.image[min(indices)], out, d)
 
 
 # --- FunctionSpec -------------------------------------------------------------
@@ -312,6 +336,46 @@ def test_decode_tie_prefers_smallest_image_index():
     assert res.distance == 1
     assert res.value == 0  # smallest image index wins the tie
     assert res.out_of_model  # and the tie is flagged
+
+
+def test_decode_tie_beyond_t_outside_the_radius_t_ball():
+    # y = 011|11 on wt(k=3), t=1: the codewords 000|11 (value 0) and 011|00
+    # (value 2) both sit at distance 2 = t+1, every other one at >= 3. The
+    # value-0 codeword is two message flips away, outside the radius-t ball
+    # around y's message part, and wins the tie.
+    spec = functions.wt_spec(3)
+    parities = [BitWord.zeros(2)] * 8
+    parities[0] = BitWord.ones(2)
+    enc = fcc.per_message_encoder(spec, 1, parities)
+    y = BitWord.from_string("01111")
+    res = fcc.decode(enc, y)
+    assert res == full_scan_decode(enc, y)
+    assert (res.value, res.distance, res.out_of_model) == (0, 2, True)
+
+
+def _random_encoder(rng: random.Random) -> fcc.FccEncoder:
+    """Unverified encoder with a random function table and random parities."""
+    k, r, t = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 3)
+    e = rng.randint(1, 4)
+    table = [rng.randrange(e) for _ in range(1 << k)]
+    spec = fcc.FunctionSpec(k, table.__getitem__, sorted(set(table)))
+    mode = rng.choice((fcc.PER_VALUE, fcc.PER_MESSAGE))
+    count = spec.expressiveness if mode == fcc.PER_VALUE else 1 << k
+    parities = tuple(BitWord(rng.randrange(1 << r), r) for _ in range(count))
+    return fcc.FccEncoder(spec, t, r, mode, parities)
+
+
+def test_decode_matches_full_scan_on_random_encoders():
+    rng = random.Random(2102)
+    ties_beyond_t = 0
+    for _ in range(120):
+        enc = _random_encoder(rng)
+        for y in all_words(enc.block_length):
+            want = full_scan_decode(enc, y)
+            assert fcc.decode(enc, y) == want, (enc, y)
+            if want.distance == enc.t + 1:
+                ties_beyond_t += len(full_scan_nearest(enc, y)[1]) > 1
+    assert ties_beyond_t > 0
 
 
 # --- locally binary ---------------------------------------------------------------
