@@ -73,6 +73,15 @@ def _get_param(args, config: dict[str, str], name: str, cast, required=True):
     return val
 
 
+def _required(args, what: str, *names: str) -> tuple:
+    """Values of the flags (argparse dests) that `what` cannot run without."""
+    missing = [n for n in names if getattr(args, n) is None]
+    if missing:
+        flags = ", ".join("--in" if n == "infile" else "--" + n.replace("_", "-") for n in missing)
+        raise ValueError(f"{what} needs {flags}")
+    return tuple(getattr(args, n) for n in names)
+
+
 def _function_string_params(text: str | None) -> dict[str, str]:
     """key=value parameters carried inside a registry string like wt:k=6."""
     if not text or ":" not in text:
@@ -133,7 +142,9 @@ def cmd_bounds(args) -> int:
     if method == "plotkin":
         return show(bounds.plotkin_irregular(_matrix_from_args(args, config)))
     if method == "plotkin-regular":
-        return show(bounds.plotkin_regular(args.size, args.dist))
+        return show(
+            bounds.plotkin_regular(*_required(args, "--method plotkin-regular", "size", "dist"))
+        )
     if method == "gv":
         dmat = _matrix_from_args(args, config)
         order = bounds.heuristic_row_order(dmat) if args.order == "heuristic" else None
@@ -141,9 +152,11 @@ def cmd_bounds(args) -> int:
         print(json.dumps({"value": r}) if args.json else r)
         return 0
     if method == "hadamard":
-        return show(bounds.hadamard_upper(args.size, args.dist))
+        return show(bounds.hadamard_upper(*_required(args, "--method hadamard", "size", "dist")))
     if method == "gv-closed":
-        return show(bounds.gv_regular_closed_form(args.size, args.dist))
+        return show(
+            bounds.gv_regular_closed_form(*_required(args, "--method gv-closed", "size", "dist"))
+        )
     if method == "sandwich":
         lo, hi = bounds.sandwich(_matrix_from_args(args, config))
         if args.json:
@@ -167,9 +180,8 @@ def cmd_bounds(args) -> int:
         print(json.dumps({"value": r}) if args.json else r)
         return 0
     if method == "ecc-values":
-        if args.image_size is None:
-            raise ValueError("--method ecc-values needs --image-size")
-        r = bounds.ecc_on_function_values_redundancy(args.image_size, t)
+        (size,) = _required(args, "--method ecc-values", "image_size")
+        r = bounds.ecc_on_function_values_redundancy(size, t)
         print(json.dumps({"value": r}) if args.json else r)
         return 0
     raise ValueError(f"unknown method {method!r}")
@@ -216,27 +228,27 @@ def cmd_build_code(args) -> int:
                 _emit_code(result.code, args.out, "exact witness")
         return 0 if result.proven else 2
     if kind == "hadamard":
-        code = construct.hadamard_code(args.dist)
+        (dist,) = _required(args, "--kind hadamard", "dist")
+        code = construct.hadamard_code(dist)
         if code is None:
-            return _fail(f"no Sylvester order for distance {args.dist}", 1)
-        _emit_code(code, args.out, f"hadamard-derived code, distance {args.dist}")
+            return _fail(f"no Sylvester order for distance {dist}", 1)
+        _emit_code(code, args.out, f"hadamard-derived code, distance {dist}")
         return 0
     if kind == "reed-muller":
-        code = construct.reed_muller_code(args.rm_order, args.log_length)
-        _emit_code(code, args.out, f"RM({args.rm_order},{args.log_length})")
+        order, m = _required(args, "--kind reed-muller", "rm_order", "log_length")
+        _emit_code(construct.reed_muller_code(order, m), args.out, f"RM({order},{m})")
         return 0
     if kind == "even-weight":
-        code = construct.even_weight_subcode(args.count, args.length)
+        code = construct.even_weight_subcode(
+            *_required(args, "--kind even-weight", "count", "length")
+        )
         _emit_code(code, args.out, "even-weight subcode")
         return 0
     if kind == "replicate":
-        with open(args.infile, "r", encoding="utf-8") as fh:
+        path, factor = _required(args, "--kind replicate", "infile", "factor")
+        with open(path, "r", encoding="utf-8") as fh:
             code = Code.from_text(fh.read())
-        _emit_code(
-            construct.replicate_bits(code, args.factor),
-            args.out,
-            f"replicated x{args.factor}",
-        )
+        _emit_code(construct.replicate_bits(code, factor), args.out, f"replicated x{factor}")
         return 0
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
-from .bits import BitWord, Code, DistanceMatrix, all_words
+from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -26,8 +26,9 @@ class FunctionSpec:
 
     `fn` maps the integer form of a message (bit 0 = leftmost) to a value;
     `image` fixes the indexing order used by every matrix in this package.
-    The image is validated against an exhaustive sweep for k <= 16 and a
-    deterministic sample above that.
+    For k <= 16 the image is validated by tabulating `index_table` (one pass
+    over all messages); above that by a deterministic sample, and
+    `index_table` still rejects any value outside the image.
     """
 
     def __init__(
@@ -53,14 +54,9 @@ class FunctionSpec:
 
     def _validate(self) -> None:
         if self.k <= 16:
-            seen = [False] * len(self.image)
-            for u in range(1 << self.k):
-                i = self._index.get(self.fn(u))
-                if i is None:
-                    raise ValueError(f"f({u:0{self.k}b}) not in declared image")
-                seen[i] = True
-            if not all(seen):
-                missing = [v for v, s in zip(self.image, seen) if not s]
+            attained = set(self.index_table)
+            if len(attained) < len(self.image):
+                missing = [v for i, v in enumerate(self.image) if i not in attained]
                 raise ValueError(f"image values never attained: {missing!r}")
         else:
             rng = random.Random(0)
@@ -87,17 +83,34 @@ class FunctionSpec:
 
     @cached_property
     def index_table(self) -> list[int]:
-        """Image index of f(u) for every message integer u (2^k entries)."""
+        """Image index of f(u) for every message integer u (2^k entries).
+
+        Raises ValueError at the first message whose value is not in the
+        image."""
         if self.k > 24:
             raise ValueError(f"k={self.k} too large to tabulate")
         idx = self._index
         fn = self.fn
-        return [idx[fn(u)] for u in range(1 << self.k)]
+        try:
+            return [idx[fn(u)] for u in range(1 << self.k)]
+        except KeyError:
+            for u in range(1 << self.k):
+                if fn(u) not in idx:
+                    raise ValueError(f"f({u:0{self.k}b}) not in declared image") from None
+            raise
 
     @cached_property
     def preimage_masks(self) -> tuple[int, ...]:
         """Per image index, the set of preimages as a 2^k-bit integer mask."""
-        masks = [0] * len(self.image)
+        e = len(self.image)
+        if e <= 256:
+            # the table as one byte per message, message 2^k - 1 first, read
+            # as a binary numeral after mapping index i to 1 and the rest to 0
+            digits = bytes(reversed(self.index_table))
+            return tuple(
+                int(digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2) for i in range(e)
+            )
+        masks = [0] * e
         for u, i in enumerate(self.index_table):
             masks[i] |= 1 << u
         return tuple(masks)
@@ -154,10 +167,11 @@ def _bit_set_patterns(k: int) -> list[int]:
         pats = []
         for b in range(k):
             s = 1 << b
-            block = ((1 << s) - 1) << s
-            pat = 0
-            for i in range(1 << (k - b - 1)):
-                pat |= block << (i * 2 * s)
+            pat = ((1 << s) - 1) << s  # messages 0..2s-1 with bit b set
+            width = 2 * s
+            while width < 1 << k:
+                pat |= pat << width
+                width *= 2
             pats.append(pat)
         _EXPAND_PATTERNS[k] = pats
     return _EXPAND_PATTERNS[k]
@@ -190,6 +204,45 @@ def _expand_once(mask: int, k: int) -> int:
     return out
 
 
+def _shell_distances(source: int, targets: Sequence[int], k: int, max_d: int) -> list[int]:
+    """Distance from the message set `source` to each target set (2^k-bit
+    masks), found by growing Hamming shells around the source. Shells stop
+    at depth max_d or once every target is reached; unreached targets get
+    max_d + 1."""
+    out = [max_d + 1] * len(targets)
+    pending = range(len(targets))
+    seen, d = source, 0
+    while True:
+        still = []
+        for j in pending:
+            if seen & targets[j]:
+                out[j] = d
+            else:
+                still.append(j)
+        pending = still
+        if not pending or d == max_d:
+            return out
+        seen = _expand_once(seen, k)
+        d += 1
+
+
+def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
+    """Closest approach between every two preimage sets, in image order.
+
+    One shell search per value, resolving every later value as the shells
+    reach it. Distances above max_d are reported as max_d + 1; max_d >= k
+    gives every distance exactly.
+    """
+    masks = spec.preimage_masks
+    e = len(masks)
+    rows = [[0] * e for _ in range(e)]
+    for i in range(e - 1):
+        found = _shell_distances(masks[i], masks[i + 1 :], spec.k, max_d)
+        for j, d in enumerate(found, start=i + 1):
+            rows[i][j] = rows[j][i] = d
+    return rows
+
+
 def function_distance(spec: FunctionSpec, f1: FunctionValue, f2: FunctionValue) -> int:
     """Smallest Hamming distance between preimages of two function values.
 
@@ -200,17 +253,8 @@ def function_distance(spec: FunctionSpec, f1: FunctionValue, f2: FunctionValue) 
     j = spec.index_of(f2)
     if i == j:
         return 0
-    m1 = spec.preimage_masks[i]
-    m2 = spec.preimage_masks[j]
-    k = spec.k
-    seen = m1
-    d = 0
-    while not seen & m2:
-        seen = _expand_once(seen, k)
-        d += 1
-        if d > k:  # pragma: no cover - nonempty masks always meet within k
-            raise AssertionError("shell expansion failed to terminate")
-    return d
+    masks = spec.preimage_masks
+    return _shell_distances(masks[i], [masks[j]], spec.k, spec.k)[0]
 
 
 def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
@@ -218,18 +262,17 @@ def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
 
     Entry (i, j) is max(2t+1 - d_f(f_i, f_j), 0) where d_f is the closest
     approach between the two preimage sets. This is what per-function-value
-    parity words must satisfy.
+    parity words must satisfy. Values 2t+1 or more apart need nothing, so
+    the shell search around each value stops at depth 2t.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    e = spec.expressiveness
     need = 2 * t + 1
-    rows = [[0] * e for _ in range(e)]
-    for i in range(e):
-        for j in range(i + 1, e):
-            d = function_distance(spec, spec.image[i], spec.image[j])
-            rows[i][j] = rows[j][i] = max(need - d, 0)
-    return DistanceMatrix.from_rows(rows)
+    rows = value_distances(spec, 2 * t)
+    return DistanceMatrix.from_rows(
+        [[max(need - d, 0) if i != j else 0 for j, d in enumerate(row)]
+         for i, row in enumerate(rows)]
+    )
 
 
 # --- encoders ----------------------------------------------------------------
@@ -340,10 +383,15 @@ def verify_fcc(
 ) -> VerifyResult:
     """Check the distance condition for every message pair (or a sample).
 
-    Exhaustive mode enumerates difference vectors of weight 1..2t only: pairs
-    further apart satisfy the condition on message distance alone. The
-    witness, if any, is the lexicographically smallest violating (u1, u2)
-    with u1 < u2. Exhaustive mode requires k <= 14; ask for `sample` beyond.
+    A per-function-value encoder is checked at the value level: it protects
+    f iff its parities satisfy function_distance_matrix(spec, t) (the closest
+    two preimage sets get the least help from the messages), and there
+    pairs_checked counts value pairs. Per-message encoders, and per-value
+    ones that fail that check, enumerate difference vectors of weight 1..2t
+    per message: pairs further apart satisfy the condition on message
+    distance alone, and pairs_checked counts message pairs. The witness, if
+    any, is the lexicographically smallest violating (u1, u2) with u1 < u2.
+    Exhaustive mode requires k <= 14; ask for `sample` beyond.
     """
     spec = encoder.spec
     k, t = spec.k, encoder.t
@@ -368,6 +416,10 @@ def verify_fcc(
 
     if k > 14:
         raise ValueError(f"k={k} too large for exhaustive verification; pass sample=")
+    if encoder.mode == PER_VALUE:
+        dmat = function_distance_matrix(spec, t)
+        if satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]:
+            return VerifyResult(True, None, dmat.dim * (dmat.dim - 1) // 2, "exhaustive")
     diffs = _low_weight_masks(k, 2 * t)
     checked = 0
     for u1 in range(1 << k):

@@ -469,7 +469,7 @@ class MinMaxOracleResult:
 
 
 def minmax_distance_oracle(w: int, l: int) -> MinMaxOracleResult:
-    """Brute-force all pairwise value distances of the min-max function.
+    """Exhaustively measure all pairwise value distances of the min-max function.
 
     Ground truth for the structural facts the cheap encoders rely on: the
     farthest pairs are the swapped (i,j)/(j,i) ones at distance 2, and every
@@ -478,13 +478,8 @@ def minmax_distance_oracle(w: int, l: int) -> MinMaxOracleResult:
     spec = minmax_spec(w, l)
     if spec.k > 18:
         raise ValueError(f"k={spec.k} too large for the exhaustive oracle")
-    e = spec.expressiveness
-    rows = [[0] * e for _ in range(e)]
-    for i in range(e):
-        for j in range(i + 1, e):
-            d = fcc.function_distance(spec, spec.image[i], spec.image[j])
-            rows[i][j] = rows[j][i] = d
-    counts = tuple(sum(1 for d in row if d == 1) for row in rows)
+    rows = fcc.value_distances(spec, spec.k)
+    counts = tuple(row.count(1) for row in rows)
     return MinMaxOracleResult(spec, DistanceMatrix.from_rows(rows), counts)
 
 

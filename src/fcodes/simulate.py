@@ -107,6 +107,8 @@ def simulate(
                         witness = (u, pattern, got.value, expected)
         return SimulationReport(trials, failures, witness, "exhaustive", None)
 
+    if not msg_list:
+        raise ValueError("random channel needs at least one message")
     rng = random.Random(channel.seed)
     for _ in range(channel.trials):
         u = rng.choice(msg_list)

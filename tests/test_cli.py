@@ -74,6 +74,23 @@ def test_bounds_missing_parameter_is_usage_error(capsys):
     assert "--k" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--method", "plotkin-regular"], "--size"),
+        (["bounds", "--method", "hadamard", "--size", "4"], "--dist"),
+        (["build-code", "--kind", "hadamard"], "--dist"),
+        (["build-code", "--kind", "reed-muller"], "--rm-order"),
+        (["build-code", "--kind", "even-weight"], "--count"),
+    ],
+)
+def test_missing_code_size_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and flag in err
+
+
 def test_bounds_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 6\nt = 2\n# comment\n")

@@ -2,8 +2,9 @@
 
 `naive_verify` below re-checks the defining distance condition with a plain
 double loop over all message pairs. It shares no code with `verify_fcc`
-(which enumerates difference vectors) and exists so the two can disagree if
-either is wrong. `full_scan_decode` plays the same part for `decode`: it
+(which checks per-value encoders against the value-distance matrix and
+enumerates difference vectors otherwise) and exists so the two can disagree
+if either is wrong. `full_scan_decode` plays the same part for `decode`: it
 compares the received word with every codeword instead of searching shells.
 """
 
@@ -73,6 +74,14 @@ def test_spec_rejects_duplicate_image():
         fcc.FunctionSpec(2, lambda u: u % 2, image=[0, 1, 1])
 
 
+def test_spec_index_table_rejects_value_outside_image_above_k16():
+    # k > 16 validates a sample only; the full tabulation must still reject
+    # the one message the sample misses
+    spec = fcc.FunctionSpec(17, lambda u: 1 if u == 12345 else 0, [0])
+    with pytest.raises(ValueError, match="not in declared image"):
+        spec.index_table
+
+
 def test_spec_eval_and_index():
     spec = functions.wt_spec(4)
     assert spec.expressiveness == 5
@@ -88,6 +97,18 @@ def test_spec_index_table_and_preimage_masks_agree():
     masks = spec.preimage_masks
     for u in range(8):
         assert (masks[table[u]] >> u) & 1 == 1
+
+
+@pytest.mark.parametrize("e", [1, 5, 256, 300])
+def test_preimage_masks_match_index_table(e):
+    # up to 256 values the masks are read off the table as bytes; beyond it
+    # they are built message by message
+    rng = random.Random(e)
+    table = list(range(e)) + [rng.randrange(e) for _ in range(512 - e)]
+    rng.shuffle(table)
+    spec = fcc.FunctionSpec(9, table.__getitem__, range(e))
+    for i, mask in enumerate(spec.preimage_masks):
+        assert mask == sum(1 << u for u in range(512) if table[u] == i)
 
 
 # --- requirement matrices -------------------------------------------------------
@@ -145,6 +166,27 @@ def test_function_distance_matrix_requirements():
     assert d == DistanceMatrix.from_rows([[0, 2], [2, 0]])
 
 
+def _random_spec(rng: random.Random, k: int) -> fcc.FunctionSpec:
+    """A random function on k-bit messages with up to 6 values."""
+    e = rng.randint(1, min(1 << k, 6))
+    table = [rng.randrange(e) for _ in range(1 << k)]
+    return fcc.FunctionSpec(k, table.__getitem__, sorted(set(table)))
+
+
+def test_function_distance_matrix_matches_brute_force_min():
+    rng = random.Random(31)
+    for _ in range(60):
+        spec = _random_spec(rng, rng.randint(1, 7))
+        pre = [[u for u in range(1 << spec.k) if spec.index_table[u] == i]
+               for i in range(spec.expressiveness)]
+        raw = [[min((a ^ b).bit_count() for a in pi for b in pj) for pj in pre] for pi in pre]
+        assert fcc.value_distances(spec, spec.k) == raw
+        for t in (1, 2, 3):
+            want = [[max(2 * t + 1 - d, 0) if i != j else 0 for j, d in enumerate(row)]
+                    for i, row in enumerate(raw)]
+            assert fcc.function_distance_matrix(spec, t).entries == tuple(map(tuple, want))
+
+
 # --- encoders and verification -----------------------------------------------------
 
 
@@ -178,6 +220,31 @@ def test_verify_agrees_with_naive_on_theorem2_encoders(k, t):
     spec = functions.wt_spec(k)
     enc = fcc.build_function_value_encoder(spec, t)
     assert bool(fcc.verify_fcc(enc)) == naive_verify(enc)[0]
+
+
+def test_verify_per_value_route_matches_message_loop_on_random_encoders():
+    # the value-level check must give the verdict of the all-pairs oracle and,
+    # on a violation, the witness of the per-message difference-vector loop
+    rng = random.Random(4099)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        spec = _random_spec(rng, rng.randint(2, 7))
+        t, r = rng.randint(1, 3), rng.randint(0, 5)
+        parities = tuple(BitWord(rng.randrange(1 << r), r) for _ in spec.image)
+        enc = fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, parities)
+        res = fcc.verify_fcc(enc)
+        ok, witness = naive_verify(enc)
+        assert res.ok == ok and res.witness == witness
+        by_message = fcc.per_message_encoder(
+            spec, t, [BitWord(p, r) for p in enc.parity_ints]
+        )
+        loop = fcc.verify_fcc(by_message)
+        assert (loop.ok, loop.witness) == (res.ok, res.witness)
+        if res.ok:
+            e = spec.expressiveness
+            assert res.pairs_checked == e * (e - 1) // 2
+        verdicts[res.ok] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_verify_witness_is_lexicographically_smallest():

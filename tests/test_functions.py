@@ -319,6 +319,14 @@ def test_simulate_random_reproducible():
     assert (a.trials, a.failures) == (b.trials, b.failures) == (200, 0)
 
 
+def test_simulate_random_rejects_empty_message_list():
+    enc = functions.wt_cyclic_encoder(4, 1)
+    with pytest.raises(ValueError, match="at least one message"):
+        simulate(enc, ChannelModel(1, "random", trials=5), [])
+    # exhaustive mode has nothing to enumerate and reports zero trials
+    assert simulate(enc, ChannelModel(1, "exhaustive"), []).trials == 0
+
+
 def test_simulate_detects_broken_encoder():
     enc = functions.wt_cyclic_encoder(4, 1)
     bad = fcc.FccEncoder(
