@@ -116,6 +116,38 @@ def all_words(length: int) -> Iterator[BitWord]:
         yield BitWord(v, length)
 
 
+# --- word sets as masks -------------------------------------------------------
+# A set of n-bit words is a 2^n-bit int whose bit v is set when word v is in it.
+
+_EXPAND_PATTERNS: dict[int, list[int]] = {}
+
+
+def _bit_set_patterns(n: int) -> list[int]:
+    """For each word bit b, the mask of all n-bit words with that bit set."""
+    if n not in _EXPAND_PATTERNS:
+        pats = []
+        for b in range(n):
+            s = 1 << b
+            pat = ((1 << s) - 1) << s  # words 0..2s-1 with bit b set
+            width = 2 * s
+            while width < 1 << n:
+                pat |= pat << width
+                width *= 2
+            pats.append(pat)
+        _EXPAND_PATTERNS[n] = pats
+    return _EXPAND_PATTERNS[n]
+
+
+def _expand_once(mask: int, n: int) -> int:
+    """The set together with every word one bit flip away from it."""
+    out = mask
+    for b, pat in enumerate(_bit_set_patterns(n)):
+        s = 1 << b
+        out |= (mask & ~pat) << s
+        out |= (mask & pat) >> s
+    return out
+
+
 def sphere_size(n: int, radius: int) -> int:
     """Number of length-n words within Hamming distance `radius` of a fixed word.
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import bounds, construct, fcc, functions, tables
@@ -209,9 +211,12 @@ def cmd_build_code(args) -> int:
             max_nodes=args.max_nodes,
             time_limit=args.time_limit,
         )
+        trace = (lambda line: print(line, file=sys.stderr, flush=True)) if args.trace else None
+        started = time.perf_counter()
         result = construct.exact_min_length(
-            dmat, budget, use_row_symmetry=args.row_symmetry
+            dmat, budget, use_row_symmetry=args.row_symmetry, trace=trace
         )
+        elapsed = time.perf_counter() - started
         if args.json:
             payload = {
                 "value": result.value,
@@ -220,6 +225,7 @@ def cmd_build_code(args) -> int:
             }
             if result.code is not None:
                 payload["code"] = [str(w) for w in result.code]
+            payload["stats"] = {"elapsed_s": round(elapsed, 6), "nodes": result.nodes}
             print(json.dumps(payload))
         else:
             status = "proven" if result.proven else "budget exhausted (lower bound)"
@@ -289,18 +295,16 @@ def _resolve_encoder(args, config: dict[str, str]) -> fcc.FccEncoder:
         return functions.delta_ramp_encoder(
             _get_param(args, config, "k", int), _get_param(args, config, "T", int), t
         )
-    if name == "minmax-spc":
+    if name in ("minmax-spc", "minmax-rm"):
         need_function("minmax")
-        return functions.minmax_parity_encoder(
-            _get_param(args, config, "w", int), _get_param(args, config, "l", int), t
-        )
-    if name == "minmax-rm":
-        need_function("minmax")
-        return functions.minmax_rm_encoder(
-            _get_param(args, config, "w", int),
-            t,
-            _get_param(args, config, "l", int),
-        )
+        w = _get_param(args, config, "w", int)
+        l = _get_param(args, config, "l", int)
+        k = _get_param(args, config, "k", int, required=False)
+        if k is not None and k != w * l:
+            raise ValueError(f"k={k} inconsistent with w*l={w * l}")
+        if name == "minmax-spc":
+            return functions.minmax_parity_encoder(w, l, t)
+        return functions.minmax_rm_encoder(w, t, l)
     if not args.function:
         raise ValueError("need --function (or --encoder)")
     spec = fcc.spec_from_string(args.function, defaults=_spec_defaults(args, config))
@@ -570,6 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=2_000_000)
     p.add_argument("--time-limit", type=float, default=30.0)
     p.add_argument("--row-symmetry", action="store_true")
+    p.add_argument("--trace", action="store_true", help="stream exact-search progress to stderr")
     p.add_argument("--dist", type=int, help="distance (hadamard)")
     p.add_argument("--rm-order", type=int, help="Reed-Muller order")
     p.add_argument("--log-length", type=int, help="Reed-Muller m (length 2^m)")
@@ -636,9 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process (parsing leaves it
+    unchanged)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

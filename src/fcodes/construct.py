@@ -10,12 +10,14 @@ specialised encoders in `fcodes.functions`.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
 from . import bounds
-from .bits import BitWord, Code, DistanceMatrix, satisfies_distance_matrix
+from .bits import BitWord, Code, DistanceMatrix, _bit_set_patterns, _expand_once
+from .bits import satisfies_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,33 @@ class _Budget:
         return not self.exhausted
 
 
+def _ball(balls: dict[int, dict[int, int]], r: int, d: int, w: int) -> int:
+    """The length-r words closer than d >= 1 to w (the Hamming ball of
+    radius d - 1), as a 2^r-bit mask.
+
+    Around 0 it is the ball for d - 1 grown by one shell; around w it is the
+    ball around 0 XOR-translated by w, one half-swap of the words with and
+    without bit b for each bit b set in w. balls[d] memoises it by w.
+    """
+    if d == 1:
+        ball = 1 << w
+    elif d > r:
+        ball = (1 << (1 << r)) - 1
+    else:
+        ball = balls[d].get(0)
+        if ball is None:
+            ball = balls[d][0] = _expand_once(_ball(balls, r, d - 1, 0), r)
+        pats = _bit_set_patterns(r)
+        rest = w
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pat = pats[low.bit_length() - 1]
+            ball = ((ball & ~pat) << low) | ((ball & pat) >> low)
+    balls[d][w] = ball
+    return ball
+
+
 def _assignment_search(
     dmat: DistanceMatrix,
     r: int,
@@ -136,30 +165,37 @@ def _assignment_search(
 
     Depth-first over rows in index order. The first row is pinned to the
     all-zero word: XOR-translating any satisfying code moves word 0 to zero
-    without changing distances.
+    without changing distances. Row i's candidates are the set bits of its
+    domain: the 2^r-bit mask of the words at distance >= D[i][j] from
+    words[j] for every earlier row j (under row symmetry, also not below
+    the word of its group predecessor). They are tried in ascending order
+    at one budget node each, as a scan over all 2^r words would meet them.
     """
     m = dmat.dim
     words = [0] * m
+    full = (1 << (1 << r)) - 1
+    balls: dict[int, dict[int, int]] = defaultdict(dict)
 
     def extend(i: int) -> bool:
         if i == m:
             return True
         row = dmat.entries[i]
-        start = 0
+        blocked = 0
+        for j in range(i):
+            d = row[j]
+            if d:
+                w = words[j]
+                blocked |= balls[d].get(w) or _ball(balls, r, d, w)
+        dom = full & ~blocked
         p = prev_in_group[i]
         if p is not None:
-            start = words[p]
-        for cand in range(start, 1 << r):
-            ok = True
-            for j in range(i):
-                if (cand ^ words[j]).bit_count() < row[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
+            dom &= -(1 << words[p])
+        while dom:
+            low = dom & -dom
+            dom ^= low
             if not budget.spend():
                 return False
-            words[i] = cand
+            words[i] = low.bit_length() - 1
             if extend(i + 1):
                 return True
             if budget.exhausted:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
-from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
+from .bits import BitWord, Code, DistanceMatrix, _expand_once, all_words, satisfies_distance_matrix
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -158,25 +158,6 @@ def distance_requirement_matrix(
     return DistanceMatrix(tuple(rows))
 
 
-_EXPAND_PATTERNS: dict[int, list[int]] = {}
-
-
-def _bit_set_patterns(k: int) -> list[int]:
-    """For each message bit b, the mask of all messages with that bit set."""
-    if k not in _EXPAND_PATTERNS:
-        pats = []
-        for b in range(k):
-            s = 1 << b
-            pat = ((1 << s) - 1) << s  # messages 0..2s-1 with bit b set
-            width = 2 * s
-            while width < 1 << k:
-                pat |= pat << width
-                width *= 2
-            pats.append(pat)
-        _EXPAND_PATTERNS[k] = pats
-    return _EXPAND_PATTERNS[k]
-
-
 _WEIGHT_SHELLS: dict[int, list[list[int]]] = {}
 
 
@@ -192,16 +173,6 @@ def _weight_shell(k: int, w: int) -> list[int]:
 def _low_weight_masks(k: int, rho: int) -> list[int]:
     """Every k-bit mask of weight 1..rho, lightest first."""
     return [e for w in range(1, min(rho, k) + 1) for e in _weight_shell(k, w)]
-
-
-def _expand_once(mask: int, k: int) -> int:
-    """The mask together with every message one bit flip away from it."""
-    out = mask
-    for b, pat in enumerate(_bit_set_patterns(k)):
-        s = 1 << b
-        out |= (mask & ~pat) << s
-        out |= (mask & pat) >> s
-    return out
 
 
 def _shell_distances(source: int, targets: Sequence[int], k: int, max_d: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, fcc, functions
+from .bits import BitWord
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,8 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         w = int(p["w"])
         e = w * (w - 1)
         k_mm = w * int(p["l"]) if "l" in p else k
+        if k is not None and k != k_mm:
+            raise ValueError(f"k={k} inconsistent with w*l={k_mm}")
         lower = 2 * t
         if w >= 3:
             lower = max(lower, bounds.minmax_lower_bound(w, t).integer_value)
@@ -155,25 +158,30 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         )
 
     # generic fallback: anything registered, with real matrices behind it
-    spec = fcc.spec_from_string(name, defaults=p)
+    return spec_row(fcc.spec_from_string(name, defaults=p), t)
+
+
+def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
+    """The generic comparison row of any spec, from its matrices.
+
+    The lower bound is Plotkin over the message-level requirement matrix of
+    one representative per value (its smallest preimage), floored at 2t.
+    Every encoder must meet the requirements of any message subset (paper
+    Thm. 2), so the bound holds whichever representatives are taken. The
+    achieved entry is the per-value greedy build.
+    """
     e = spec.expressiveness
     if e < 2:
-        lower_entry = _exact(0)
-        fcc_entry = _exact(0)
-        values_entry = _exact(0)
-    else:
-        dmat = fcc.function_distance_matrix(spec, t)
-        lower = max(2 * t, bounds.plotkin_irregular(dmat).integer_value)
-        lower_entry = _exact(lower)
-        fcc_entry = _exact(fcc.build_function_value_encoder(spec, t).r)
-        values_entry = _ecc_values_entry(e, t, "log E + t log log E")
+        return TableRow(spec.name, t, _exact(0), _ecc_data_entry(spec.k, t), _exact(0), _exact(0))
+    reps = [BitWord((m & -m).bit_length() - 1, spec.k) for m in spec.preimage_masks]
+    dmat = fcc.distance_requirement_matrix(spec, t, reps)
     return TableRow(
         spec.name,
         t,
-        lower_bound=lower_entry,
+        lower_bound=_exact(max(2 * t, bounds.plotkin_irregular(dmat).integer_value)),
         ecc_on_data=_ecc_data_entry(spec.k, t),
-        ecc_on_function_values=values_entry,
-        fcc_redundancy=fcc_entry,
+        ecc_on_function_values=_ecc_values_entry(e, t, "log E + t log log E"),
+        fcc_redundancy=_exact(fcc.build_function_value_encoder(spec, t).r),
     )
 
 

@@ -140,6 +140,31 @@ def test_build_code_exact_budget_exhaustion_exit(capsys, tmp_path):
     assert "budget exhausted" in out
 
 
+def test_build_code_exact_json_stats(capsys, tmp_path):
+    mat = tmp_path / "d.json"
+    mat.write_text('{"dim": 3, "entries": [[0,2,1],[2,0,2],[1,2,0]]}')
+    code, out, err = run(
+        capsys, "build-code", "--kind", "exact", "--matrix", "file", "--file", str(mat), "--json"
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["value"] == 3 and data["proven"] and len(data["code"]) == 3
+    assert set(data["stats"]) == {"elapsed_s", "nodes"}
+    assert data["stats"]["nodes"] == data["nodes"] > 0
+    assert 0 <= data["stats"]["elapsed_s"] < 30
+
+
+def test_build_code_exact_trace_streams_to_stderr(capsys, tmp_path):
+    mat = tmp_path / "d.json"
+    mat.write_text('{"dim": 3, "entries": [[0,2,1],[2,0,2],[1,2,0]]}')
+    argv = ["build-code", "--kind", "exact", "--matrix", "file", "--file", str(mat)]
+    code, out, err = run(capsys, *argv, "--trace")
+    assert code == 0 and "N = 3 (proven" in out
+    lines = err.strip().splitlines()
+    assert lines[0].startswith("try r=") and lines[-1].startswith("proven r=3 nodes=")
+    assert run(capsys, *argv)[2] == ""  # silent without the flag
+
+
 def test_build_code_greedy_to_file(capsys, tmp_path):
     out_path = tmp_path / "code.txt"
     code, _, _ = run(
@@ -294,6 +319,34 @@ def test_fcc_decode_out_of_model_flag(capsys, tmp_path):
     assert data["out_of_model"] is True
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fcc-build", "--construction", "minmax-spc"],
+        ["fcc-build", "--construction", "minmax-rm"],
+        ["fcc-verify", "--construction", "minmax-spc"],
+        ["simulate", "--construction", "minmax-rm"],
+        ["table"],
+    ],
+    ids=" ".join,
+)
+def test_minmax_contradictory_k_is_usage_error(capsys, command):
+    code, out, err = run(
+        capsys, *command, "--function", "minmax", "--w", "3", "--l", "2", "--k", "9", "--t", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "k=9" in err
+
+
+def test_minmax_consistent_k_is_accepted(capsys):
+    code, _, _ = run(
+        capsys, "fcc-verify", "--function", "minmax", "--construction", "minmax-spc",
+        "--w", "3", "--l", "2", "--k", "6", "--t", "1",
+    )
+    assert code == 0
+
+
 def test_fcc_build_locally_binary(capsys):
     code, out, _ = run(
         capsys, "fcc-build", "--function", "delta_T:k=9,T=5", "--t", "1",
@@ -391,6 +444,19 @@ def test_table_json(capsys):
     assert data["ecc_on_function_values"] == {"text": "3", "value": 3, "exact": True}
 
 
+def test_table_generic_lower_bound_is_sound(capsys, tmp_path):
+    # the message-level bound: 0010 and 1101 are 4 apart, but 0010 has a
+    # neighbour outside the code, so only 2t = 4 parity bits are forced (and
+    # exact search finds 4 sufficient)
+    path = tmp_path / "code.txt"
+    path.write_text("0010\n1101\n")
+    code, out, _ = run(
+        capsys, "table", "--function", "indicator", "--path", str(path), "--t", "2", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["lower_bound"] == {"text": "4", "value": 4, "exact": True}
+
+
 def test_oracle_minmax(capsys):
     code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", "3", "--l", "3")
     assert code == 0
@@ -416,3 +482,32 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])  # missing required --method
     assert exc.value.code == 2
+
+
+def test_consecutive_calls_do_not_share_parsed_values(capsys):
+    # main() reuses one parser; flags and defaults of one call must not
+    # reach the next
+    code, out, _ = run(capsys, "bounds", "--method", "wt-lower", "--t", "2", "--json")
+    assert code == 0 and json.loads(out)["integer_value"] == 6
+    code, out, _ = run(capsys, "table", "--function", "binary", "--t", "1")
+    assert code == 0 and out.startswith("#")  # not JSON
+    code, out, _ = run(capsys, "bounds", "--method", "wt-lower", "--t", "1")
+    assert code == 0 and out.strip() == "8/3 (ceil 3)"
+    code, _, err = run(capsys, "bounds", "--method", "plotkin-regular", "--dist", "2")
+    assert code == 2 and "--size" in err  # --size of no earlier call is kept
+
+
+def test_cached_parser_matches_fresh_parser():
+    from fcodes import cli
+
+    argvs = [
+        ["build-code", "--kind", "exact", "--row-symmetry", "--trace", "--max-nodes", "5"],
+        ["build-code", "--kind", "greedy", "--k", "4", "--t", "1"],
+        ["simulate", "--function", "wt", "--k", "4", "--t", "1", "--channel", "random"],
+        ["simulate", "--function", "wt", "--k", "5", "--t", "2"],
+        ["bounds", "--method", "gv", "--order", "heuristic", "--json"],
+        ["bounds", "--method", "gv"],
+    ]
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli.build_parser() is not cli.build_parser()

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fcodes import bounds, construct
+from fcodes import bounds, construct, fcc
 from fcodes.bits import (
     BitWord,
     Code,
     DistanceMatrix,
+    all_words,
     hamming_distance,
     satisfies_distance_matrix,
 )
@@ -144,6 +146,110 @@ def test_exact_sandwiched_by_bounds():
         assert res.proven
         lo, hi = bounds.sandwich(d)
         assert lo.integer_value <= res.value <= hi.integer_value
+
+
+# --- exact search against the popcount reference -------------------------------
+
+
+def popcount_assignment_search(dmat, r, budget, prev_in_group):
+    """Reference search: every row tries the words from its group
+    predecessor's word upwards, rejecting each by a popcount test against
+    every earlier row, at one budget node per accepted word."""
+    m = dmat.dim
+    words = [0] * m
+
+    def extend(i):
+        if i == m:
+            return True
+        row = dmat.entries[i]
+        p = prev_in_group[i]
+        for cand in range(0 if p is None else words[p], 1 << r):
+            if any((cand ^ words[j]).bit_count() < row[j] for j in range(i)):
+                continue
+            if not budget.spend():
+                return False
+            words[i] = cand
+            if extend(i + 1):
+                return True
+            if budget.exhausted:
+                return False
+        return False
+
+    if not budget.spend():
+        return None
+    return words if extend(1) else None
+
+
+def reference_exact(dmat, budget, use_row_symmetry=False):
+    """(value, proven, nodes, witness) from the length loop of
+    exact_min_length run over the popcount reference search."""
+    m = dmat.dim
+    prev = construct._interchange_groups(dmat) if use_row_symmetry else [None] * m
+    state = construct._Budget(budget)
+    r = max(0, bounds.plotkin_irregular(dmat).integer_value)
+    while r <= budget.max_length:
+        found = popcount_assignment_search(dmat, r, state, prev)
+        if state.exhausted:
+            break
+        if found is not None:
+            return r, True, state.nodes, found
+        r += 1
+    return r, False, state.nodes, None
+
+
+def _outcome(res):
+    witness = None if res.code is None else [w.value for w in res.code]
+    return res.value, res.proven, res.nodes, witness
+
+
+def _assert_same_search(dmat, rng):
+    """Compare with and without row symmetry, at node caps that run out early,
+    midway and (mostly) not at all; returns how many searches were proven."""
+    proven = 0
+    for sym in (False, True):
+        for max_nodes in (rng.randint(1, 40), rng.randint(41, 400), 1_000):
+            budget = construct.SearchBudget(max_length=12, max_nodes=max_nodes)
+            got = _outcome(construct.exact_min_length(dmat, budget, use_row_symmetry=sym))
+            assert got == reference_exact(dmat, budget, sym), (dmat.entries, sym, max_nodes)
+            proven += got[1]
+    return proven
+
+
+def test_exact_search_matches_popcount_reference_on_random_matrices():
+    rng = random.Random(4242)
+    proven = sum(
+        _assert_same_search(random_matrix(rng, max_dim=7, max_entry=5), rng) for _ in range(40)
+    )
+    assert 40 <= proven <= 200  # both proven and budget-exhausted searches
+
+
+def test_exact_search_matches_popcount_reference_on_function_matrices():
+    rng = random.Random(777)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        values = rng.randint(2, min(4, 1 << k))
+        table = [rng.randrange(values) for _ in range(1 << k)]
+        table[:values] = range(values)  # every value attained
+        spec = fcc.FunctionSpec(k, table.__getitem__, range(values))
+        dmat = fcc.distance_requirement_matrix(spec, rng.randint(1, 2), list(all_words(k)))
+        _assert_same_search(dmat, rng)
+
+
+def test_exact_search_matches_popcount_reference_on_symmetric_matrices():
+    # many interchangeable rows, so row symmetry cuts the tree
+    rng = random.Random(5)
+    for dmat in (DistanceMatrix.uniform(5, 3), DistanceMatrix.uniform(6, 2),
+                 wt_requirement_matrix(4, 1), wt_requirement_matrix(5, 2)):
+        _assert_same_search(dmat, rng)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_ball_masks_match_popcount(r):
+    balls = defaultdict(dict)
+    for w in range(1 << r):
+        for d in range(1, r + 3):
+            mask = construct._ball(balls, r, d, w)
+            assert mask == sum(1 << v for v in range(1 << r) if (v ^ w).bit_count() < d)
 
 
 # --- Hadamard -----------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from fcodes import tables
+from fcodes import construct, fcc, tables
 
 
 def test_binary_rows():
@@ -78,3 +80,36 @@ def test_render_alignment():
     assert header.startswith("#")
     line = tables.table_row("binary", 2).render()
     assert "lower=4" in line and "fcc=4" in line
+
+
+def _random_spec(rng: random.Random) -> fcc.FunctionSpec:
+    if rng.random() < 0.5:
+        k = rng.randint(1, 4)
+        values = rng.randint(2, min(4, 1 << k))
+        table = [rng.randrange(values) for _ in range(1 << k)]
+        table[:values] = rng.sample(range(values), values)  # every value attained
+        return fcc.FunctionSpec(k, table.__getitem__, range(values))
+    # indicator of a few random words (0 elsewhere): with the words far apart,
+    # the value-level distances cannot all be realised at once
+    k = rng.randint(3, 4)
+    words = rng.sample(range(1 << k), rng.randint(2, 3))
+    table = [0] * (1 << k)
+    for v, u in enumerate(words, start=1):
+        table[u] = v
+    return fcc.FunctionSpec(k, table.__getitem__, range(len(words) + 1))
+
+
+def test_generic_lower_bound_never_exceeds_exact_optimum():
+    rng = random.Random(2021)
+    budget = construct.SearchBudget(max_nodes=20_000)
+    proven = 0
+    for _ in range(200):
+        spec = _random_spec(rng)
+        t = rng.randint(1, 2)
+        row = tables.spec_row(spec, t)
+        exact = fcc.exact_optimal_redundancy(spec, t, budget)
+        if exact.proven:
+            proven += 1
+            assert row.lower_bound.value <= exact.value, (spec.k, t, spec.index_table)
+        assert row.lower_bound.value <= row.fcc_redundancy.value
+    assert proven >= 150
