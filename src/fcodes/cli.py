@@ -335,11 +335,14 @@ def cmd_fcc_build(args) -> int:
 def cmd_fcc_verify(args) -> int:
     config = _load_config(args.config)
     encoder = _resolve_encoder(args, config)
+    started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=args.sample, seed=args.seed)
+    elapsed = time.perf_counter() - started
     if args.json:
         payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode}
         if result.witness:
             payload["witness"] = [str(w) for w in result.witness]
+        payload["stats"] = {"elapsed_s": round(elapsed, 6), "pairs_checked": result.pairs_checked}
         print(json.dumps(payload))
     elif result.ok:
         print("OK")
@@ -392,9 +395,15 @@ def cmd_simulate(args) -> int:
         rng = random.Random(args.seed)
         k = encoder.spec.k
         messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]
+    started = time.perf_counter()
     report = simulate(encoder, channel, messages)
+    elapsed = time.perf_counter() - started
     if args.json:
-        print(json.dumps(report.to_json_dict()))
+        payload = report.to_json_dict()
+        payload["stats"] = {
+            "elapsed_s": round(elapsed, 6), "trials": report.trials, "decodes": report.decodes
+        }
+        print(json.dumps(payload))
     else:
         print(f"trials={report.trials} failures={report.failures} mode={report.mode}")
         if report.witness:

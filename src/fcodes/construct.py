@@ -251,8 +251,8 @@ def exact_min_length(
             return ExactLengthResult(r, False, state.nodes, None)
         if found is not None:
             code = Code.of((BitWord(v, r) for v in found), r)
-            ok, _ = satisfies_distance_matrix(code, dmat)
-            assert ok, "search returned an invalid witness"
+            if not satisfies_distance_matrix(code, dmat)[0]:
+                raise RuntimeError("search returned an invalid witness")
             if trace:
                 trace(f"proven r={r} nodes={state.nodes}")
             return ExactLengthResult(r, True, state.nodes, code)

@@ -362,7 +362,8 @@ def verify_fcc(
     per message: pairs further apart satisfy the condition on message
     distance alone, and pairs_checked counts message pairs. The witness, if
     any, is the lexicographically smallest violating (u1, u2) with u1 < u2.
-    Exhaustive mode requires k <= 14; ask for `sample` beyond.
+    Exhaustive mode requires k <= 14; ask for `sample` beyond. A sample
+    must draw at least one pair.
     """
     spec = encoder.spec
     k, t = spec.k, encoder.t
@@ -370,6 +371,8 @@ def verify_fcc(
     par = encoder.parity_ints
     need = 2 * t + 1
     if sample is not None:
+        if sample < 1:
+            raise ValueError(f"need sample >= 1, got {sample}")
         rng = random.Random(seed)
         space = 1 << k
         checked = 0
@@ -454,6 +457,40 @@ def decode(encoder: FccEncoder, y: BitWord) -> DecodeResult:
                 best_indices.add(idx[u])
     out = best_d > encoder.t or len(best_indices) > 1
     return DecodeResult(spec.image[min(best_indices)], out, best_d)
+
+
+def _in_model_masks(encoder: FccEncoder) -> list[int]:
+    """Per image index, the received words that decode in model to that value.
+
+    Bit y of mask i is set when y lies within t of a codeword and every
+    nearest codeword carries image[i]: exactly the words for which decode
+    returns out_of_model=False and image[i]. Every value's Hamming ball grows
+    by one shell per level (d = 0..min(t, n)); a word first reached at level
+    d by two values or more is a tie and goes to neither. The masks are
+    disjoint, 2^n bits each: memory is O(E * 2^n) bits.
+    """
+    spec = encoder.spec
+    n, r = encoder.block_length, encoder.r
+    balls = [bytearray(((1 << n) + 7) >> 3) for _ in spec.image]
+    for u, (i, p) in enumerate(zip(spec.index_table, encoder.parity_ints)):
+        c = (u << r) | p
+        balls[i][c >> 3] |= 1 << (c & 7)
+    balls = [int.from_bytes(b, "little") for b in balls]
+    claimed = [0] * len(balls)
+    region = 0  # every word reached at an earlier level
+    for d in range(min(encoder.t, n) + 1):
+        once = twice = 0  # words first reached now, by one value or more / two or more
+        for i, b in enumerate(balls):
+            if d:
+                b = balls[i] = _expand_once(b, n)  # in place: one ball set alive
+            new = b & ~region
+            twice |= once & new
+            once |= new
+        claimable = ~(region | twice)
+        for i, b in enumerate(balls):
+            claimed[i] |= b & claimable
+        region |= once
+    return claimed
 
 
 def exact_optimal_redundancy(

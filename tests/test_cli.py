@@ -296,6 +296,30 @@ def test_fcc_verify_json_witness(capsys, tmp_path):
     assert data["ok"] is True and data["mode"] == "exhaustive"
 
 
+@pytest.mark.parametrize("extra", [[], ["--sample", "500"]])
+def test_fcc_verify_json_stats(capsys, extra):
+    code, out, _ = run(
+        capsys, "fcc-verify", "--function", "wt", "--k", "6", "--t", "1", "--json", *extra
+    )
+    assert code == 0
+    data = json.loads(out)
+    stats = data.pop("stats")
+    assert set(stats) == {"elapsed_s", "pairs_checked"}
+    assert stats["elapsed_s"] >= 0 and stats["pairs_checked"] == data["pairs_checked"] > 0
+    assert set(data) == {"ok", "pairs_checked", "mode"}
+
+
+@pytest.mark.parametrize("sample", ["0", "-5"])
+def test_fcc_verify_rejects_a_sample_of_no_pairs(capsys, sample):
+    code, out, err = run(
+        capsys, "fcc-verify", "--function", "wt", "--k", "4", "--t", "1",
+        "--sample", sample, "--json",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "sample >= 1" in err
+
+
 def test_fcc_build_wrong_family_is_usage_error(capsys):
     code, _, err = run(
         capsys, "fcc-build", "--function", "parity", "--k", "4", "--t", "1",
@@ -376,7 +400,25 @@ def test_simulate_random_json(capsys):
     )
     assert code == 0
     data = json.loads(out)
+    stats = data.pop("stats")
     assert data == {"trials": 300, "failures": 0, "mode": "random", "seed": 9}
+    # random mode hands every trial to the decoder
+    assert stats["trials"] == stats["decodes"] == 300 and stats["elapsed_s"] >= 0
+
+
+def test_simulate_json_stats_count_decodes(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--function", "wt", "--k", "5", "--t", "1",
+        "--construction", "1", "--channel-t", "2", "--json",
+    )
+    assert code == 1
+    data = json.loads(out)
+    stats = data.pop("stats")
+    assert set(stats) == {"elapsed_s", "trials", "decodes"}
+    assert set(data) == {"trials", "failures", "mode", "witness"}
+    assert stats["trials"] == data["trials"]
+    # the words that decode in model come off the tables, the rest are decoded
+    assert 0 < stats["decodes"] < stats["trials"]
 
 
 def test_simulate_overdriven_channel_fails(capsys):

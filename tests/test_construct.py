@@ -337,3 +337,11 @@ def test_replicate_preserves_order():
 def test_min_distance_needs_two_words():
     with pytest.raises(ValueError):
         construct.min_distance(Code.from_strings(["0101"]))
+
+
+def test_exact_min_length_rejects_an_invalid_witness(monkeypatch):
+    # the check must not be an assert, which python -O strips
+    dmat = DistanceMatrix.from_rows([[0, 2], [2, 0]])
+    monkeypatch.setattr(construct, "_assignment_search", lambda *args: [0, 0])
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        construct.exact_min_length(dmat)

@@ -5,7 +5,10 @@ double loop over all message pairs. It shares no code with `verify_fcc`
 (which checks per-value encoders against the value-distance matrix and
 enumerates difference vectors otherwise) and exists so the two can disagree
 if either is wrong. `full_scan_decode` plays the same part for `decode`: it
-compares the received word with every codeword instead of searching shells.
+compares the received word with every codeword instead of searching shells,
+and `reference_simulate` for `simulate`: it decodes every trial through
+`BitWord` encodes and XORs, as the channel harness did before it read
+in-model trials off the tables of `fcc._in_model_masks`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcodes import bounds, construct, fcc, functions
+from fcodes import simulate as simulate_mod
 from fcodes.bits import BitWord, DistanceMatrix, all_words, hamming_distance
+from fcodes.simulate import ChannelModel, SimulationReport, error_patterns, simulate
 
 
 def naive_verify(encoder: fcc.FccEncoder) -> tuple[bool, tuple | None]:
@@ -54,6 +59,41 @@ def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
     d, indices = full_scan_nearest(encoder, y)
     out = d > encoder.t or len(indices) > 1
     return fcc.DecodeResult(encoder.spec.image[min(indices)], out, d)
+
+
+def reference_simulate(encoder, channel, messages=None) -> SimulationReport:
+    """Every trial through `decode`, in the canonical (message, pattern) order."""
+    spec = encoder.spec
+    n = encoder.block_length
+    if messages is None:
+        msg_list = [BitWord(u, spec.k) for u in range(1 << spec.k)]
+    else:
+        msg_list = list(messages)
+    trials = failures = 0
+    witness = None
+
+    def run(u, pattern):
+        nonlocal trials, failures, witness
+        expected = spec.eval(u)
+        got = fcc.decode(encoder, encoder.encode(u) ^ pattern)
+        trials += 1
+        if got.value != expected:
+            failures += 1
+            if witness is None:
+                witness = (u, pattern, got.value, expected)
+
+    if channel.mode == "exhaustive":
+        patterns = list(error_patterns(n, channel.t))
+        for u in msg_list:
+            for pattern in patterns:
+                run(u, pattern)
+        return SimulationReport(trials, failures, witness, "exhaustive", None)
+    rng = random.Random(channel.seed)
+    for _ in range(channel.trials):
+        u = rng.choice(msg_list)
+        wgt = rng.randint(0, min(channel.t, n))
+        run(u, BitWord.zeros(n).flip(rng.sample(range(n), wgt) if wgt else []))
+    return SimulationReport(trials, failures, witness, "random", channel.seed)
 
 
 # --- FunctionSpec -------------------------------------------------------------
@@ -443,6 +483,101 @@ def test_decode_matches_full_scan_on_random_encoders():
             if want.distance == enc.t + 1:
                 ties_beyond_t += len(full_scan_nearest(enc, y)[1]) > 1
     assert ties_beyond_t > 0
+
+
+# --- simulate tables ----------------------------------------------------------------
+
+
+def test_in_model_masks_match_decode_on_every_word():
+    rng = random.Random(5150)
+    ties_within_t = 0
+    for _ in range(120):
+        enc = _random_encoder(rng)
+        masks = fcc._in_model_masks(enc)
+        assert len(masks) == enc.spec.expressiveness
+        for y in all_words(enc.block_length):
+            got = fcc.decode(enc, y)
+            holders = [i for i, m in enumerate(masks) if m >> y.value & 1]
+            if got.out_of_model:
+                assert holders == [], (enc, y)
+                ties_within_t += got.distance <= enc.t
+            else:
+                assert holders == [enc.spec.index_of(got.value)], (enc, y)
+    assert ties_within_t > 0
+
+
+def test_simulate_matches_reference_on_random_encoders():
+    rng = random.Random(7031)
+    ties_within_t = table_runs = 0
+    shapes = set()
+    for case in range(40):
+        enc = _random_encoder(rng)
+        k, n = enc.spec.k, enc.block_length
+        shapes.add((enc.mode, enc.r == 0))
+        ties_within_t += any(
+            got.out_of_model and got.distance <= enc.t
+            for got in (fcc.decode(enc, y) for y in all_words(n))
+        )
+        repeats = [BitWord(rng.randrange(1 << k), k) for _ in range(3)]
+        lists = [None, repeats + repeats[:2]]
+        for t in range(enc.t + 3):
+            for mode in ("exhaustive", "random"):
+                channel = ChannelModel(t, mode, seed=case, trials=60)
+                for messages in lists:
+                    got = simulate(enc, channel, messages)
+                    assert got == reference_simulate(enc, channel, messages), (enc, channel)
+                    if mode == "random" or messages is not None:
+                        assert got.decodes == got.trials
+                    else:
+                        assert got.decodes >= (got.witness is not None)
+                        table_runs += got.decodes < got.trials
+    assert table_runs > 0
+    assert ties_within_t > 0
+    assert len(shapes) == 4  # per-value and per-message, with and without parity bits
+
+
+def test_simulate_decodes_only_words_outside_the_tables():
+    enc = functions.wt_cyclic_encoder(6, 1)
+    n = enc.block_length
+    clean = simulate(enc, ChannelModel(1, "exhaustive"))
+    assert (clean.failures, clean.decodes) == (0, 0)
+    heavy = ChannelModel(2, "exhaustive")
+    report = simulate(enc, heavy)
+    assert report == reference_simulate(enc, heavy)
+    masks = fcc._in_model_masks(enc)
+    settled = 0
+    for m in masks:
+        settled |= m
+    outside = sum(
+        1
+        for u in range(1 << enc.spec.k)
+        for e in error_patterns(n, 2)
+        if not settled >> (((u << enc.r) | enc.parity_ints[u]) ^ e.value) & 1
+    )
+    # the witness comes from decode even when its word is in a table
+    assert outside <= report.decodes <= outside + 1
+    assert 0 < report.decodes < report.trials
+
+
+def test_simulate_decodes_every_trial_above_the_table_cap():
+    # the identity has E = 2^k values: its tables would cost 2^n / V(n, t)
+    # bits per trial, above the cap at k = 8
+    spec = fcc.FunctionSpec(8, lambda u: u, range(256))
+    enc = fcc.build_function_value_encoder(spec, 1)
+    channel = ChannelModel(1, "exhaustive")
+    assert len(spec.image) << enc.block_length > (
+        simulate_mod._TABLE_BITS_PER_TRIAL * (1 << 8) * (enc.block_length + 1)
+    )
+    report = simulate(enc, channel)
+    assert report == reference_simulate(enc, channel)
+    assert report.decodes == report.trials and report.failures == 0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_simulate_rejects_messages_of_the_wrong_length(mode):
+    enc = functions.wt_cyclic_encoder(4, 1)
+    with pytest.raises(ValueError, match="message length 5"):
+        simulate(enc, ChannelModel(1, mode, trials=5), [BitWord(0, 4), BitWord(0, 5)])
 
 
 # --- locally binary ---------------------------------------------------------------
