@@ -34,6 +34,11 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _trace(line: str) -> None:
+    """One --trace progress line, on stderr as it happens."""
+    print(line, file=sys.stderr, flush=True)
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     """Read key=value lines (or a JSON object) of default parameters."""
     if path is None:
@@ -211,10 +216,9 @@ def cmd_build_code(args) -> int:
             max_nodes=args.max_nodes,
             time_limit=args.time_limit,
         )
-        trace = (lambda line: print(line, file=sys.stderr, flush=True)) if args.trace else None
         started = time.perf_counter()
         result = construct.exact_min_length(
-            dmat, budget, use_row_symmetry=args.row_symmetry, trace=trace
+            dmat, budget, use_row_symmetry=args.row_symmetry, trace=_trace if args.trace else None
         )
         elapsed = time.perf_counter() - started
         if args.json:
@@ -338,6 +342,8 @@ def cmd_fcc_verify(args) -> int:
     started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=args.sample, seed=args.seed)
     elapsed = time.perf_counter() - started
+    if args.trace:
+        _trace(f"route={result.route} pairs_checked={result.pairs_checked} elapsed_s={elapsed:.6f}")
     if args.json:
         payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode}
         if result.witness:
@@ -396,7 +402,7 @@ def cmd_simulate(args) -> int:
         k = encoder.spec.k
         messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]
     started = time.perf_counter()
-    report = simulate(encoder, channel, messages)
+    report = simulate(encoder, channel, messages, trace=_trace if args.trace else None)
     elapsed = time.perf_counter() - started
     if args.json:
         payload = report.to_json_dict()
@@ -606,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_params(p)
     p.add_argument("--sample", type=int, help="sampled pairs instead of exhaustive")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trace", action="store_true", help="print the route, pairs and time to stderr")
     _add_common(p)
     p.set_defaults(func=cmd_fcc_verify)
 
@@ -631,6 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--messages", default="all", help="all | sample:N")
+    p.add_argument("--trace", action="store_true", help="print the route and totals to stderr")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -5,7 +5,9 @@ messages with different f-values end up at combined distance >= 2t+1, so a
 receiver seeing at most t substitutions can always recover f(u) (never
 necessarily u itself). This module turns a function into its distance
 requirements, builds parity rules meeting them, checks encoders exhaustively,
-and decodes.
+and decodes: one received word by a nearest-codeword search (`decode`), or
+every word near the code at once, as per-value tables that agree with
+`decode` word for word (`_nearest_value_masks`).
 """
 
 from __future__ import annotations
@@ -343,7 +345,11 @@ class VerifyResult:
     ok: bool
     witness: tuple[BitWord, BitWord] | None
     pairs_checked: int
-    mode: str  # "exhaustive" | "sampled"
+    route: str  # "value-level" | "message-level" | "sampled": what pairs_checked counts
+
+    @property
+    def mode(self) -> str:
+        return "sampled" if self.route == "sampled" else "exhaustive"
 
     def __bool__(self) -> bool:
         return self.ok
@@ -393,7 +399,7 @@ def verify_fcc(
     if encoder.mode == PER_VALUE:
         dmat = function_distance_matrix(spec, t)
         if satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]:
-            return VerifyResult(True, None, dmat.dim * (dmat.dim - 1) // 2, "exhaustive")
+            return VerifyResult(True, None, dmat.dim * (dmat.dim - 1) // 2, "value-level")
     diffs = _low_weight_masks(k, 2 * t)
     checked = 0
     for u1 in range(1 << k):
@@ -410,9 +416,9 @@ def verify_fcc(
                     best_u2 = u2
         if best_u2 >= 0:
             return VerifyResult(
-                False, (BitWord(u1, k), BitWord(best_u2, k)), checked, "exhaustive"
+                False, (BitWord(u1, k), BitWord(best_u2, k)), checked, "message-level"
             )
-    return VerifyResult(True, None, checked, "exhaustive")
+    return VerifyResult(True, None, checked, "message-level")
 
 
 @dataclass(frozen=True)
@@ -459,15 +465,15 @@ def decode(encoder: FccEncoder, y: BitWord) -> DecodeResult:
     return DecodeResult(spec.image[min(best_indices)], out, best_d)
 
 
-def _in_model_masks(encoder: FccEncoder) -> list[int]:
-    """Per image index, the received words that decode in model to that value.
+def _nearest_value_masks(encoder: FccEncoder, depth: int) -> list[int]:
+    """Per image index, the received words that decode to that value.
 
-    Bit y of mask i is set when y lies within t of a codeword and every
-    nearest codeword carries image[i]: exactly the words for which decode
-    returns out_of_model=False and image[i]. Every value's Hamming ball grows
-    by one shell per level (d = 0..min(t, n)); a word first reached at level
-    d by two values or more is a tie and goes to neither. The masks are
-    disjoint, 2^n bits each: memory is O(E * 2^n) bits.
+    Bit y of mask i is set when y lies within `depth` of a codeword and
+    image[i] is what decode returns for y: the value of its nearest
+    codewords, ties to the smallest image index. Every value's Hamming ball
+    grows by one shell per level (d = 0..min(depth, n)), and a word first
+    reached at level d goes to the smallest index that reaches it. The masks
+    are disjoint, 2^n bits each: memory is O(E * 2^n) bits.
     """
     spec = encoder.spec
     n, r = encoder.block_length, encoder.r
@@ -477,19 +483,16 @@ def _in_model_masks(encoder: FccEncoder) -> list[int]:
         balls[i][c >> 3] |= 1 << (c & 7)
     balls = [int.from_bytes(b, "little") for b in balls]
     claimed = [0] * len(balls)
-    region = 0  # every word reached at an earlier level
-    for d in range(min(encoder.t, n) + 1):
-        once = twice = 0  # words first reached now, by one value or more / two or more
+    region, everything = 0, (1 << (1 << n)) - 1  # words labelled so far, all words
+    for d in range(min(depth, n) + 1):
+        if region == everything:
+            break
         for i, b in enumerate(balls):
             if d:
                 b = balls[i] = _expand_once(b, n)  # in place: one ball set alive
             new = b & ~region
-            twice |= once & new
-            once |= new
-        claimable = ~(region | twice)
-        for i, b in enumerate(balls):
-            claimed[i] |= b & claimable
-        region |= once
+            claimed[i] |= new
+            region |= new
     return claimed
 
 
@@ -621,7 +624,10 @@ def encoder_to_text(encoder: FccEncoder) -> str:
         f"# mode: {encoder.mode}",
     ]
     if encoder.r > 0:
-        lines.extend(str(p) for p in encoder.parities)
+        values = [p.value for p in encoder.parities]
+        # one string per distinct parity: a per-message table repeats a few
+        label = {v: format(v, f"0{encoder.r}b") for v in set(values)}
+        lines.extend(map(label.__getitem__, values))
     else:
         lines.append("# (no parity bits)")
     return "\n".join(lines) + "\n"
@@ -663,5 +669,7 @@ def encoder_from_text(text: str, spec: FunctionSpec | None = None) -> FccEncoder
         count = spec.expressiveness if mode == PER_VALUE else 1 << k
         parities = tuple(BitWord.zeros(0) for _ in range(count))
     else:
-        parities = tuple(BitWord.from_string(s) for s in body)
+        # one BitWord per distinct line, parsed in file order
+        words = {s: BitWord.from_string(s) for s in dict.fromkeys(body)}
+        parities = tuple(map(words.__getitem__, body))
     return FccEncoder(spec, t, r, mode, parities)

@@ -5,29 +5,29 @@ lexicographic position set, so witnesses are canonical); random mode draws
 (message, pattern) pairs from a seeded `random.Random` — same seed, same
 report, always. Both modes cap the pattern weight at the block length.
 
-An exhaustive run over every message reads most trials off per-value tables
-of the received words that decode in model (`fcc._in_model_masks`): one bit
-test per trial, and only the other words go to `decode`. Random runs,
-explicit message lists and functions with too many values for the tables to
-pay off call `decode` on every trial. The report's `decodes` counts the
-words handed to `decode`.
+A received word y = c(u) ^ e lies within wt(e) <= t of the code, so
+per-value tables of every word within t of a codeword, each labelled with
+the value `decode` returns for it (`fcc._nearest_value_masks`), settle every
+trial with one bit test, in both modes and for any message list. Only the
+first failure is decoded, for its witness. Functions with too many values
+for the tables to pay off call `decode` on every trial. The report's
+`decodes` counts the words handed to `decode`.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import BitWord
-from .fcc import FccEncoder, FunctionValue, _in_model_masks, decode
+from .fcc import FccEncoder, FunctionValue, _nearest_value_masks, decode
 
 
-# Largest table, in mask bits per trial, that exhaustive simulate builds. The
-# masks cost a few ns per bit to grow and a decode several us, so below this
+# Largest table, in mask bits per trial, that simulate builds. The masks cost
+# a few ns per bit and level to grow and a decode several us, so below this
 # the table is the cheaper route, and its memory stays within a few dozen
 # bytes per trial (an identity function has E = 2^k values and would need
 # thousands of bits per trial).
@@ -95,16 +95,18 @@ def simulate(
     encoder: FccEncoder,
     channel: ChannelModel,
     messages: Iterable[BitWord] | None = None,
+    trace: Callable[[str], None] | None = None,
 ) -> SimulationReport:
     """Decode every (message, error) combination and count wrong values.
 
     `messages` defaults to every message. The first failure (in enumeration
     order) is kept as the witness; a verified encoder must come back with
-    zero failures in exhaustive mode. An exhaustive run over every message
-    settles each received word that decodes in model by one bit test in the
-    per-value tables of `fcc._in_model_masks` (unless they would exceed
-    _TABLE_BITS_PER_TRIAL) and hands only the other words to `decode`;
-    random runs and message lists decode every trial.
+    zero failures in exhaustive mode. Each trial is settled by one bit test
+    in the per-value tables of `fcc._nearest_value_masks` grown to depth
+    channel.t, which label every word a trial can produce as `decode` would;
+    only the witness is decoded. Above _TABLE_BITS_PER_TRIAL every trial is
+    decoded instead. `trace` receives one line naming the route and one with
+    the totals.
     """
     spec = encoder.spec
     k, r = spec.k, encoder.r
@@ -117,6 +119,17 @@ def simulate(
             if u.length != k:
                 raise ValueError(f"message length {u.length}, expected {k}")
             msgs.append(u.value)
+    started = time.perf_counter()
+    groups: Iterable[tuple[int, Sequence[int]]]
+    if channel.mode == "exhaustive":
+        patterns = [p.value for p in error_patterns(n, channel.t)]
+        trials, seed = len(msgs) * len(patterns), None
+        groups = ((u, patterns) for u in msgs)
+    else:
+        if not msgs:
+            raise ValueError("random channel needs at least one message")
+        trials, seed = channel.trials, channel.seed
+        groups = _random_trials(msgs, n, channel)
     idx = spec.index_table
     par = encoder.parity_ints
     image = spec.image
@@ -133,34 +146,45 @@ def simulate(
             if witness is None:
                 witness = (BitWord(u, k), BitWord(e, n), got.value, spec.fn(u))
 
-    if channel.mode == "exhaustive":
-        patterns = [p.value for p in error_patterns(n, channel.t)]
-        trials = len(msgs) * len(patterns)
-        if messages is None and len(image) << n <= _TABLE_BITS_PER_TRIAL * trials:
-            size = ((1 << n) + 7) >> 3
-            tables = _in_model_masks(encoder)
-            settled = reduce(or_, tables, 0).to_bytes(size, "little")
-            for i, mask in enumerate(tables):
-                tables[i] = mask.to_bytes(size, "little")  # in place: no second copy
-            for u in msgs:
-                own = tables[idx[u]]
-                c = (u << r) | par[u]
-                for e in patterns:
-                    y = c ^ e
-                    if own[y >> 3] >> (y & 7) & 1:
-                        continue  # decodes in model to the sent value
-                    if witness is None or not settled[y >> 3] >> (y & 7) & 1:
-                        judge(u, e)
+    bits = len(image) << n
+    if bits <= _TABLE_BITS_PER_TRIAL * trials:
+        depth = min(channel.t, n)
+        size = ((1 << n) + 7) >> 3
+        building = time.perf_counter()
+        tables = _nearest_value_masks(encoder, depth)
+        for i, mask in enumerate(tables):
+            tables[i] = mask.to_bytes(size, "little")  # in place: no second copy
+        if trace:
+            build_ms = (time.perf_counter() - building) * 1e3
+            trace(f"route=tables E={len(image)} n={n} depth={depth} "
+                  f"mask_bits={bits} build_ms={build_ms:.3f}")
+        for u, es in groups:
+            own = tables[idx[u]]
+            c = (u << r) | par[u]
+            for e in es:
+                y = c ^ e
+                if not own[y >> 3] >> (y & 7) & 1:
+                    if witness is None:
+                        judge(u, e)  # a failure: decode it for the witness
                     else:
-                        failures += 1  # decodes in model to another value
-        else:
-            for u in msgs:
-                for e in patterns:
-                    judge(u, e)
-        return SimulationReport(trials, failures, witness, "exhaustive", None, decodes)
+                        failures += 1
+    else:
+        if trace:
+            trace(f"route=decode-every-trial E={len(image)} n={n} mask_bits={bits}")
+        for u, es in groups:
+            for e in es:
+                judge(u, e)
+    if trace:
+        trace(f"trials={trials} failures={failures} decodes={decodes} "
+              f"elapsed_s={time.perf_counter() - started:.6f}")
+    return SimulationReport(trials, failures, witness, channel.mode, seed, decodes)
 
-    if not msgs:
-        raise ValueError("random channel needs at least one message")
+
+def _random_trials(
+    msgs: Sequence[int], n: int, channel: ChannelModel
+) -> Iterator[tuple[int, tuple[int]]]:
+    """channel.trials seeded (message, (pattern,)) draws: a message, a weight
+    in 0..min(t, n), then that many distinct positions."""
     rng = random.Random(channel.seed)
     top = min(channel.t, n)
     for _ in range(channel.trials):
@@ -169,5 +193,4 @@ def simulate(
         e = 0
         for pos in rng.sample(range(n), wgt) if wgt else ():
             e |= 1 << (n - 1 - pos)
-        judge(u, e)
-    return SimulationReport(channel.trials, failures, witness, "random", channel.seed, decodes)
+        yield u, (e,)

@@ -7,8 +7,8 @@ enumerates difference vectors otherwise) and exists so the two can disagree
 if either is wrong. `full_scan_decode` plays the same part for `decode`: it
 compares the received word with every codeword instead of searching shells,
 and `reference_simulate` for `simulate`: it decodes every trial through
-`BitWord` encodes and XORs, as the channel harness did before it read
-in-model trials off the tables of `fcc._in_model_masks`.
+`BitWord` encodes and XORs, as the channel harness did before it settled
+trials off the nearest-value tables of `fcc._nearest_value_masks`.
 """
 
 from __future__ import annotations
@@ -242,7 +242,8 @@ def test_encoder_systematic_shape():
 
 def test_verify_matches_naive_oracle_on_good_and_bad():
     enc = functions.wt_cyclic_encoder(6, 1)
-    assert fcc.verify_fcc(enc).ok
+    good = fcc.verify_fcc(enc)
+    assert good.ok and (good.route, good.mode) == ("value-level", "exhaustive")
     assert naive_verify(enc)[0]
 
     # break it: give weight-0 and weight-1 identical parities
@@ -252,6 +253,7 @@ def test_verify_matches_naive_oracle_on_good_and_bad():
     theirs_ok, theirs_witness = naive_verify(bad)
     assert not mine.ok and not theirs_ok
     assert mine.witness == theirs_witness  # both scan in lexicographic order
+    assert (mine.route, mine.mode) == ("message-level", "exhaustive")
 
 
 @settings(deadline=None, max_examples=20)
@@ -299,7 +301,7 @@ def test_verify_witness_is_lexicographically_smallest():
 def test_verify_sampled_mode():
     enc = functions.wt_cyclic_encoder(10, 1)
     res = fcc.verify_fcc(enc, sample=500, seed=3)
-    assert res.ok and res.mode == "sampled" and res.pairs_checked <= 500
+    assert res.ok and res.mode == res.route == "sampled" and res.pairs_checked <= 500
 
 
 def test_verify_exhaustive_guard():
@@ -488,22 +490,34 @@ def test_decode_matches_full_scan_on_random_encoders():
 # --- simulate tables ----------------------------------------------------------------
 
 
-def test_in_model_masks_match_decode_on_every_word():
+def test_nearest_value_masks_match_decode_on_every_word():
+    # each word within `depth` of the code is in the table of the value decode
+    # returns for it, ties to the smallest index included; no other word is
     rng = random.Random(5150)
-    ties_within_t = 0
+    ties_within_t = ties_beyond_t = 0
     for _ in range(120):
         enc = _random_encoder(rng)
-        masks = fcc._in_model_masks(enc)
-        assert len(masks) == enc.spec.expressiveness
-        for y in all_words(enc.block_length):
-            got = fcc.decode(enc, y)
-            holders = [i for i, m in enumerate(masks) if m >> y.value & 1]
-            if got.out_of_model:
-                assert holders == [], (enc, y)
-                ties_within_t += got.distance <= enc.t
-            else:
-                assert holders == [enc.spec.index_of(got.value)], (enc, y)
-    assert ties_within_t > 0
+        n = enc.block_length
+        decoded = [fcc.decode(enc, y) for y in all_words(n)]
+        for depth in (*range(enc.t + 3), n + 1):
+            masks = fcc._nearest_value_masks(enc, depth)
+            assert len(masks) == enc.spec.expressiveness
+            for y, got in enumerate(decoded):
+                holders = [i for i, m in enumerate(masks) if m >> y & 1]
+                want = [enc.spec.index_of(got.value)] if got.distance <= depth else []
+                assert holders == want, (enc, depth, y)
+        for y, got in zip(all_words(n), decoded):
+            if got.out_of_model and got.distance <= enc.t:
+                ties_within_t += 1  # within t, only a tie is out of model
+            elif got.distance == enc.t + 1:
+                ties_beyond_t += len(full_scan_nearest(enc, y)[1]) > 1
+    assert ties_within_t > 0 and ties_beyond_t > 0
+
+
+def _table_route(enc, report) -> bool:
+    """Whether simulate settled the run from tables rather than decodes."""
+    bits = enc.spec.expressiveness << enc.block_length
+    return bits <= simulate_mod._TABLE_BITS_PER_TRIAL * report.trials
 
 
 def test_simulate_matches_reference_on_random_encoders():
@@ -526,37 +540,44 @@ def test_simulate_matches_reference_on_random_encoders():
                 for messages in lists:
                     got = simulate(enc, channel, messages)
                     assert got == reference_simulate(enc, channel, messages), (enc, channel)
-                    if mode == "random" or messages is not None:
-                        assert got.decodes == got.trials
+                    if _table_route(enc, got):
+                        # only the first failure is decoded, for its witness
+                        assert got.decodes == (got.witness is not None)
+                        table_runs += 1
                     else:
-                        assert got.decodes >= (got.witness is not None)
-                        table_runs += got.decodes < got.trials
+                        assert got.decodes == got.trials
     assert table_runs > 0
     assert ties_within_t > 0
     assert len(shapes) == 4  # per-value and per-message, with and without parity bits
 
 
-def test_simulate_decodes_only_words_outside_the_tables():
+def test_simulate_decodes_only_the_witness_on_the_table_route():
+    enc = functions.wt_cyclic_encoder(6, 1)
+    for mode, beyond_t in (("exhaustive", 2), ("random", 3)):
+        clean = simulate(enc, ChannelModel(1, mode, seed=4, trials=400))
+        assert (clean.failures, clean.decodes) == (0, 0)
+        channel = ChannelModel(beyond_t, mode, seed=4, trials=400)
+        report = simulate(enc, channel)
+        assert _table_route(enc, report)
+        assert report == reference_simulate(enc, channel)
+        assert report.failures > 1 and report.decodes == 1
+
+
+def test_simulate_trace_names_the_route():
     enc = functions.wt_cyclic_encoder(6, 1)
     n = enc.block_length
-    clean = simulate(enc, ChannelModel(1, "exhaustive"))
-    assert (clean.failures, clean.decodes) == (0, 0)
-    heavy = ChannelModel(2, "exhaustive")
-    report = simulate(enc, heavy)
-    assert report == reference_simulate(enc, heavy)
-    masks = fcc._in_model_masks(enc)
-    settled = 0
-    for m in masks:
-        settled |= m
-    outside = sum(
-        1
-        for u in range(1 << enc.spec.k)
-        for e in error_patterns(n, 2)
-        if not settled >> (((u << enc.r) | enc.parity_ints[u]) ^ e.value) & 1
+    lines = []
+    report = simulate(enc, ChannelModel(2, "exhaustive"), trace=lines.append)
+    assert lines[0].startswith(f"route=tables E=7 n={n} depth=2 mask_bits={7 << n} build_ms=")
+    assert lines[1].startswith(
+        f"trials={report.trials} failures={report.failures} decodes=1 elapsed_s="
     )
-    # the witness comes from decode even when its word is in a table
-    assert outside <= report.decodes <= outside + 1
-    assert 0 < report.decodes < report.trials
+    lines.clear()
+    # one random trial does not pay for 7 * 2^n mask bits
+    simulate(enc, ChannelModel(1, "random", trials=1), trace=lines.append)
+    assert lines[0] == f"route=decode-every-trial E=7 n={n} mask_bits={7 << n}"
+    assert lines[1].startswith("trials=1 failures=0 decodes=1 elapsed_s=")
+    assert len(lines) == 2
 
 
 def test_simulate_decodes_every_trial_above_the_table_cap():
@@ -665,6 +686,29 @@ def test_encoder_text_roundtrip_per_message():
     assert again.mode == fcc.PER_MESSAGE
     for u in all_words(8):
         assert again.encode(u) == enc.encode(u)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: functions.delta_ramp_encoder(10, 4, 1), lambda: functions.wt_cyclic_encoder(8, 1)],
+)
+def test_encoder_text_roundtrip_is_byte_identical(make):
+    enc = make()
+    text = fcc.encoder_to_text(enc)
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert body == [str(p) for p in enc.parities]
+    again = fcc.encoder_from_text(text)
+    assert again.parities == enc.parities
+    assert fcc.encoder_to_text(again) == text
+
+
+def test_encoder_text_rejects_malformed_parity_lines():
+    text = fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))
+    lines = text.splitlines(keepends=True)
+    last = lines[-1].strip()
+    for bad in ("0" * len(last) + "x", last + "0", ""):  # not bits, too long, missing
+        with pytest.raises(ValueError):
+            fcc.encoder_from_text("".join(lines[:-1]) + (bad + "\n" if bad else ""))
 
 
 def test_encoder_text_zero_redundancy():
