@@ -404,6 +404,9 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     report = simulate(encoder, channel, messages, trace=_trace if args.trace else None)
     elapsed = time.perf_counter() - started
+    if args.trace:
+        _trace(f"trials={report.trials} failures={report.failures} "
+               f"decodes={report.decodes} elapsed_s={elapsed:.6f}")
     if args.json:
         payload = report.to_json_dict()
         payload["stats"] = {

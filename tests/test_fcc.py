@@ -568,16 +568,14 @@ def test_simulate_trace_names_the_route():
     n = enc.block_length
     lines = []
     report = simulate(enc, ChannelModel(2, "exhaustive"), trace=lines.append)
+    assert len(lines) == 1
     assert lines[0].startswith(f"route=tables E=7 n={n} depth=2 mask_bits={7 << n} build_ms=")
-    assert lines[1].startswith(
-        f"trials={report.trials} failures={report.failures} decodes=1 elapsed_s="
-    )
+    assert report.decodes == 1
     lines.clear()
     # one random trial does not pay for 7 * 2^n mask bits
-    simulate(enc, ChannelModel(1, "random", trials=1), trace=lines.append)
-    assert lines[0] == f"route=decode-every-trial E=7 n={n} mask_bits={7 << n}"
-    assert lines[1].startswith("trials=1 failures=0 decodes=1 elapsed_s=")
-    assert len(lines) == 2
+    report = simulate(enc, ChannelModel(1, "random", trials=1), trace=lines.append)
+    assert lines == [f"route=decode-every-trial E=7 n={n} mask_bits={7 << n}"]
+    assert report.decodes == 1
 
 
 def test_simulate_decodes_every_trial_above_the_table_cap():
