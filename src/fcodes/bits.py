@@ -148,6 +148,35 @@ def _expand_once(mask: int, n: int) -> int:
     return out
 
 
+def _xor_translate(mask: int, n: int, e: int) -> int:
+    """The set {v ^ e : v in it}: one half-swap of the words with and without
+    bit b for each bit b set in e."""
+    pats = _bit_set_patterns(n)
+    while e:
+        low = e & -e
+        e ^= low
+        pat = pats[low.bit_length() - 1]
+        mask = ((mask & ~pat) << low) | ((mask & pat) >> low)
+    return mask
+
+
+def _table_masks(table: bytes, groups: Iterable[Iterable[int]]) -> list[int]:
+    """Per group of byte values, the set of words v whose table[v] is in it.
+
+    `table` holds one byte per n-bit word, word 0 first. Reversed, each byte
+    mapped to the digit 1 or 0 reads as the mask in binary, so a group costs
+    one bytes.translate and one int parse.
+    """
+    digits = table[::-1]
+    out = []
+    for group in groups:
+        select = bytearray(b"0" * 256)
+        for v in group:
+            select[v] = ord("1")
+        out.append(int(digits.translate(select), 2))
+    return out
+
+
 def sphere_size(n: int, radius: int) -> int:
     """Number of length-n words within Hamming distance `radius` of a fixed word.
 

@@ -339,6 +339,10 @@ def cmd_fcc_build(args) -> int:
 def cmd_fcc_verify(args) -> int:
     config = _load_config(args.config)
     encoder = _resolve_encoder(args, config)
+    if args.sample is None and encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
+        raise ValueError(
+            f"k={encoder.spec.k} too large for exhaustive verification; pass --sample N"
+        )
     started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=args.sample, seed=args.seed)
     elapsed = time.perf_counter() - started

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import bounds
-from .bits import BitWord, Code, DistanceMatrix, _bit_set_patterns, _expand_once
+from .bits import BitWord, Code, DistanceMatrix, _expand_once, _xor_translate
 from .bits import satisfies_distance_matrix
 
 
@@ -133,8 +133,7 @@ def _ball(balls: dict[int, dict[int, int]], r: int, d: int, w: int) -> int:
     radius d - 1), as a 2^r-bit mask.
 
     Around 0 it is the ball for d - 1 grown by one shell; around w it is the
-    ball around 0 XOR-translated by w, one half-swap of the words with and
-    without bit b for each bit b set in w. balls[d] memoises it by w.
+    ball around 0 XOR-translated by w. balls[d] memoises it by w.
     """
     if d == 1:
         ball = 1 << w
@@ -144,13 +143,7 @@ def _ball(balls: dict[int, dict[int, int]], r: int, d: int, w: int) -> int:
         ball = balls[d].get(0)
         if ball is None:
             ball = balls[d][0] = _expand_once(_ball(balls, r, d - 1, 0), r)
-        pats = _bit_set_patterns(r)
-        rest = w
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            pat = pats[low.bit_length() - 1]
-            ball = ((ball & ~pat) << low) | ((ball & pat) >> low)
+        ball = _xor_translate(ball, r, w)
     balls[d][w] = ball
     return ball
 

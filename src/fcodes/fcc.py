@@ -18,7 +18,8 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
-from .bits import BitWord, Code, DistanceMatrix, _expand_once, all_words, satisfies_distance_matrix
+from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
+from .bits import _bit_set_patterns, _expand_once, _table_masks, _xor_translate
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -28,9 +29,12 @@ class FunctionSpec:
 
     `fn` maps the integer form of a message (bit 0 = leftmost) to a value;
     `image` fixes the indexing order used by every matrix in this package.
-    For k <= 16 the image is validated by tabulating `index_table` (one pass
-    over all messages); above that by a deterministic sample, and
-    `index_table` still rejects any value outside the image.
+    `bulk_table`, when given, returns the whole `index_table` at once (a
+    family's own whole-space builder); it must agree with tabulating `fn`,
+    which `eval` and the message-level matrices keep calling. For k <= 16
+    the image is validated by tabulating `index_table`; above that by a
+    deterministic sample, and `index_table` still rejects any value outside
+    the image.
     """
 
     def __init__(
@@ -41,6 +45,7 @@ class FunctionSpec:
         *,
         name: str = "f",
         value_label: Callable[[FunctionValue], str] | None = None,
+        bulk_table: Callable[[], Sequence[int]] | None = None,
     ):
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
@@ -49,6 +54,7 @@ class FunctionSpec:
         self.image = tuple(image)
         self.name = name
         self.value_label = value_label or str
+        self.bulk_table = bulk_table
         if len(set(self.image)) != len(self.image):
             raise ValueError("image contains duplicates")
         self._index = {v: i for i, v in enumerate(self.image)}
@@ -91,6 +97,8 @@ class FunctionSpec:
         image."""
         if self.k > 24:
             raise ValueError(f"k={self.k} too large to tabulate")
+        if self.bulk_table is not None:
+            return list(self.bulk_table())
         idx = self._index
         fn = self.fn
         try:
@@ -106,12 +114,7 @@ class FunctionSpec:
         """Per image index, the set of preimages as a 2^k-bit integer mask."""
         e = len(self.image)
         if e <= 256:
-            # the table as one byte per message, message 2^k - 1 first, read
-            # as a binary numeral after mapping index i to 1 and the rest to 0
-            digits = bytes(reversed(self.index_table))
-            return tuple(
-                int(digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2) for i in range(e)
-            )
+            return tuple(_table_masks(bytes(self.index_table), ([i] for i in range(e))))
         masks = [0] * e
         for u, i in enumerate(self.index_table):
             masks[i] |= 1 << u
@@ -355,6 +358,9 @@ class VerifyResult:
         return self.ok
 
 
+EXHAUSTIVE_MAX_K = 14  # verify_fcc samples above this
+
+
 def verify_fcc(
     encoder: FccEncoder, *, sample: int | None = None, seed: int = 0
 ) -> VerifyResult:
@@ -364,21 +370,27 @@ def verify_fcc(
     f iff its parities satisfy function_distance_matrix(spec, t) (the closest
     two preimage sets get the least help from the messages), and there
     pairs_checked counts value pairs. Per-message encoders, and per-value
-    ones that fail that check, enumerate difference vectors of weight 1..2t
-    per message: pairs further apart satisfy the condition on message
-    distance alone, and pairs_checked counts message pairs. The witness, if
-    any, is the lexicographically smallest violating (u1, u2) with u1 < u2.
-    Exhaustive mode requires k <= 14; ask for `sample` beyond. A sample
-    must draw at least one pair.
+    ones that fail that check, are checked over every difference vector e
+    of weight 1..2t (pairs further apart satisfy the condition on message
+    distance alone) by a whole-space kernel: the image-index and parity bit
+    planes, 2^k-bit masks, are XOR-translated by e, and their differences
+    mark the pairs (u, u ^ e), u < u ^ e, whose values differ and whose
+    parities are too close. pairs_checked then counts message pairs with
+    differing values. The witness, if any, is the lexicographically smallest
+    violating (u1, u2) with u1 < u2, and pairs_checked on a violation counts
+    the pairs whose u1 is at most the witness's, as a row-by-row scan
+    stopping after row u1 would. Exhaustive mode requires
+    k <= EXHAUSTIVE_MAX_K; ask for `sample` beyond. A sample must draw at
+    least one pair.
     """
     spec = encoder.spec
     k, t = spec.k, encoder.t
-    idx = spec.index_table
-    par = encoder.parity_ints
-    need = 2 * t + 1
     if sample is not None:
         if sample < 1:
             raise ValueError(f"need sample >= 1, got {sample}")
+        idx = spec.index_table
+        par = encoder.parity_ints
+        need = 2 * t + 1
         rng = random.Random(seed)
         space = 1 << k
         checked = 0
@@ -394,31 +406,83 @@ def verify_fcc(
                 return VerifyResult(False, (BitWord(lo, k), BitWord(hi, k)), checked, "sampled")
         return VerifyResult(True, None, checked, "sampled")
 
-    if k > 14:
+    if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"k={k} too large for exhaustive verification; pass sample=")
     if encoder.mode == PER_VALUE:
         dmat = function_distance_matrix(spec, t)
         if satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]:
             return VerifyResult(True, None, dmat.dim * (dmat.dim - 1) // 2, "value-level")
-    diffs = _low_weight_masks(k, 2 * t)
-    checked = 0
-    for u1 in range(1 << k):
-        i1 = idx[u1]
-        p1 = par[u1]
-        best_u2 = -1
-        for e in diffs:
-            u2 = u1 ^ e
-            if u2 <= u1 or idx[u2] == i1:
-                continue
-            checked += 1
-            if e.bit_count() + (p1 ^ par[u2]).bit_count() < need:
-                if best_u2 < 0 or u2 < best_u2:
-                    best_u2 = u2
-        if best_u2 >= 0:
-            return VerifyResult(
-                False, (BitWord(u1, k), BitWord(best_u2, k)), checked, "message-level"
-            )
-    return VerifyResult(True, None, checked, "message-level")
+    return _verify_message_level(encoder)
+
+
+_BYTE_BITS = [[v for v in range(256) if v >> j & 1] for j in range(8)]
+
+
+def _bit_planes(table: Sequence[int], width: int) -> list[int]:
+    """Plane b of a table of width-bit ints: the set of messages u whose
+    table[u] has bit b set, as a 2^k-bit mask."""
+    planes: list[int] = []
+    for lo in range(0, width, 8):
+        chunk = bytes(table) if width <= 8 else bytes(v >> lo & 255 for v in table)
+        planes += _table_masks(chunk, _BYTE_BITS[: width - lo])
+    return planes
+
+
+def _translated_planes(planes: list[int], k: int, depth: int):
+    """(e, top bit of e, planes XOR-translated by e) for every k-bit e of
+    weight 1..depth, depth first: each e extends its parent above its top
+    bit, so each node costs one half-swap per plane."""
+
+    def walk(e: int, moved: list[int], w: int):
+        for b in range(e.bit_length(), k):
+            here = [_xor_translate(p, k, 1 << b) for p in moved]
+            yield e | 1 << b, b, here
+            if w + 1 < depth:
+                yield from walk(e | 1 << b, here, w + 1)
+
+    return walk(0, planes, 0)
+
+
+def _verify_message_level(encoder: FccEncoder) -> VerifyResult:
+    """The message-level route of verify_fcc, one difference vector at a time."""
+    spec = encoder.spec
+    k, t = spec.k, encoder.t
+    need = 2 * t + 1
+    idx_planes = _bit_planes(spec.index_table, (len(spec.image) - 1).bit_length())
+    par_planes = _bit_planes(encoder.parity_ints, encoder.r)
+    high = _bit_set_patterns(k)  # high[b]: the messages with bit b set
+
+    def pairs_by_e(planes: list[int]):
+        # the u with u < u ^ e (bit `top` clear) whose value differs from u ^ e's
+        for e, top, moved in _translated_planes(planes, k, 2 * t):
+            pairs = 0
+            for a, b in zip(idx_planes, moved):
+                pairs |= a ^ b
+            yield e, pairs & ~high[top], moved[len(idx_planes):]
+
+    checked, best = 0, None
+    for e, pairs, moved in pairs_by_e(idx_planes + par_planes):
+        if not pairs:
+            continue
+        checked += pairs.bit_count()
+        # bit-sliced count: reach[j] holds the u whose parities differ in > j bits
+        reach = [0] * (need - e.bit_count())
+        for a, b in zip(par_planes, moved):
+            q = a ^ b
+            for j in range(len(reach) - 1, 0, -1):
+                reach[j] |= reach[j - 1] & q
+            reach[0] |= q
+        bad = pairs & ~reach[-1]
+        if bad:
+            u1 = (bad & -bad).bit_length() - 1
+            if best is None or (u1, u1 ^ e) < best:
+                best = (u1, u1 ^ e)
+    if best is None:
+        return VerifyResult(True, None, checked, "message-level")
+    rows = (2 << best[0]) - 1  # the pairs of rows u1 <= the witness's
+    checked = sum((pairs & rows).bit_count() for _, pairs, _ in pairs_by_e(idx_planes))
+    witness = (BitWord(best[0], k), BitWord(best[1], k))
+    return VerifyResult(False, witness, checked, "message-level")
 
 
 @dataclass(frozen=True)
@@ -535,27 +599,33 @@ def function_ball(spec: FunctionSpec, u: BitWord, rho: int) -> frozenset:
     return frozenset(spec.image[i] for i in out)
 
 
+def value_balls(spec: FunctionSpec, rho: int) -> list[int]:
+    """Per image index, the messages within rho of a preimage of that value
+    (equivalently, whose radius-rho ball sees it), as 2^k-bit masks."""
+    if rho < 0:
+        raise ValueError(f"negative radius {rho}")
+    balls = []
+    for ball in spec.preimage_masks:
+        for _ in range(min(rho, spec.k)):
+            ball = _expand_once(ball, spec.k)
+        balls.append(ball)
+    return balls
+
+
 def is_locally_binary(spec: FunctionSpec, rho: int) -> tuple[bool, BitWord | None]:
     """Whether every radius-rho ball sees at most two function values.
 
-    On failure returns the smallest message (as an integer) whose ball
-    witnesses three values.
+    Counts, bit-sliced over all messages at once, how many value balls
+    (`value_balls`) cover each message. On failure returns the smallest
+    message whose ball witnesses three values.
     """
-    if rho < 0:
-        raise ValueError(f"negative radius {rho}")
-    k = spec.k
-    idx = spec.index_table
-    diffs = _low_weight_masks(k, rho)
-    for u in range(1 << k):
-        first = idx[u]
-        second = -1
-        for e in diffs:
-            i = idx[u ^ e]
-            if i != first:
-                if second < 0:
-                    second = i
-                elif i != second:
-                    return False, BitWord(u, k)
+    seen = [0, 0, 0]  # seen[j]: the messages whose ball sees more than j values
+    for ball in value_balls(spec, rho):
+        seen[2] |= seen[1] & ball
+        seen[1] |= seen[0] & ball
+        seen[0] |= ball
+    if seen[2]:
+        return False, BitWord((seen[2] & -seen[2]).bit_length() - 1, spec.k)
     return True, None
 
 

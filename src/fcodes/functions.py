@@ -21,41 +21,60 @@ from .fcc import PER_MESSAGE, PER_VALUE, FccEncoder, FunctionSpec
 # --- plain specs ---------------------------------------------------------
 
 
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def _weight_table(k: int) -> bytes:
+    """wt(u) for every k-bit message u, one byte each, by doubling: the
+    messages with the new top bit set weigh one more than those without."""
+    table = b"\0"
+    for _ in range(k):
+        table += table.translate(_PLUS_ONE)
+    return table
+
+
+def _weight_spec(k: int, fn, image, name: str, index_of_weight) -> FunctionSpec:
+    """A spec whose value fn(u), and its image index, is index_of_weight(wt(u))."""
+
+    def bulk_table() -> bytes:
+        lookup = bytes(map(index_of_weight, range(k + 1))).ljust(256, b"\0")
+        return _weight_table(k).translate(lookup)
+
+    return FunctionSpec(k, fn, image, name=name, bulk_table=bulk_table)
+
+
 def wt_spec(k: int) -> FunctionSpec:
     """The Hamming weight of the message; image 0..k."""
-    return FunctionSpec(
-        k, lambda u: u.bit_count(), range(k + 1), name=f"wt:k={k}"
-    )
+    return _weight_spec(k, lambda u: u.bit_count(), range(k + 1), f"wt:k={k}", lambda v: v)
 
 
 def parity_spec(k: int) -> FunctionSpec:
     """XOR of all message bits; the canonical two-valued function."""
-    return FunctionSpec(
-        k, lambda u: u.bit_count() & 1, (0, 1), name=f"parity:k={k}"
+    return _weight_spec(
+        k, lambda u: u.bit_count() & 1, (0, 1), f"parity:k={k}", lambda v: v & 1
     )
 
 
 def or_spec(k: int) -> FunctionSpec:
     """OR of all message bits: 0 only on the all-zero message."""
-    return FunctionSpec(
-        k, lambda u: 1 if u else 0, (0, 1), name=f"or:k={k}"
-    )
+    return _weight_spec(k, lambda u: 1 if u else 0, (0, 1), f"or:k={k}", lambda v: min(v, 1))
 
 
 def constant_spec(k: int) -> FunctionSpec:
     """The constant 0 function (nothing to protect; redundancy 0)."""
-    return FunctionSpec(k, lambda u: 0, (0,), name=f"constant:k={k}")
+    return _weight_spec(k, lambda u: 0, (0,), f"constant:k={k}", lambda v: 0)
 
 
 def delta_spec(k: int, T: int) -> FunctionSpec:
     """Weight blocks: floor(wt(u) / T); image 0..floor(k/T)."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    return FunctionSpec(
+    return _weight_spec(
         k,
         lambda u: u.bit_count() // T,
         range(k // T + 1),
-        name=f"delta_T:k={k},T={T}",
+        f"delta_T:k={k},T={T}",
+        lambda v: v // T,
     )
 
 
@@ -98,7 +117,45 @@ def minmax_spec(w: int, l: int) -> FunctionSpec:
         for j in range(1, w + 1)
         if i != j
     ]
-    return FunctionSpec(k, fn, image, name=f"minmax:w={w},l={l}")
+    bulk = (lambda: _minmax_table(w, l)) if l <= 8 else None
+    return FunctionSpec(k, fn, image, name=f"minmax:w={w},l={l}", bulk_table=bulk)
+
+
+def _minmax_table(w: int, l: int) -> bytes:
+    """Image index of minmax_spec(w, l) for every message (l <= 8).
+
+    Built block by block from the last, one byte per suffix of blocks for its
+    smallest and largest block and their 0-based positions. A block b put in
+    front of a suffix becomes the minimum where b <= the suffix's minimum
+    (ties to the smaller index) and the maximum where b > its maximum (ties
+    to the larger index): one translate per list, and a byte-wise select on
+    big ints for the positions.
+    """
+    size = 1 << l
+    mins = maxs = bytes(range(size))
+    argmin = argmax = bytes([w - 1]) * size
+    for i in range(w - 2, -1, -1):
+        n = len(mins)
+        here = int.from_bytes(bytes([i]) * n, "big")
+        amin, amax = int.from_bytes(argmin, "big"), int.from_bytes(argmax, "big")
+        parts: list[list[bytes]] = [[], [], [], []]
+        for b in range(size):
+            takes_min = int.from_bytes(mins.translate(b"\0" * b + b"\xff" * (256 - b)), "big")
+            takes_max = int.from_bytes(maxs.translate(b"\xff" * b + b"\0" * (256 - b)), "big")
+            parts[0].append(mins.translate(bytes(range(b)) + bytes([b]) * (256 - b)))
+            parts[1].append(maxs.translate(bytes([b]) * (b + 1) + bytes(range(b + 1, 256))))
+            parts[2].append(((amin & ~takes_min) | (here & takes_min)).to_bytes(n, "big"))
+            parts[3].append(((amax & ~takes_max) | (here & takes_max)).to_bytes(n, "big"))
+        mins, maxs, argmin, argmax = (b"".join(p) for p in parts)
+    # position pair (i, j) as the byte i * w + j, then its image index
+    pair = int.from_bytes(argmin.translate(bytes(v * w & 255 for v in range(256))), "big")
+    pair = (pair + int.from_bytes(argmax, "big")).to_bytes(len(argmax), "big")
+    index = bytearray(256)
+    for i in range(w):
+        for j in range(w):
+            if i != j:
+                index[i * w + j] = i * (w - 1) + (j if j < i else j - 1)
+    return pair.translate(index)
 
 
 def indicator_spec(code: Code, *, name: str = "indicator") -> FunctionSpec:
@@ -400,7 +457,8 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
         ones = min(residue, r)
         ramp.append(BitWord.ones(ones).concat(BitWord.zeros(r - ones)))
     spec = delta_spec(k, T)
-    parities = tuple(ramp[u.bit_count() % T] for u in range(1 << k))
+    weight_mod_T = bytes(v % T for v in range(256))
+    parities = tuple(map(ramp.__getitem__, _weight_table(k).translate(weight_mod_T)))
     return FccEncoder(spec, t, r, PER_MESSAGE, parities)
 
 
@@ -414,7 +472,9 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     The bit says whether f(u) is the larger of the (at most two) values in
     u's radius-2t ball. Messages with different values within distance 2t
     then disagree on the full parity, and anything further apart needs no
-    parity help. Redundancy exactly 2t.
+    parity help. Redundancy exactly 2t. The bit is set, for all messages at
+    once, on each value's preimages outside the radius-2t balls of the
+    values above it, in the values' own order.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -423,15 +483,14 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
         raise ValueError(
             f"{spec.name} is not {2 * t}-locally binary (witness {witness})"
         )
-    k = spec.k
-    ones = BitWord.ones(2 * t)
-    zeros = BitWord.zeros(2 * t)
-    parities = []
-    for u in range(1 << k):
-        ball = fcc.function_ball(spec, BitWord(u, k), 2 * t)
-        top = max(ball)
-        parities.append(ones if spec.fn(u) == top else zeros)
-    return FccEncoder(spec, t, 2 * t, PER_MESSAGE, tuple(parities))
+    balls = fcc.value_balls(spec, 2 * t)
+    top = above = 0
+    for i in sorted(range(spec.expressiveness), key=spec.image.__getitem__, reverse=True):
+        top |= spec.preimage_masks[i] & ~above
+        above |= balls[i]
+    bit = {"1": BitWord.ones(2 * t), "0": BitWord.zeros(2 * t)}
+    parities = tuple(map(bit.__getitem__, format(top, f"0{1 << spec.k}b")[::-1]))
+    return FccEncoder(spec, t, 2 * t, PER_MESSAGE, parities)
 
 
 def locally_binary_decode(spec: FunctionSpec, t: int, y: BitWord):

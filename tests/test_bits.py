@@ -12,6 +12,8 @@ from fcodes.bits import (
     BitWord,
     Code,
     DistanceMatrix,
+    _table_masks,
+    _xor_translate,
     all_words,
     hamming_distance,
     hamming_weight,
@@ -104,6 +106,29 @@ def test_all_words_order_and_count():
 
 
 # --- spheres and shifted mod -------------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=0, max_value=(1 << (1 << n)) - 1),
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+    )
+))
+def test_xor_translate_maps_each_word_v_to_v_xor_e(case):
+    n, mask, e = case
+    want = sum(1 << (v ^ e) for v in range(1 << n) if mask >> v & 1)
+    assert _xor_translate(mask, n, e) == want
+
+
+def test_table_masks_select_positions_by_byte():
+    table = bytes([3, 0, 255, 3, 7, 0, 0, 3])
+    got = _table_masks(table, [[3], [0, 7], [], [255, 3]])
+    want = [
+        sum(1 << u for u, v in enumerate(table) if v in group)
+        for group in ([3], [0, 7], [], [255, 3])
+    ]
+    assert got == want == [0b10001001, 0b01110010, 0, 0b10001101]
 
 
 def test_sphere_size_values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 
@@ -330,6 +331,38 @@ def test_fcc_verify_rejects_a_sample_of_no_pairs(capsys, sample):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "sample >= 1" in err
+
+
+def test_fcc_verify_above_the_exhaustive_limit_names_the_sample_flag(capsys):
+    code, out, err = run(
+        capsys, "fcc-verify", "--function", "wt", "--k", "15", "--t", "1", "--construction", "1"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "pass --sample N" in err
+
+
+def test_fcc_verify_delta_ramp_at_the_exhaustive_limit(capsys, tmp_path):
+    # k=14, t=2 by the message route; pairs_checked is every pair at distance
+    # 1..2t whose weight blocks differ: from weight a, flipping j ones and
+    # w - j zeros lands on weight a - 2j + w; each pair is met from both ends
+    k, T, t = 14, 5, 2
+    path = tmp_path / "ramp.txt"
+    code, _, _ = run(
+        capsys, "fcc-build", "--function", "delta_T", "--k", str(k), "--T", str(T),
+        "--t", str(t), "--construction", "delta-ramp", "--out", str(path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "fcc-verify", "--encoder", str(path), "--json")
+    assert code == 0
+    ordered = sum(
+        comb(k, a) * comb(a, j) * comb(k - a, w - j)
+        for a in range(k + 1)
+        for w in range(1, 2 * t + 1)
+        for j in range(w + 1)
+        if a // T != (a - 2 * j + w) // T
+    )
+    data = json.loads(out)
+    assert (data["ok"], data["mode"], data["pairs_checked"]) == (True, "exhaustive", ordered // 2)
 
 
 def test_fcc_build_wrong_family_is_usage_error(capsys):

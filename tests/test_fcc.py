@@ -2,13 +2,17 @@
 
 `naive_verify` below re-checks the defining distance condition with a plain
 double loop over all message pairs. It shares no code with `verify_fcc`
-(which checks per-value encoders against the value-distance matrix and
-enumerates difference vectors otherwise) and exists so the two can disagree
-if either is wrong. `full_scan_decode` plays the same part for `decode`: it
-compares the received word with every codeword instead of searching shells,
-and `reference_simulate` for `simulate`: it decodes every trial through
-`BitWord` encodes and XORs, as the channel harness did before it settled
-trials off the nearest-value tables of `fcc._nearest_value_masks`.
+(which checks per-value encoders against the value-distance matrix and runs
+a bit-plane kernel over difference vectors otherwise) and exists so the two
+can disagree if either is wrong. `reference_message_verify` is the message
+route as a row-by-row loop, the oracle for its witness and `pairs_checked`;
+`reference_is_locally_binary` scans every message's ball the same way, the
+oracle for the mask kernel of `is_locally_binary`. `full_scan_decode` plays
+the same part for `decode`: it compares the received word with every
+codeword instead of searching shells, and `reference_simulate` for
+`simulate`: it decodes every trial through `BitWord` encodes and XORs, as
+the channel harness did before it settled trials off the nearest-value
+tables of `fcc._nearest_value_masks`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,50 @@ def naive_verify(encoder: fcc.FccEncoder) -> tuple[bool, tuple | None]:
             continue
         if hamming_distance(encoder.encode(u1), encoder.encode(u2)) < 2 * t + 1:
             return False, (u1, u2)
+    return True, None
+
+
+def _difference_vectors(k: int, max_weight: int) -> list[int]:
+    """Every k-bit vector of weight 1..max_weight."""
+    return [
+        sum(1 << b for b in bits)
+        for w in range(1, min(max_weight, k) + 1)
+        for bits in itertools.combinations(range(k), w)
+    ]
+
+
+def reference_message_verify(encoder: fcc.FccEncoder) -> tuple[bool, tuple | None, int]:
+    """(ok, witness, pairs_checked) of the message route, row by row.
+
+    For each u1 in order, every pair (u1, u1 ^ e) with u1 < u1 ^ e, e of
+    weight at most 2t and differing values counts as checked; the first row
+    holding a violation ends the scan with the row's smallest violating u2.
+    """
+    spec, k, t = encoder.spec, encoder.spec.k, encoder.t
+    idx, par = spec.index_table, encoder.parity_ints
+    diffs = _difference_vectors(k, 2 * t)
+    checked = 0
+    for u1 in range(1 << k):
+        bad = []
+        for e in diffs:
+            u2 = u1 ^ e
+            if u2 <= u1 or idx[u2] == idx[u1]:
+                continue
+            checked += 1
+            if e.bit_count() + (par[u1] ^ par[u2]).bit_count() < 2 * t + 1:
+                bad.append(u2)
+        if bad:
+            return False, (BitWord(u1, k), BitWord(min(bad), k)), checked
+    return True, None, checked
+
+
+def reference_is_locally_binary(spec: fcc.FunctionSpec, rho: int) -> tuple[bool, BitWord | None]:
+    """The smallest message whose radius-rho ball sees three values, if any."""
+    idx = spec.index_table
+    diffs = _difference_vectors(spec.k, rho)
+    for u in range(1 << spec.k):
+        if len({idx[u]} | {idx[u ^ e] for e in diffs}) > 2:
+            return False, BitWord(u, spec.k)
     return True, None
 
 
@@ -287,6 +335,65 @@ def test_verify_per_value_route_matches_message_loop_on_random_encoders():
             assert res.pairs_checked == e * (e - 1) // 2
         verdicts[res.ok] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def _shuffled_spec(rng: random.Random, k: int, e: int) -> fcc.FunctionSpec:
+    """A random function with e values whose image order is shuffled, so it
+    differs from the values' own order."""
+    table = list(range(e)) + [rng.randrange(e) for _ in range((1 << k) - e)]
+    rng.shuffle(table)
+    image = list(range(e))
+    rng.shuffle(image)
+    return fcc.FunctionSpec(k, table.__getitem__, image)
+
+
+def test_verify_message_route_matches_row_loop_on_random_encoders():
+    # verdict, witness and pairs_checked of the mask kernel against the row
+    # loop: random per-message tables, per-value tables that fail the
+    # value-level check, and per-message copies of encoders that pass
+    rng = random.Random(7001)
+    seen = {"pass": 0, "fail": 0, "r0": 0, "e1": 0, "t3": 0, "wide": 0}
+    for case in range(240):
+        k, t = rng.randint(1, 7), rng.randint(1, 3)
+        e = rng.randint(1, min(1 << k, 6))
+        spec = _shuffled_spec(rng, k, e)
+        r = rng.choice((0, 1, 2, 3, 4, 6, 9))  # 9: parity planes from two bytes
+        if case % 3 == 0:
+            enc = fcc.build_function_value_encoder(spec, t)
+            enc = fcc.per_message_encoder(
+                spec, t, [BitWord(p, enc.r) for p in enc.parity_ints]
+            )
+        elif case % 3 == 1:
+            enc = fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, tuple(
+                BitWord(rng.randrange(1 << r), r) for _ in spec.image))
+        else:
+            enc = fcc.per_message_encoder(
+                spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
+            )
+        res = fcc.verify_fcc(enc)
+        if res.route == "value-level":
+            assert enc.mode == fcc.PER_VALUE and res.ok
+            continue
+        assert res.route == "message-level"
+        assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(enc)
+        seen["pass" if res.ok else "fail"] += 1
+        seen["r0"] += enc.r == 0
+        seen["e1"] += e == 1
+        seen["t3"] += t == 3
+        seen["wide"] += enc.r > 8
+    assert min(seen.values()) >= 20, seen
+
+
+def test_verify_message_route_with_more_than_256_values():
+    # the image-index planes then come from two bytes per message
+    rng = random.Random(300)
+    spec = _shuffled_spec(rng, 9, 300)
+    for t, r in ((1, 2), (1, 12), (2, 4)):
+        enc = fcc.per_message_encoder(
+            spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(512)]
+        )
+        res = fcc.verify_fcc(enc)
+        assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(enc)
 
 
 def test_verify_witness_is_lexicographically_smallest():
@@ -619,6 +726,24 @@ def test_is_locally_binary_weight_fails_with_zero_witness():
 def test_is_locally_binary_delta():
     ok, witness = fcc.is_locally_binary(functions.delta_spec(9, 5), 2)
     assert ok and witness is None
+
+
+def test_is_locally_binary_matches_ball_scan_on_random_specs():
+    rng = random.Random(6060)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        k = rng.randint(1, 7)
+        spec = _shuffled_spec(rng, k, rng.randint(1, min(1 << k, 5)))
+        for rho in (0, 1, 2, rng.randint(3, k + 2), k + 1):  # rho > k included
+            got = fcc.is_locally_binary(spec, rho)
+            assert got == reference_is_locally_binary(spec, rho), (spec.index_table, rho)
+            verdicts[got[0]] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_is_locally_binary_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        fcc.is_locally_binary(functions.wt_spec(3), -1)
 
 
 def test_is_locally_binary_code_indicator():

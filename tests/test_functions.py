@@ -1,6 +1,15 @@
-"""Function families and their dedicated encoders."""
+"""Function families and their dedicated encoders.
+
+The families with a whole-space table builder are checked against
+tabulating their `fn` message by message, and `locally_binary_encoder`
+against `reference_locally_binary_parities`, which reads each message's
+indicator bit off its function ball.
+"""
 
 from __future__ import annotations
+
+import itertools
+import random
 
 import pytest
 
@@ -44,6 +53,48 @@ def test_indicator_spec_membership():
     spec = functions.indicator_spec(code)
     assert spec.eval(BitWord.from_string("111")) == 2  # 1-based codeword index
     assert spec.eval(BitWord.from_string("101")) == 0
+
+
+# --- whole-space tables against tabulating fn ---------------------------------------
+
+
+def tabulated(spec: fcc.FunctionSpec) -> list[int]:
+    return [spec.index_of(spec.fn(u)) for u in range(1 << spec.k)]
+
+
+@pytest.mark.parametrize(
+    "make", [functions.wt_spec, functions.parity_spec, functions.or_spec, functions.constant_spec]
+)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_weight_family_tables_match_fn(make, k):
+    spec = make(k)
+    assert spec.bulk_table is not None
+    assert spec.index_table == tabulated(spec)
+
+
+@pytest.mark.parametrize("k", [1, 4, 7, 10, 12])
+def test_delta_tables_match_fn(k):
+    for T in range(1, k + 2):
+        spec = functions.delta_spec(k, T)
+        assert spec.index_table == tabulated(spec), T
+
+
+def test_minmax_tables_match_fn():
+    layouts = [(w, l) for w in range(2, 7) for l in range(2, 7) if w * l <= 12]
+    assert len(layouts) == 12
+    for w, l in layouts:
+        spec = functions.minmax_spec(w, l)
+        assert spec.bulk_table is not None
+        assert spec.index_table == tabulated(spec), (w, l)
+    # every tie kind occurs: all blocks equal, a tied minimum, a tied maximum
+    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("010101")) == MinMaxValue(1, 3)
+    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110101")) == MinMaxValue(2, 1)
+    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110011")) == MinMaxValue(2, 3)
+
+
+def test_minmax_blocks_beyond_a_byte_tabulate_fn():
+    spec = functions.minmax_spec(2, 9)
+    assert spec.bulk_table is None
 
 
 # --- weight requirement matrix: closed form vs generic route ---------------------
@@ -132,6 +183,14 @@ def test_delta_ramp_parities_follow_residue():
     assert by_weight == {0: {"00"}, 1: {"10"}, 2: {"11"}}
 
 
+@pytest.mark.parametrize("k,T,t", [(1, 3, 1), (8, 3, 1), (11, 7, 3), (12, 5, 2)])
+def test_delta_ramp_parities_match_per_message_weights(k, T, t):
+    enc = functions.delta_ramp_encoder(k, T, t)
+    r = 2 * t
+    ramp = [BitWord.ones(min(c, r)).concat(BitWord.zeros(r - min(c, r))) for c in range(T)]
+    assert enc.parities == tuple(ramp[u.bit_count() % T] for u in range(1 << k))
+
+
 @pytest.mark.parametrize("k,T,t", [(8, 3, 1), (9, 5, 2)])
 def test_delta_ramp_exhaustive_verify(k, T, t):
     enc = functions.delta_ramp_encoder(k, T, t)
@@ -159,6 +218,50 @@ def test_locally_binary_encoder_delta():
     enc = functions.locally_binary_encoder(spec, 1)
     assert enc.r == 2
     assert fcc.verify_fcc(enc).ok
+
+
+def reference_locally_binary_parities(spec: fcc.FunctionSpec, t: int) -> tuple[BitWord, ...]:
+    """Per message, 1^2t when f(u) is the largest value in u's radius-2t ball."""
+    out = []
+    for u in all_words(spec.k):
+        top = max(fcc.function_ball(spec, u, 2 * t))
+        out.append(BitWord.ones(2 * t) if spec.eval(u) == top else BitWord.zeros(2 * t))
+    return tuple(out)
+
+
+def _banded_spec(rng: random.Random, k: int, t: int) -> fcc.FunctionSpec:
+    """A function of the weight, constant on bands at least 4t+1 weights wide
+    (so 2t-locally binary), with shuffled labels: neither the image order nor
+    the weight order is the values' own order."""
+    cuts = [rng.randint(1, 3)]
+    while len(cuts) < 3:
+        cuts.append(cuts[-1] + 4 * t + 1 + rng.randint(0, 2))
+    cuts = [c for c in cuts if c <= k]
+    labels = rng.sample("abcdef", len(cuts) + 1)
+    band = [sum(w >= c for c in cuts) for w in range(k + 1)]
+    image = rng.sample(labels, len(labels))
+    return fcc.FunctionSpec(k, lambda u: labels[band[u.bit_count()]], image)
+
+
+def test_locally_binary_encoder_matches_function_balls():
+    rng = random.Random(808)
+    tried = 0
+    for _ in range(60):
+        if rng.random() < 0.5:
+            t = rng.randint(1, 2)
+            k = rng.randint(4 * t + 2, 10)
+            spec = _banded_spec(rng, k, t)
+        else:  # any function with at most two values is locally binary
+            k, t = rng.randint(1, 8), rng.randint(1, 3)
+            e = rng.randint(1, min(2, 1 << k))
+            table = list(range(e)) + [rng.randrange(e) for _ in range((1 << k) - e)]
+            rng.shuffle(table)
+            spec = fcc.FunctionSpec(k, table.__getitem__, rng.sample(range(e), e))
+        enc = functions.locally_binary_encoder(spec, t)
+        assert enc.parities == reference_locally_binary_parities(spec, t)
+        assert fcc.verify_fcc(enc).ok
+        tried += spec.expressiveness >= 3
+    assert tried >= 10, tried
 
 
 def test_locally_binary_decode_all_patterns():
