@@ -260,8 +260,15 @@ class DistanceMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> DistanceMatrix:
+        """Read `{"entries": [[...], ...]}` (optionally with "dim"); any
+        other shape, or an entry that is not a JSON integer, is a ValueError."""
         data = json.loads(text)
-        m = cls.from_rows(data["entries"])
+        rows = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(e) is int for e in row) for row in rows
+        ):
+            raise ValueError("matrix JSON needs an object whose 'entries' are lists of integers")
+        m = cls.from_rows(rows)
         if "dim" in data and data["dim"] != m.dim:
             raise ValueError(f"dim field {data['dim']} does not match {m.dim} rows")
         return m

@@ -39,16 +39,12 @@ def _trace(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str) -> dict[str, str]:
     """Read key=value lines (or a JSON object) of default parameters."""
-    if path is None:
-        return {}
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        return {str(key): str(val) for key, val in data.items()}
+    if text.lstrip().startswith("{"):
+        return {str(key): str(val) for key, val in json.loads(text).items()}
     out: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -61,63 +57,77 @@ def _load_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _spec_defaults(args, config: dict[str, str]) -> dict[str, str]:
-    """Merge CLI flags over config-file values into registry parameters."""
-    merged = dict(config)
-    for key in ("k", "T", "w", "l", "eps", "a", "b", "path"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = str(val)
-    return merged
+# values of the flags that have one when neither the command line nor the
+# config names them
+_DEFAULTS = {
+    "matrix": "dwt", "order": "id", "max_length": "16", "max_nodes": "2000000",
+    "time_limit": "30.0", "construction": "auto", "seed": "0", "channel": "exhaustive",
+    "trials": "1000", "messages": "all",
+}
+# the parameters a registry string may take from the flags
+_SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
 
 
-def _get_param(args, config: dict[str, str], name: str, cast, required=True):
-    val = getattr(args, name, None)
-    if val is None and name in config:
-        val = cast(config[name])
-    if val is None and required:
-        raise ValueError(f"missing --{name}")
-    return val
+def _params(args) -> dict[str, str]:
+    """Every value of one call, keyed by flag dest: the defaults, then the
+    --config file, then the key=value pairs inside --function, then explicit
+    flags. A flag that contradicts a --function pair is a usage error."""
+    params = dict(_DEFAULTS)
+    if args.config is not None:
+        params.update(_load_config(args.config))
+    flags = {
+        key: str(val)
+        for key, val in vars(args).items()
+        if val is not None and not isinstance(val, bool) and key not in ("command", "func")
+    }
+    text = flags.get("function", params.get("function"))
+    if text:
+        pairs = fcc.parse_spec_string(text)[1]
+        for key, val in pairs.items():
+            if flags.get(key, val) != val:
+                raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
+        params.update(pairs)
+    params.update(flags)
+    return params
 
 
-def _required(args, what: str, *names: str) -> tuple:
-    """Values of the flags (argparse dests) that `what` cannot run without."""
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--in" if n == "infile" else "--" + n.replace("_", "-") for n in missing)
-        raise ValueError(f"{what} needs {flags}")
-    return tuple(getattr(args, n) for n in names)
+def _flag(name: str) -> str:
+    return "--in" if name == "infile" else "--" + name.replace("_", "-")
 
 
-def _function_string_params(text: str | None) -> dict[str, str]:
-    """key=value parameters carried inside a registry string like wt:k=6."""
-    if not text or ":" not in text:
-        return {}
-    out: dict[str, str] = {}
-    for token in text.partition(":")[2].split(","):
-        if "=" in token:
-            key, _, val = token.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+def _need(params: dict[str, str], name: str, cast=str):
+    """The value of `name` as `cast` makes it; a missing one names its flag."""
+    if name not in params:
+        raise ValueError(f"missing {_flag(name)}")
+    return cast(params[name])
 
 
-def _matrix_from_args(args, config: dict[str, str]) -> DistanceMatrix:
-    source = args.matrix
+def _spec(params: dict[str, str]) -> fcc.FunctionSpec:
+    """The spec --function names, its missing keys taken from the flags."""
+    return fcc.spec_from_string(_need(params, "function"), defaults=_spec_params(params))
+
+
+def _spec_params(params: dict[str, str]) -> dict[str, str]:
+    return {key: params[key] for key in _SPEC_KEYS if key in params}
+
+
+def _matrix(params: dict[str, str]) -> DistanceMatrix:
+    source = params["matrix"]
     if source == "file":
-        if not args.file:
-            raise ValueError("--matrix file needs --file")
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(_need(params, "file"), "r", encoding="utf-8") as fh:
             return DistanceMatrix.from_json(fh.read())
-    t = _get_param(args, config, "t", int)
+    t = _need(params, "t", int)
     if source == "dwt":
-        k = _get_param(args, config, "k", int)
-        return functions.wt_requirement_matrix(k, t)
+        return functions.wt_requirement_matrix(_need(params, "k", int), t)
     if source == "function":
-        if not args.function:
-            raise ValueError("--matrix function needs --function")
-        spec = fcc.spec_from_string(args.function, defaults=_spec_defaults(args, config))
-        return fcc.function_distance_matrix(spec, t)
+        return fcc.function_distance_matrix(_spec(params), t)
     raise ValueError(f"unknown matrix source {source!r}")
+
+
+def _row_order(params: dict[str, str], dmat: DistanceMatrix) -> list[int] | None:
+    if params["order"] not in ("id", "heuristic"):
+        raise ValueError(f"unknown order {params['order']!r}")
+    return bounds.heuristic_row_order(dmat) if params["order"] == "heuristic" else None
 
 
 def _emit_code(code: Code, out: str | None, header: str | None = None) -> None:
@@ -131,90 +141,74 @@ def _emit_code(code: Code, out: str | None, header: str | None = None) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
+# method -> (name of the `bounds` function, the values it takes), where
+# "matrix" is the requirement matrix and "order" its row order; looked up
+# when called, so the function can be replaced at run time
+_BOUNDS = {
+    "plotkin": ("plotkin_irregular", ("matrix",)),
+    "plotkin-regular": ("plotkin_regular", ("size", "dist")),
+    "gv": ("gv_irregular_threshold", ("matrix", "order")),
+    "hadamard": ("hadamard_upper", ("size", "dist")),
+    "gv-closed": ("gv_regular_closed_form", ("size", "dist")),
+    "sandwich": ("sandwich", ("matrix",)),
+    "wt-lower": ("wt_lower_bound", ("t",)),
+    "minmax-lower": ("minmax_lower_bound", ("w", "t")),
+    "minmax-sp": ("minmax_sphere_packing_bound", ("w", "t")),
+    "minmax-gv": ("minmax_gv_upper", ("w", "t")),
+    "ecc-data": ("ecc_on_data_redundancy", ("k", "t")),
+    "ecc-values": ("ecc_on_function_values_redundancy", ("image_size", "t")),
+}
 
-def cmd_bounds(args) -> int:
-    config = _load_config(args.config)
-    method = args.method
 
-    def show(res: bounds.BoundResult | None) -> int:
-        if res is None:
-            print("not-applicable")
-            return 0
-        if args.json:
-            print(json.dumps(res.to_json_dict()))
-        else:
-            print(str(res))
-        return 0
-
-    if method == "plotkin":
-        return show(bounds.plotkin_irregular(_matrix_from_args(args, config)))
-    if method == "plotkin-regular":
-        return show(
-            bounds.plotkin_regular(*_required(args, "--method plotkin-regular", "size", "dist"))
-        )
-    if method == "gv":
-        dmat = _matrix_from_args(args, config)
-        order = bounds.heuristic_row_order(dmat) if args.order == "heuristic" else None
-        r = bounds.gv_irregular_threshold(dmat, order)
-        print(json.dumps({"value": r}) if args.json else r)
-        return 0
-    if method == "hadamard":
-        return show(bounds.hadamard_upper(*_required(args, "--method hadamard", "size", "dist")))
-    if method == "gv-closed":
-        return show(
-            bounds.gv_regular_closed_form(*_required(args, "--method gv-closed", "size", "dist"))
-        )
-    if method == "sandwich":
-        lo, hi = bounds.sandwich(_matrix_from_args(args, config))
-        if args.json:
+def _print_bound(res, as_json: bool) -> None:
+    """A BoundResult, a (lower, upper) pair of them, a plain length, or
+    None for a bound that does not apply."""
+    if res is None:
+        print("not-applicable")
+    elif isinstance(res, int):
+        print(json.dumps({"value": res}) if as_json else res)
+    elif isinstance(res, tuple):
+        lo, hi = res
+        if as_json:
             print(json.dumps({"lower": lo.to_json_dict(), "upper": hi.to_json_dict()}))
         else:
             print(f"lower {lo}  upper {hi}")
-        return 0
-    t = _get_param(args, config, "t", int)
-    if method == "wt-lower":
-        return show(bounds.wt_lower_bound(t))
-    if method == "minmax-lower":
-        return show(bounds.minmax_lower_bound(_get_param(args, config, "w", int), t))
-    if method == "minmax-sp":
-        return show(bounds.minmax_sphere_packing_bound(_get_param(args, config, "w", int), t))
-    if method == "minmax-gv":
-        r = bounds.minmax_gv_upper(_get_param(args, config, "w", int), t)
-        print(json.dumps({"value": r}) if args.json else r)
-        return 0
-    if method == "ecc-data":
-        r = bounds.ecc_on_data_redundancy(_get_param(args, config, "k", int), t)
-        print(json.dumps({"value": r}) if args.json else r)
-        return 0
-    if method == "ecc-values":
-        (size,) = _required(args, "--method ecc-values", "image_size")
-        r = bounds.ecc_on_function_values_redundancy(size, t)
-        print(json.dumps({"value": r}) if args.json else r)
-        return 0
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        print(json.dumps(res.to_json_dict()) if as_json else res)
 
 
-def cmd_build_code(args) -> int:
-    config = _load_config(args.config)
-    kind = args.kind
+def cmd_bounds(args, params: dict[str, str]) -> int:
+    name, needs = _BOUNDS[params["method"]]
+    if "matrix" in needs:
+        dmat = _matrix(params)
+        values = [dmat, _row_order(params, dmat)] if "order" in needs else [dmat]
+    else:
+        values = [_need(params, n, int) for n in needs]
+    _print_bound(getattr(bounds, name)(*values), args.json)
+    return 0
+
+
+def cmd_build_code(args, params: dict[str, str]) -> int:
+    kind, out = params["kind"], params.get("out")
     if kind == "greedy":
-        dmat = _matrix_from_args(args, config)
-        order = bounds.heuristic_row_order(dmat) if args.order == "heuristic" else None
-        r = args.length
-        if r is None:
+        dmat = _matrix(params)
+        order = _row_order(params, dmat)
+        if "length" in params:
+            r = int(params["length"])
+        else:
             r = bounds.gv_irregular_threshold(dmat, order)
             print(f"using gv threshold length r={r}", file=sys.stderr)
         code = construct.greedy_irregular_code(dmat, r, order)
         if code is None:
             return _fail(f"greedy build failed at length {r}", 1)
-        _emit_code(code, args.out, f"greedy code, r={r}")
+        _emit_code(code, out, f"greedy code, r={r}")
         return 0
     if kind == "exact":
-        dmat = _matrix_from_args(args, config)
+        dmat = _matrix(params)
         budget = construct.SearchBudget(
-            max_length=args.max_length,
-            max_nodes=args.max_nodes,
-            time_limit=args.time_limit,
+            max_length=_need(params, "max_length", int),
+            max_nodes=_need(params, "max_nodes", int),
+            time_limit=_need(params, "time_limit", float),
         )
         started = time.perf_counter()
         result = construct.exact_min_length(
@@ -235,100 +229,80 @@ def cmd_build_code(args) -> int:
             status = "proven" if result.proven else "budget exhausted (lower bound)"
             print(f"N = {result.value} ({status}, {result.nodes} nodes)")
             if result.code is not None:
-                _emit_code(result.code, args.out, "exact witness")
+                _emit_code(result.code, out, "exact witness")
         return 0 if result.proven else 2
     if kind == "hadamard":
-        (dist,) = _required(args, "--kind hadamard", "dist")
+        dist = _need(params, "dist", int)
         code = construct.hadamard_code(dist)
         if code is None:
             return _fail(f"no Sylvester order for distance {dist}", 1)
-        _emit_code(code, args.out, f"hadamard-derived code, distance {dist}")
+        _emit_code(code, out, f"hadamard-derived code, distance {dist}")
         return 0
     if kind == "reed-muller":
-        order, m = _required(args, "--kind reed-muller", "rm_order", "log_length")
-        _emit_code(construct.reed_muller_code(order, m), args.out, f"RM({order},{m})")
+        order, m = _need(params, "rm_order", int), _need(params, "log_length", int)
+        _emit_code(construct.reed_muller_code(order, m), out, f"RM({order},{m})")
         return 0
     if kind == "even-weight":
-        code = construct.even_weight_subcode(
-            *_required(args, "--kind even-weight", "count", "length")
-        )
-        _emit_code(code, args.out, "even-weight subcode")
+        count, length = _need(params, "count", int), _need(params, "length", int)
+        _emit_code(construct.even_weight_subcode(count, length), out, "even-weight subcode")
         return 0
     if kind == "replicate":
-        path, factor = _required(args, "--kind replicate", "infile", "factor")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_need(params, "infile"), "r", encoding="utf-8") as fh:
             code = Code.from_text(fh.read())
-        _emit_code(construct.replicate_bits(code, factor), args.out, f"replicated x{factor}")
+        factor = _need(params, "factor", int)
+        _emit_code(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
         return 0
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _resolve_encoder(args, config: dict[str, str]) -> fcc.FccEncoder:
+# construction -> (the family it protects, name of the `functions` builder,
+# the values it takes)
+_CONSTRUCTIONS = {
+    "wt-cycle": ("wt", "wt_cyclic_encoder", ("k", "t")),
+    "delta-ramp": ("delta_T", "delta_ramp_encoder", ("k", "T", "t")),
+    "minmax-spc": ("minmax", "minmax_parity_encoder", ("w", "l", "t")),
+    "minmax-rm": ("minmax", "minmax_rm_encoder", ("w", "t", "l")),
+}
+
+
+def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
     """Encoder from --encoder file, or built from --function/--construction."""
-    if getattr(args, "encoder", None):
-        with open(args.encoder, "r", encoding="utf-8") as fh:
-            spec = None
-            if getattr(args, "function", None):
-                spec = fcc.spec_from_string(
-                    args.function, defaults=_spec_defaults(args, config)
-                )
+    if "encoder" in params:
+        with open(params["encoder"], "r", encoding="utf-8") as fh:
+            spec = _spec(params) if "function" in params else None
             encoder = fcc.encoder_from_text(fh.read(), spec)
-        # an explicit --t outranks the t stored in the file, so a code built
-        # for one budget can be checked against a stronger adversary
-        if getattr(args, "t", None) is not None and args.t != encoder.t:
-            encoder = dataclasses.replace(encoder, t=args.t)
+        # a given t outranks the t stored in the file, so a code built for
+        # one budget can be checked against a stronger adversary
+        if "t" in params and int(params["t"]) != encoder.t:
+            encoder = dataclasses.replace(encoder, t=int(params["t"]))
         return encoder
-    # parameters named inside --function (e.g. delta_T:k=8,T=3) outrank the
-    # config file; explicit flags outrank both
-    config = {**config, **_function_string_params(getattr(args, "function", None))}
-    t = _get_param(args, config, "t", int)
-    name = _CONSTRUCTION_ALIASES.get(args.construction, args.construction)
-    family = (args.function or "").partition(":")[0]
-
-    def need_function(expected: str):
-        if args.function and family != expected:
-            raise ValueError(
-                f"construction {name!r} protects {expected!r}, not {family!r}"
-            )
-
-    if name == "wt-cycle":
-        need_function("wt")
-        return functions.wt_cyclic_encoder(_get_param(args, config, "k", int), t)
-    if name == "delta-ramp":
-        need_function("delta_T")
-        return functions.delta_ramp_encoder(
-            _get_param(args, config, "k", int), _get_param(args, config, "T", int), t
-        )
-    if name in ("minmax-spc", "minmax-rm"):
-        need_function("minmax")
-        w = _get_param(args, config, "w", int)
-        l = _get_param(args, config, "l", int)
-        k = _get_param(args, config, "k", int, required=False)
-        if k is not None and k != w * l:
-            raise ValueError(f"k={k} inconsistent with w*l={w * l}")
-        if name == "minmax-spc":
-            return functions.minmax_parity_encoder(w, l, t)
-        return functions.minmax_rm_encoder(w, t, l)
-    if not args.function:
-        raise ValueError("need --function (or --encoder)")
-    spec = fcc.spec_from_string(args.function, defaults=_spec_defaults(args, config))
+    name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
+    if name in _CONSTRUCTIONS:
+        expected, builder, needs = _CONSTRUCTIONS[name]
+        family = fcc.parse_spec_string(params.get("function", expected))[0]
+        if family != expected:
+            raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
+        values = [_need(params, n, int) for n in needs]
+        if expected == "minmax" and "k" in params:
+            fcc.spec_from_string("minmax", _spec_params(params))  # k must equal w*l
+        return getattr(functions, builder)(*values)
+    t = _need(params, "t", int)
     if name == "locally-binary":
-        return functions.locally_binary_encoder(spec, t)
+        return functions.locally_binary_encoder(_spec(params), t)
     if name == "auto":
-        return fcc.build_function_value_encoder(spec, t)
-    raise ValueError(f"unknown construction {args.construction!r}")
+        return fcc.build_function_value_encoder(_spec(params), t)
+    raise ValueError(f"unknown construction {params['construction']!r}")
 
 
-def cmd_fcc_build(args) -> int:
-    config = _load_config(args.config)
-    encoder = _resolve_encoder(args, config)
+def cmd_fcc_build(args, params: dict[str, str]) -> int:
+    encoder = _resolve_encoder(params)
     text = fcc.encoder_to_text(encoder)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if "out" in params:
+        with open(params["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
         print(
             f"encoder: k={encoder.spec.k} t={encoder.t} r={encoder.r} "
-            f"mode={encoder.mode} -> {args.out}",
+            f"mode={encoder.mode} -> {params['out']}",
             file=sys.stderr,
         )
     else:
@@ -336,15 +310,15 @@ def cmd_fcc_build(args) -> int:
     return 0
 
 
-def cmd_fcc_verify(args) -> int:
-    config = _load_config(args.config)
-    encoder = _resolve_encoder(args, config)
-    if args.sample is None and encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
+def cmd_fcc_verify(args, params: dict[str, str]) -> int:
+    encoder = _resolve_encoder(params)
+    sample = int(params["sample"]) if "sample" in params else None
+    if sample is None and encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
         raise ValueError(
             f"k={encoder.spec.k} too large for exhaustive verification; pass --sample N"
         )
     started = time.perf_counter()
-    result = fcc.verify_fcc(encoder, sample=args.sample, seed=args.seed)
+    result = fcc.verify_fcc(encoder, sample=sample, seed=_need(params, "seed", int))
     elapsed = time.perf_counter() - started
     if args.trace:
         _trace(f"route={result.route} pairs_checked={result.pairs_checked} elapsed_s={elapsed:.6f}")
@@ -362,19 +336,15 @@ def cmd_fcc_verify(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_fcc_encode(args) -> int:
-    config = _load_config(args.config)
-    encoder = _resolve_encoder(args, config)
-    u = BitWord.from_string(args.u)
-    print(encoder.encode(u))
+def cmd_fcc_encode(args, params: dict[str, str]) -> int:
+    encoder = _resolve_encoder(params)
+    print(encoder.encode(BitWord.from_string(params["u"])))
     return 0
 
 
-def cmd_fcc_decode(args) -> int:
-    config = _load_config(args.config)
-    encoder = _resolve_encoder(args, config)
-    y = BitWord.from_string(args.y)
-    result = fcc.decode(encoder, y)
+def cmd_fcc_decode(args, params: dict[str, str]) -> int:
+    encoder = _resolve_encoder(params)
+    result = fcc.decode(encoder, BitWord.from_string(params["y"]))
     label = encoder.spec.value_label(result.value)
     if args.json:
         print(
@@ -392,17 +362,17 @@ def cmd_fcc_decode(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    encoder = _resolve_encoder(args, config)
-    t = args.channel_t if args.channel_t is not None else encoder.t
-    channel = ChannelModel(t=t, mode=args.channel, seed=args.seed, trials=args.trials)
-    messages = None
-    if args.messages != "all":
-        head, _, count = args.messages.partition(":")
+def cmd_simulate(args, params: dict[str, str]) -> int:
+    encoder = _resolve_encoder(params)
+    t = int(params["channel_t"]) if "channel_t" in params else encoder.t
+    seed, trials = _need(params, "seed", int), _need(params, "trials", int)
+    channel = ChannelModel(t=t, mode=params["channel"], seed=seed, trials=trials)
+    messages, wanted = None, params["messages"]
+    if wanted != "all":
+        head, _, count = wanted.partition(":")
         if head != "sample" or not count.isdigit() or int(count) < 1:
-            raise ValueError(f"--messages must be 'all' or 'sample:N', N >= 1, got {args.messages!r}")
-        rng = random.Random(args.seed)
+            raise ValueError(f"--messages must be 'all' or 'sample:N', N >= 1, got {wanted!r}")
+        rng = random.Random(seed)
         k = encoder.spec.k
         messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]
     started = time.perf_counter()
@@ -425,11 +395,9 @@ def cmd_simulate(args) -> int:
     return 0 if report.failures == 0 else 1
 
 
-def cmd_table(args) -> int:
-    config = _load_config(args.config)
-    params = _spec_defaults(args, config)
-    t = _get_param(args, config, "t", int)
-    row = tables.table_row(args.function, t, params)
+def cmd_table(args, params: dict[str, str]) -> int:
+    t = _need(params, "t", int)
+    row = tables.table_row(params["function"], t, _spec_params(params))
     if args.json:
         print(json.dumps(row.to_json_dict()))
     else:
@@ -438,35 +406,12 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    config = _load_config(args.config)
-    if args.kind == "minmax":
-        w = _get_param(args, config, "w", int)
-        l = _get_param(args, config, "l", int)
-        t = _get_param(args, config, "t", int, required=False) or 1
+def cmd_oracle(args, params: dict[str, str]) -> int:
+    if params["kind"] == "minmax":
+        w, l = _need(params, "w", int), _need(params, "l", int)
         oracle = functions.minmax_distance_oracle(w, l)
+        ok = oracle.claims_hold(int(params.get("t", 1)))
         dists = oracle.distances
-        e = dists.dim
-        swaps_ok = True
-        for i in range(e):
-            for j in range(e):
-                if i == j:
-                    continue
-                vi, vj = oracle.spec.image[i], oracle.spec.image[j]
-                swapped = (
-                    vi.argmin_index == vj.argmax_index
-                    and vi.argmax_index == vj.argmin_index
-                )
-                if swapped != (dists.at(i, j) == 2):
-                    swaps_ok = False
-        max_ok = dists.max_entry == 2
-        counts_ok = all(c == 4 * (w - 2) for c in oracle.neighbor_counts)
-        req = fcc.function_distance_matrix(oracle.spec, t)
-        total_2t = sum(
-            1 for i in range(e) for j in range(e) if i != j and req.at(i, j) == 2 * t
-        )
-        total_ok = total_2t == 4 * w * (w - 1) * (w - 2)
-        ok = swaps_ok and max_ok and counts_ok and total_ok
         if args.json:
             print(
                 json.dumps(
@@ -486,13 +431,12 @@ def cmd_oracle(args) -> int:
             print(f"distance-1 neighbors per value: {list(oracle.neighbor_counts)}")
             print(f"claims {'hold' if ok else 'VIOLATED'}")
         return 0 if ok else 1
-    if args.kind == "ml":
-        t = _get_param(args, config, "t", int)
-        k = _get_param(args, config, "k", int)
-        eps = Fraction(_get_param(args, config, "eps", str))
-        lo = Fraction(args.a) if args.a else None
-        hi = Fraction(args.b) if args.b else None
-        kind = functions.ml_kind(args.ml_kind, lo, hi)
+    if params["kind"] == "ml":
+        t, k = _need(params, "t", int), _need(params, "k", int)
+        eps = _need(params, "eps", Fraction)
+        lo = Fraction(params["a"]) if params.get("a") else None
+        hi = Fraction(params["b"]) if params.get("b") else None
+        kind = functions.ml_kind(_need(params, "ml_kind"), lo, hi)
         q = functions.Quantizer(k, eps)
         lemma = functions.ml_distance_matrix(kind, q, t)
         spec = functions.ml_spec(kind, q)
@@ -503,7 +447,7 @@ def cmd_oracle(args) -> int:
         else:
             print(f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}")
         return 0 if match else 1
-    raise ValueError(f"unknown oracle kind {args.kind!r}")
+    raise ValueError(f"unknown oracle kind {params['kind']!r}")
 
 
 # --- parser ------------------------------------------------------------------
@@ -530,7 +474,6 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--matrix",
         choices=["dwt", "function", "file"],
-        default="dwt",
         help="requirement matrix source",
     )
     p.add_argument("--file", help="matrix JSON file (with --matrix file)")
@@ -542,7 +485,6 @@ def _add_encoder_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", help="registry string, e.g. wt or delta_T:T=3")
     p.add_argument(
         "--construction",
-        default="auto",
         help="auto | wt-cycle/1 | delta-ramp/2 | minmax-spc/3 | minmax-rm/4 | locally-binary",
     )
 
@@ -555,30 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="evaluate a bound")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=[
-            "plotkin",
-            "plotkin-regular",
-            "gv",
-            "hadamard",
-            "gv-closed",
-            "sandwich",
-            "wt-lower",
-            "minmax-lower",
-            "minmax-sp",
-            "minmax-gv",
-            "ecc-data",
-            "ecc-values",
-        ],
-    )
+    p.add_argument("--method", required=True, choices=list(_BOUNDS))
     _add_matrix_source(p)
     _add_spec_params(p)
     p.add_argument("--size", type=int, help="number of words M")
     p.add_argument("--dist", type=int, help="common distance requirement D")
     p.add_argument("--image-size", type=int, help="function image size E")
-    p.add_argument("--order", choices=["id", "heuristic"], default="id")
+    p.add_argument("--order", choices=["id", "heuristic"])
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -591,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_source(p)
     _add_spec_params(p)
     p.add_argument("--length", type=int, help="code length (greedy/even-weight)")
-    p.add_argument("--order", choices=["id", "heuristic"], default="id")
-    p.add_argument("--max-length", type=int, default=16)
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
-    p.add_argument("--time-limit", type=float, default=30.0)
+    p.add_argument("--order", choices=["id", "heuristic"])
+    p.add_argument("--max-length", type=int)
+    p.add_argument("--max-nodes", type=int)
+    p.add_argument("--time-limit", type=float)
     p.add_argument("--row-symmetry", action="store_true")
     p.add_argument("--trace", action="store_true", help="stream exact-search progress to stderr")
     p.add_argument("--dist", type=int, help="distance (hadamard)")
@@ -618,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoder_source(p)
     _add_spec_params(p)
     p.add_argument("--sample", type=int, help="sampled pairs instead of exhaustive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trace", action="store_true", help="print the route, pairs and time to stderr")
     _add_common(p)
     p.set_defaults(func=cmd_fcc_verify)
@@ -640,11 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the substitution channel")
     _add_encoder_source(p)
     _add_spec_params(p)
-    p.add_argument("--channel", choices=["exhaustive", "random"], default="exhaustive")
+    p.add_argument("--channel", choices=["exhaustive", "random"])
     p.add_argument("--channel-t", type=int, help="channel error budget (default: encoder t)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--messages", default="all", help="all | sample:N")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--messages", help="all | sample:N")
     p.add_argument("--trace", action="store_true", help="print the route and totals to stderr")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -675,7 +600,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _params(args))
     except (ValueError, OSError) as exc:
         return _fail(f"error: {exc}")
 

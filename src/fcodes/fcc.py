@@ -645,35 +645,36 @@ def registered_spec_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def spec_from_string(text: str, defaults: dict[str, str] | None = None) -> FunctionSpec:
-    """Build a spec from a registry string like "wt", "delta_T:T=3", or
-    "ml:sigmoid,k=5,eps=1".
+def parse_spec_string(text: str) -> tuple[str, dict[str, str]]:
+    """Split a registry string like "wt", "delta_T:T=3", or
+    "ml:sigmoid,k=5,eps=1" into its family name and parameters.
 
     The part before ':' names the family; the rest is a comma list of
-    key=value pairs. A single bare token is passed as the parameter "arg"
-    (the ml family reads its kind that way). `defaults` fills missing keys
-    (the CLI passes --k and --t through it).
+    key=value pairs. A single bare token is returned as the parameter "arg"
+    (the ml family reads its kind that way). A repeated key is an error.
     """
     name, _, rest = text.strip().partition(":")
-    name = name.strip()
+    params: dict[str, str] = {}
+    for token in filter(None, map(str.strip, rest.split(","))):
+        key, sep, val = token.partition("=")
+        key = key.strip() if sep else "arg"
+        if key in params:
+            what = f"key {key!r}" if sep else "bare parameter"
+            raise ValueError(f"more than one {what} in {text!r}")
+        params[key] = val.strip() if sep else token
+    return name.strip(), params
+
+
+def spec_from_string(text: str, defaults: dict[str, str] | None = None) -> FunctionSpec:
+    """Build a spec from a registry string (see parse_spec_string).
+
+    `defaults` fills the keys the string leaves out (the CLI passes --k and
+    the other spec flags through it).
+    """
+    name, params = parse_spec_string(text)
     if name not in _REGISTRY:
         raise ValueError(f"unknown function {name!r}; known: {', '.join(registered_spec_names())}")
-    params: dict[str, str] = {}
-    if rest:
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                key, _, val = token.partition("=")
-                params[key.strip()] = val.strip()
-            elif "arg" not in params:
-                params["arg"] = token
-            else:
-                raise ValueError(f"more than one bare parameter in {text!r}")
-    for key, val in (defaults or {}).items():
-        params.setdefault(key, val)
-    return _REGISTRY[name](params)
+    return _REGISTRY[name]({**(defaults or {}), **params})
 
 
 ENCODER_HEADER = "fcodes encoder v1"

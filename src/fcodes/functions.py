@@ -526,6 +526,26 @@ class MinMaxOracleResult:
     distances: DistanceMatrix  # raw closest-approach distances, not requirements
     neighbor_counts: tuple[int, ...]  # per value: values at distance exactly 1
 
+    def claims_hold(self, t: int = 1) -> bool:
+        """Whether the landscape has the structure the min-max encoders rely
+        on: swapped values at distance 2 (for w >= 4 index-disjoint ones too),
+        none farther, 4(w-2) values at distance 1 from each, and so
+        4w(w-1)(w-2) ordered pairs needing the full 2t at budget t."""
+        if t < 1:
+            raise ValueError(f"need t >= 1, got {t}")
+        image, d = self.spec.image, self.distances
+        w = len({v.argmin_index for v in image})
+        pairs = [(i, j) for i in range(d.dim) for j in range(d.dim) if i != j]
+        swaps_at_2 = all(d.at(i, j) == 2 for i, j in pairs if image[i] == image[j][::-1])
+        req = fcc.function_distance_matrix(self.spec, t)
+        full_2t = sum(req.at(i, j) == 2 * t for i, j in pairs)
+        return (
+            swaps_at_2
+            and d.max_entry == 2
+            and all(c == 4 * (w - 2) for c in self.neighbor_counts)
+            and full_2t == 4 * w * (w - 1) * (w - 2)
+        )
+
 
 def minmax_distance_oracle(w: int, l: int) -> MinMaxOracleResult:
     """Exhaustively measure all pairwise value distances of the min-max function.
@@ -597,11 +617,9 @@ def minmax_rm_encoder(w: int, t: int, l: int = 3) -> FccEncoder:
 # --- registry glue -----------------------------------------------------------
 
 
-def _get(params: dict[str, str], key: str, parse, default=None):
+def _get(params: dict[str, str], key: str, parse):
     if key in params:
         return parse(params[key])
-    if default is not None:
-        return default
     raise ValueError(f"missing parameter {key!r}")
 
 
@@ -611,29 +629,14 @@ def _check_keys(params: dict[str, str], allowed: set[str]) -> None:
         raise ValueError(f"unexpected parameters: {sorted(extra)}")
 
 
-def _build_wt(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k"})
-    return wt_spec(_get(p, "k", int))
+def _int_family(build, *keys: str):
+    """Registry builder of a family whose parameters are all integers."""
 
+    def builder(p: dict[str, str]) -> FunctionSpec:
+        _check_keys(p, set(keys))
+        return build(*(_get(p, key, int) for key in keys))
 
-def _build_parity(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k"})
-    return parity_spec(_get(p, "k", int))
-
-
-def _build_or(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k"})
-    return or_spec(_get(p, "k", int))
-
-
-def _build_constant(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k"})
-    return constant_spec(_get(p, "k", int))
-
-
-def _build_delta(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k", "T"})
-    return delta_spec(_get(p, "k", int), _get(p, "T", int))
+    return builder
 
 
 def _build_minmax(p: dict[str, str]) -> FunctionSpec:
@@ -670,15 +673,14 @@ def _build_ml(p: dict[str, str]) -> FunctionSpec:
     return ml_spec(kind, q)
 
 
-def _register_all() -> None:
-    fcc.register_spec_builder("wt", _build_wt)
-    fcc.register_spec_builder("parity", _build_parity)
-    fcc.register_spec_builder("or", _build_or)
-    fcc.register_spec_builder("constant", _build_constant)
-    fcc.register_spec_builder("delta_T", _build_delta)
-    fcc.register_spec_builder("minmax", _build_minmax)
-    fcc.register_spec_builder("indicator", _build_indicator)
-    fcc.register_spec_builder("ml", _build_ml)
-
-
-_register_all()
+for _name, _build, _keys in (
+    ("wt", wt_spec, ("k",)),
+    ("parity", parity_spec, ("k",)),
+    ("or", or_spec, ("k",)),
+    ("constant", constant_spec, ("k",)),
+    ("delta_T", delta_spec, ("k", "T")),
+):
+    fcc.register_spec_builder(_name, _int_family(_build, *_keys))
+fcc.register_spec_builder("minmax", _build_minmax)
+fcc.register_spec_builder("indicator", _build_indicator)
+fcc.register_spec_builder("ml", _build_ml)

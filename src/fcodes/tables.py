@@ -78,19 +78,27 @@ def _ecc_values_entry(e: int | None, t: int, symbolic: str) -> TableEntry:
     return _approx(bounds.ecc_on_function_values_redundancy(e, t))
 
 
-def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
-    """Assemble one comparison row for a named function family.
+# the parameters of the families with their own rows
+_ROW_KEYS = {"binary": {"k"}, "wt": {"k"}, "delta_T": {"k", "T"}, "minmax": {"k", "w", "l"}}
 
-    Known families get their sharp special-case entries; any other registered
-    name falls back to the generic bounds computed from its spec (which then
-    needs enough parameters to build, e.g. k).
+
+def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
+    """Assemble one comparison row for a function family or registry string.
+
+    Known families get their sharp special-case entries, whether their
+    parameters come inline ("delta_T:k=8,T=3") or in `params`; any other
+    registered name falls back to the generic bounds computed from its spec
+    (which then needs enough parameters to build, e.g. k).
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    p = dict(params or {})
+    family, pairs = fcc.parse_spec_string(name)
+    if family in _ROW_KEYS:
+        functions._check_keys(pairs, _ROW_KEYS[family])
+    p = {**(params or {}), **pairs}
     k = int(p["k"]) if "k" in p else None
 
-    if name == "binary":
+    if family == "binary":
         # any two-valued function: repetition parities are exactly optimal,
         # and sending the value itself takes a 2t+1 repetition code
         return TableRow(
@@ -102,7 +110,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             fcc_redundancy=_exact(2 * t),
         )
 
-    if name == "wt":
+    if family == "wt":
         achieved = functions._wt_parity_base(t).length
         return TableRow(
             "wt",
@@ -115,7 +123,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             fcc_redundancy=_exact(achieved),
         )
 
-    if name == "delta_T":
+    if family == "delta_T":
         T = int(p["T"]) if "T" in p else None
         if T is None:
             raise ValueError("delta_T row needs T")
@@ -136,7 +144,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             fcc_redundancy=fcc_entry,
         )
 
-    if name == "minmax":
+    if family == "minmax":
         if "w" not in p:
             raise ValueError("minmax row needs w")
         w = int(p["w"])

@@ -97,6 +97,7 @@ def test_criterion_06_minmax_oracle_reproduces_value_distance_structure():
         1 for i in range(6) for j in range(6) if i != j and req.at(i, j) == 2 * t
     )
     assert total_2t == 4 * w * (w - 1) * (w - 2)
+    assert oracle.claims_hold(t)  # the same claims, as `fcodes oracle` checks them
 
 
 def test_criterion_07_minmax_parity_encoder_verifies_and_simulates_clean():

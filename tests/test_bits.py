@@ -178,6 +178,23 @@ def test_matrix_json_roundtrip():
     assert '"dim": 3' in d.to_json()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[0,1],[1,0]]",  # a bare list
+        '{"rows": 3}',  # no entries
+        '{"entries": null}',
+        "5",
+        '{"entries": [[0,1.5],[1.5,0]]}',  # a float is not truncated to 1
+        '{"entries": [[0,true],[true,0]]}',  # nor is a bool read as 1
+        '{"entries": [0,1]}',  # rows that are not lists
+    ],
+)
+def test_matrix_json_rejects_other_shapes(text):
+    with pytest.raises(ValueError):
+        DistanceMatrix.from_json(text)
+
+
 def test_matrix_permuted():
     d = DistanceMatrix.from_rows([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
     p = d.permuted([2, 0, 1])

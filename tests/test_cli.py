@@ -614,3 +614,144 @@ def test_cached_parser_matches_fresh_parser():
     for argv in argvs:
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
     assert cli.build_parser() is not cli.build_parser()
+
+
+# --- one parameter layer ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("construction", ["auto", "wt-cycle"])
+def test_flag_contradicting_a_function_pair_is_usage_error(capsys, construction):
+    code, out, err = run(
+        capsys, "fcc-build", "--function", "wt:k=6", "--k", "8", "--t", "1",
+        "--construction", construction,
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "--k 8" in err and "k=6" in err
+
+
+def test_function_pairs_outrank_the_config(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=9\nt=1\n")
+    code, _, err = run(
+        capsys, "fcc-build", "--function", "wt:k=6", "--construction", "1",
+        "--config", str(cfg), "--out", str(tmp_path / "enc.txt"),
+    )
+    assert code == 0 and "k=6 t=1" in err
+
+
+def test_repeated_key_in_a_function_string_is_usage_error(capsys):
+    code, out, err = run(capsys, "fcc-build", "--function", "wt:k=3,k=4", "--t", "1")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "'k'" in err
+
+
+@pytest.mark.parametrize(
+    "inline, flags",
+    [
+        ("delta_T:k=8,T=3", ["--function", "delta_T", "--k", "8", "--T", "3"]),
+        ("minmax:w=3,l=2", ["--function", "minmax", "--w", "3", "--l", "2"]),
+    ],
+)
+def test_table_inline_and_flag_forms_print_the_same_row(capsys, inline, flags):
+    inline_run = run(capsys, "table", "--function", inline, "--t", "1", "--json")
+    flag_run = run(capsys, "table", *flags, "--t", "1", "--json")
+    assert inline_run == flag_run and inline_run[0] == 0
+    assert json.loads(flag_run[1])["function"] != inline.partition(":")[0]  # the family row
+
+
+def test_table_family_row_rejects_an_unknown_pair(capsys):
+    code, out, err = run(capsys, "table", "--function", "wt:bogus=1", "--t", "1")
+    assert (code, out) == (2, "") and "bogus" in err
+
+
+def test_config_supplies_every_value_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("size=9\ndist=4\n")
+    assert run(capsys, "bounds", "--method", "plotkin-regular", "--config", str(cfg)) == run(
+        capsys, "bounds", "--method", "plotkin-regular", "--size", "9", "--dist", "4"
+    )
+    # a value argparse would default, here the row order
+    cfg.write_text("order=heuristic\nk=5\nt=1\n")
+    assert run(capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--config", str(cfg)) == run(
+        capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--k", "5", "--t", "1",
+        "--order", "heuristic",
+    )
+
+
+@pytest.mark.parametrize("w, l, expected", [(4, 3, 0), (5, 3, 0), (4, 2, 1)])
+def test_oracle_minmax_claims_beyond_three_blocks(capsys, w, l, expected):
+    code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", str(w), "--l", str(l), "--json")
+    assert code == expected
+    assert json.loads(out)["claims_hold"] is (expected == 0)
+
+
+def test_oracle_minmax_rejects_a_zero_budget(capsys):
+    code, out, err = run(capsys, "oracle", "--kind", "minmax", "--w", "3", "--l", "2", "--t", "0")
+    assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1
+
+
+# every subcommand: a call that succeeds, and a value it cannot do without
+_CALLS = {
+    "bounds": (["--method", "plotkin", "--matrix", "dwt", "--k", "4", "--t", "1"], "--k"),
+    "build-code": (["--kind", "exact", "--matrix", "dwt", "--k", "3", "--t", "1"], "--k"),
+    "fcc-build": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
+    "fcc-verify": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
+    "fcc-encode": (["--function", "wt", "--k", "4", "--t", "1", "--u", "1010"], "--t"),
+    "fcc-decode": (["--function", "wt", "--k", "4", "--t", "1", "--y", "1010000"], "--t"),
+    "simulate": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
+    "table": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
+    "oracle": (["--kind", "minmax", "--w", "3", "--l", "2"], "--w"),
+}
+_ENCODER = "# fcodes encoder v1\n# function: wt\n# k: 4\n# t: 1\n# r: 3\n# mode: per-function-value\n"
+_GARBAGE_FILES = {
+    "config.cfg": "k=4\nt 1\n",  # a line without '='
+    "list.json": "[[0,1],[1,0]]",
+    "rows.json": '{"rows": 3}',
+    "null.json": '{"entries": null}',
+    "five.json": "5",
+    "float.json": '{"entries": [[0,1.5],[1.5,0]]}',
+    "header.txt": _ENCODER.replace("# k: 4", "# k: four") + "000\n" * 5,
+    "no-mode.txt": _ENCODER.replace("# mode: per-function-value\n", "") + "000\n" * 5,
+    "bits.txt": _ENCODER + "000\n01x\n" + "000\n" * 3,
+}
+_BAD_FUNCTIONS = ["nosuch:k=4", "wt:k=3,k=4", "wt:k=four", "wt:k=4,bogus=1", "ml:sigmoid,tanh,k=4"]
+
+
+def _garbage_calls():
+    """(id, argv) pairs: each good call with one value missing or one garbage
+    input appended (argparse keeps the last of a repeated flag)."""
+    for sub, (argv, needed) in _CALLS.items():
+        at = argv.index(needed)
+        yield f"{sub} without {needed}", [sub, *argv[:at], *argv[at + 2:]]
+        yield f"{sub} config", [sub, *argv, "--config", "config.cfg"]
+        takes_matrix = sub in ("bounds", "build-code")
+        if takes_matrix:
+            for name in ("list", "rows", "null", "five", "float"):
+                yield f"{sub} {name}.json", [sub, *argv, "--matrix", "file", "--file", f"{name}.json"]
+        if sub not in ("oracle",):
+            source = ["--matrix", "function"] if takes_matrix else []
+            for text in _BAD_FUNCTIONS:
+                yield f"{sub} {text}", [sub, *argv, *source, "--function", text]
+        if sub.startswith("fcc-") or sub == "simulate":
+            for name in ("header", "no-mode", "bits"):
+                yield f"{sub} {name}.txt", [sub, *argv, "--encoder", f"{name}.txt"]
+    yield "fcc-encode bad bits", ["fcc-encode", *_CALLS["fcc-encode"][0], "--u", "10x0"]
+    yield "fcc-decode bad bits", ["fcc-decode", *_CALLS["fcc-decode"][0], "--y", "10x0000"]
+
+
+def test_every_good_fuzz_call_succeeds(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for sub, (argv, _) in _CALLS.items():
+        code, out, _ = run(capsys, sub, *argv)
+        assert code == 0 and out, sub
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _garbage_calls()],
+                         ids=[name for name, _ in _garbage_calls()])
+def test_missing_or_garbage_input_is_one_line_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _GARBAGE_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")

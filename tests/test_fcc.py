@@ -786,6 +786,19 @@ def test_spec_from_string_unknown_name():
         fcc.spec_from_string("nosuch:k=3")
 
 
+@pytest.mark.parametrize("text", ["wt:k=3,k=4", "ml:sigmoid,tanh,k=5,eps=1"])
+def test_spec_string_rejects_a_repeated_key(text):
+    with pytest.raises(ValueError, match="more than one"):
+        fcc.parse_spec_string(text)
+
+
+def test_parse_spec_string_splits_family_and_pairs():
+    assert fcc.parse_spec_string(" ml: sigmoid , k=5,eps = 1 ") == (
+        "ml", {"arg": "sigmoid", "k": "5", "eps": "1"}
+    )
+    assert fcc.parse_spec_string("binary") == ("binary", {})  # no registry lookup
+
+
 def test_spec_from_string_flag_overrides_default():
     spec = fcc.spec_from_string("wt:k=5", defaults={"k": "9"})
     assert spec.k == 5

@@ -317,6 +317,27 @@ def test_minmax_image_is_all_ordered_pairs():
     assert list(spec.image) == sorted(spec.image)
 
 
+@pytest.mark.parametrize("w, l", [(3, 2), (3, 3), (4, 3), (5, 3), (4, 4)])
+def test_minmax_claims_hold(w, l):
+    # distance 2 at w >= 4 also joins index-disjoint pairs: the check must
+    # not read it as a swap
+    oracle = functions.minmax_distance_oracle(w, l)
+    assert oracle.claims_hold(1) and oracle.claims_hold(2)
+
+
+@pytest.mark.parametrize("w", [4, 5])
+def test_minmax_claims_fail_on_two_bit_blocks(w):
+    # with l = 2 the neighbour counts spread ({6, 8} at w = 4)
+    oracle = functions.minmax_distance_oracle(w, 2)
+    assert len(set(oracle.neighbor_counts)) > 1
+    assert not oracle.claims_hold(1)
+
+
+def test_minmax_claims_need_a_positive_budget():
+    with pytest.raises(ValueError):
+        functions.minmax_distance_oracle(3, 2).claims_hold(0)
+
+
 def test_minmax_needs_two_bit_blocks():
     with pytest.raises(ValueError):
         functions.minmax_spec(3, 1)  # l = 1 cannot realize all ordered pairs
