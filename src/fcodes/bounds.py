@@ -9,6 +9,7 @@ genuinely real-valued bounds go through a guarded ceiling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -96,7 +97,12 @@ def gv_irregular_threshold(
     succeeds whenever 2^r exceeds the total volume of the forbidden spheres
     around the already-placed words. Returns the smallest such r (a length
     that provably admits a satisfying code). Zero requirements contribute
-    nothing (an empty sphere).
+    nothing (an empty sphere). Placement j counts its earlier rows by
+    requirement value d once, so at each r its forbidden volume is
+    sum_d count_j[d] * V(r, d - 1), with one sphere_size per distinct d;
+    placements with equal counts are checked once. The search starts where
+    2^r first exceeds the number of nonzero requirements of some placement,
+    the volume when every sphere is one word.
     """
     m = dmat.dim
     if order is None:
@@ -105,20 +111,19 @@ def gv_irregular_threshold(
         if sorted(order) != list(range(m)):
             raise ValueError(f"order is not a permutation of 0..{m - 1}")
     pi = list(order)
-    r = 0
+    profiles = set()
+    for j in range(m):
+        count = Counter(map(dmat.entries[pi[j]].__getitem__, pi[:j]))
+        count.pop(0, None)
+        profiles.add(tuple(sorted(count.items())))
+    needs = {need for profile in profiles for need, _ in profile}
+    # every nonzero requirement forbids at least its own word
+    r = max((sum(c for _, c in profile).bit_length() for profile in profiles), default=0)
     while True:
-        ok = True
-        for j in range(m):
-            forbidden = 0
-            row = dmat.entries[pi[j]]
-            for i in range(j):
-                need = row[pi[i]]
-                if need > 0:
-                    forbidden += sphere_size(r, need - 1)
-            if (1 << r) <= forbidden:
-                ok = False
-                break
-        if ok:
+        volume = {need: sphere_size(r, need - 1) for need in needs}
+        if all(
+            sum(c * volume[need] for need, c in profile) < 1 << r for profile in profiles
+        ):
             return r
         r += 1
 

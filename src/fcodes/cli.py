@@ -71,10 +71,15 @@ _SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
 def _params(args) -> dict[str, str]:
     """Every value of one call, keyed by flag dest: the defaults, then the
     --config file, then the key=value pairs inside --function, then explicit
-    flags. A flag that contradicts a --function pair is a usage error."""
+    flags. A config key that is no flag of any subcommand, and a flag that
+    contradicts a --function pair, are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
-        params.update(_load_config(args.config))
+        config = _load_config(args.config)
+        unknown = sorted(set(config) - _flag_dests())
+        if unknown:
+            raise ValueError(f"config key {unknown[0]!r} names no flag of any subcommand")
+        params.update(config)
     flags = {
         key: str(val)
         for key, val in vars(args).items()
@@ -595,6 +600,16 @@ def _parser() -> argparse.ArgumentParser:
     """The parser main() uses, built once per process (parsing leaves it
     unchanged)."""
     return build_parser()
+
+
+@functools.cache
+def _flag_dests() -> frozenset[str]:
+    """The dest of every flag of every subcommand: the keys a config may set,
+    so one config file can serve several subcommands."""
+    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

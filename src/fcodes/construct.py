@@ -1,8 +1,10 @@
 """Code construction: greedy builds, exact minimal-length search, classic families.
 
 The greedy builder realises the sphere-covering existence argument behind
-`bounds.gv_irregular_threshold`; the exact search settles N(M, D) on desk-scale
-instances by depth-first backtracking. Hadamard (Sylvester), Reed-Muller,
+`bounds.gv_irregular_threshold`: each word is the first one outside the
+Hamming balls around the words placed before it, read off a bitset of those
+balls. The exact search settles N(M, D) on desk-scale instances by
+depth-first backtracking. Hadamard (Sylvester), Reed-Muller,
 even-weight subcodes and bit replication supply the raw material for the
 specialised encoders in `fcodes.functions`.
 """
@@ -48,14 +50,23 @@ class ExactLengthResult:
     code: Code | None
 
 
+_GREEDY_WINDOW = 16  # greedy_irregular_code's first window, in bits
+
+
 def greedy_irregular_code(
     dmat: DistanceMatrix, r: int, order: Sequence[int] | None = None
 ) -> Code | None:
     """First-fit code for a requirement matrix at a fixed length.
 
-    Rows are processed in `order`; each gets the lexicographically first
-    length-r word far enough from all previously placed ones. Returns None if
-    some row exhausts the whole space, which provably cannot happen at
+    Rows are processed in `order`; each gets the smallest length-r word far
+    enough from all previously placed ones. That word is the lowest clear
+    bit of the union of the balls `_ball` around the placed words (radius
+    D[i][j] - 1), a mask over the window of words below 2^s, the word an
+    ascending scan of all 2^r candidates would stop at. The window starts
+    at s = min(r, 16) bits and grows by one whenever it is full; every
+    placed word lies inside it, so beyond 2^16 a mask never spans more than
+    twice the largest word placed. Returns None if some row exhausts the
+    whole space, which provably cannot happen at
     r >= gv_irregular_threshold(dmat, order).
     """
     if r < 0:
@@ -64,20 +75,25 @@ def greedy_irregular_code(
     pi = list(range(m)) if order is None else list(order)
     if sorted(pi) != list(range(m)):
         raise ValueError(f"order is not a permutation of 0..{m - 1}")
+    s = min(r, _GREEDY_WINDOW)
+    balls: dict[int, dict[int, int]] = defaultdict(dict)
     words: dict[int, int] = {}
     for j in pi:
         row = dmat.entries[j]
-        placed = None
-        for cand in range(1 << r):
-            if all(
-                (cand ^ w).bit_count() >= row[i]
-                for i, w in words.items()
-            ):
-                placed = cand
+        while True:
+            blocked = 0
+            for i, w in words.items():
+                d = row[i]
+                if d:
+                    blocked |= balls[d].get(w) or _ball(balls, s, d, w)
+            free = ~blocked & ((1 << (1 << s)) - 1)
+            if free:
+                words[j] = (free & -free).bit_length() - 1
                 break
-        if placed is None:
-            return None
-        words[j] = placed
+            if s == r:
+                return None
+            s += 1
+            balls.clear()
     return Code.of((BitWord(words[i], r) for i in range(m)), r)
 
 

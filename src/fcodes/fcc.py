@@ -359,6 +359,7 @@ class VerifyResult:
 
 
 EXHAUSTIVE_MAX_K = 14  # verify_fcc samples above this
+_DRAW_BATCH = 4096  # sampled draws made at once: fast, and little memory held
 
 
 def verify_fcc(
@@ -380,11 +381,19 @@ def verify_fcc(
     violating (u1, u2) with u1 < u2, and pairs_checked on a violation counts
     the pairs whose u1 is at most the witness's, as a row-by-row scan
     stopping after row u1 would. Exhaustive mode requires
-    k <= EXHAUSTIVE_MAX_K; ask for `sample` beyond. A sample must draw at
-    least one pair.
+    k <= EXHAUSTIVE_MAX_K; ask for `sample` beyond. Both need t >= 1.
+
+    A sample draws `sample` >= 1 close pairs (u, u ^ e), deterministic per
+    `seed`, in batches of 4096 u then 4096 e: u uniform over the 2^k
+    messages (random.choices, exact for k <= 53) and e uniform over the
+    masks of weight 1..2t, the only differences that can violate.
+    pairs_checked counts the draws whose two values differ, up to the first
+    violating one, which is the witness (sorted low, high).
     """
     spec = encoder.spec
     k, t = spec.k, encoder.t
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
     if sample is not None:
         if sample < 1:
             raise ValueError(f"need sample >= 1, got {sample}")
@@ -392,18 +401,19 @@ def verify_fcc(
         par = encoder.parity_ints
         need = 2 * t + 1
         rng = random.Random(seed)
-        space = 1 << k
+        masks = _low_weight_masks(k, 2 * t)
         checked = 0
-        for _ in range(sample):
-            u1 = rng.randrange(space)
-            u2 = rng.randrange(space)
-            if u1 == u2 or idx[u1] == idx[u2]:
-                continue
-            checked += 1
-            d = (u1 ^ u2).bit_count() + (par[u1] ^ par[u2]).bit_count()
-            if d < need:
-                lo, hi = sorted((u1, u2))
-                return VerifyResult(False, (BitWord(lo, k), BitWord(hi, k)), checked, "sampled")
+        for left in range(sample, 0, -_DRAW_BATCH):
+            batch = min(left, _DRAW_BATCH)
+            for u, e in zip(rng.choices(range(1 << k), k=batch), rng.choices(masks, k=batch)):
+                v = u ^ e
+                if idx[u] == idx[v]:
+                    continue
+                checked += 1
+                if e.bit_count() + (par[u] ^ par[v]).bit_count() < need:
+                    lo, hi = sorted((u, v))
+                    witness = (BitWord(lo, k), BitWord(hi, k))
+                    return VerifyResult(False, witness, checked, "sampled")
         return VerifyResult(True, None, checked, "sampled")
 
     if k > EXHAUSTIVE_MAX_K:

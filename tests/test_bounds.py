@@ -8,6 +8,7 @@ they are frozen so a regression in the formulas cannot hide.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,53 @@ def test_gv_threshold_regular_reduction(m, dist):
             (1 << (r - 1)) <= (j - 1) * sphere_size(r - 1, dist - 1)
             for j in range(2, m + 1)
         )
+
+
+def reference_gv_threshold(dmat: DistanceMatrix, order=None) -> int:
+    """The per-pair sphere_size loop gv_irregular_threshold replaced: the
+    smallest r at which every placement j has 2^r > sum over earlier rows i
+    of V(r, D[pi_j][pi_i] - 1)."""
+    pi = list(range(dmat.dim)) if order is None else list(order)
+    r = 0
+    while True:
+        if all(
+            (1 << r) > sum(sphere_size(r, dmat.entries[pi[j]][pi[i]] - 1) for i in range(j))
+            for j in range(dmat.dim)
+        ):
+            return r
+        r += 1
+
+
+def random_requirement_matrix(rng: random.Random) -> DistanceMatrix:
+    """Dimension 1-12, entries 0 up to a drawn cap of 0-6."""
+    m, cap = rng.randint(1, 12), rng.randint(0, 6)
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = rng.randint(0, cap)
+    return DistanceMatrix.from_rows(rows)
+
+
+def test_gv_threshold_matches_the_per_pair_oracle_on_300_random_matrices():
+    rng = random.Random(90210)
+    for _ in range(300):
+        d = random_requirement_matrix(rng)
+        order = list(range(d.dim))
+        rng.shuffle(order)
+        for pi in (None, order, bounds.heuristic_row_order(d)):
+            assert bounds.gv_irregular_threshold(d, pi) == reference_gv_threshold(d, pi), (
+                d.entries, pi)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize(
+    "text",
+    ["ml:sigmoid,k=6,eps=1", "ml:tanh,k=7,eps=3/10", "ml:relu,k=7,eps=1/4", "ml:sigmoid,k=8,eps=1/4"],
+)
+def test_gv_threshold_matches_the_per_pair_oracle_on_ml_value_matrices(text, t):
+    d = fcc.function_distance_matrix(fcc.spec_from_string(text), t)
+    for pi in (None, bounds.heuristic_row_order(d)):
+        assert bounds.gv_irregular_threshold(d, pi) == reference_gv_threshold(d, pi)
 
 
 def test_heuristic_row_order_sorts_by_row_sum():

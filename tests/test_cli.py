@@ -678,6 +678,33 @@ def test_config_supplies_every_value_flag(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("text", ["seeds=5\n", '{"seeds": 5}'])
+def test_config_key_of_no_flag_is_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    code, out, err = run(
+        capsys, "fcc-verify", "--function", "wt", "--k", "6", "--t", "1", "--sample", "50",
+        "--config", str(cfg),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "'seeds'" in err
+
+
+def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
+    # seed, sample and construction are fcc-verify flags, order and size
+    # bounds flags, none of them a table flag; each reads the keys it has
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("k=6\nt=1\nconstruction=1\nseed=3\nsample=50\norder=heuristic\nsize=4\n")
+    code, out, _ = run(capsys, "fcc-verify", "--function", "wt", "--config", str(cfg), "--json")
+    assert code == 0 and json.loads(out)["mode"] == "sampled"
+    code, out, _ = run(capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--config", str(cfg))
+    assert (code, out) == run(
+        capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--k", "6", "--t", "1",
+        "--order", "heuristic",
+    )[:2]
+    assert run(capsys, "table", "--function", "wt", "--config", str(cfg))[0] == 0
+
+
 @pytest.mark.parametrize("w, l, expected", [(4, 3, 0), (5, 3, 0), (4, 2, 1)])
 def test_oracle_minmax_claims_beyond_three_blocks(capsys, w, l, expected):
     code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", str(w), "--l", str(l), "--json")

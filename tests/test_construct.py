@@ -22,8 +22,10 @@ from fcodes.bits import (
 from fcodes.functions import wt_requirement_matrix
 
 
-def random_matrix(rng: random.Random, max_dim: int = 6, max_entry: int = 4) -> DistanceMatrix:
-    m = rng.randint(2, max_dim)
+def random_matrix(
+    rng: random.Random, max_dim: int = 6, max_entry: int = 4, min_dim: int = 2
+) -> DistanceMatrix:
+    m = rng.randint(min_dim, max_dim)
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -32,6 +34,88 @@ def random_matrix(rng: random.Random, max_dim: int = 6, max_entry: int = 4) -> D
 
 
 # --- greedy -------------------------------------------------------------------
+
+
+def reference_greedy(dmat: DistanceMatrix, r: int, order=None) -> list[int] | None:
+    """The word-by-word first-fit scan greedy_irregular_code replaced: each
+    row in order takes the first of range(2^r) far enough from every placed
+    word. Word values by row, or None when some row finds none."""
+    pi = list(range(dmat.dim)) if order is None else list(order)
+    words: dict[int, int] = {}
+    for j in pi:
+        row = dmat.entries[j]
+        placed = next(
+            (
+                cand
+                for cand in range(1 << r)
+                if all((cand ^ w).bit_count() >= row[i] for i, w in words.items())
+            ),
+            None,
+        )
+        if placed is None:
+            return None
+        words[j] = placed
+    return [words[i] for i in range(dmat.dim)]
+
+
+def greedy_words(dmat: DistanceMatrix, r: int, order=None) -> list[int] | None:
+    code = construct.greedy_irregular_code(dmat, r, order)
+    return None if code is None else [w.value for w in code.words]
+
+
+def assert_greedy_matches_scan(dmat: DistanceMatrix, order) -> None:
+    """Identical words or None at r = 0 and at the threshold minus 3 up to it."""
+    top = bounds.gv_irregular_threshold(dmat, order)
+    for r in sorted({0, *range(max(0, top - 3), top + 1)}):
+        assert greedy_words(dmat, r, order) == reference_greedy(dmat, r, order), (
+            dmat.entries, r, order)
+
+
+def random_requirement_matrix(rng: random.Random) -> DistanceMatrix:
+    """Dimension 1-12, entries 0 up to a drawn cap of 0-6 (above r for small r)."""
+    return random_matrix(rng, max_dim=12, max_entry=rng.randint(0, 6), min_dim=1)
+
+
+def test_greedy_matches_the_word_scan_on_300_random_matrices():
+    rng = random.Random(4242)
+    nones = 0
+    for _ in range(300):
+        d = random_requirement_matrix(rng)
+        order = list(range(d.dim))
+        rng.shuffle(order)
+        assert_greedy_matches_scan(d, order)
+        nones += greedy_words(d, 0, order) is None
+    assert nones > 0  # r = 0 below the threshold does fail on some
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize(
+    "text",
+    ["ml:sigmoid,k=6,eps=1", "ml:tanh,k=7,eps=3/10", "ml:relu,k=6,eps=1/2", "ml:sigmoid,k=8,eps=1/4"],
+)
+def test_greedy_matches_the_word_scan_on_ml_value_matrices(text, t):
+    d = fcc.function_distance_matrix(fcc.spec_from_string(text), t)
+    for order in (None, bounds.heuristic_row_order(d)):
+        assert_greedy_matches_scan(d, order)
+
+
+def test_greedy_window_growth_matches_the_word_scan(monkeypatch):
+    # a 1-bit first window must grow, bit by bit, to the words the scan finds
+    monkeypatch.setattr(construct, "_GREEDY_WINDOW", 1)
+    rng = random.Random(77)
+    for _ in range(60):
+        d = random_requirement_matrix(rng)
+        order = list(range(d.dim))
+        rng.shuffle(order)
+        assert_greedy_matches_scan(d, order)
+
+
+def test_greedy_far_above_the_threshold_stays_in_a_small_window():
+    # r = 48: the words are small, and so are the masks that find them
+    rng = random.Random(5)
+    for _ in range(20):
+        d = random_matrix(rng, max_dim=8, max_entry=6)
+        assert greedy_words(d, 48) == reference_greedy(d, 48)
 
 
 def test_greedy_threshold_never_fails_on_100_random_matrices():

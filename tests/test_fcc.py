@@ -12,7 +12,8 @@ the same part for `decode`: it compares the received word with every
 codeword instead of searching shells, and `reference_simulate` for
 `simulate`: it decodes every trial through `BitWord` encodes and XORs, as
 the channel harness did before it settled trials off the nearest-value
-tables of `fcc._nearest_value_masks`.
+tables of `fcc._nearest_value_masks`. `reference_uniform_sample` is the
+sampled route before it drew close pairs: two uniform messages per draw.
 """
 
 from __future__ import annotations
@@ -100,6 +101,22 @@ def full_scan_nearest(encoder: fcc.FccEncoder, y: BitWord) -> tuple[int, set[int
         elif d == best_d:
             best_indices.add(i)
     return best_d, best_indices
+
+
+def reference_uniform_sample(encoder: fcc.FccEncoder, sample: int, seed: int) -> tuple[bool, int]:
+    """(ok, pairs_checked) of the sampler verify_fcc(sample=) replaced: two
+    uniform messages per draw, most of them too far apart to violate."""
+    idx, par = encoder.spec.index_table, encoder.parity_ints
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(sample):
+        u1, u2 = rng.randrange(1 << encoder.spec.k), rng.randrange(1 << encoder.spec.k)
+        if u1 == u2 or idx[u1] == idx[u2]:
+            continue
+        checked += 1
+        if (u1 ^ u2).bit_count() + (par[u1] ^ par[u2]).bit_count() < 2 * encoder.t + 1:
+            return False, checked
+    return True, checked
 
 
 def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
@@ -409,6 +426,78 @@ def test_verify_sampled_mode():
     enc = functions.wt_cyclic_encoder(10, 1)
     res = fcc.verify_fcc(enc, sample=500, seed=3)
     assert res.ok and res.mode == res.route == "sampled" and res.pairs_checked <= 500
+
+
+def _zero_parity_encoder(spec: fcc.FunctionSpec, t: int, r: int) -> fcc.FccEncoder:
+    """Every value gets the same parity: only message distance separates values."""
+    return fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, (BitWord.zeros(r),) * spec.expressiveness)
+
+
+@pytest.mark.parametrize(
+    "spec, t",
+    [(functions.wt_spec(15), 1), (functions.wt_spec(12), 2), (functions.delta_spec(16, 5), 1)],
+)
+def test_sampled_witness_violates_and_lies_within_2t(spec, t):
+    enc = _zero_parity_encoder(spec, t, 2)
+    for seed in range(5):
+        res = fcc.verify_fcc(enc, sample=2000, seed=seed)
+        assert not res.ok and res.route == "sampled" and 1 <= res.pairs_checked <= 2000
+        lo, hi = res.witness
+        assert lo.value < hi.value and spec.eval(lo) != spec.eval(hi)
+        assert 1 <= hamming_distance(lo, hi) <= 2 * t
+        assert hamming_distance(enc.encode(lo), enc.encode(hi)) < 2 * t + 1
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_sampled_is_deterministic_per_seed_and_counts_at_most_the_draws(bad):
+    enc = functions.wt_cyclic_encoder(15, 1)
+    if bad:
+        enc = _zero_parity_encoder(enc.spec, 1, enc.r)
+    for seed in (0, 1, 99):
+        first = fcc.verify_fcc(enc, sample=3000, seed=seed)
+        assert fcc.verify_fcc(enc, sample=3000, seed=seed) == first
+        assert first.ok is not bad and first.pairs_checked <= 3000
+    assert fcc.verify_fcc(enc, sample=1, seed=0).pairs_checked <= 1
+
+
+@pytest.mark.parametrize("k, t", [(2, 1), (3, 2), (4, 3)])
+def test_sampled_when_2t_reaches_k(k, t):
+    spec = functions.wt_spec(k)
+    good = fcc.build_function_value_encoder(spec, t)
+    res = fcc.verify_fcc(good, sample=500, seed=1)
+    assert res.ok and res.pairs_checked <= 500
+    assert fcc.verify_fcc(good).ok
+    bad = fcc.verify_fcc(_zero_parity_encoder(spec, t, good.r), sample=500, seed=1)
+    assert not bad.ok and spec.eval(bad.witness[0]) != spec.eval(bad.witness[1])
+
+
+def test_verify_rejects_a_zero_budget_on_every_route():
+    enc = fcc.per_message_encoder(functions.wt_spec(6), 0, [BitWord.zeros(1)] * 64)
+    for sample in (None, 50):
+        with pytest.raises(ValueError, match="t >= 1"):
+            fcc.verify_fcc(enc, sample=sample)
+
+
+def test_sampled_catches_a_single_corrupted_close_pair():
+    # OR at k=16 takes value 0 on the zero message only, so a per-message
+    # encoder with parity 000 there and 111 elsewhere is valid, and setting
+    # the parity of u2 = 2048 (bit 11) to 000 breaks exactly one pair,
+    # (0, 2048) at distance 1. At the default seed 0 the close-pair sampler
+    # draws it as (u, e) = (0, 2048) at draw 11,969 of 20,000 and returns it
+    # as the witness; that is also the first draw that touches the zero
+    # message, so the only one with two values. The old uniform sampler, two
+    # randrange(2^16) per draw, meets (0, 2048) with probability 2^-31 per
+    # draw and at seed 0 misses it (reference_uniform_sample below).
+    spec = functions.or_spec(16)
+    parities = [BitWord(7, 3)] * (1 << 16)
+    parities[0] = parities[2048] = BitWord(0, 3)
+    enc = fcc.per_message_encoder(spec, 1, parities)
+    res = fcc.verify_fcc(enc, sample=20_000, seed=0)
+    assert not res.ok and res.route == "sampled"
+    assert res.witness == (BitWord(0, 16), BitWord(2048, 16)) and res.pairs_checked == 1
+    assert reference_uniform_sample(enc, 20_000, seed=0)[0]
+    parities[2048] = BitWord(7, 3)  # mended, the same draws find nothing
+    assert fcc.verify_fcc(fcc.per_message_encoder(spec, 1, parities), sample=20_000).ok
 
 
 def test_verify_exhaustive_guard():
