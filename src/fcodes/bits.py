@@ -160,6 +160,44 @@ def _xor_translate(mask: int, n: int, e: int) -> int:
     return mask
 
 
+def _shells(mask: int, n: int) -> Iterator[int]:
+    """The set grown by 0, 1, ..., n shells (level d: the words within d of
+    it), each level grown only when asked for; only the latest is kept."""
+    yield mask
+    for _ in range(n):
+        mask = _expand_once(mask, n)
+        yield mask
+
+
+def _at_least(masks: Iterable[int], m: int) -> int:
+    """The bits set in at least m >= 1 of the masks, counted bit-sliced:
+    reach[j] holds the bits set in more than j of the masks so far."""
+    reach = [0] * m
+    for mask in masks:
+        for j in range(m - 1, 0, -1):
+            reach[j] |= reach[j - 1] & mask
+        reach[0] |= mask
+    return reach[-1]
+
+
+_WEIGHT_SHELLS: dict[int, list[list[int]]] = {}
+
+
+def _weight_shell(n: int, w: int) -> list[int]:
+    """Every n-bit mask of weight w <= n, cached per n, in ascending order of
+    their sets of integer bit indices. Shell w extends each mask of shell
+    w-1 above its highest bit."""
+    shells = _WEIGHT_SHELLS.setdefault(n, [[0]])
+    while len(shells) <= w:
+        shells.append([m | (1 << b) for m in shells[-1] for b in range(m.bit_length(), n)])
+    return shells[w]
+
+
+def _low_weight_masks(n: int, rho: int) -> list[int]:
+    """Every n-bit mask of weight 1..rho, lightest first."""
+    return [e for w in range(1, min(rho, n) + 1) for e in _weight_shell(n, w)]
+
+
 def _table_masks(table: bytes, groups: Iterable[Iterable[int]]) -> list[int]:
     """Per group of byte values, the set of words v whose table[v] is in it.
 

@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import takewhile
 
 from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
@@ -71,8 +72,9 @@ _SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
 def _params(args) -> dict[str, str]:
     """Every value of one call, keyed by flag dest: the defaults, then the
     --config file, then the key=value pairs inside --function, then explicit
-    flags. A config key that is no flag of any subcommand, and a flag that
-    contradicts a --function pair, are usage errors."""
+    flags. A config key that is no flag of any subcommand, a flag that
+    contradicts a --function pair, and a spec flag the family does not take
+    are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
         config = _load_config(args.config)
@@ -93,7 +95,24 @@ def _params(args) -> dict[str, str]:
                 raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
         params.update(pairs)
     params.update(flags)
+    family = _family(args.command, params)
+    if family:  # an explicit spec flag is held to the family's keys like a pair
+        fcc.check_spec_pairs(family, set(_SPEC_KEYS) & set(flags), tables.row_keys(family))
     return params
+
+
+def _family(command: str, params: dict[str, str]) -> str | None:
+    """The family of the spec a call builds: --function's, else the one the
+    `# function:` header of the --encoder file names; None if it builds none."""
+    matrix_only = command in ("bounds", "build-code") and params["matrix"] != "function"
+    if command == "oracle" or matrix_only:
+        return None
+    text = params.get("function")
+    if text is None and "encoder" in params:
+        with open(params["encoder"], "r", encoding="utf-8") as fh:  # headers come first
+            headers = [line[1:].partition(":") for line in takewhile(lambda s: s[:1] == "#", fh)]
+        text = next((val for key, _, val in headers if key.strip() == "function"), None)
+    return fcc.parse_spec_string(text)[0] if text else None
 
 
 def _flag(name: str) -> str:

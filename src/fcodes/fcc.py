@@ -15,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
 from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
-from .bits import _bit_set_patterns, _expand_once, _table_masks, _xor_translate
+from .bits import _at_least, _bit_set_patterns, _low_weight_masks, _shells, _table_masks
+from .bits import _weight_shell, _xor_translate
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -163,59 +165,30 @@ def distance_requirement_matrix(
     return DistanceMatrix(tuple(rows))
 
 
-_WEIGHT_SHELLS: dict[int, list[list[int]]] = {}
-
-
-def _weight_shell(k: int, w: int) -> list[int]:
-    """Every k-bit mask of weight w <= k, position sets in lex order, cached
-    per k. Shell w extends each mask of shell w-1 above its highest bit."""
-    shells = _WEIGHT_SHELLS.setdefault(k, [[0]])
-    while len(shells) <= w:
-        shells.append([m | (1 << b) for m in shells[-1] for b in range(m.bit_length(), k)])
-    return shells[w]
-
-
-def _low_weight_masks(k: int, rho: int) -> list[int]:
-    """Every k-bit mask of weight 1..rho, lightest first."""
-    return [e for w in range(1, min(rho, k) + 1) for e in _weight_shell(k, w)]
-
-
-def _shell_distances(source: int, targets: Sequence[int], k: int, max_d: int) -> list[int]:
-    """Distance from the message set `source` to each target set (2^k-bit
-    masks), found by growing Hamming shells around the source. Shells stop
-    at depth max_d or once every target is reached; unreached targets get
-    max_d + 1."""
-    out = [max_d + 1] * len(targets)
-    pending = range(len(targets))
-    seen, d = source, 0
-    while True:
-        still = []
-        for j in pending:
-            if seen & targets[j]:
-                out[j] = d
-            else:
-                still.append(j)
-        pending = still
-        if not pending or d == max_d:
-            return out
-        seen = _expand_once(seen, k)
-        d += 1
-
-
 def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
     """Closest approach between every two preimage sets, in image order.
 
     One shell search per value, resolving every later value as the shells
-    reach it. Distances above max_d are reported as max_d + 1; max_d >= k
-    gives every distance exactly.
+    reach it and stopping once all are resolved. Distances above max_d are
+    reported as max_d + 1; max_d >= k gives every distance exactly.
     """
     masks = spec.preimage_masks
     e = len(masks)
     rows = [[0] * e for _ in range(e)]
     for i in range(e - 1):
-        found = _shell_distances(masks[i], masks[i + 1 :], spec.k, max_d)
-        for j, d in enumerate(found, start=i + 1):
-            rows[i][j] = rows[j][i] = d
+        pending = range(i + 1, e)
+        for d, ball in enumerate(islice(_shells(masks[i], spec.k), max_d + 1)):
+            still = []
+            for j in pending:
+                if ball & masks[j]:
+                    rows[i][j] = rows[j][i] = d
+                else:
+                    still.append(j)
+            pending = still
+            if not pending:
+                break
+        for j in pending:  # not reached within max_d
+            rows[i][j] = rows[j][i] = max_d + 1
     return rows
 
 
@@ -230,7 +203,8 @@ def function_distance(spec: FunctionSpec, f1: FunctionValue, f2: FunctionValue) 
     if i == j:
         return 0
     masks = spec.preimage_masks
-    return _shell_distances(masks[i], [masks[j]], spec.k, spec.k)[0]
+    shells = enumerate(_shells(masks[i], spec.k))
+    return next((d for d, ball in shells if ball & masks[j]), spec.k + 1)
 
 
 def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
@@ -475,14 +449,9 @@ def _verify_message_level(encoder: FccEncoder) -> VerifyResult:
         if not pairs:
             continue
         checked += pairs.bit_count()
-        # bit-sliced count: reach[j] holds the u whose parities differ in > j bits
-        reach = [0] * (need - e.bit_count())
-        for a, b in zip(par_planes, moved):
-            q = a ^ b
-            for j in range(len(reach) - 1, 0, -1):
-                reach[j] |= reach[j - 1] & q
-            reach[0] |= q
-        bad = pairs & ~reach[-1]
+        # bad: the pairs whose parities differ in too few bits to make up the distance
+        far = _at_least((a ^ b for a, b in zip(par_planes, moved)), need - e.bit_count())
+        bad = pairs & ~far
         if bad:
             u1 = (bad & -bad).bit_length() - 1
             if best is None or (u1, u1 ^ e) < best:
@@ -555,16 +524,15 @@ def _nearest_value_masks(encoder: FccEncoder, depth: int) -> list[int]:
     for u, (i, p) in enumerate(zip(spec.index_table, encoder.parity_ints)):
         c = (u << r) | p
         balls[i][c >> 3] |= 1 << (c & 7)
-    balls = [int.from_bytes(b, "little") for b in balls]
+    # one shell generator per value, advanced in lock-step: one ball set alive
+    balls = [_shells(int.from_bytes(b, "little"), n) for b in balls]
     claimed = [0] * len(balls)
     region, everything = 0, (1 << (1 << n)) - 1  # words labelled so far, all words
-    for d in range(min(depth, n) + 1):
+    for _ in range(min(depth, n) + 1):
         if region == everything:
             break
-        for i, b in enumerate(balls):
-            if d:
-                b = balls[i] = _expand_once(b, n)  # in place: one ball set alive
-            new = b & ~region
+        for i, ball in enumerate(balls):
+            new = next(ball) & ~region
             claimed[i] |= new
             region |= new
     return claimed
@@ -614,12 +582,8 @@ def value_balls(spec: FunctionSpec, rho: int) -> list[int]:
     (equivalently, whose radius-rho ball sees it), as 2^k-bit masks."""
     if rho < 0:
         raise ValueError(f"negative radius {rho}")
-    balls = []
-    for ball in spec.preimage_masks:
-        for _ in range(min(rho, spec.k)):
-            ball = _expand_once(ball, spec.k)
-        balls.append(ball)
-    return balls
+    level = min(rho, spec.k)
+    return [next(islice(_shells(m, spec.k), level, None)) for m in spec.preimage_masks]
 
 
 def is_locally_binary(spec: FunctionSpec, rho: int) -> tuple[bool, BitWord | None]:
@@ -629,30 +593,42 @@ def is_locally_binary(spec: FunctionSpec, rho: int) -> tuple[bool, BitWord | Non
     (`value_balls`) cover each message. On failure returns the smallest
     message whose ball witnesses three values.
     """
-    seen = [0, 0, 0]  # seen[j]: the messages whose ball sees more than j values
-    for ball in value_balls(spec, rho):
-        seen[2] |= seen[1] & ball
-        seen[1] |= seen[0] & ball
-        seen[0] |= ball
-    if seen[2]:
-        return False, BitWord((seen[2] & -seen[2]).bit_length() - 1, spec.k)
+    many = _at_least(value_balls(spec, rho), 3)
+    if many:
+        return False, BitWord((many & -many).bit_length() - 1, spec.k)
     return True, None
 
 
 # --- registry and serialization ----------------------------------------------
 
-_REGISTRY: dict[str, Callable[[dict[str, str]], FunctionSpec]] = {}
+_REGISTRY: dict[str, tuple[Callable[[dict[str, str]], FunctionSpec], frozenset[str]]] = {}
 
 
 def register_spec_builder(
-    name: str, builder: Callable[[dict[str, str]], FunctionSpec]
+    name: str, builder: Callable[[dict[str, str]], FunctionSpec], keys: Iterable[str]
 ) -> None:
-    """Register a named spec family; `builder` gets raw string parameters."""
-    _REGISTRY[name] = builder
+    """Register a named spec family taking the parameters `keys`; `builder`
+    gets raw string parameters, only those among `keys`."""
+    _REGISTRY[name] = (builder, frozenset(keys))
 
 
 def registered_spec_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def spec_keys(name: str) -> frozenset[str]:
+    """The parameters the registered family `name` takes."""
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown function {name!r}; known: {', '.join(registered_spec_names())}")
+    return _REGISTRY[name][1]
+
+
+def check_spec_pairs(name: str, given: Iterable[str], keys: Iterable[str]) -> None:
+    """Reject a key among `given` that family `name`, taking `keys`, does not
+    take; any spec string may carry t, which no family takes."""
+    extra = sorted(set(given) - set(keys) - {"t"})
+    if extra:
+        raise ValueError(f"{name!r} takes no parameter {extra[0]!r}")
 
 
 def parse_spec_string(text: str) -> tuple[str, dict[str, str]]:
@@ -679,12 +655,14 @@ def spec_from_string(text: str, defaults: dict[str, str] | None = None) -> Funct
     """Build a spec from a registry string (see parse_spec_string).
 
     `defaults` fills the keys the string leaves out (the CLI passes --k and
-    the other spec flags through it).
+    the other spec flags through it); those the family does not take are
+    ignored, while such a key in the string itself is an error.
     """
     name, params = parse_spec_string(text)
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown function {name!r}; known: {', '.join(registered_spec_names())}")
-    return _REGISTRY[name]({**(defaults or {}), **params})
+    keys = spec_keys(name)
+    check_spec_pairs(name, params, keys)
+    params = {**(defaults or {}), **params}
+    return _REGISTRY[name][0]({key: val for key, val in params.items() if key in keys})
 
 
 ENCODER_HEADER = "fcodes encoder v1"

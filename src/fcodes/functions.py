@@ -196,7 +196,8 @@ class Quantizer:
             raise ValueError(f"need epsilon > 0, got {self.epsilon}")
 
     def center(self, u: int) -> Fraction:
-        return self.epsilon * (Fraction(2 * u + 1, 2) - (1 << (self.k - 1)))
+        eps = self.epsilon  # epsilon * (2u + 1 - 2^k) / 2, as one Fraction
+        return Fraction((2 * u + 1 - (1 << self.k)) * eps.numerator, 2 * eps.denominator)
 
     def b2r(self, u: BitWord) -> Fraction:
         if u.length != self.k:
@@ -272,7 +273,8 @@ def _ml_classify(kind: MlFunctionKind, q: Quantizer, u: int):
 
 
 def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
-    """The attained (band, level) values in ascending order, exactly."""
+    """The attained (band, level) values in the activation's output order (see
+    _ml_classify), after checking that both ends saturate and epsilon tiles."""
     step = q.epsilon
     if kind.style == BIJECTIVE:
         if not (q.low < kind.lo and q.high > kind.hi):
@@ -285,31 +287,16 @@ def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
                 f"{kind.name}: epsilon {step} does not divide the interval "
                 f"length {kind.hi - kind.lo}"
             )
-        levels = _centers_between(q, kind.lo, kind.hi)
-        return [(-1, Fraction(0))] + [(0, c) for c in levels] + [(1, Fraction(0))]
-    if kind.style == BIJECTIVE_POSITIVE:
-        levels = _centers_between(q, Fraction(0), q.high)
-        return [(-1, Fraction(0))] + [(0, c) for c in levels]
-    if q.high <= kind.hi:
-        raise ValueError(
-            f"{kind.name}: no centers beyond {kind.hi}; saturation class empty"
-        )
-    if kind.hi % step != 0:
-        raise ValueError(
-            f"{kind.name}: epsilon {step} does not divide the cutoff {kind.hi}"
-        )
-    levels = _centers_between(q, Fraction(0), kind.hi)
-    return [(-1, Fraction(0))] + [(0, -c) for c in reversed(levels)]
-
-
-def _centers_between(q: Quantizer, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Quantization centers c with lo <= c <= hi, ascending."""
-    out = []
-    for u in range(1 << q.k):
-        c = q.center(u)
-        if lo <= c <= hi:
-            out.append(c)
-    return out
+    elif kind.style == SYMMETRIC:
+        if q.high <= kind.hi:
+            raise ValueError(
+                f"{kind.name}: no centers beyond {kind.hi}; saturation class empty"
+            )
+        if kind.hi % step != 0:
+            raise ValueError(
+                f"{kind.name}: epsilon {step} does not divide the cutoff {kind.hi}"
+            )
+    return sorted({_ml_classify(kind, q, u) for u in range(1 << q.k)})
 
 
 def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
@@ -623,24 +610,12 @@ def _get(params: dict[str, str], key: str, parse):
     raise ValueError(f"missing parameter {key!r}")
 
 
-def _check_keys(params: dict[str, str], allowed: set[str]) -> None:
-    extra = set(params) - allowed - {"t"}
-    if extra:
-        raise ValueError(f"unexpected parameters: {sorted(extra)}")
-
-
 def _int_family(build, *keys: str):
     """Registry builder of a family whose parameters are all integers."""
-
-    def builder(p: dict[str, str]) -> FunctionSpec:
-        _check_keys(p, set(keys))
-        return build(*(_get(p, key, int) for key in keys))
-
-    return builder
+    return lambda p: build(*(_get(p, key, int) for key in keys))
 
 
 def _build_minmax(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k", "w", "l"})
     w = _get(p, "w", int)
     l = _get(p, "l", int)
     if "k" in p and int(p["k"]) != w * l:
@@ -649,7 +624,6 @@ def _build_minmax(p: dict[str, str]) -> FunctionSpec:
 
 
 def _build_indicator(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k", "path"})
     path = _get(p, "path", str)
     with open(path, "r", encoding="utf-8") as fh:
         code = Code.from_text(fh.read())
@@ -659,7 +633,6 @@ def _build_indicator(p: dict[str, str]) -> FunctionSpec:
 
 
 def _build_ml(p: dict[str, str]) -> FunctionSpec:
-    _check_keys(p, {"k", "kind", "arg", "eps", "a", "b"})
     kind_name = p.get("kind") or p.get("arg")
     if kind_name is None:
         raise ValueError("ml needs a kind, e.g. ml:sigmoid,k=5,eps=1")
@@ -680,7 +653,7 @@ for _name, _build, _keys in (
     ("constant", constant_spec, ("k",)),
     ("delta_T", delta_spec, ("k", "T")),
 ):
-    fcc.register_spec_builder(_name, _int_family(_build, *_keys))
-fcc.register_spec_builder("minmax", _build_minmax)
-fcc.register_spec_builder("indicator", _build_indicator)
-fcc.register_spec_builder("ml", _build_ml)
+    fcc.register_spec_builder(_name, _int_family(_build, *_keys), _keys)
+fcc.register_spec_builder("minmax", _build_minmax, ("k", "w", "l"))
+fcc.register_spec_builder("indicator", _build_indicator, ("k", "path"))
+fcc.register_spec_builder("ml", _build_ml, ("k", "kind", "arg", "eps", "a", "b"))

@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bits import BitWord
+from .bits import BitWord, _weight_shell
 from .fcc import FccEncoder, FunctionValue, _nearest_value_masks, decode
 
 
@@ -56,11 +55,11 @@ class ChannelModel:
 
 
 def error_patterns(n: int, t: int) -> Iterator[BitWord]:
-    """All length-n patterns of weight 0..t: weight first, positions lex."""
-    yield BitWord.zeros(n)
-    for wgt in range(1, min(t, n) + 1):
-        for positions in combinations(range(n), wgt):
-            yield BitWord.zeros(n).flip(positions)
+    """All length-n patterns of weight 0..t: weight first, positions lex
+    (position 0 is the leftmost bit, so that is descending integer value)."""
+    for wgt in range(max(min(t, n), 0) + 1):
+        for e in sorted(_weight_shell(n, wgt), reverse=True):
+            yield BitWord(e, n)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ rather than exact values carry a '*' (and exact=False).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bounds, fcc, functions
 from .bits import BitWord
@@ -20,9 +20,6 @@ class TableEntry:
     text: str
     value: int | None
     exact: bool
-
-    def to_json_dict(self) -> dict:
-        return {"text": self.text, "value": self.value, "exact": self.exact}
 
 
 @dataclass(frozen=True)
@@ -35,14 +32,7 @@ class TableRow:
     fcc_redundancy: TableEntry
 
     def to_json_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "t": self.t,
-            "lower_bound": self.lower_bound.to_json_dict(),
-            "ecc_on_data": self.ecc_on_data.to_json_dict(),
-            "ecc_on_function_values": self.ecc_on_function_values.to_json_dict(),
-            "fcc_redundancy": self.fcc_redundancy.to_json_dict(),
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return (
@@ -78,8 +68,10 @@ def _ecc_values_entry(e: int | None, t: int, symbolic: str) -> TableEntry:
     return _approx(bounds.ecc_on_function_values_redundancy(e, t))
 
 
-# the parameters of the families with their own rows
-_ROW_KEYS = {"binary": {"k"}, "wt": {"k"}, "delta_T": {"k", "T"}, "minmax": {"k", "w", "l"}}
+def row_keys(family: str) -> frozenset[str]:
+    """The parameters a row of `family` takes: binary's k, else the
+    registry family's (see fcc.spec_keys)."""
+    return frozenset({"k"}) if family == "binary" else fcc.spec_keys(family)
 
 
 def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
@@ -93,8 +85,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     family, pairs = fcc.parse_spec_string(name)
-    if family in _ROW_KEYS:
-        functions._check_keys(pairs, _ROW_KEYS[family])
+    fcc.check_spec_pairs(family, pairs, row_keys(family))
     p = {**(params or {}), **pairs}
     k = int(p["k"]) if "k" in p else None
 
@@ -124,9 +115,9 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         )
 
     if family == "delta_T":
-        T = int(p["T"]) if "T" in p else None
-        if T is None:
-            raise ValueError("delta_T row needs T")
+        T = int(p.get("T", 0))
+        if T < 1:  # delta_spec's condition, and the row cannot do without T
+            raise ValueError(f"delta_T row needs T >= 1, got T={p.get('T')}")
         e = (k // T + 1) if k is not None else None
         if 2 * t + 1 <= T:
             fcc_entry = _exact(2 * t)
@@ -145,11 +136,11 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         )
 
     if family == "minmax":
-        if "w" not in p:
-            raise ValueError("minmax row needs w")
-        w = int(p["w"])
+        w, l = int(p.get("w", 0)), int(p.get("l", 2))
+        if w < 2 or l < 2:  # minmax_spec's conditions; the row cannot do without w
+            raise ValueError(f"minmax row needs w >= 2 and l >= 2, got w={p.get('w')}, l={p.get('l')}")
         e = w * (w - 1)
-        k_mm = w * int(p["l"]) if "l" in p else k
+        k_mm = w * l if "l" in p else k
         if k is not None and k != k_mm:
             raise ValueError(f"k={k} inconsistent with w*l={k_mm}")
         lower = 2 * t

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,10 @@ from fcodes.bits import (
     BitWord,
     Code,
     DistanceMatrix,
+    _at_least,
+    _shells,
     _table_masks,
+    _weight_shell,
     _xor_translate,
     all_words,
     hamming_distance,
@@ -21,6 +25,7 @@ from fcodes.bits import (
     smod,
     sphere_size,
 )
+from fcodes.simulate import error_patterns
 
 words = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
@@ -119,6 +124,53 @@ def test_xor_translate_maps_each_word_v_to_v_xor_e(case):
     n, mask, e = case
     want = sum(1 << (v ^ e) for v in range(1 << n) if mask >> v & 1)
     assert _xor_translate(mask, n, e) == want
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+))
+def test_shell_d_holds_the_words_within_d_of_the_set(case):
+    n, mask = case
+    members = [v for v in range(1 << n) if mask >> v & 1]
+    levels = list(_shells(mask, n))
+    assert len(levels) == n + 1
+    for d, level in enumerate(levels):
+        want = sum(1 << y for y in range(1 << n) if any((y ^ v).bit_count() <= d for v in members))
+        assert level == want
+
+
+def test_weight_shell_sizes_and_order():
+    for n in range(9):
+        for w in range(n + 1):
+            shell = _weight_shell(n, w)
+            assert len(shell) == math.comb(n, w)
+            assert all(e.bit_count() == w and e < 1 << n for e in shell)
+            # ascending as sets of integer bit indices: lexicographic
+            index_sets = [[b for b in range(n) if e >> b & 1] for e in shell]
+            assert index_sets == sorted(index_sets)
+            assert len(set(shell)) == len(shell)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=7),
+       st.integers(min_value=1, max_value=4))
+def test_at_least_counts_each_bit_across_the_masks(masks, m):
+    want = sum(1 << b for b in range(40) if sum(x >> b & 1 for x in masks) >= m)
+    assert _at_least(masks, m) == want
+
+
+def _error_patterns_by_flipping(n: int, t: int):
+    """The enumeration error_patterns replaced: weight first, then position
+    sets in lexicographic order, each pattern flipped from the zero word."""
+    yield BitWord.zeros(n)
+    for wgt in range(1, min(t, n) + 1):
+        for positions in combinations(range(n), wgt):
+            yield BitWord.zeros(n).flip(positions)
+
+
+def test_error_patterns_match_the_flipping_oracle():
+    for n in range(11):
+        for t in range(5):
+            assert list(error_patterns(n, t)) == list(_error_patterns_by_flipping(n, t)), (n, t)
 
 
 def test_table_masks_select_positions_by_byte():

@@ -705,6 +705,54 @@ def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
     assert run(capsys, "table", "--function", "wt", "--config", str(cfg))[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--function", "wt", "--T", "3", "--t", "1"],
+    ["fcc-build", "--function", "wt", "--k", "6", "--T", "3", "--t", "1",
+     "--construction", "1", "--out", "x.txt"],
+    ["simulate", "--function", "wt", "--k", "6", "--w", "3", "--t", "1", "--construction", "1"],
+    ["fcc-verify", "--function", "delta_T", "--k", "8", "--T", "3", "--l", "5", "--t", "1",
+     "--construction", "2"],
+    ["fcc-build", "--function", "wt", "--k", "6", "--T", "3", "--t", "1", "--construction", "auto"],
+    ["table", "--function", "binary", "--T", "3", "--t", "1"],
+], ids=["table", "build", "simulate", "verify", "auto", "binary"])
+def test_a_spec_flag_the_family_does_not_take_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and not (tmp_path / "x.txt").exists()
+    assert len(err.strip().splitlines()) == 1 and "takes no parameter" in err
+
+
+def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):
+    enc = tmp_path / "enc.txt"
+    run(capsys, "fcc-build", "--function", "wt", "--k", "6", "--t", "1", "--out", str(enc))
+    code, out, err = run(capsys, "fcc-verify", "--encoder", str(enc), "--T", "3")
+    assert (code, out) == (2, "") and "'wt' takes no parameter 'T'" in err
+    assert run(capsys, "fcc-verify", "--encoder", str(enc), "--k", "6")[:2] == (0, "OK\n")
+
+
+def test_a_config_key_the_family_does_not_take_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("T=3\nw=3\n")
+    argv = ["fcc-build", "--function", "wt", "--k", "6", "--t", "1"]
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == run(capsys, *argv)[:2] and code == 0
+    code, out, _ = run(capsys, "fcc-build", "--function", "wt", "--t", "1", "--construction",
+                       "1", "--k", "6", "--config", str(cfg))
+    assert code == 0 and out.startswith("# fcodes encoder v1")
+
+
+@pytest.mark.parametrize("function, flags", [
+    ("delta_T:T=0,k=4", []),
+    ("delta_T", ["--T", "0"]),
+    ("minmax", ["--w", "-3"]),
+    ("minmax", ["--w", "3", "--l", "1"]),
+], ids=["inline-T0", "flag-T0", "negative-w", "l1"])
+def test_table_rejects_parameters_its_family_rejects(capsys, function, flags):
+    code, out, err = run(capsys, "table", "--function", function, *flags, "--t", "1")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and " row needs " in err
+
+
 @pytest.mark.parametrize("w, l, expected", [(4, 3, 0), (5, 3, 0), (4, 2, 1)])
 def test_oracle_minmax_claims_beyond_three_blocks(capsys, w, l, expected):
     code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", str(w), "--l", str(l), "--json")

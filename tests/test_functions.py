@@ -486,6 +486,14 @@ def test_registry_rejects_unknown_parameter():
         fcc.spec_from_string("wt:k=4,bogus=1")
 
 
+def test_registry_hands_builders_only_their_family_keys():
+    assert fcc.spec_keys("delta_T") == {"k", "T"}
+    spec = fcc.spec_from_string("wt", defaults={"k": "4", "T": "3", "path": "x"})
+    assert spec.k == 4
+    with pytest.raises(ValueError, match="takes no parameter 'T'"):
+        fcc.spec_from_string("wt:k=4,T=3")
+
+
 def test_registry_tolerates_t_parameter():
     # configs carry t for the whole pipeline; spec builders ignore it
     spec = fcc.spec_from_string("wt:k=4,t=2")

@@ -186,3 +186,35 @@ def test_ml_registry_interval_override():
 def test_ml_unknown_kind():
     with pytest.raises(ValueError):
         functions.ml_kind("swish")
+
+
+def _ml_image_from_levels(kind, q):
+    """The image as the saturation bands around the quantization centers in
+    the injective stretch, in the activation's output order: the levels-based
+    construction that tabulating the classifier replaced."""
+
+    def between(lo, hi):
+        return [c for c in map(q.center, range(1 << q.k)) if lo <= c <= hi]
+
+    if kind.style == functions.BIJECTIVE:
+        return [(-1, 0)] + [(0, c) for c in between(kind.lo, kind.hi)] + [(1, 0)]
+    if kind.style == functions.BIJECTIVE_POSITIVE:
+        return [(-1, 0)] + [(0, c) for c in between(0, q.high)]
+    return [(-1, 0)] + [(0, -c) for c in reversed(between(0, kind.hi))]
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SIZES))
+def test_ml_image_matches_the_levels_construction(name):
+    compared = set()
+    for k in range(2, 9):
+        for eps in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            q = Quantizer(k, eps)
+            for interval in ((None, None), (Fraction(-1), Fraction(1))):
+                kind = functions.ml_kind(name, *interval)
+                try:
+                    image = functions._ml_image(kind, q)
+                except ValueError:  # an empty saturation class or a step that cannot tile
+                    continue
+                assert image == _ml_image_from_levels(kind, q), (k, eps, interval)
+                compared.add(k)
+    assert compared == set(range(2, 9))
