@@ -103,7 +103,8 @@ def _params(args) -> dict[str, str]:
 
 def _family(command: str, params: dict[str, str]) -> str | None:
     """The family of the spec a call builds: --function's, else the one the
-    `# function:` header of the --encoder file names; None if it builds none."""
+    `# function:` header of the --encoder file names, else the one the named
+    construction protects; None if it builds none."""
     matrix_only = command in ("bounds", "build-code") and params["matrix"] != "function"
     if command == "oracle" or matrix_only:
         return None
@@ -112,6 +113,9 @@ def _family(command: str, params: dict[str, str]) -> str | None:
         with open(params["encoder"], "r", encoding="utf-8") as fh:  # headers come first
             headers = [line[1:].partition(":") for line in takewhile(lambda s: s[:1] == "#", fh)]
         text = next((val for key, _, val in headers if key.strip() == "function"), None)
+    elif text is None:
+        name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
+        return _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
     return fcc.parse_spec_string(text)[0] if text else None
 
 
@@ -234,11 +238,20 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
             max_nodes=_need(params, "max_nodes", int),
             time_limit=_need(params, "time_limit", float),
         )
+        tries: list[int] = []  # nodes spent when each length was tried
+
+        def on_line(line: str) -> None:
+            if line.startswith("try r="):
+                tries.append(int(line.rsplit("nodes=", 1)[1]))
+            if args.trace:
+                _trace(line)
+
         started = time.perf_counter()
         result = construct.exact_min_length(
-            dmat, budget, use_row_symmetry=args.row_symmetry, trace=_trace if args.trace else None
+            dmat, budget, use_row_symmetry=args.row_symmetry, trace=on_line
         )
         elapsed = time.perf_counter() - started
+        refute = tries[-1] if tries else 0
         if args.json:
             payload = {
                 "value": result.value,
@@ -247,7 +260,13 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
             }
             if result.code is not None:
                 payload["code"] = [str(w) for w in result.code]
-            payload["stats"] = {"elapsed_s": round(elapsed, 6), "nodes": result.nodes}
+            payload["stats"] = {
+                "elapsed_s": round(elapsed, 6),
+                "nodes": result.nodes,
+                "nodes_per_s": round(result.nodes / elapsed, 1) if elapsed else 0.0,
+                "refute_nodes": refute,
+                "confirm_nodes": result.nodes - refute,
+            }
             print(json.dumps(payload))
         else:
             status = "proven" if result.proven else "budget exhausted (lower bound)"
@@ -308,7 +327,9 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
             raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
         values = [_need(params, n, int) for n in needs]
         if expected == "minmax" and "k" in params:
-            fcc.spec_from_string("minmax", _spec_params(params))  # k must equal w*l
+            w_l = _need(params, "w", int) * _need(params, "l", int)
+            if int(params["k"]) != w_l:
+                raise ValueError(f"k={params['k']} inconsistent with w*l={w_l}")
         return getattr(functions, builder)(*values)
     t = _need(params, "t", int)
     if name == "locally-binary":

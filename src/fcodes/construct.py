@@ -4,7 +4,11 @@ The greedy builder realises the sphere-covering existence argument behind
 `bounds.gv_irregular_threshold`: each word is the first one outside the
 Hamming balls around the words placed before it, read off a bitset of those
 balls. The exact search settles N(M, D) on desk-scale instances by
-depth-first backtracking. Hadamard (Sylvester), Reed-Muller,
+depth-first backtracking, run as an iterative kernel over row depths: each
+row's domain is a cached mask of the balls of all but its last earlier row,
+plus one ball per candidate. Its tree, and so its node count, is that of
+the plain backtracking search, which the benchmark's committed node counts
+pin. Hadamard (Sylvester), Reed-Muller,
 even-weight subcodes and bit replication supply the raw material for the
 specialised encoders in `fcodes.functions`.
 """
@@ -128,20 +132,13 @@ def _interchange_groups(dmat: DistanceMatrix) -> list[int | None]:
 
 
 class _Budget:
+    """One exact search's node count and caps, kept across its lengths."""
+
     def __init__(self, budget: SearchBudget):
         self.max_nodes = budget.max_nodes
         self.deadline = time.monotonic() + budget.time_limit
         self.nodes = 0
         self.exhausted = False
-
-    def spend(self) -> bool:
-        """Account one assignment; False when the budget just ran out."""
-        self.nodes += 1
-        if self.nodes >= self.max_nodes or (
-            self.nodes % 4096 == 0 and time.monotonic() > self.deadline
-        ):
-            self.exhausted = True
-        return not self.exhausted
 
 
 def _ball(balls: dict[int, dict[int, int]], r: int, d: int, w: int) -> int:
@@ -164,61 +161,99 @@ def _ball(balls: dict[int, dict[int, int]], r: int, d: int, w: int) -> int:
     return ball
 
 
+def _row_lists(dmat: DistanceMatrix) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Per row i: the (j, D[i][j]) pairs with j < i - 1 and D[i][j] > 0, and
+    D[i][i - 1] (0 for row 0); one matrix's lists serve every length r."""
+    far: list[list[tuple[int, int]]] = [[]]
+    near = [0]
+    for i in range(1, dmat.dim):
+        row = dmat.entries[i]
+        far.append([(j, row[j]) for j in range(i - 1) if row[j]])
+        near.append(row[i - 1])
+    return far, near
+
+
 def _assignment_search(
     dmat: DistanceMatrix,
     r: int,
     budget: _Budget,
     prev_in_group: list[int | None],
+    rows: tuple[list[list[tuple[int, int]]], list[int]],
 ) -> list[int] | None:
     """Find word values for every row at length r, or None if impossible.
 
-    Depth-first over rows in index order. The first row is pinned to the
-    all-zero word: XOR-translating any satisfying code moves word 0 to zero
-    without changing distances. Row i's candidates are the set bits of its
-    domain: the 2^r-bit mask of the words at distance >= D[i][j] from
-    words[j] for every earlier row j (under row symmetry, also not below
-    the word of its group predecessor). They are tried in ascending order
-    at one budget node each, as a scan over all 2^r words would meet them.
+    Depth-first over rows in index order, as an explicit loop over depths.
+    The first row is pinned to the all-zero word: XOR-translating any
+    satisfying code moves word 0 to zero without changing distances. Row
+    i's candidates are the set bits of its domain doms[i]: the 2^r-bit mask
+    of the words at distance >= D[i][j] from words[j] for every earlier row
+    j (under row symmetry, also not below the word of its group
+    predecessor), minus those already tried. They are tried lowest bit
+    first at one budget node each, as a scan over all 2^r words would meet
+    them; row 0's single word is the root node. No domain is looked at
+    before its row is reached, so the tree and its node count are those of
+    the plain backtracking search (the contract with pinned node counts).
+
+    pre[i] holds the balls of rows < i - 1 against row i, ORed once when
+    row i - 1's domain is set; each of row i - 1's candidates then adds one
+    ball to form row i's domain. The node count is kept in a local and
+    written back to `budget` on every exit; the node cap is tested at every
+    node, the wall clock every 4,096 nodes (counted across lengths), and the
+    node that reaches either still counts. `rows` is `_row_lists(dmat)`,
+    built once per matrix.
     """
     m = dmat.dim
-    words = [0] * m
+    if m == 0:
+        return []
+    far, near = rows
     full = (1 << (1 << r)) - 1
     balls: dict[int, dict[int, int]] = defaultdict(dict)
-
-    def extend(i: int) -> bool:
+    near_balls = [balls[d] for d in near]
+    words = [0] * m
+    doms = [0] * m
+    pre = [0] * m
+    doms[0] = 1  # row 0: the all-zero word only
+    i = 0
+    nodes, max_nodes, deadline = budget.nodes, budget.max_nodes, budget.deadline
+    monotonic = time.monotonic
+    while True:
+        dom = doms[i]
+        if not dom:
+            if not i:
+                budget.nodes = nodes
+                return None
+            i -= 1
+            continue
+        low = dom & -dom
+        doms[i] = dom ^ low
+        nodes += 1
+        if nodes >= max_nodes or (not nodes & 4095 and monotonic() > deadline):
+            budget.nodes = nodes
+            budget.exhausted = True
+            return None
+        w = words[i] = low.bit_length() - 1
+        i += 1
         if i == m:
-            return True
-        row = dmat.entries[i]
-        blocked = 0
-        for j in range(i):
-            d = row[j]
-            if d:
-                w = words[j]
-                blocked |= balls[d].get(w) or _ball(balls, r, d, w)
-        dom = full & ~blocked
+            budget.nodes = nodes
+            return words
+        blocked = pre[i]
+        d = near[i]
+        if d:
+            blocked |= near_balls[i].get(w) or _ball(balls, r, d, w)
+        dom = full ^ blocked
         p = prev_in_group[i]
         if p is not None:
             dom &= -(1 << words[p])
-        while dom:
-            low = dom & -dom
-            dom ^= low
-            if not budget.spend():
-                return False
-            words[i] = low.bit_length() - 1
-            if extend(i + 1):
-                return True
-            if budget.exhausted:
-                return False
-        return False
-
-    if m == 0:
-        return []
-    if not budget.spend():
-        return None
-    # row 0 = all zeros; its constraints against later rows are checked there
-    if extend(1):
-        return words
-    return None
+        if not dom:
+            i -= 1  # a leaf: back to its siblings
+            continue
+        doms[i] = dom
+        if i + 1 < m:
+            blocked = 0
+            for j, d in far[i + 1]:
+                v = words[j]
+                blocked |= balls[d].get(v) or _ball(balls, r, d, v)
+            pre[i + 1] = blocked
 
 
 def exact_min_length(
@@ -244,6 +279,7 @@ def exact_min_length(
     prev_in_group = (
         _interchange_groups(dmat) if use_row_symmetry else [None] * m
     )
+    rows = _row_lists(dmat)
     state = _Budget(budget)
     r = start
     while True:
@@ -253,15 +289,19 @@ def exact_min_length(
             return ExactLengthResult(r, False, state.nodes, None)
         if trace:
             trace(f"try r={r} nodes={state.nodes}")
-        found = _assignment_search(dmat, r, state, prev_in_group)
+        found = _assignment_search(dmat, r, state, prev_in_group, rows)
         if state.exhausted:
             if trace:
                 trace(f"budget-exhausted r={r} nodes={state.nodes}")
             return ExactLengthResult(r, False, state.nodes, None)
         if found is not None:
-            code = Code.of((BitWord(v, r) for v in found), r)
-            if not satisfies_distance_matrix(code, dmat)[0]:
+            if any(
+                (found[i] ^ found[j]).bit_count() < d
+                for i, row in enumerate(dmat.entries)
+                for j, d in enumerate(row[:i])
+            ):
                 raise RuntimeError("search returned an invalid witness")
+            code = Code.of((BitWord(v, r) for v in found), r)
             if trace:
                 trace(f"proven r={r} nodes={state.nodes}")
             return ExactLengthResult(r, True, state.nodes, code)

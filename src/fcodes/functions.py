@@ -240,11 +240,16 @@ _ML_DEFAULTS: dict[str, tuple[str, Fraction | None, Fraction | None]] = {
 def ml_kind(
     name: str, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> MlFunctionKind:
-    """Look up an activation kind, optionally overriding its interval."""
+    """Look up an activation kind, optionally overriding its interval, which
+    must not be empty."""
     if name not in _ML_DEFAULTS:
         raise ValueError(f"unknown ML kind {name!r}; known: {', '.join(sorted(_ML_DEFAULTS))}")
     style, d_lo, d_hi = _ML_DEFAULTS[name]
-    return MlFunctionKind(name, style, lo if lo is not None else d_lo, hi if hi is not None else d_hi)
+    lo = lo if lo is not None else d_lo
+    hi = hi if hi is not None else d_hi
+    if lo is not None and hi is not None and lo >= hi:
+        raise ValueError(f"{name} interval [{lo}, {hi}] is empty: need its start below its end")
+    return MlFunctionKind(name, style, lo, hi)
 
 
 def _ml_classify(kind: MlFunctionKind, q: Quantizer, u: int):

@@ -150,9 +150,23 @@ def test_build_code_exact_json_stats(capsys, tmp_path):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data["value"] == 3 and data["proven"] and len(data["code"]) == 3
-    assert set(data["stats"]) == {"elapsed_s", "nodes"}
-    assert data["stats"]["nodes"] == data["nodes"] > 0
-    assert 0 <= data["stats"]["elapsed_s"] < 30
+    stats = data["stats"]
+    assert set(stats) == {"elapsed_s", "nodes", "nodes_per_s", "refute_nodes", "confirm_nodes"}
+    assert stats["nodes"] == data["nodes"] > 0
+    assert 0 <= stats["elapsed_s"] < 30 and stats["nodes_per_s"] >= 0
+    assert stats["refute_nodes"] + stats["confirm_nodes"] == stats["nodes"]
+
+
+def test_build_code_exact_json_splits_nodes_at_the_last_tried_length(capsys):
+    # D_wt(k=4, t=1) is refuted below N = 3 before it is confirmed at 3
+    argv = ["build-code", "--kind", "exact", "--matrix", "dwt", "--k", "4", "--t", "1"]
+    code, out, err = run(capsys, *argv, "--json", "--trace")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    tries = [int(line.rsplit("nodes=", 1)[1]) for line in err.splitlines()
+             if line.startswith("try r=")]
+    assert len(tries) >= 2 and stats["refute_nodes"] == tries[-1] > 0
+    assert stats["refute_nodes"] + stats["confirm_nodes"] == stats["nodes"]
 
 
 def test_build_code_exact_trace_streams_to_stderr(capsys, tmp_path):
@@ -406,6 +420,16 @@ def test_minmax_contradictory_k_is_usage_error(capsys, command):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "k=9" in err
+
+
+@pytest.mark.parametrize("construction", ["minmax-spc", "minmax-rm"])
+def test_minmax_k_is_checked_without_a_function(capsys, construction):
+    code, out, err = run(
+        capsys, "fcc-build", "--construction", construction,
+        "--w", "3", "--l", "2", "--k", "9", "--t", "1",
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "k=9" in err and "w*l=6" in err
 
 
 def test_minmax_consistent_k_is_accepted(capsys):
@@ -714,12 +738,24 @@ def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
      "--construction", "2"],
     ["fcc-build", "--function", "wt", "--k", "6", "--T", "3", "--t", "1", "--construction", "auto"],
     ["table", "--function", "binary", "--T", "3", "--t", "1"],
-], ids=["table", "build", "simulate", "verify", "auto", "binary"])
+    # without --function, the named construction's family counts
+    ["fcc-build", "--construction", "1", "--k", "6", "--T", "3", "--t", "1", "--out", "x.txt"],
+    ["simulate", "--construction", "wt-cycle", "--k", "6", "--w", "3", "--t", "1"],
+    ["fcc-verify", "--construction", "2", "--k", "8", "--T", "3", "--l", "5", "--t", "1"],
+], ids=["table", "build", "simulate", "verify", "auto", "binary", "construction-build",
+        "construction-simulate", "construction-verify"])
 def test_a_spec_flag_the_family_does_not_take_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and not (tmp_path / "x.txt").exists()
     assert len(err.strip().splitlines()) == 1 and "takes no parameter" in err
+
+
+@pytest.mark.parametrize("text", ["ml:sigmoid,k=4,eps=1,a=4,b=-4", "ml:tanh_derivative,k=4,eps=1,a=-2"])
+def test_an_empty_ml_interval_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "table", "--function", text, "--t", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "is empty" in err and "Traceback" not in err
 
 
 def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
 import random
+import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -195,6 +199,7 @@ def test_exact_budget_exhaustion_reported():
     res = construct.exact_min_length(d, tight)
     assert not res.proven
     assert res.code is None
+    assert res.nodes == 3  # the node that reaches the cap counts
     assert res.value >= d.max_entry  # still a valid lower bound
 
 
@@ -211,6 +216,17 @@ def test_exact_trace_lines():
     construct.exact_min_length(d, trace=lines.append)
     assert any(line.startswith("try r=") for line in lines)
     assert any(line.startswith("proven r=") for line in lines)
+
+
+def test_exact_wall_clock_ends_the_search_unproven():
+    # the clock is read every 4,096 nodes; the search below needs far more
+    lines: list[str] = []
+    d = wt_requirement_matrix(9, 4)
+    hasty = construct.SearchBudget(max_length=16, max_nodes=10_000_000, time_limit=1e-6)
+    res = construct.exact_min_length(d, hasty, trace=lines.append)
+    assert not res.proven and res.code is None
+    assert res.nodes == 4096
+    assert lines[-1] == f"budget-exhausted r={res.value} nodes=4096"
 
 
 def test_exact_row_symmetry_same_answer():
@@ -235,6 +251,17 @@ def test_exact_sandwiched_by_bounds():
 # --- exact search against the popcount reference -------------------------------
 
 
+def spend(budget) -> bool:
+    """Account one node of the reference search: the node cap at every node,
+    the wall clock every 4,096 nodes; False when the budget just ran out."""
+    budget.nodes += 1
+    if budget.nodes >= budget.max_nodes or (
+        budget.nodes % 4096 == 0 and time.monotonic() > budget.deadline
+    ):
+        budget.exhausted = True
+    return not budget.exhausted
+
+
 def popcount_assignment_search(dmat, r, budget, prev_in_group):
     """Reference search: every row tries the words from its group
     predecessor's word upwards, rejecting each by a popcount test against
@@ -250,7 +277,7 @@ def popcount_assignment_search(dmat, r, budget, prev_in_group):
         for cand in range(0 if p is None else words[p], 1 << r):
             if any((cand ^ words[j]).bit_count() < row[j] for j in range(i)):
                 continue
-            if not budget.spend():
+            if not spend(budget):
                 return False
             words[i] = cand
             if extend(i + 1):
@@ -259,7 +286,7 @@ def popcount_assignment_search(dmat, r, budget, prev_in_group):
                 return False
         return False
 
-    if not budget.spend():
+    if not spend(budget):
         return None
     return words if extend(1) else None
 
@@ -319,12 +346,51 @@ def test_exact_search_matches_popcount_reference_on_function_matrices():
         _assert_same_search(dmat, rng)
 
 
+def test_exact_search_matches_popcount_reference_on_larger_function_matrices():
+    # dimension 8-16 at t = 2, where each row's domain leans on the balls of
+    # many earlier rows; in a shuffled row order the trees are deep
+    rng = random.Random(31)
+    dims = set()
+    for k in (3, 3, 4, 4):
+        table = [rng.randrange(3) for _ in range(1 << k)]
+        table[:3] = range(3)  # every value attained
+        spec = fcc.FunctionSpec(k, table.__getitem__, range(3))
+        dmat = fcc.distance_requirement_matrix(spec, 2, list(all_words(k)))
+        order = list(range(dmat.dim))
+        rng.shuffle(order)
+        dims.add(dmat.dim)
+        _assert_same_search(dmat, rng)
+        _assert_same_search(dmat.permuted(order), rng)
+    assert dims == {8, 16}
+
+
 def test_exact_search_matches_popcount_reference_on_symmetric_matrices():
     # many interchangeable rows, so row symmetry cuts the tree
     rng = random.Random(5)
     for dmat in (DistanceMatrix.uniform(5, 3), DistanceMatrix.uniform(6, 2),
                  wt_requirement_matrix(4, 1), wt_requirement_matrix(5, 2)):
         _assert_same_search(dmat, rng)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded read-only for its pinned corpora."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_search_replays_the_benchmark_pinned_corpora():
+    # the benchmark's committed (N, nodes): the tree is node-for-node fixed
+    workloads = _benchmark_workloads()
+    pinned = json.loads(workloads.EXPECTED_EXACT.read_text(encoding="utf-8"))["pinned"]
+    jobs = workloads.criterion08_corpus() + workloads.hard_corpus()
+    assert sorted(job.id for job in jobs) == sorted(pinned)
+    for job in jobs:
+        res = job.run()
+        assert res.proven, job.id
+        assert [res.value, res.nodes] == pinned[job.id], job.id
 
 
 @pytest.mark.parametrize("r", range(6))

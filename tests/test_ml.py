@@ -188,6 +188,16 @@ def test_ml_unknown_kind():
         functions.ml_kind("swish")
 
 
+@pytest.mark.parametrize("text", [
+    "ml:sigmoid,k=4,eps=1,a=4,b=-4",  # reversed interval: two values
+    "ml:sigmoid,k=4,eps=1,a=2,b=2",
+    "ml:tanh_derivative,k=4,eps=1,a=-2",  # one-sided cutoff below 0: one value
+])
+def test_ml_empty_interval_is_rejected(text):
+    with pytest.raises(ValueError, match="is empty"):
+        fcc.spec_from_string(text)
+
+
 def _ml_image_from_levels(kind, q):
     """The image as the saturation bands around the quantization centers in
     the injective stretch, in the activation's output order: the levels-based
