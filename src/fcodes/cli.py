@@ -429,7 +429,8 @@ def cmd_simulate(args, params: dict[str, str]) -> int:
     if args.json:
         payload = report.to_json_dict()
         payload["stats"] = {
-            "elapsed_s": round(elapsed, 6), "trials": report.trials, "decodes": report.decodes
+            "elapsed_s": round(elapsed, 6), "trials": report.trials,
+            "decodes": report.decodes, "route": report.route,
         }
         print(json.dumps(payload))
     else:
@@ -479,9 +480,8 @@ def cmd_oracle(args, params: dict[str, str]) -> int:
     if params["kind"] == "ml":
         t, k = _need(params, "t", int), _need(params, "k", int)
         eps = _need(params, "eps", Fraction)
-        lo = Fraction(params["a"]) if params.get("a") else None
-        hi = Fraction(params["b"]) if params.get("b") else None
-        kind = functions.ml_kind(_need(params, "ml_kind"), lo, hi)
+        kind = functions.ml_kind_from_pairs(_need(params, "ml_kind"), params.get("a"),
+                                            params.get("b"))
         q = functions.Quantizer(k, eps)
         lemma = functions.ml_distance_matrix(kind, q, t)
         spec = functions.ml_spec(kind, q)

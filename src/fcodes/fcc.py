@@ -392,11 +392,24 @@ def verify_fcc(
 
     if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"k={k} too large for exhaustive verification; pass sample=")
+    return _verify_exhaustive(encoder, t)
+
+
+def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> VerifyResult:
+    """verify_fcc's exhaustive route at t >= 1, which need not be encoder.t.
+
+    With witness=False only `ok` is exact, and a failure comes back as soon
+    as it is known: a per-value encoder failing the value-level check (which
+    is exact on its own) skips the message-level witness search, and the
+    message-level kernel stops at the first violating difference vector.
+    Either way the witness is None and pairs_checked counts what was checked.
+    """
     if encoder.mode == PER_VALUE:
-        dmat = function_distance_matrix(spec, t)
-        if satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]:
-            return VerifyResult(True, None, dmat.dim * (dmat.dim - 1) // 2, "value-level")
-    return _verify_message_level(encoder)
+        dmat = function_distance_matrix(encoder.spec, t)
+        ok = satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]
+        if ok or not witness:
+            return VerifyResult(ok, None, dmat.dim * (dmat.dim - 1) // 2, "value-level")
+    return _verify_message_level(encoder, t, witness)
 
 
 _BYTE_BITS = [[v for v in range(256) if v >> j & 1] for j in range(8)]
@@ -427,10 +440,11 @@ def _translated_planes(planes: list[int], k: int, depth: int):
     return walk(0, planes, 0)
 
 
-def _verify_message_level(encoder: FccEncoder) -> VerifyResult:
-    """The message-level route of verify_fcc, one difference vector at a time."""
+def _verify_message_level(encoder: FccEncoder, t: int, witness: bool) -> VerifyResult:
+    """The message-level route of verify_fcc, one difference vector at a time;
+    without `witness`, a violation ends the walk."""
     spec = encoder.spec
-    k, t = spec.k, encoder.t
+    k = spec.k
     need = 2 * t + 1
     idx_planes = _bit_planes(spec.index_table, (len(spec.image) - 1).bit_length())
     par_planes = _bit_planes(encoder.parity_ints, encoder.r)
@@ -453,6 +467,8 @@ def _verify_message_level(encoder: FccEncoder) -> VerifyResult:
         far = _at_least((a ^ b for a, b in zip(par_planes, moved)), need - e.bit_count())
         bad = pairs & ~far
         if bad:
+            if not witness:
+                return VerifyResult(False, None, checked, "message-level")
             u1 = (bad & -bad).bit_length() - 1
             if best is None or (u1, u1 ^ e) < best:
                 best = (u1, u1 ^ e)

@@ -637,16 +637,28 @@ def _build_indicator(p: dict[str, str]) -> FunctionSpec:
     return indicator_spec(code, name=f"indicator:path={path}")
 
 
+def ml_kind_from_pairs(name: str, a: str | None, b: str | None) -> MlFunctionKind:
+    """The kind a registry string or the CLI names with a= and b=: the
+    interval [a, b] of a bijective kind, the cutoff a (or b) of a symmetric
+    one. relu has no interval, and a symmetric kind one cutoff, so the other
+    combinations are rejected rather than dropped."""
+    style = _ML_DEFAULTS.get(name, (None, None, None))[0]
+    lo = Fraction(a) if a is not None else None
+    hi = Fraction(b) if b is not None else None
+    if style == BIJECTIVE_POSITIVE and (lo, hi) != (None, None):
+        raise ValueError(f"{name} has no interval to override: it takes no a= or b=")
+    if style == SYMMETRIC and lo is not None and hi is not None:
+        raise ValueError(f"{name} takes one cutoff a=, not an interval a=, b=")
+    if style == SYMMETRIC and lo is not None:
+        lo, hi = Fraction(0), lo  # one-sided cutoff given as a=
+    return ml_kind(name, lo, hi)
+
+
 def _build_ml(p: dict[str, str]) -> FunctionSpec:
     kind_name = p.get("kind") or p.get("arg")
     if kind_name is None:
         raise ValueError("ml needs a kind, e.g. ml:sigmoid,k=5,eps=1")
-    lo = Fraction(p["a"]) if "a" in p else None
-    hi = Fraction(p["b"]) if "b" in p else None
-    style = _ML_DEFAULTS.get(kind_name, (None, None, None))[0]
-    if style == SYMMETRIC and lo is not None and hi is None:
-        lo, hi = Fraction(0), lo  # one-sided cutoff given as a=
-    kind = ml_kind(kind_name, lo, hi)
+    kind = ml_kind_from_pairs(kind_name, p.get("a"), p.get("b"))
     q = Quantizer(_get(p, "k", int), _get(p, "eps", Fraction))
     return ml_spec(kind, q)
 

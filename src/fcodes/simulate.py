@@ -5,13 +5,24 @@ lexicographic position set, so witnesses are canonical); random mode draws
 (message, pattern) pairs from a seeded `random.Random` — same seed, same
 report, always. Both modes cap the pattern weight at the block length.
 
-A received word y = c(u) ^ e lies within wt(e) <= t of the code, so
-per-value tables of every word within t of a codeword, each labelled with
-the value `decode` returns for it (`fcc._nearest_value_masks`), settle every
-trial with one bit test, in both modes and for any message list. Only the
-first failure is decoded, for its witness. Functions with too many values
-for the tables to pay off call `decode` on every trial. The report's
-`decodes` counts the words handed to `decode`.
+An encoder protects f against t substitutions iff every two codewords with
+different values are 2t+1 apart: then each word within t of c(u) is at least
+t+1 from every codeword of another value, and otherwise a word between two
+codewords less than 2t+1 apart is within t of both, so whatever it decodes
+to, a trial from one of them fails. So `simulate` first checks the encoder
+exhaustively at the channel's t (`fcc._verify_exhaustive`); an encoder that
+passes gets its report, zero failures, without a trial being run or drawn.
+At t = 0 every encoder passes, and above fcc.EXHAUSTIVE_MAX_K the check is
+skipped.
+
+An encoder that fails the check runs its trials. A received word y = c(u) ^
+e lies within wt(e) <= t of the code, so per-value tables of every word
+within t of a codeword, each labelled with the value `decode` returns for it
+(`fcc._nearest_value_masks`), settle every trial with one bit test, in both
+modes and for any message list. Only the first failure is decoded, for its
+witness. Functions with too many values for the tables to pay off call
+`decode` on every trial. The report's `route` names which of the three
+routes settled it, and `decodes` counts the words handed to `decode`.
 """
 
 from __future__ import annotations
@@ -21,8 +32,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bits import BitWord, _weight_shell
-from .fcc import FccEncoder, FunctionValue, _nearest_value_masks, decode
+from .bits import BitWord, _weight_shell, sphere_size
+from .fcc import EXHAUSTIVE_MAX_K, FccEncoder, FunctionValue, decode
+from .fcc import _nearest_value_masks, _verify_exhaustive
 
 
 # Largest table, in mask bits per trial, that simulate builds. The masks cost
@@ -70,9 +82,11 @@ class SimulationReport:
     # witness = (message, error pattern, decoded value, expected value)
     mode: str
     seed: int | None
-    # received words handed to `decode`: how the report was reached, not part
-    # of the result, so reports compare equal whatever route they took
+    # how the report was reached, not part of the result, so reports compare
+    # equal whatever route they took: the received words handed to `decode`,
+    # and the route ("certified", "tables" or "decode-every-trial")
     decodes: int = field(default=0, compare=False)
+    route: str = field(default="", compare=False)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -103,15 +117,18 @@ def simulate(
 
     `messages` defaults to every message. The first failure (in enumeration
     order) is kept as the witness; a verified encoder must come back with
-    zero failures in exhaustive mode. Each trial is settled by one bit test
-    in the per-value tables of `fcc._nearest_value_masks` grown to depth
-    channel.t, which label every word a trial can produce as `decode` would;
-    only the witness is decoded. Above _TABLE_BITS_PER_TRIAL every trial is
-    decoded instead. `trace` receives one line naming the route.
+    zero failures in exhaustive mode. An encoder that passes the exhaustive
+    FCC check at channel.t (capped at n) is certified: no trial can fail, so
+    none is run. Otherwise each trial is settled by one bit test in the
+    per-value tables of `fcc._nearest_value_masks` grown to depth channel.t,
+    which label every word a trial can produce as `decode` would; only the
+    witness is decoded. Above _TABLE_BITS_PER_TRIAL every trial is decoded
+    instead. `trace` receives one line naming the route.
     """
     spec = encoder.spec
     k, r = spec.k, encoder.r
     n = k + r
+    depth = min(channel.t, n)
     if messages is None:
         msgs: Sequence[int] = range(1 << k)
     else:
@@ -120,15 +137,25 @@ def simulate(
             if u.length != k:
                 raise ValueError(f"message length {u.length}, expected {k}")
             msgs.append(u.value)
-    groups: Iterable[tuple[int, Sequence[int]]]
     if channel.mode == "exhaustive":
-        patterns = [p.value for p in error_patterns(n, channel.t)]
-        trials, seed = len(msgs) * len(patterns), None
-        groups = ((u, patterns) for u in msgs)
+        trials, seed = len(msgs) * sphere_size(n, depth), None
     else:
         if not msgs:
             raise ValueError("random channel needs at least one message")
         trials, seed = channel.trials, channel.seed
+    checking = time.perf_counter()
+    if depth == 0 or (
+        k <= EXHAUSTIVE_MAX_K and _verify_exhaustive(encoder, depth, witness=False).ok
+    ):
+        if trace:
+            check_ms = (time.perf_counter() - checking) * 1e3
+            trace(f"route=certified t={depth} check_ms={check_ms:.3f}")
+        return SimulationReport(trials, 0, None, channel.mode, seed, 0, "certified")
+    groups: Iterable[tuple[int, Sequence[int]]]
+    if channel.mode == "exhaustive":
+        patterns = [p.value for p in error_patterns(n, depth)]
+        groups = ((u, patterns) for u in msgs)
+    else:
         groups = _random_trials(msgs, n, channel)
     idx = spec.index_table
     par = encoder.parity_ints
@@ -148,7 +175,7 @@ def simulate(
 
     bits = len(image) << n
     if bits <= _TABLE_BITS_PER_TRIAL * trials:
-        depth = min(channel.t, n)
+        route = "tables"
         size = ((1 << n) + 7) >> 3
         building = time.perf_counter()
         tables = _nearest_value_masks(encoder, depth)
@@ -169,12 +196,13 @@ def simulate(
                     else:
                         failures += 1
     else:
+        route = "decode-every-trial"
         if trace:
             trace(f"route=decode-every-trial E={len(image)} n={n} mask_bits={bits}")
         for u, es in groups:
             for e in es:
                 judge(u, e)
-    return SimulationReport(trials, failures, witness, channel.mode, seed, decodes)
+    return SimulationReport(trials, failures, witness, channel.mode, seed, decodes, route)
 
 
 def _random_trials(

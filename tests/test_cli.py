@@ -471,8 +471,9 @@ def test_simulate_random_json(capsys):
     data = json.loads(out)
     stats = data.pop("stats")
     assert data == {"trials": 300, "failures": 0, "mode": "random", "seed": 9}
-    # random trials come off the tables too; with no failure nothing is decoded
-    assert stats["trials"] == 300 and stats["decodes"] == 0 and stats["elapsed_s"] >= 0
+    # the encoder passes the check at the channel's t: no trial is run or decoded
+    assert stats["trials"] == 300 and stats["elapsed_s"] >= 0
+    assert (stats["route"], stats["decodes"]) == ("certified", 0)
 
 
 def test_simulate_json_stats_count_decodes(capsys):
@@ -483,11 +484,11 @@ def test_simulate_json_stats_count_decodes(capsys):
     assert code == 1
     data = json.loads(out)
     stats = data.pop("stats")
-    assert set(stats) == {"elapsed_s", "trials", "decodes"}
+    assert set(stats) == {"elapsed_s", "trials", "decodes", "route"}
     assert set(data) == {"trials", "failures", "mode", "witness"}
     assert stats["trials"] == data["trials"]
     # the tables settle every trial; only the first failure is decoded, for its witness
-    assert stats["decodes"] == 1
+    assert (stats["route"], stats["decodes"]) == ("tables", 1)
 
 
 def test_simulate_trace_writes_route_and_totals_to_stderr(capsys):
@@ -756,6 +757,28 @@ def test_an_empty_ml_interval_is_a_usage_error(capsys, text):
     code, out, err = run(capsys, "table", "--function", text, "--t", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "is empty" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--function", "ml:relu,k=4,eps=1,a=1,b=2", "--t", "1"], "relu has no interval"),
+    (["table", "--function", "ml:relu,k=4,eps=1", "--a", "1", "--t", "1"],
+     "relu has no interval"),
+    (["table", "--function", "ml:tanh_derivative,k=4,eps=1,a=1,b=3", "--t", "1"], "one cutoff"),
+    (["oracle", "--kind", "ml", "--ml-kind", "relu", "--k", "4", "--eps", "1", "--t", "1",
+      "--a", "1"], "relu has no interval"),
+], ids=["relu-pairs", "relu-flag", "symmetric-pairs", "oracle-relu"])
+def test_an_ml_interval_the_kind_cannot_take_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def test_the_ml_oracle_reads_a_symmetric_cutoff_from_a(capsys):
+    # the cutoff 3 leaves 4 values at k=4, eps=1; the default cutoff 6 leaves 7
+    argv = ["oracle", "--kind", "ml", "--ml-kind", "tanh_derivative", "--k", "4",
+            "--eps", "1", "--t", "1", "--json"]
+    assert json.loads(run(capsys, *argv)[1]) == {"dim": 7, "match": True}
+    assert json.loads(run(capsys, *argv, "--a", "3")[1]) == {"dim": 4, "match": True}
 
 
 def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):

@@ -683,7 +683,7 @@ def test_decode_matches_full_scan_on_random_encoders():
     assert ties_beyond_t > 0
 
 
-# --- simulate tables ----------------------------------------------------------------
+# --- simulate routes ----------------------------------------------------------------
 
 
 def test_nearest_value_masks_match_decode_on_every_word():
@@ -710,15 +710,10 @@ def test_nearest_value_masks_match_decode_on_every_word():
     assert ties_within_t > 0 and ties_beyond_t > 0
 
 
-def _table_route(enc, report) -> bool:
-    """Whether simulate settled the run from tables rather than decodes."""
-    bits = enc.spec.expressiveness << enc.block_length
-    return bits <= simulate_mod._TABLE_BITS_PER_TRIAL * report.trials
-
-
 def test_simulate_matches_reference_on_random_encoders():
     rng = random.Random(7031)
-    ties_within_t = table_runs = 0
+    ties_within_t = 0
+    routes = {"certified": 0, "tables": 0, "decode-every-trial": 0}
     shapes = set()
     for case in range(40):
         enc = _random_encoder(rng)
@@ -736,56 +731,137 @@ def test_simulate_matches_reference_on_random_encoders():
                 for messages in lists:
                     got = simulate(enc, channel, messages)
                     assert got == reference_simulate(enc, channel, messages), (enc, channel)
-                    if _table_route(enc, got):
+                    routes[got.route] += 1
+                    if got.route == "certified":
+                        assert (got.failures, got.decodes) == (0, 0)
+                    elif got.route == "tables":
                         # only the first failure is decoded, for its witness
                         assert got.decodes == (got.witness is not None)
-                        table_runs += 1
                     else:
                         assert got.decodes == got.trials
-    assert table_runs > 0
+    assert routes["certified"] > 0 and routes["tables"] > 0, routes
     assert ties_within_t > 0
     assert len(shapes) == 4  # per-value and per-message, with and without parity bits
+
+
+def _corrupted(enc: fcc.FccEncoder, rng: random.Random) -> fcc.FccEncoder:
+    """enc with one parity word replaced by a random word of the same length."""
+    parities = list(enc.parities)
+    parities[rng.randrange(len(parities))] = BitWord(rng.randrange(1 << enc.r), enc.r)
+    return fcc.FccEncoder(enc.spec, enc.t, enc.r, enc.mode, tuple(parities))
+
+
+def test_certified_route_matches_the_decode_every_trial_oracle():
+    # built per-value encoders (certified at their own t and below), the same
+    # with one parity corrupted, and per-message tables of random parities;
+    # channel t 0-3 on both sides of the encoder's t, both modes, message lists
+    rng = random.Random(1207)
+    routes = {"certified": 0, "tables": 0, "decode-every-trial": 0}
+    certified_failing_encoders = 0
+    for case in range(90):
+        k, t = rng.randint(1, 5), rng.randint(1, 2)
+        spec = _random_spec(rng, k)
+        built = fcc.build_function_value_encoder(spec, t)
+        if case % 3 == 0:
+            enc = built
+        elif case % 3 == 1:
+            enc = _corrupted(built, rng)
+        else:
+            r = rng.randint(0, 4)
+            enc = fcc.per_message_encoder(
+                spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
+            )
+        subset = [BitWord(rng.randrange(1 << k), k) for _ in range(rng.randint(1, 4))]
+        for channel_t in range(4):
+            for mode in ("exhaustive", "random"):
+                channel = ChannelModel(channel_t, mode, seed=case, trials=40)
+                for messages in (None, subset):
+                    got = simulate(enc, channel, messages)
+                    assert got == reference_simulate(enc, channel, messages), (enc, channel)
+                    routes[got.route] += 1
+                    if got.route == "certified":
+                        assert got.witness is None and got.decodes == 0
+                        certified_failing_encoders += not fcc.verify_fcc(enc).ok
+    assert min(routes.values()) > 0, routes
+    # a corrupted or random encoder can still pass at a lower channel t
+    assert certified_failing_encoders > 0
+
+
+def test_exhaustive_simulate_fails_exactly_when_the_fcc_check_fails():
+    # the distance theorem: with every message and every pattern of weight
+    # <= t, some trial decodes a wrong value iff two codewords with different
+    # values are at most 2t apart
+    rng = random.Random(3301)
+    verdicts = {True: 0, False: 0}
+    for _ in range(80):
+        enc = _random_encoder(rng)
+        for t in range(1, 4):
+            at_t = fcc.FccEncoder(enc.spec, t, enc.r, enc.mode, enc.parities)
+            ok = fcc._verify_exhaustive(enc, t, witness=False).ok
+            assert ok == naive_verify(at_t)[0] == fcc.verify_fcc(at_t).ok
+            failures = reference_simulate(enc, ChannelModel(t, "exhaustive")).failures
+            assert (failures == 0) == ok, (enc, t)
+            assert (simulate(enc, ChannelModel(t, "exhaustive")).route == "certified") == ok
+            verdicts[ok] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_simulate_runs_the_trials_above_the_exhaustive_check_limit():
+    # above EXHAUSTIVE_MAX_K the check is skipped (never sampled), so even a
+    # verified encoder runs its trials; at channel t = 0 nothing can fail
+    k = fcc.EXHAUSTIVE_MAX_K + 1
+    enc = functions.wt_cyclic_encoder(k, 1)
+    messages = [BitWord(u * 977 % (1 << k), k) for u in range(5)]
+    report = simulate(enc, ChannelModel(1, "exhaustive"), messages)
+    assert report == reference_simulate(enc, ChannelModel(1, "exhaustive"), messages)
+    assert report.route != "certified" and report.failures == 0
+    assert simulate(enc, ChannelModel(0, "exhaustive"), messages).route == "certified"
 
 
 def test_simulate_decodes_only_the_witness_on_the_table_route():
     enc = functions.wt_cyclic_encoder(6, 1)
     for mode, beyond_t in (("exhaustive", 2), ("random", 3)):
         clean = simulate(enc, ChannelModel(1, mode, seed=4, trials=400))
-        assert (clean.failures, clean.decodes) == (0, 0)
+        assert (clean.failures, clean.decodes, clean.route) == (0, 0, "certified")
         channel = ChannelModel(beyond_t, mode, seed=4, trials=400)
         report = simulate(enc, channel)
-        assert _table_route(enc, report)
+        assert report.route == "tables"
         assert report == reference_simulate(enc, channel)
         assert report.failures > 1 and report.decodes == 1
 
 
 def test_simulate_trace_names_the_route():
+    # channels beyond the encoder's t = 1, so the check fails and trials run
     enc = functions.wt_cyclic_encoder(6, 1)
     n = enc.block_length
     lines = []
     report = simulate(enc, ChannelModel(2, "exhaustive"), trace=lines.append)
     assert len(lines) == 1
     assert lines[0].startswith(f"route=tables E=7 n={n} depth=2 mask_bits={7 << n} build_ms=")
-    assert report.decodes == 1
+    assert (report.route, report.decodes) == ("tables", 1)
     lines.clear()
     # one random trial does not pay for 7 * 2^n mask bits
-    report = simulate(enc, ChannelModel(1, "random", trials=1), trace=lines.append)
+    report = simulate(enc, ChannelModel(2, "random", trials=1), trace=lines.append)
     assert lines == [f"route=decode-every-trial E=7 n={n} mask_bits={7 << n}"]
-    assert report.decodes == 1
+    assert (report.route, report.decodes) == ("decode-every-trial", 1)
+    lines.clear()
+    report = simulate(enc, ChannelModel(1, "random", trials=1), trace=lines.append)
+    assert len(lines) == 1 and lines[0].startswith("route=certified t=1 check_ms=")
+    assert (report.route, report.decodes) == ("certified", 0)
 
 
 def test_simulate_decodes_every_trial_above_the_table_cap():
-    # the identity has E = 2^k values: its tables would cost 2^n / V(n, t)
-    # bits per trial, above the cap at k = 8
+    # the identity has E = 2^k values: at k = 8 its tables would cost more
+    # than the cap in bits per trial for a few hundred random trials; the
+    # channel is beyond the encoder's t = 1, so the trials run
     spec = fcc.FunctionSpec(8, lambda u: u, range(256))
     enc = fcc.build_function_value_encoder(spec, 1)
-    channel = ChannelModel(1, "exhaustive")
-    assert len(spec.image) << enc.block_length > (
-        simulate_mod._TABLE_BITS_PER_TRIAL * (1 << 8) * (enc.block_length + 1)
-    )
+    channel = ChannelModel(2, "random", seed=3, trials=300)
+    assert len(spec.image) << enc.block_length > simulate_mod._TABLE_BITS_PER_TRIAL * 300
     report = simulate(enc, channel)
     assert report == reference_simulate(enc, channel)
-    assert report.decodes == report.trials and report.failures == 0
+    assert report.route == "decode-every-trial"
+    assert report.decodes == report.trials and report.failures > 0
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])

@@ -445,8 +445,9 @@ def test_simulate_random_reproducible():
 
 def test_simulate_random_rejects_empty_message_list():
     enc = functions.wt_cyclic_encoder(4, 1)
-    with pytest.raises(ValueError, match="at least one message"):
-        simulate(enc, ChannelModel(1, "random", trials=5), [])
+    for t in (0, 1, 2):  # certified without a check, certified, beyond the encoder's t
+        with pytest.raises(ValueError, match="at least one message"):
+            simulate(enc, ChannelModel(t, "random", trials=5), [])
     # exhaustive mode has nothing to enumerate and reports zero trials
     assert simulate(enc, ChannelModel(1, "exhaustive"), []).trials == 0
 

@@ -198,6 +198,28 @@ def test_ml_empty_interval_is_rejected(text):
         fcc.spec_from_string(text)
 
 
+@pytest.mark.parametrize("text", [
+    "ml:relu,k=4,eps=1,a=1,b=2", "ml:relu,k=4,eps=1,a=1", "ml:relu,k=4,eps=1,b=2",
+])
+def test_relu_rejects_an_interval_override(text):
+    # relu has no interval: a= and b= would change its name but not its values
+    with pytest.raises(ValueError, match="relu has no interval"):
+        fcc.spec_from_string(text)
+
+
+def test_a_symmetric_kind_takes_one_cutoff():
+    with pytest.raises(ValueError, match="one cutoff"):
+        fcc.spec_from_string("ml:tanh_derivative,k=4,eps=1,a=1,b=3")
+    # a= or b= alone is the cutoff, and the name says which function was built
+    q = Quantizer(4, Fraction(1))
+    direct = functions.ml_spec(functions.ml_kind("tanh_derivative", Fraction(0), Fraction(3)), q)
+    for text in ("ml:tanh_derivative,k=4,eps=1,a=3", "ml:tanh_derivative,k=4,eps=1,b=3"):
+        spec = fcc.spec_from_string(text)
+        assert spec.name == direct.name == "ml:tanh_derivative,k=4,eps=1,a=3"
+        assert spec.image == direct.image
+        assert spec.index_table == direct.index_table
+
+
 def _ml_image_from_levels(kind, q):
     """The image as the saturation bands around the quantization centers in
     the injective stretch, in the activation's output order: the levels-based
