@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 
@@ -246,8 +247,17 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        m = len(self.entries)
-        for i, row in enumerate(self.entries):
+        rows = self.entries
+        m = len(rows)
+        # equal to its transpose implies square: zip stops at the shortest row
+        if (
+            tuple(zip(*rows)) == rows
+            and not any(map(getitem, rows, range(m)))
+            and (not rows or min(map(min, rows)) >= 0)
+        ):
+            return
+        # something is wrong: find the first violation, row by row
+        for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
             if row[i] != 0:
@@ -255,12 +265,12 @@ class DistanceMatrix:
             for j, e in enumerate(row):
                 if e < 0:
                     raise ValueError(f"negative entry at ({i}, {j}): {e}")
-                if e != self.entries[j][i]:
-                    raise ValueError(f"asymmetry at ({i}, {j}): {e} vs {self.entries[j][i]}")
+                if e != rows[j][i]:
+                    raise ValueError(f"asymmetry at ({i}, {j}): {e} vs {rows[j][i]}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> DistanceMatrix:
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def uniform(cls, dim: int, dist: int) -> DistanceMatrix:

@@ -32,11 +32,13 @@ class FunctionSpec:
     `fn` maps the integer form of a message (bit 0 = leftmost) to a value;
     `image` fixes the indexing order used by every matrix in this package.
     `bulk_table`, when given, returns the whole `index_table` at once (a
-    family's own whole-space builder); it must agree with tabulating `fn`,
-    which `eval` and the message-level matrices keep calling. For k <= 16
-    the image is validated by tabulating `index_table`; above that by a
-    deterministic sample, and `index_table` still rejects any value outside
-    the image.
+    family's own whole-space builder: byte tables for the weight families
+    and min-max, a closed form on the quantizer for the ML activations); it
+    must agree with tabulating `fn`, which `eval` and the message-level
+    matrices keep calling. Without it, `index_table` calls `fn` once per
+    message. For k <= 16 the image is validated by tabulating `index_table`;
+    above that by a deterministic sample, and `index_table` still rejects
+    any value outside the image.
     """
 
     def __init__(
@@ -136,11 +138,13 @@ def distance_requirement_matrix(
 
     Entry (i, j) is max(2t+1 - d(u_i, u_j), 0) when the function values
     differ and 0 when they agree: exactly what the parity words must make up
-    for the messages' own distance.
+    for the messages' own distance. Values are compared by image index, so a
+    message whose value is outside the image is a ValueError.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     vals = []
+    idx = []
     seen = set()
     for u in us:
         if u.length != spec.k:
@@ -148,21 +152,17 @@ def distance_requirement_matrix(
         if u.value in seen:
             raise ValueError(f"duplicate message {u}")
         seen.add(u.value)
-        vals.append((u.value, spec.fn(u.value)))
+        vals.append(u.value)
+        idx.append(spec.index_of(spec.fn(u.value)))
     need = 2 * t + 1
     m = len(vals)
-    rows = []
-    for i in range(m):
-        vi, fi = vals[i]
-        row = []
-        for j in range(m):
-            vj, fj = vals[j]
-            if i == j or fi == fj:
-                row.append(0)
-            else:
-                row.append(max(need - (vi ^ vj).bit_count(), 0))
-        rows.append(tuple(row))
-    return DistanceMatrix(tuple(rows))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):  # the upper triangle, mirrored as it is filled
+        vi, fi, row = vals[i], idx[i], rows[i]
+        for j in range(i + 1, m):
+            if idx[j] != fi:
+                row[j] = rows[j][i] = max(need - (vi ^ vals[j]).bit_count(), 0)
+    return DistanceMatrix(tuple(map(tuple, rows)))
 
 
 def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
@@ -218,11 +218,13 @@ def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     need = 2 * t + 1
-    rows = value_distances(spec, 2 * t)
-    return DistanceMatrix.from_rows(
-        [[max(need - d, 0) if i != j else 0 for j, d in enumerate(row)]
-         for i, row in enumerate(rows)]
-    )
+    lut = [max(need - d, 0) for d in range(need + 1)]  # distances run 0..2t+1
+    rows = []
+    for i, row in enumerate(value_distances(spec, 2 * t)):
+        row = list(map(lut.__getitem__, row))
+        row[i] = 0
+        rows.append(tuple(row))
+    return DistanceMatrix(tuple(rows))
 
 
 # --- encoders ----------------------------------------------------------------

@@ -277,9 +277,9 @@ def _ml_classify(kind: MlFunctionKind, q: Quantizer, u: int):
     return (0, -abs(c))
 
 
-def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
-    """The attained (band, level) values in the activation's output order (see
-    _ml_classify), after checking that both ends saturate and epsilon tiles."""
+def _ml_check(kind: MlFunctionKind, q: Quantizer) -> None:
+    """Reject a quantizer that leaves a saturation class empty or whose step
+    does not tile the injective stretch."""
     step = q.epsilon
     if kind.style == BIJECTIVE:
         if not (q.low < kind.lo and q.high > kind.hi):
@@ -301,7 +301,42 @@ def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
             raise ValueError(
                 f"{kind.name}: epsilon {step} does not divide the cutoff {kind.hi}"
             )
+
+
+def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
+    """The attained (band, level) values in the activation's output order (see
+    _ml_classify), after checking that both ends saturate and epsilon tiles.
+    Classifies every message: the oracle's route to the image."""
+    _ml_check(kind, q)
     return sorted({_ml_classify(kind, q, u) for u in range(1 << q.k)})
+
+
+def _centers_below(q: Quantizer, x: Fraction, *, inclusive: bool = False) -> int:
+    """How many messages have a center below x (or at most x, if inclusive).
+
+    Centers strictly increase in u, and center(u) < x iff u < s with
+    s = (2x / epsilon + 2^k - 1) / 2, so the count is s rounded, clamped."""
+    n = 1 << q.k
+    s = (2 * x / q.epsilon + n - 1) / 2
+    count = math.floor(s) + 1 if inclusive else math.ceil(s)
+    return min(max(count, 0), n)
+
+
+def _ml_layout(kind: MlFunctionKind, q: Quantizer) -> tuple[int, int, int]:
+    """Where the image indices change along the messages, as (a, b, end).
+
+    Messages below a saturate low (index 0), messages a..b-1 carry indices
+    1..b-a in order, and messages b..end-1 saturate high (index b-a+1).
+    Symmetric kinds lay out the left half (end = 2^(k-1)), whose centers run
+    from most negative to -epsilon/2, so |center| falls as u rises; the right
+    half mirrors it.
+    """
+    n = 1 << q.k
+    if kind.style == BIJECTIVE:
+        return _centers_below(q, kind.lo), _centers_below(q, kind.hi, inclusive=True), n
+    if kind.style == BIJECTIVE_POSITIVE:
+        return n // 2, n, n
+    return _centers_below(q, -kind.hi), n // 2, n // 2
 
 
 def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
@@ -309,8 +344,18 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
 
     Messages in a saturation region share one value; messages in the
     injective stretch each carry their own; symmetric kinds identify +/-c.
+    The index table comes in closed form from `_ml_layout`, and the image
+    from classifying one message per value.
     """
-    image = _ml_image(kind, q)
+    _ml_check(kind, q)
+    a, b, end = _ml_layout(kind, q)
+    reps = [0, *range(a, b)] + ([b] if b < end else [])
+    image = [_ml_classify(kind, q, u) for u in reps]
+
+    def bulk_table() -> list[int]:
+        half = [0] * a + list(range(1, b - a + 1)) + [b - a + 1] * (end - b)
+        return half if end == 1 << q.k else half + half[::-1]
+
     extra = ""
     style, d_lo, d_hi = _ML_DEFAULTS[kind.name]
     if (kind.lo, kind.hi) != (d_lo, d_hi):
@@ -326,6 +371,7 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
         value_label=lambda v: (
             "saturated-low" if v[0] < 0 else ("saturated-high" if v[0] > 0 else f"g({v[1]})")
         ),
+        bulk_table=bulk_table,
     )
 
 
@@ -405,7 +451,8 @@ def _wt_parity_base(t: int) -> Code:
         return Code.of(had.words[:count], had.length)
     dmat = DistanceMatrix.uniform(count, 2 * t)
     code = construct.greedy_irregular_code(dmat, gv_irregular_threshold(dmat))
-    assert code is not None
+    if code is None:  # contradicts the threshold guarantee; a check that -O keeps
+        raise RuntimeError("greedy build failed at its own existence threshold")
     return code
 
 

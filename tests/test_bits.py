@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 from itertools import combinations
 
 import pytest
@@ -221,6 +223,62 @@ def test_matrix_validation():
         DistanceMatrix.from_rows([[1, 0], [0, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         DistanceMatrix.from_rows([[0, -1], [-1, 0]])  # negative
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        ([[0, 1], [1, 0, 2]], "row 1 has length 3, expected 2"),
+        ([[0, 1], [1, 3]], "nonzero diagonal at 1: 3"),
+        ([[0, 1, 1], [1, 0, -2], [1, -2, 0]], "negative entry at (1, 2): -2"),
+        ([[0, 1, 2], [1, 0, 1], [3, 1, 0]], "asymmetry at (0, 2): 2 vs 3"),
+        # the first violation row by row wins
+        ([[0, 2, 1], [1, 0, 0], [1, 0, 5]], "asymmetry at (0, 1): 2 vs 1"),
+        ([[0, -1, 4], [-1, 0, 0], [1, 0, 0]], "negative entry at (0, 1): -1"),
+    ],
+)
+def test_matrix_validation_names_the_first_violation(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DistanceMatrix.from_rows(rows)
+
+
+def _first_violation(rows):
+    """The row-by-row scan: the message of the first fault, or None."""
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            return f"row {i} has length {len(row)}, expected {m}"
+        if row[i] != 0:
+            return f"nonzero diagonal at {i}: {row[i]}"
+        for j, e in enumerate(row):
+            if e < 0:
+                return f"negative entry at ({i}, {j}): {e}"
+            if e != rows[j][i]:
+                return f"asymmetry at ({i}, {j}): {e} vs {rows[j][i]}"
+    return None
+
+
+def test_matrix_validation_matches_the_row_scan_on_random_faults():
+    rng = random.Random(248)
+    for _ in range(400):
+        m = rng.randint(0, 6)
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                rows[i][j] = rows[j][i] = rng.randint(0, 4)
+        for _ in range(rng.randint(0, 2)):  # a few faults, or none
+            if m:
+                i, j = rng.randrange(m), rng.randrange(m)
+                rows[i][j] = rng.randint(-2, 4)
+        if m and rng.random() < 0.1:
+            rows[rng.randrange(m)].pop()
+        want = _first_violation(rows)
+        if want is None:
+            assert DistanceMatrix.from_rows(rows).entries == tuple(map(tuple, rows))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                DistanceMatrix.from_rows(rows)
 
 
 def test_matrix_json_roundtrip():

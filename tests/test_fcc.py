@@ -244,6 +244,71 @@ def test_requirement_matrix_rejects_duplicates():
         fcc.distance_requirement_matrix(spec, 1, [u, u])
 
 
+def test_requirement_matrix_rejects_a_value_outside_the_image():
+    # k > 16 validates the image on a sample that misses u = 12345; the
+    # matrix compares image indices, so that message's value is rejected
+    spec = fcc.FunctionSpec(17, lambda u: 1 if u == 12345 else 0, [0])
+    us = [BitWord(0, 17), BitWord(12345, 17)]
+    with pytest.raises(ValueError, match="not in image"):
+        fcc.distance_requirement_matrix(spec, 1, us)
+
+
+def reference_distance_requirement_matrix(spec, t, us) -> DistanceMatrix:
+    """Every entry from the formula, values compared as values."""
+    need = 2 * t + 1
+    vals = [(u.value, spec.fn(u.value)) for u in us]
+    return DistanceMatrix.from_rows(
+        [[0 if i == j or fi == fj else max(need - (vi ^ vj).bit_count(), 0)
+          for j, (vj, fj) in enumerate(vals)]
+         for i, (vi, fi) in enumerate(vals)]
+    )
+
+
+def reference_function_distance_matrix(spec, t) -> DistanceMatrix:
+    """Every entry from the formula over the value distances."""
+    need = 2 * t + 1
+    return DistanceMatrix.from_rows(
+        [[max(need - d, 0) if i != j else 0 for j, d in enumerate(row)]
+         for i, row in enumerate(fcc.value_distances(spec, 2 * t))]
+    )
+
+
+# the functions of the benchmark's design studies, one per (family, k) slot
+DESIGN_SPECS = [
+    *[f"wt:k={k}" for k in range(6, 14)],
+    *[f"delta_T:k={k},T={T}" for k, T in ((6, 2), (7, 3), (8, 5), (9, 4), (10, 9), (12, 7))],
+    "minmax:w=3,l=2", "minmax:w=4,l=2", "minmax:w=3,l=3", "minmax:w=4,l=3", "minmax:w=5,l=2",
+    "ml:sigmoid,k=6,eps=1", "ml:tanh,k=6,eps=3/5", "ml:sigmoid,k=7,eps=1/2",
+    "ml:tanh,k=7,eps=3/10", "ml:sigmoid,k=8,eps=1/4", "ml:tanh,k=8,eps=3/20",
+    "ml:relu,k=6,eps=1/2", "ml:relu,k=7,eps=1/4",
+]
+
+
+def _assert_matrices_match_the_formulas(spec, rng):
+    n = 1 << spec.k
+    reps = [BitWord((m & -m).bit_length() - 1, spec.k) for m in spec.preimage_masks]
+    subset = [BitWord(u, spec.k) for u in rng.sample(range(n), min(n, 40))]
+    for t in (1, 2):
+        assert fcc.function_distance_matrix(spec, t) == reference_function_distance_matrix(spec, t)
+        for us in (reps, subset):
+            got = fcc.distance_requirement_matrix(spec, t, us)
+            assert got == reference_distance_requirement_matrix(spec, t, us), (spec.name, t)
+
+
+@pytest.mark.parametrize("name", DESIGN_SPECS)
+def test_requirement_matrices_match_the_formulas_on_design_specs(name):
+    _assert_matrices_match_the_formulas(fcc.spec_from_string(name), random.Random(name))
+
+
+def test_requirement_matrices_match_the_formulas_on_random_specs():
+    rng = random.Random(1213)
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        spec = _random_spec(rng, k) if rng.random() < 0.5 else _shuffled_spec(
+            rng, k, rng.randint(1, min(1 << k, 12)))
+        _assert_matrices_match_the_formulas(spec, rng)
+
+
 # --- function distance -----------------------------------------------------------
 
 

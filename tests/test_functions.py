@@ -132,6 +132,14 @@ def test_wt_parity_base_offset_profile(t):
             assert hamming_distance(base[a], base[(a + delta) % period]) >= need
 
 
+def test_wt_parity_base_raises_when_the_greedy_build_fails(monkeypatch):
+    # t=3 has no Hadamard base (4t = 12), so the greedy build supplies it; a
+    # failure there must raise under python -O as well, not return None
+    monkeypatch.setattr(construct, "greedy_irregular_code", lambda *args: None)
+    with pytest.raises(RuntimeError, match="existence threshold"):
+        functions._wt_parity_base(3)
+
+
 @pytest.mark.parametrize("t,k", [(1, k) for k in range(2, 13)])
 def test_wt_cyclic_encoder_t1_all_k(t, k):
     enc = functions.wt_cyclic_encoder(k, t)

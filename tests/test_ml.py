@@ -8,6 +8,7 @@ hypercube. Entrywise equality of the two is the point of these tests.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,56 @@ def test_ml_image_matches_the_levels_construction(name):
                 assert image == _ml_image_from_levels(kind, q), (k, eps, interval)
                 compared.add(k)
     assert compared == set(range(2, 9))
+
+
+# --- the closed-form layout ---------------------------------------------------------
+
+_EPSILONS = [Fraction(x) for x in ("1", "1/2", "1/4", "1/3", "3/5", "3/10", "3/20", "2")]
+# bijective overrides [a, b], among them intervals whose ends fall exactly on a
+# center for some epsilon (centers are odd multiples of epsilon/2)
+_INTERVALS = [
+    (None, None), (Fraction(-1), Fraction(1)), (Fraction(-1, 2), Fraction(3, 2)),
+    (Fraction(-3, 4), Fraction(1, 4)), (Fraction(-3, 10), Fraction(9, 10)),
+    (Fraction(-9, 20), Fraction(3, 20)), (Fraction(-1, 6), Fraction(1, 2)), (Fraction(-2), Fraction(5)),
+]
+# symmetric cutoffs a
+_CUTOFFS = [None] + [Fraction(x) for x in ("1", "3/2", "1/2", "3/5", "3/10", "6/5", "3")]
+
+
+def _ml_kinds(name):
+    style = functions.ml_kind(name).style
+    if style == functions.BIJECTIVE:
+        return [functions.ml_kind(name, *interval) for interval in _INTERVALS]
+    if style == functions.SYMMETRIC:
+        return [functions.ml_kind(name, Fraction(0) if a is not None else None, a) for a in _CUTOFFS]
+    return [functions.ml_kind(name)]
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_SIZES))
+def test_ml_closed_form_table_equals_tabulating_fn(name):
+    # the index table comes from the quantizer in closed form and the image
+    # from one message per value: both must equal classifying every message,
+    # and a quantizer that classifying rejects must be rejected the same way
+    built = 0
+    edges = set()
+    for k in range(2, 10):
+        for eps in _EPSILONS:
+            q = Quantizer(k, eps)
+            for kind in _ml_kinds(name):
+                try:
+                    image = functions._ml_image(kind, q)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        functions.ml_spec(kind, q)
+                    continue
+                spec = functions.ml_spec(kind, q)
+                assert list(spec.image) == image, (k, eps, kind)
+                assert spec.index_table == [
+                    spec.index_of(spec.fn(u)) for u in range(1 << k)
+                ], (k, eps, kind)
+                centers = set(map(q.center, range(1 << k)))
+                edges.update(end for end in ("lo", "hi") if getattr(kind, end) in centers)
+                built += 1
+    assert built >= (64 if name == "relu" else 150)
+    if functions.ml_kind(name).style == functions.BIJECTIVE:
+        assert edges == {"lo", "hi"}  # some interval ended exactly on a center
