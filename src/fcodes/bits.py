@@ -107,10 +107,6 @@ def hamming_distance(a: BitWord, b: BitWord) -> int:
     return (a.value ^ b.value).bit_count()
 
 
-def hamming_weight(a: BitWord) -> int:
-    return a.value.bit_count()
-
-
 def all_words(length: int) -> Iterator[BitWord]:
     """All words of a length in lexicographic (= integer) order."""
     for v in range(1 << length):
@@ -227,13 +223,6 @@ def sphere_size(n: int, radius: int) -> int:
     if radius < 0:
         return 0
     return sum(math.comb(n, i) for i in range(min(radius, n) + 1))
-
-
-def smod(a: int, b: int) -> int:
-    """Shifted modulus onto 1..b: smod(b, b) == b, smod(b+1, b) == 1."""
-    if a < 1 or b < 1:
-        raise ValueError(f"smod needs positive arguments, got ({a}, {b})")
-    return (a - 1) % b + 1
 
 
 @dataclass(frozen=True)

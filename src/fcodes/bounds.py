@@ -19,14 +19,14 @@ from .bits import DistanceMatrix, sphere_size
 CEIL_GUARD = 1e-9
 
 
-def ceil_guarded(x: float, tol: float = CEIL_GUARD) -> int:
-    """Ceiling that snaps to the nearest integer when within tol of it.
+def ceil_guarded(x: float) -> int:
+    """Ceiling that snaps to the nearest integer when within CEIL_GUARD of it.
 
     Keeps float-valued bounds from flipping to the next integer (or failing to
     reach one) on account of representation error alone.
     """
     nearest = round(x)
-    if abs(x - nearest) <= tol:
+    if abs(x - nearest) <= CEIL_GUARD:
         return int(nearest)
     return math.ceil(x)
 
@@ -269,15 +269,12 @@ def ecc_on_data_redundancy(k: int, t: int) -> int:
 def ecc_on_function_values_redundancy(image_size: int, t: int) -> int:
     """Redundancy of the other classical route: send f(u) in a protected code.
 
-    ceil(log2 E) bits describe the value; protecting those bits costs the
-    fixed point of r_alt = t·ceil(log2(ceil(log2 E) + r_alt)). Grows like
-    log2 E + t·log2 log2 E. (For tiny images the estimate degenerates; a
-    2-valued function is really a repetition code costing 2t+1.)
+    ceil(log2 E) bits describe the value, and protecting them costs what
+    the data route costs on that many message bits. Grows like log2 E +
+    t·log2 log2 E. (For tiny images the estimate degenerates; a 2-valued
+    function is really a repetition code costing 2t+1.)
     """
     if image_size < 2 or t < 1:
         raise ValueError(f"need image size >= 2 and t >= 1, got ({image_size}, {t})")
     base = _ceil_log2(image_size)
-    r_alt = 0
-    while r_alt < t * _ceil_log2(base + r_alt):
-        r_alt = t * _ceil_log2(base + r_alt)
-    return base + r_alt
+    return base + ecc_on_data_redundancy(base, t)

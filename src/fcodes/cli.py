@@ -26,7 +26,6 @@ _CONSTRUCTION_ALIASES = {
     "2": "delta-ramp",
     "3": "minmax-spc",
     "4": "minmax-rm",
-    "value-table": "auto",
 }
 
 
@@ -423,6 +422,10 @@ def cmd_simulate(args, params: dict[str, str]) -> int:
     started = time.perf_counter()
     report = simulate(encoder, channel, messages, trace=_trace if args.trace else None)
     elapsed = time.perf_counter() - started
+    if report.witness:  # name its values as fcc-decode does
+        u, pattern, got, expected = report.witness
+        label = encoder.spec.value_label
+        report = dataclasses.replace(report, witness=(u, pattern, label(got), label(expected)))
     if args.trace:
         _trace(f"trials={report.trials} failures={report.failures} "
                f"decodes={report.decodes} elapsed_s={elapsed:.6f}")

@@ -295,13 +295,9 @@ def exact_min_length(
                 trace(f"budget-exhausted r={r} nodes={state.nodes}")
             return ExactLengthResult(r, False, state.nodes, None)
         if found is not None:
-            if any(
-                (found[i] ^ found[j]).bit_count() < d
-                for i, row in enumerate(dmat.entries)
-                for j, d in enumerate(row[:i])
-            ):
-                raise RuntimeError("search returned an invalid witness")
             code = Code.of((BitWord(v, r) for v in found), r)
+            if not satisfies_distance_matrix(code, dmat)[0]:
+                raise RuntimeError("search returned an invalid witness")
             if trace:
                 trace(f"proven r={r} nodes={state.nodes}")
             return ExactLengthResult(r, True, state.nodes, code)

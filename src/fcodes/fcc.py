@@ -166,7 +166,8 @@ def distance_requirement_matrix(
 
 
 def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
-    """Closest approach between every two preimage sets, in image order.
+    """The function distance d_f between every two values, in image order:
+    the closest approach of their preimage sets.
 
     One shell search per value, resolving every later value as the shells
     reach it and stopping once all are resolved. Distances above max_d are
@@ -190,21 +191,6 @@ def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
         for j in pending:  # not reached within max_d
             rows[i][j] = rows[j][i] = max_d + 1
     return rows
-
-
-def function_distance(spec: FunctionSpec, f1: FunctionValue, f2: FunctionValue) -> int:
-    """Smallest Hamming distance between preimages of two function values.
-
-    Zero when the values coincide. Computed by growing Hamming shells around
-    one preimage set (as a bit mask over all messages) until the other is hit.
-    """
-    i = spec.index_of(f1)
-    j = spec.index_of(f2)
-    if i == j:
-        return 0
-    masks = spec.preimage_masks
-    shells = enumerate(_shells(masks[i], spec.k))
-    return next((d for d, ball in shells if ball & masks[j]), spec.k + 1)
 
 
 def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:

@@ -199,11 +199,6 @@ class Quantizer:
         eps = self.epsilon  # epsilon * (2u + 1 - 2^k) / 2, as one Fraction
         return Fraction((2 * u + 1 - (1 << self.k)) * eps.numerator, 2 * eps.denominator)
 
-    def b2r(self, u: BitWord) -> Fraction:
-        if u.length != self.k:
-            raise ValueError(f"message length {u.length}, expected {self.k}")
-        return self.center(u.value)
-
     @property
     def low(self) -> Fraction:
         return self.center(0)
@@ -340,7 +335,7 @@ def _ml_layout(kind: MlFunctionKind, q: Quantizer) -> tuple[int, int, int]:
 
 
 def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
-    """Spec for g(b2r(u)): distinguishable activation outputs as values.
+    """Spec for g(center(u)): distinguishable activation outputs as values.
 
     Messages in a saturation region share one value; messages in the
     injective stretch each carry their own; symmetric kinds identify +/-c.

@@ -143,6 +143,8 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         k_mm = w * l if "l" in p else k
         if k is not None and k != k_mm:
             raise ValueError(f"k={k} inconsistent with w*l={k_mm}")
+        if k is not None and (k % w or k < 2 * w):  # a k without l
+            raise ValueError(f"k={k} is not w*l for w={w} and any block length l >= 2")
         lower = 2 * t
         if w >= 3:
             lower = max(lower, bounds.minmax_lower_bound(w, t).integer_value)

@@ -22,9 +22,7 @@ from fcodes.bits import (
     _xor_translate,
     all_words,
     hamming_distance,
-    hamming_weight,
     satisfies_distance_matrix,
-    smod,
     sphere_size,
 )
 from fcodes.simulate import error_patterns
@@ -87,7 +85,7 @@ def test_distance_is_xor_weight(a, b):
     n, av = a
     bv = b[1] % (1 << n)
     x, y = BitWord(av, n), BitWord(bv, n)
-    assert hamming_distance(x, y) == hamming_weight(x ^ y)
+    assert hamming_distance(x, y) == (x ^ y).weight()
 
 
 @given(words, words, words)
@@ -200,17 +198,6 @@ def test_sphere_size_recurrence(n, r):
     assert sphere_size(n, r) == sphere_size(n, r - 1) + math.comb(n, r) * (r <= n)
 
 
-def test_smod_is_shifted_residue():
-    # 1..b maps to itself, then wraps: smod(b+1, b) == 1
-    assert [smod(a, 3) for a in range(1, 8)] == [1, 2, 3, 1, 2, 3, 1]
-    assert smod(4, 4) == 4
-
-
-@given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=50))
-def test_smod_range_and_period(a, b):
-    v = smod(a, b)
-    assert 1 <= v <= b
-    assert smod(a + b, b) == v
 
 
 # --- DistanceMatrix ----------------------------------------------------------

@@ -296,6 +296,21 @@ def test_ecc_on_function_values_frozen():
     assert bounds.ecc_on_function_values_redundancy(1 << 20, 1) == 25
 
 
+def test_ecc_on_function_values_matches_its_fixed_point_loop():
+    # the loop the function ran before it reused the data route: iterate
+    # r_alt = t*ceil(log2(ceil(log2 E) + r_alt)) upward from 0
+    def reference(e, t):
+        base = (e - 1).bit_length()
+        r_alt = 0
+        while r_alt < t * (base + r_alt - 1).bit_length():
+            r_alt = t * (base + r_alt - 1).bit_length()
+        return base + r_alt
+
+    for e in range(2, 1200):
+        for t in range(1, 12):
+            assert bounds.ecc_on_function_values_redundancy(e, t) == reference(e, t), (e, t)
+
+
 def test_ecc_on_function_values_structure():
     # ceil(log2 E) message bits plus redundancy for them
     e, t = 1000, 2

@@ -440,6 +440,22 @@ def test_minmax_consistent_k_is_accepted(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("w, k", [(3, 7), (4, 4)])
+def test_table_minmax_k_of_no_block_layout_is_usage_error(capsys, w, k):
+    # without --l, k must still be w*l for some block length l >= 2
+    code, out, err = run(
+        capsys, "table", "--function", "minmax", "--w", str(w), "--k", str(k), "--t", "1"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and f"k={k}" in err
+
+
+def test_table_minmax_k_without_l_prints_the_row_of_its_layout(capsys):
+    flags = ("table", "--function", "minmax", "--w", "3", "--k", "9", "--t", "1", "--json")
+    without_l = run(capsys, *flags)
+    assert without_l == run(capsys, *flags, "--l", "3") and without_l[0] == 0
+
+
 def test_fcc_build_locally_binary(capsys):
     code, out, _ = run(
         capsys, "fcc-build", "--function", "delta_T:k=9,T=5", "--t", "1",
@@ -514,6 +530,22 @@ def test_simulate_overdriven_channel_fails(capsys):
     )
     assert code == 1
     assert "first failure" in out
+
+
+def test_simulate_witness_names_its_values_as_fcc_decode_does(capsys):
+    encoder = ("--function", "ml:sigmoid,k=5,eps=1", "--t", "1")
+    code, out, _ = run(capsys, "simulate", *encoder, "--channel-t", "2", "--json")
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert (witness["decoded"], witness["expected"]) == ("g(17/2)", "saturated-low")
+    code, out, _ = run(capsys, "simulate", *encoder, "--channel-t", "2")
+    assert code == 1
+    assert out.splitlines()[1].endswith(" decoded=g(17/2) expected=saturated-low")
+    # the witness's received word, decoded on its own
+    _, sent, _ = run(capsys, "fcc-encode", *encoder, "--u", witness["message"])
+    y = int(sent, 2) ^ int(witness["pattern"], 2)
+    code, out, _ = run(capsys, "fcc-decode", *encoder, "--y", format(y, f"0{len(sent.strip())}b"))
+    assert code == 0 and out.split()[0] == witness["decoded"]
 
 
 def test_simulate_message_sample(capsys):

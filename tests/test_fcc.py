@@ -314,19 +314,18 @@ def test_requirement_matrices_match_the_formulas_on_random_specs():
 
 @given(st.integers(min_value=2, max_value=8))
 def test_function_distance_weight_is_index_gap(k):
-    spec = functions.wt_spec(k)
+    rows = fcc.value_distances(functions.wt_spec(k), k)
     for a in range(k + 1):
-        for b in range(a + 1, k + 1):
-            assert fcc.function_distance(spec, a, b) == b - a
+        for b in range(k + 1):
+            assert rows[a][b] == abs(b - a)
 
 
 def test_function_distance_minmax_example():
     spec = functions.minmax_spec(3, 3)
-    v12 = functions.MinMaxValue(1, 2)
-    v13 = functions.MinMaxValue(1, 3)
-    v21 = functions.MinMaxValue(2, 1)
-    assert fcc.function_distance(spec, v12, v13) == 1
-    assert fcc.function_distance(spec, v12, v21) == 2
+    rows = fcc.value_distances(spec, spec.k)
+    v12, v13, v21 = (spec.index_of(functions.MinMaxValue(*v)) for v in ((1, 2), (1, 3), (2, 1)))
+    assert rows[v12][v13] == 1
+    assert rows[v12][v21] == 2
 
 
 def test_function_distance_matrix_requirements():

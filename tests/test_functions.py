@@ -119,11 +119,13 @@ def test_wt_requirement_matrix_entries():
 # --- construction 1: cyclic weight parities ---------------------------------------
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_wt_parity_base_offset_profile(t):
     # weights at gap delta <= 2t reuse base words at cyclic offset delta, so
-    # the base must keep distance >= 2t+1-delta at every such offset
+    # the base must keep distance >= 2t+1-delta at every such offset; each
+    # branch is met: hand-picked (t <= 2), greedy (3, 5), Hadamard slice (4)
     base = functions._wt_parity_base(t)
+    assert base.length == {1: 3, 2: 6, 3: 15, 4: 16, 5: 26}[t]
     period = base.size
     assert period >= 2 * t + 1
     for a in range(period):
