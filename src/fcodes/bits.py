@@ -137,11 +137,11 @@ def _bit_set_patterns(n: int) -> list[int]:
 
 def _expand_once(mask: int, n: int) -> int:
     """The set together with every word one bit flip away from it."""
-    out = mask
-    for b, pat in enumerate(_bit_set_patterns(n)):
-        s = 1 << b
-        out |= (mask & ~pat) << s
-        out |= (mask & pat) >> s
+    out, s = mask, 1
+    for pat in _bit_set_patterns(n):  # pattern of bit b, shift s = 2^b
+        hi = mask & pat
+        out |= ((mask ^ hi) << s) | (hi >> s)
+        s <<= 1
     return out
 
 
@@ -152,8 +152,8 @@ def _xor_translate(mask: int, n: int, e: int) -> int:
     while e:
         low = e & -e
         e ^= low
-        pat = pats[low.bit_length() - 1]
-        mask = ((mask & ~pat) << low) | ((mask & pat) >> low)
+        hi = mask & pats[low.bit_length() - 1]
+        mask = ((mask ^ hi) << low) | (hi >> low)
     return mask
 
 
@@ -195,21 +195,30 @@ def _low_weight_masks(n: int, rho: int) -> list[int]:
     return [e for w in range(1, min(rho, n) + 1) for e in _weight_shell(n, w)]
 
 
-def _table_masks(table: bytes, groups: Iterable[Iterable[int]]) -> list[int]:
-    """Per group of byte values, the set of words v whose table[v] is in it.
+_TRANSPOSE_MASKS: dict[int, list[tuple[int, int]]] = {}
 
-    `table` holds one byte per n-bit word, word 0 first. Reversed, each byte
-    mapped to the digit 1 or 0 reads as the mask in binary, so a group costs
-    one bytes.translate and one int parse.
+
+def _byte_planes(table: bytes) -> list[int]:
+    """Plane b, for b = 0..7: the set of words v whose byte table[v] has bit
+    b set, where `table` holds one byte per word, word 0 first.
+
+    Read as one little-endian int, each run of 8 words is an 8x8 bit matrix
+    (row = word, column = bit). Three delta swaps transpose every block at
+    once (Hacker's Delight 7-3), after which byte b of block m holds bit b of
+    words 8m..8m+7, so plane b is every 8th byte from b.
     """
-    digits = table[::-1]
-    out = []
-    for group in groups:
-        select = bytearray(b"0" * 256)
-        for v in group:
-            select[v] = ord("1")
-        out.append(int(digits.translate(select), 2))
-    return out
+    size = -(-len(table) // 8)  # blocks
+    if size not in _TRANSPOSE_MASKS:
+        _TRANSPOSE_MASKS[size] = [
+            (s, int.from_bytes(m.to_bytes(8, "little") * size, "little"))
+            for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
+        ]
+    x = int.from_bytes(table, "little")
+    for s, m in _TRANSPOSE_MASKS[size]:
+        swap = (x ^ (x >> s)) & m
+        x ^= swap ^ (swap << s)
+    columns = x.to_bytes(8 * size, "little")
+    return [int.from_bytes(columns[b::8], "little") for b in range(8)]
 
 
 def sphere_size(n: int, radius: int) -> int:

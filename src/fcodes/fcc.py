@@ -20,8 +20,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
 from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
-from .bits import _at_least, _bit_set_patterns, _low_weight_masks, _shells, _table_masks
-from .bits import _weight_shell, _xor_translate
+from .bits import _at_least, _bit_set_patterns, _byte_planes, _expand_once, _low_weight_masks
+from .bits import _shells, _weight_shell, _xor_translate
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -115,13 +115,21 @@ class FunctionSpec:
 
     @cached_property
     def preimage_masks(self) -> tuple[int, ...]:
-        """Per image index, the set of preimages as a 2^k-bit integer mask."""
+        """Per image index, the set of preimages as a 2^k-bit integer mask.
+
+        The index table's bit planes split the whole space, top plane first:
+        each prefix's mask m splits into (m ^ (m & p), m & p) on plane p, and
+        a prefix whose indices all lie at E or above is dropped."""
         e = len(self.image)
-        if e <= 256:
-            return tuple(_table_masks(bytes(self.index_table), ([i] for i in range(e))))
-        masks = [0] * e
-        for u, i in enumerate(self.index_table):
-            masks[i] |= 1 << u
+        width = (e - 1).bit_length()
+        planes = _bit_planes(self.index_table, width)
+        masks = [(1 << (1 << self.k)) - 1]  # per prefix of the top bits of the index
+        for b in reversed(range(width)):
+            split = []
+            for m in masks:
+                hi = m & planes[b]
+                split += (m ^ hi, hi)
+            masks = split[: -(-e >> b)]  # the prefixes of indices below E
         return tuple(masks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -169,26 +177,35 @@ def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
     """The function distance d_f between every two values, in image order:
     the closest approach of their preimage sets.
 
-    One shell search per value, resolving every later value as the shells
-    reach it and stopping once all are resolved. Distances above max_d are
-    reported as max_d + 1; max_d >= k gives every distance exactly.
+    Balls grow from both sides: B_L(i), the words within L of value i's
+    preimages, meets B_M(j) iff d_f(i, j) <= L + M. Every ball grows one
+    shell per round; at round L a pair still pending (so farther than
+    2L - 2) is at 2L - 1 when B_L(i) meets B_{L-1}(j), else at 2L when
+    B_L(i) meets B_L(j). Distinct values' preimages are disjoint, so round 0
+    is skipped; the search stops after ceil(max_d / 2) rounds or once no
+    pair is pending, with two rounds of balls alive. Distances above max_d
+    are reported as max_d + 1; max_d >= k gives every distance exactly.
     """
-    masks = spec.preimage_masks
-    e = len(masks)
+    e = len(spec.image)
     rows = [[0] * e for _ in range(e)]
-    for i in range(e - 1):
-        pending = range(i + 1, e)
-        for d, ball in enumerate(islice(_shells(masks[i], spec.k), max_d + 1)):
-            still = []
-            for j in pending:
-                if ball & masks[j]:
-                    rows[i][j] = rows[j][i] = d
+    pending = [range(i + 1, e) for i in range(e)]  # per i, the j > i not yet resolved
+    balls = spec.preimage_masks
+    for level in range(1, (max_d + 1) // 2 + 1):
+        if not any(pending):
+            break
+        inner, balls = balls, [_expand_once(m, spec.k) for m in balls]
+        for i, js in enumerate(pending):
+            ball, row, still = balls[i], rows[i], []
+            for j in js:
+                if ball & inner[j]:
+                    row[j] = rows[j][i] = 2 * level - 1
+                elif ball & balls[j]:  # at an odd max_d, 2L is max_d + 1 in the last round
+                    row[j] = rows[j][i] = 2 * level
                 else:
                     still.append(j)
-            pending = still
-            if not pending:
-                break
-        for j in pending:  # not reached within max_d
+            pending[i] = still
+    for i, js in enumerate(pending):  # not reached within max_d
+        for j in js:
             rows[i][j] = rows[j][i] = max_d + 1
     return rows
 
@@ -199,7 +216,7 @@ def function_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
     Entry (i, j) is max(2t+1 - d_f(f_i, f_j), 0) where d_f is the closest
     approach between the two preimage sets. This is what per-function-value
     parity words must satisfy. Values 2t+1 or more apart need nothing, so
-    the shell search around each value stops at depth 2t.
+    the value distances are searched to 2t only.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -400,16 +417,13 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
     return _verify_message_level(encoder, t, witness)
 
 
-_BYTE_BITS = [[v for v in range(256) if v >> j & 1] for j in range(8)]
-
-
 def _bit_planes(table: Sequence[int], width: int) -> list[int]:
     """Plane b of a table of width-bit ints: the set of messages u whose
     table[u] has bit b set, as a 2^k-bit mask."""
     planes: list[int] = []
     for lo in range(0, width, 8):
         chunk = bytes(table) if width <= 8 else bytes(v >> lo & 255 for v in table)
-        planes += _table_masks(chunk, _BYTE_BITS[: width - lo])
+        planes += _byte_planes(chunk)[: width - lo]
     return planes
 
 

@@ -16,8 +16,8 @@ from fcodes.bits import (
     Code,
     DistanceMatrix,
     _at_least,
+    _byte_planes,
     _shells,
-    _table_masks,
     _weight_shell,
     _xor_translate,
     all_words,
@@ -173,14 +173,20 @@ def test_error_patterns_match_the_flipping_oracle():
             assert list(error_patterns(n, t)) == list(_error_patterns_by_flipping(n, t)), (n, t)
 
 
-def test_table_masks_select_positions_by_byte():
+def _byte_planes_by_word(table: bytes) -> list[int]:
+    """Plane b from the table word by word: the words whose byte has bit b set."""
+    return [sum(1 << v for v, byte in enumerate(table) if byte >> b & 1) for b in range(8)]
+
+
+def test_byte_planes_select_words_by_bit():
     table = bytes([3, 0, 255, 3, 7, 0, 0, 3])
-    got = _table_masks(table, [[3], [0, 7], [], [255, 3]])
-    want = [
-        sum(1 << u for u, v in enumerate(table) if v in group)
-        for group in ([3], [0, 7], [], [255, 3])
-    ]
-    assert got == want == [0b10001001, 0b01110010, 0, 0b10001101]
+    assert _byte_planes(table)[:3] == [0b10011101, 0b10011101, 0b00010100]
+    rng = random.Random(8)
+    # lengths below one 8-word block, one block, a partial last block, and
+    # whole 2^k-word tables
+    for size in [1, 2, 4, 8, 12, 100] + [1 << k for k in range(15)]:
+        table = bytes(rng.randrange(256) for _ in range(size))
+        assert _byte_planes(table) == _byte_planes_by_word(table), size
 
 
 def test_sphere_size_values():

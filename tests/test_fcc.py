@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from fcodes import bounds, construct, fcc, functions
 from fcodes import simulate as simulate_mod
-from fcodes.bits import BitWord, DistanceMatrix, all_words, hamming_distance
+from fcodes.bits import BitWord, DistanceMatrix, _shells, all_words, hamming_distance
 from fcodes.simulate import ChannelModel, SimulationReport, error_patterns, simulate
 
 
@@ -204,16 +204,27 @@ def test_spec_index_table_and_preimage_masks_agree():
         assert (masks[table[u]] >> u) & 1 == 1
 
 
-@pytest.mark.parametrize("e", [1, 5, 256, 300])
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 17, 256, 257, 300])
 def test_preimage_masks_match_index_table(e):
-    # up to 256 values the masks are read off the table as bytes; beyond it
-    # they are built message by message
+    # the masks split the whole space on the index table's bit planes; an E
+    # that is not a power of two drops the prefixes that only reach E or
+    # above, and E > 256 takes planes from a second byte
     rng = random.Random(e)
     table = list(range(e)) + [rng.randrange(e) for _ in range(512 - e)]
     rng.shuffle(table)
     spec = fcc.FunctionSpec(9, table.__getitem__, range(e))
+    assert len(spec.preimage_masks) == e
     for i, mask in enumerate(spec.preimage_masks):
         assert mask == sum(1 << u for u in range(512) if table[u] == i)
+
+
+def test_bit_planes_select_messages_by_bit():
+    rng = random.Random(406)
+    for width in range(1, 13):
+        for size in (1, 8, 1 << 10):
+            table = [rng.randrange(1 << width) for _ in range(size)]
+            want = [sum(1 << u for u, v in enumerate(table) if v >> b & 1) for b in range(width)]
+            assert fcc._bit_planes(table, width) == want, (width, size)
 
 
 # --- requirement matrices -------------------------------------------------------
@@ -326,6 +337,59 @@ def test_function_distance_minmax_example():
     v12, v13, v21 = (spec.index_of(functions.MinMaxValue(*v)) for v in ((1, 2), (1, 3), (2, 1)))
     assert rows[v12][v13] == 1
     assert rows[v12][v21] == 2
+
+
+def reference_value_distances(spec, max_d):
+    """The one-sided shell search value_distances replaced: each value's
+    ball grows shell by shell from radius 0 until every later value is
+    reached or max_d is passed."""
+    masks = spec.preimage_masks
+    e = len(masks)
+    rows = [[0] * e for _ in range(e)]
+    for i in range(e - 1):
+        pending = range(i + 1, e)
+        for d, ball in enumerate(itertools.islice(_shells(masks[i], spec.k), max_d + 1)):
+            still = []
+            for j in pending:
+                if ball & masks[j]:
+                    rows[i][j] = rows[j][i] = d
+                else:
+                    still.append(j)
+            pending = still
+            if not pending:
+                break
+        for j in pending:
+            rows[i][j] = rows[j][i] = max_d + 1
+    return rows
+
+
+def test_value_distances_at_every_cap_match_brute_force():
+    # both parities of the cap (an odd cap ends on a half round), caps past
+    # k, and functions whose pairs all resolve early (the search stops)
+    rng = random.Random(1517)
+    for _ in range(40):
+        k = rng.randint(1, 9)
+        spec = _shuffled_spec(rng, k, rng.randint(1, min(1 << k, 7)))
+        pre = [[u for u in range(1 << k) if spec.index_table[u] == i]
+               for i in range(spec.expressiveness)]
+        raw = [[min((a ^ b).bit_count() for a in pi for b in pj) for pj in pre] for pi in pre]
+        for max_d in range(k + 3):
+            want = [[min(d, max_d + 1) for d in row] for row in raw]
+            assert fcc.value_distances(spec, max_d) == want, (k, max_d)
+            assert reference_value_distances(spec, max_d) == want, (k, max_d)
+
+
+REGISTRY_SPECS = [
+    *[f"{name}:k={k}" for name in ("wt", "parity", "or", "constant") for k in (1, 2, 5, 12)],
+    *[name for name in DESIGN_SPECS if fcc.spec_from_string(name).k <= 12],
+]
+
+
+@pytest.mark.parametrize("name", REGISTRY_SPECS)
+def test_value_distances_match_the_one_sided_search_on_families(name):
+    spec = fcc.spec_from_string(name)
+    for max_d in range(spec.k + 3):
+        assert fcc.value_distances(spec, max_d) == reference_value_distances(spec, max_d), max_d
 
 
 def test_function_distance_matrix_requirements():
