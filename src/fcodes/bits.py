@@ -195,9 +195,6 @@ def _low_weight_masks(n: int, rho: int) -> list[int]:
     return [e for w in range(1, min(rho, n) + 1) for e in _weight_shell(n, w)]
 
 
-_TRANSPOSE_MASKS: dict[int, list[tuple[int, int]]] = {}
-
-
 def _byte_planes(table: bytes) -> list[int]:
     """Plane b, for b = 0..7: the set of words v whose byte table[v] has bit
     b set, where `table` holds one byte per word, word 0 first.
@@ -208,13 +205,9 @@ def _byte_planes(table: bytes) -> list[int]:
     words 8m..8m+7, so plane b is every 8th byte from b.
     """
     size = -(-len(table) // 8)  # blocks
-    if size not in _TRANSPOSE_MASKS:
-        _TRANSPOSE_MASKS[size] = [
-            (s, int.from_bytes(m.to_bytes(8, "little") * size, "little"))
-            for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
-        ]
     x = int.from_bytes(table, "little")
-    for s, m in _TRANSPOSE_MASKS[size]:
+    for s, block in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        m = int.from_bytes(block.to_bytes(8, "little") * size, "little")
         swap = (x ^ (x >> s)) & m
         x ^= swap ^ (swap << s)
     columns = x.to_bytes(8 * size, "little")

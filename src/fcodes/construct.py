@@ -69,9 +69,11 @@ def greedy_irregular_code(
     ascending scan of all 2^r candidates would stop at. The window starts
     at s = min(r, 16) bits and grows by one whenever it is full; every
     placed word lies inside it, so beyond 2^16 a mask never spans more than
-    twice the largest word placed. Returns None if some row exhausts the
-    whole space, which provably cannot happen at
-    r >= gv_irregular_threshold(dmat, order).
+    twice the largest word placed. That word is not small on matrices with
+    many rows at high requirement: it grows roughly as 2^r (a uniform 12 on
+    13 rows at r = 31 places one near 2^23), and time and memory with it.
+    Returns None if some row exhausts the whole space, which provably cannot
+    happen at r >= gv_irregular_threshold(dmat, order).
     """
     if r < 0:
         raise ValueError(f"negative length {r}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import construct, fcc
 from .bits import BitWord, Code, DistanceMatrix
-from .bounds import gv_irregular_threshold
+from .bounds import gv_irregular_threshold  # noqa: F401 - perfbench/spans.py wraps this name
 from .fcc import PER_MESSAGE, PER_VALUE, FccEncoder, FunctionSpec
 
 # --- plain specs ---------------------------------------------------------
@@ -423,13 +423,15 @@ def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:
 
 
 def _wt_parity_base(t: int) -> Code:
-    """The parity cycle for weight protection: 2t+1 words, one per residue.
+    """The parity cycle for weight protection, one word per residue.
 
-    For one and two errors these are small hand-picked optimal codes; beyond
-    that, any 2t+1 words pairwise 2t apart do (cyclically adjacent residues
-    carry the tightest requirement, 2t). A Hadamard-derived code supplies
-    them at length 4t when 4t is a power of two; otherwise a greedy build at
-    its existence threshold.
+    For one and two errors these are small hand-picked optimal codes: 3 words
+    of length 3, and 8 words of length 6 (period 8). Beyond that, any 2t+1
+    words pairwise 2t apart do (cyclically adjacent residues carry the
+    tightest requirement, 2t): the first 2t+1 rows of the Sylvester code of
+    length n = 2^ceil(log2 4t), cut to their first n/2 + 2t positions. Its
+    rows are pairwise exactly n/2 apart, so dropping n/2 - 2t positions
+    leaves at least 2t.
     """
     if t == 1:
         return Code.from_strings(["000", "110", "011"])
@@ -440,15 +442,10 @@ def _wt_parity_base(t: int) -> Code:
                 "000001", "110010", "001110", "111101",
             ]
         )
-    count = 2 * t + 1
-    had = construct.hadamard_code(2 * t)
-    if had is not None:
-        return Code.of(had.words[:count], had.length)
-    dmat = DistanceMatrix.uniform(count, 2 * t)
-    code = construct.greedy_irregular_code(dmat, gv_irregular_threshold(dmat))
-    if code is None:  # contradicts the threshold guarantee; a check that -O keeps
-        raise RuntimeError("greedy build failed at its own existence threshold")
-    return code
+    n = 1 << (4 * t - 1).bit_length()
+    kept = n // 2 + 2 * t
+    rows = construct.hadamard_code(n // 2).words[: 2 * t + 1]
+    return Code.of((w.split(kept)[0] for w in rows), kept)
 
 
 def wt_cyclic_encoder(k: int, t: int) -> FccEncoder:

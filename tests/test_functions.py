@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -119,13 +120,18 @@ def test_wt_requirement_matrix_entries():
 # --- construction 1: cyclic weight parities ---------------------------------------
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+WT_BASE_LENGTHS = {
+    1: 3, 2: 6, 3: 14, 4: 16, 5: 26, 6: 28, 7: 30, 8: 32, 9: 50, 10: 52, 11: 54, 12: 56
+}
+
+
+@pytest.mark.parametrize("t", sorted(WT_BASE_LENGTHS))
 def test_wt_parity_base_offset_profile(t):
     # weights at gap delta <= 2t reuse base words at cyclic offset delta, so
-    # the base must keep distance >= 2t+1-delta at every such offset; each
-    # branch is met: hand-picked (t <= 2), greedy (3, 5), Hadamard slice (4)
+    # the base must keep distance >= 2t+1-delta at every such offset; the
+    # lengths are 3 and 6 for the hand-picked bases, n/2 + 2t beyond
     base = functions._wt_parity_base(t)
-    assert base.length == {1: 3, 2: 6, 3: 15, 4: 16, 5: 26}[t]
+    assert base.length == WT_BASE_LENGTHS[t]
     period = base.size
     assert period >= 2 * t + 1
     for a in range(period):
@@ -134,12 +140,34 @@ def test_wt_parity_base_offset_profile(t):
             assert hamming_distance(base[a], base[(a + delta) % period]) >= need
 
 
-def test_wt_parity_base_raises_when_the_greedy_build_fails(monkeypatch):
-    # t=3 has no Hadamard base (4t = 12), so the greedy build supplies it; a
-    # failure there must raise under python -O as well, not return None
-    monkeypatch.setattr(construct, "greedy_irregular_code", lambda *args: None)
-    with pytest.raises(RuntimeError, match="existence threshold"):
-        functions._wt_parity_base(3)
+def test_wt_parity_base_builds_without_search():
+    # every base up to t = 12 is built outright; a search behind any t (the
+    # old first-fit build took half a minute at t = 7) would show here
+    start = time.perf_counter()
+    for t in WT_BASE_LENGTHS:
+        functions._wt_parity_base(t)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wt_parity_base_words():
+    # the hand-picked bases stay as they are, and where 4t is a power of two
+    # nothing is cut: the base is the Hadamard code's first 2t+1 words
+    assert [str(w) for w in functions._wt_parity_base(1)] == ["000", "110", "011"]
+    assert [str(w) for w in functions._wt_parity_base(2)] == [
+        "000000", "110011", "001111", "111100",
+        "000001", "110010", "001110", "111101",
+    ]
+    for t in (4, 8):
+        hadamard = construct.hadamard_code(2 * t)
+        assert functions._wt_parity_base(t).words == hadamard.words[: 2 * t + 1]
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 6])
+def test_wt_cyclic_encoder_verified_beyond_t2(t):
+    for k in range(t + 1, 11):
+        enc = functions.wt_cyclic_encoder(k, t)
+        assert enc.r == WT_BASE_LENGTHS[t]
+        assert fcc.verify_fcc(enc).ok, k
 
 
 @pytest.mark.parametrize("t,k", [(1, k) for k in range(2, 13)])
