@@ -367,10 +367,12 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> int:
     if args.trace:
         _trace(f"route={result.route} pairs_checked={result.pairs_checked} elapsed_s={elapsed:.6f}")
     if args.json:
-        payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode}
+        payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode,
+                   "route": result.route}
         if result.witness:
             payload["witness"] = [str(w) for w in result.witness]
-        payload["stats"] = {"elapsed_s": round(elapsed, 6), "pairs_checked": result.pairs_checked}
+        payload["stats"] = {"elapsed_s": round(elapsed, 6), "pairs_checked": result.pairs_checked,
+                            "route": result.route}
         print(json.dumps(payload))
     elif result.ok:
         print("OK")

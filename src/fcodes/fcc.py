@@ -12,14 +12,18 @@ every word near the code at once, as per-value tables that agree with
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
-from .bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
+from .bits import BitWord, Code, DistanceMatrix, all_words, sphere_size
 from .bits import _at_least, _bit_set_patterns, _byte_planes, _expand_once, _low_weight_masks
 from .bits import _shells, _weight_shell, _xor_translate
 
@@ -173,40 +177,67 @@ def distance_requirement_matrix(
     return DistanceMatrix(tuple(map(tuple, rows)))
 
 
-def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
-    """The function distance d_f between every two values, in image order:
-    the closest approach of their preimage sets.
+def _closest_approaches(
+    masks: Sequence[int],
+    n: int,
+    pending: list[Iterable[int]],
+    limits: Sequence[Sequence[int]],
+    rows: list[list[int]] | None = None,
+) -> bool:
+    """Whether some pair of pairwise disjoint n-bit word sets, i < j with j
+    in pending[i], comes within its limit: closest approach d <= limits[i][j],
+    where every pending pair has a limit of at least 1. With `rows`, d is
+    written to rows[i][j] and rows[j][i] for every such pair; without, the
+    search stops at the first. `pending` is updated in place.
 
-    Balls grow from both sides: B_L(i), the words within L of value i's
-    preimages, meets B_M(j) iff d_f(i, j) <= L + M. Every ball grows one
-    shell per round; at round L a pair still pending (so farther than
-    2L - 2) is at 2L - 1 when B_L(i) meets B_{L-1}(j), else at 2L when
-    B_L(i) meets B_L(j). Distinct values' preimages are disjoint, so round 0
-    is skipped; the search stops after ceil(max_d / 2) rounds or once no
-    pair is pending, with two rounds of balls alive. Distances above max_d
-    are reported as max_d + 1; max_d >= k gives every distance exactly.
+    Balls grow from both sides: B_L(i), the words within L of masks[i],
+    meets B_M(j) iff d(i, j) <= L + M. Every ball grows one shell per round;
+    at round L a pair still pending (so farther than 2L - 2) is at 2L - 1
+    when B_L(i) meets B_{L-1}(j), else at 2L when B_L(i) meets B_L(j). The
+    sets are disjoint, so round 0 is skipped; a pair stops pending once
+    settled or past its limit, from round 2 on only the balls of pending
+    pairs grow, and the search stops when no pair is left, with two rounds
+    of balls alive.
     """
-    e = len(spec.image)
-    rows = [[0] * e for _ in range(e)]
-    pending = [range(i + 1, e) for i in range(e)]  # per i, the j > i not yet resolved
-    balls = spec.preimage_masks
-    for level in range(1, (max_d + 1) // 2 + 1):
+    balls, found = masks, False
+    for odd in count(1, 2):  # 2L - 1
         if not any(pending):
-            break
-        inner, balls = balls, [_expand_once(m, spec.k) for m in balls]
+            return found
+        if odd == 1:  # every ball; collecting pending pairs costs as much as testing them
+            live = range(len(masks))
+        else:
+            live = {i for i, js in enumerate(pending) if js}.union(*pending)
+        inner, balls = balls, [_expand_once(m, n) if i in live else m for i, m in enumerate(balls)]
         for i, js in enumerate(pending):
-            ball, row, still = balls[i], rows[i], []
+            ball, lim, row, still = balls[i], limits[i], rows and rows[i], []
             for j in js:
                 if ball & inner[j]:
-                    row[j] = rows[j][i] = 2 * level - 1
-                elif ball & balls[j]:  # at an odd max_d, 2L is max_d + 1 in the last round
-                    row[j] = rows[j][i] = 2 * level
+                    d = odd
+                elif lim[j] > odd and ball & balls[j]:
+                    d = odd + 1
                 else:
-                    still.append(j)
+                    if lim[j] > odd + 1:
+                        still.append(j)
+                    continue
+                if rows is None:
+                    return True
+                found = True
+                row[j] = rows[j][i] = d
             pending[i] = still
-    for i, js in enumerate(pending):  # not reached within max_d
-        for j in js:
-            rows[i][j] = rows[j][i] = max_d + 1
+
+
+def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
+    """The function distance d_f between every two values, in image order:
+    the closest approach of their preimage sets, found by growing the
+    preimage masks from both sides (`_closest_approaches`). Distances above
+    max_d are reported as max_d + 1; max_d >= k gives every distance exactly.
+    """
+    e = len(spec.image)
+    rows = [[max_d + 1] * e for _ in range(e)]
+    for i in range(e):
+        rows[i][i] = 0
+    pending = [range(i + 1, e) if max_d >= 1 else () for i in range(e)]
+    _closest_approaches(spec.preimage_masks, spec.k, pending, [[max_d] * e] * e, rows)
     return rows
 
 
@@ -327,7 +358,7 @@ class VerifyResult:
     ok: bool
     witness: tuple[BitWord, BitWord] | None
     pairs_checked: int
-    route: str  # "value-level" | "message-level" | "sampled": what pairs_checked counts
+    route: str  # "class" | "message-level" | "sampled": what pairs_checked counts
 
     @property
     def mode(self) -> str:
@@ -338,6 +369,7 @@ class VerifyResult:
 
 
 EXHAUSTIVE_MAX_K = 14  # verify_fcc samples above this
+_LIMB = (1 << 64) - 1  # one 64-bit limb of a table wider than 64 bits
 _DRAW_BATCH = 4096  # sampled draws made at once: fast, and little memory held
 
 
@@ -346,21 +378,25 @@ def verify_fcc(
 ) -> VerifyResult:
     """Check the distance condition for every message pair (or a sample).
 
-    A per-function-value encoder is checked at the value level: it protects
-    f iff its parities satisfy function_distance_matrix(spec, t) (the closest
-    two preimage sets get the least help from the messages), and there
-    pairs_checked counts value pairs. Per-message encoders, and per-value
-    ones that fail that check, are checked over every difference vector e
-    of weight 1..2t (pairs further apart satisfy the condition on message
-    distance alone) by a whole-space kernel: the image-index and parity bit
-    planes, 2^k-bit masks, are XOR-translated by e, and their differences
-    mark the pairs (u, u ^ e), u < u ^ e, whose values differ and whose
-    parities are too close. pairs_checked then counts message pairs with
-    differing values. The witness, if any, is the lexicographically smallest
-    violating (u1, u2) with u1 < u2, and pairs_checked on a violation counts
-    the pairs whose u1 is at most the witness's, as a row-by-row scan
-    stopping after row u1 would. Exhaustive mode requires
-    k <= EXHAUSTIVE_MAX_K; ask for `sample` beyond. Both need t >= 1.
+    Exhaustively, messages are grouped into classes by (image index, parity
+    word) (`_classes`): inside a class nothing is required, and two classes
+    with different values and parities p, q violate iff their closest
+    approach is at most 2t - d(p, q). The class masks grow from both sides
+    to that depth (`_closest_approaches`), and on success pairs_checked
+    counts the class pairs with different values; a per-value encoder's
+    classes are its values, so there it counts value pairs. An encoder with
+    too many classes for that to pay, and any encoder that violates, is
+    checked over every difference vector e of weight 1..2t (pairs further
+    apart satisfy the condition on message distance alone) by the
+    message-level kernel: the image-index and parity bit planes, 2^k-bit
+    masks, are XOR-translated by e, and their differences mark the pairs
+    (u, u ^ e), u < u ^ e, whose values differ and whose parities are too
+    close. pairs_checked then counts message pairs with differing values.
+    The witness, if any, is the lexicographically smallest violating
+    (u1, u2) with u1 < u2, and pairs_checked on a violation counts the pairs
+    whose u1 is at most the witness's, as a row-by-row scan stopping after
+    row u1 would. Exhaustive mode requires k <= EXHAUSTIVE_MAX_K; ask for
+    `sample` beyond. Both need t >= 1.
 
     A sample draws `sample` >= 1 close pairs (u, u ^ e), deterministic per
     `seed`, in batches of 4096 u then 4096 e: u uniform over the 2^k
@@ -404,26 +440,69 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
     """verify_fcc's exhaustive route at t >= 1, which need not be encoder.t.
 
     With witness=False only `ok` is exact, and a failure comes back as soon
-    as it is known: a per-value encoder failing the value-level check (which
-    is exact on its own) skips the message-level witness search, and the
-    message-level kernel stops at the first violating difference vector.
-    Either way the witness is None and pairs_checked counts what was checked.
+    as it is known, with no witness: pairs_checked then counts the class
+    pairs with different values, or the message pairs that the
+    message-level kernel checked up to its first violating difference vector.
     """
-    if encoder.mode == PER_VALUE:
-        dmat = function_distance_matrix(encoder.spec, t)
-        ok = satisfies_distance_matrix(Code.of(encoder.parities, encoder.r), dmat)[0]
-        if ok or not witness:
-            return VerifyResult(ok, None, dmat.dim * (dmat.dim - 1) // 2, "value-level")
+    classes = _classes(encoder, t)
+    if classes is None:
+        return _verify_message_level(encoder, t, witness)
+    masks, values, parities = classes
+    # two classes violate iff they come within 2t - d(p, q); the j > i only
+    limits = [[0] * (i + 1) + [2 * t - (p ^ q).bit_count() if w != v else 0
+                               for w, q in zip(values[i + 1:], parities[i + 1:])]
+              for i, (v, p) in enumerate(zip(values, parities))]
+    e = len(masks)
+    pending = [[j for j in range(i + 1, e) if lim[j] >= 1] for i, lim in enumerate(limits)]
+    pairs = (e * e - sum(c * c for c in Counter(values).values())) // 2  # with different values
+    ok = not _closest_approaches(masks, encoder.spec.k, pending, limits)
+    if ok or not witness:
+        return VerifyResult(ok, None, pairs, "class")
     return _verify_message_level(encoder, t, witness)
+
+
+def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
+    """The masks, image indices and parities of the (value, parity) classes.
+
+    A per-value encoder's classes are its values. A per-message encoder's
+    values split on its parity planes, top plane first, dropping empty
+    halves, until E'^2 t pair tests would exceed the message-level kernel's
+    sum of C(k, w), w = 1..2t, plane translations: then None."""
+    spec = encoder.spec
+    if encoder.mode == PER_VALUE:
+        return spec.preimage_masks, range(len(spec.image)), [p.value for p in encoder.parities]
+    most = math.isqrt((sphere_size(spec.k, 2 * t) - 1) // t)  # E' <= most iff E'^2 t <= sum
+    classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
+    for plane in reversed(_bit_planes(encoder.parity_ints, encoder.r)):
+        if len(classes) > most:
+            return None
+        split = []
+        for m, i, p in classes:  # parity bits gathered top plane first
+            hi = m & plane
+            if hi != m:
+                split.append((m ^ hi, i, p << 1))
+            if hi:
+                split.append((hi, i, p << 1 | 1))
+        classes = split
+    if len(classes) > most:
+        return None
+    return tuple(zip(*classes))
 
 
 def _bit_planes(table: Sequence[int], width: int) -> list[int]:
     """Plane b of a table of width-bit ints: the set of messages u whose
-    table[u] has bit b set, as a 2^k-bit mask."""
+    table[u] has bit b set, as a 2^k-bit mask. A table wider than a byte is
+    read as little-endian 64-bit limbs, byte j of every limb at once."""
+    if width <= 8:
+        return _byte_planes(bytes(table))[:width]
     planes: list[int] = []
-    for lo in range(0, width, 8):
-        chunk = bytes(table) if width <= 8 else bytes(v >> lo & 255 for v in table)
-        planes += _byte_planes(chunk)[: width - lo]
+    for lo in range(0, width, 64):
+        limb = array("Q", table if width <= 64 else [v >> lo & _LIMB for v in table])
+        if sys.byteorder == "big":
+            limb.byteswap()
+        raw = limb.tobytes()
+        for j in range(0, min(width - lo, 64), 8):
+            planes += _byte_planes(raw[j // 8 :: 8])[: width - lo - j]
     return planes
 
 
@@ -583,6 +662,7 @@ def encoder_from_exact_witness(
 # --- function balls ----------------------------------------------------------
 
 
+# Used only by tests, but the benchmark's traced round wraps it (perfbench/spans.py).
 def function_ball(spec: FunctionSpec, u: BitWord, rho: int) -> frozenset:
     """All values f takes within Hamming distance rho of u."""
     if u.length != spec.k:

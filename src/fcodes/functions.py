@@ -524,28 +524,6 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     return FccEncoder(spec, t, 2 * t, PER_MESSAGE, parities)
 
 
-def locally_binary_decode(spec: FunctionSpec, t: int, y: BitWord):
-    """Recover f(u) from a received (u, p) pair of the repetition encoder.
-
-    If every message within distance t of the received message already agrees
-    on f, that value is the answer regardless of the parity bits. Otherwise
-    the ball holds exactly two values and the majority of the 2t+1 indicator
-    bits — the receiver's own recomputed bit plus the 2t received ones —
-    says whether to take the larger or the smaller.
-    """
-    k = spec.k
-    if y.length != k + 2 * t:
-        raise ValueError(f"received length {y.length}, expected {k + 2 * t}")
-    u, p = y.split(k)
-    ball_t = fcc.function_ball(spec, u, t)
-    if len(ball_t) == 1:
-        return next(iter(ball_t))
-    ball_2t = fcc.function_ball(spec, u, 2 * t)
-    own = 1 if spec.eval(u) == max(ball_2t) else 0
-    votes = own + p.weight()
-    return max(ball_t) if votes >= t + 1 else min(ball_t)
-
-
 # --- min-max -----------------------------------------------------------------
 
 

@@ -72,7 +72,7 @@ def test_criterion_05_locally_binary_certificate_and_exhaustive_decoding():
         c = enc.encode(u)
         expected = spec.eval(u)
         for pattern in error_patterns(c.length, t):
-            if functions.locally_binary_decode(spec, t, c ^ pattern) != expected:
+            if fcc.decode(enc, c ^ pattern).value != expected:
                 failures += 1
     assert failures == 0
 

@@ -7,6 +7,8 @@ from math import comb
 
 import pytest
 
+from fcodes import fcc, functions
+from fcodes.bits import BitWord
 from fcodes.cli import main
 
 
@@ -319,13 +321,35 @@ def test_fcc_verify_json_stats(capsys, extra):
     assert code == 0
     data = json.loads(out)
     stats = data.pop("stats")
-    assert set(stats) == {"elapsed_s", "pairs_checked"}
+    assert set(stats) == {"elapsed_s", "pairs_checked", "route"}
     assert stats["elapsed_s"] >= 0 and stats["pairs_checked"] == data["pairs_checked"] > 0
-    assert set(data) == {"ok", "pairs_checked", "mode"}
+    assert set(data) == {"ok", "pairs_checked", "mode", "route"}
+    assert stats["route"] == data["route"] == ("sampled" if extra else "class")
+
+
+def test_fcc_verify_json_names_each_route(capsys, tmp_path):
+    # a passing per-value encoder: the class check, over its 7 values; a
+    # failing per-message one (no parity bits at all): the message-level
+    # kernel, for the witness; a sample: the sampled route
+    path = tmp_path / "bare.txt"
+    spec = functions.parity_spec(3)
+    path.write_text(fcc.encoder_to_text(
+        fcc.per_message_encoder(spec, 1, [BitWord.zeros(0)] * 8)), encoding="utf-8")
+    cases = [
+        (["--function", "wt", "--k", "6", "--t", "1"], 0, "class", 21),
+        (["--encoder", str(path)], 1, "message-level", 3),
+        (["--function", "wt", "--k", "6", "--t", "1", "--sample", "50"], 0, "sampled", None),
+    ]
+    for argv, rc, route, pairs in cases:
+        code, out, _ = run(capsys, "fcc-verify", *argv, "--json")
+        data = json.loads(out)
+        assert (code, data["route"], data["stats"]["route"]) == (rc, route, route)
+        assert pairs is None or data["pairs_checked"] == pairs
+    assert data["mode"] == "sampled"
 
 
 @pytest.mark.parametrize(
-    "extra, route", [([], "value-level"), (["--sample", "500"], "sampled")]
+    "extra, route", [([], "class"), (["--sample", "500"], "sampled")]
 )
 def test_fcc_verify_trace_writes_route_to_stderr(capsys, extra, route):
     argv = ["fcc-verify", "--function", "wt", "--k", "6", "--t", "1", *extra]
@@ -356,9 +380,12 @@ def test_fcc_verify_above_the_exhaustive_limit_names_the_sample_flag(capsys):
 
 
 def test_fcc_verify_delta_ramp_at_the_exhaustive_limit(capsys, tmp_path):
-    # k=14, t=2 by the message route; pairs_checked is every pair at distance
-    # 1..2t whose weight blocks differ: from weight a, flipping j ones and
-    # w - j zeros lands on weight a - 2j + w; each pair is met from both ends
+    # k=14, t=2: the ramp's parity follows the weight, so its (value, parity)
+    # classes are the 15 weights and fcc-verify checks them by the class
+    # route, counting the weight pairs in different blocks. The message
+    # route counts every pair at distance 1..2t whose weight blocks differ:
+    # from weight a, flipping j ones and w - j zeros lands on weight
+    # a - 2j + w; each pair is met from both ends
     k, T, t = 14, 5, 2
     path = tmp_path / "ramp.txt"
     code, _, _ = run(
@@ -376,7 +403,11 @@ def test_fcc_verify_delta_ramp_at_the_exhaustive_limit(capsys, tmp_path):
         if a // T != (a - 2 * j + w) // T
     )
     data = json.loads(out)
-    assert (data["ok"], data["mode"], data["pairs_checked"]) == (True, "exhaustive", ordered // 2)
+    blocks = sum(a // T != b // T for a in range(k + 1) for b in range(a))
+    assert (data["ok"], data["mode"], data["route"]) == (True, "exhaustive", "class")
+    assert data["pairs_checked"] == blocks == 75
+    message = fcc._verify_message_level(fcc.encoder_from_text(path.read_text()), t, True)
+    assert (message.ok, message.pairs_checked) == (True, ordered // 2)
 
 
 def test_fcc_build_wrong_family_is_usage_error(capsys):

@@ -2,10 +2,11 @@
 
 `naive_verify` below re-checks the defining distance condition with a plain
 double loop over all message pairs. It shares no code with `verify_fcc`
-(which checks per-value encoders against the value-distance matrix and runs
-a bit-plane kernel over difference vectors otherwise) and exists so the two
-can disagree if either is wrong. `reference_message_verify` is the message
-route as a row-by-row loop, the oracle for its witness and `pairs_checked`;
+(which grows (value, parity) classes of messages towards each other, and
+runs a bit-plane kernel over difference vectors for a witness or when the
+classes are too many) and exists so the two can disagree if either is wrong.
+`reference_message_verify` is the message route as a row-by-row loop, the
+oracle for its witness and `pairs_checked`;
 `reference_is_locally_binary` scans every message's ball the same way, the
 oracle for the mask kernel of `is_locally_binary`. `full_scan_decode` plays
 the same part for `decode`: it compares the received word with every
@@ -227,6 +228,18 @@ def test_bit_planes_select_messages_by_bit():
             assert fcc._bit_planes(table, width) == want, (width, size)
 
 
+@pytest.mark.parametrize("width", [9, 16, 17, 64, 65, 130])
+def test_bit_planes_of_wide_tables_match_the_per_word_reference(width):
+    # wider than a byte, the table is read as 64-bit limbs, one byte of each
+    # limb at a time; above 64 bits, one limb of every word at a time
+    rng = random.Random(width)
+    for size in (1, 8, 100, 1 << 9):
+        table = [rng.randrange(1 << width) for _ in range(size)]
+        table[0] = (1 << width) - 1  # every plane holds word 0
+        want = [sum(1 << u for u, v in enumerate(table) if v >> b & 1) for b in range(width)]
+        assert fcc._bit_planes(table, width) == want, size
+
+
 # --- requirement matrices -------------------------------------------------------
 
 
@@ -436,7 +449,7 @@ def test_encoder_systematic_shape():
 def test_verify_matches_naive_oracle_on_good_and_bad():
     enc = functions.wt_cyclic_encoder(6, 1)
     good = fcc.verify_fcc(enc)
-    assert good.ok and (good.route, good.mode) == ("value-level", "exhaustive")
+    assert good.ok and (good.route, good.mode) == ("class", "exhaustive")
     assert naive_verify(enc)[0]
 
     # break it: give weight-0 and weight-1 identical parities
@@ -458,8 +471,9 @@ def test_verify_agrees_with_naive_on_theorem2_encoders(k, t):
 
 
 def test_verify_per_value_route_matches_message_loop_on_random_encoders():
-    # the value-level check must give the verdict of the all-pairs oracle and,
-    # on a violation, the witness of the per-message difference-vector loop
+    # the class check of a per-value encoder must give the verdict of the
+    # all-pairs oracle and, on a violation, the witness of the per-message
+    # difference-vector loop
     rng = random.Random(4099)
     verdicts = {True: 0, False: 0}
     for _ in range(150):
@@ -494,8 +508,9 @@ def _shuffled_spec(rng: random.Random, k: int, e: int) -> fcc.FunctionSpec:
 
 def test_verify_message_route_matches_row_loop_on_random_encoders():
     # verdict, witness and pairs_checked of the mask kernel against the row
-    # loop: random per-message tables, per-value tables that fail the
-    # value-level check, and per-message copies of encoders that pass
+    # loop: random per-message tables, random per-value tables, and
+    # per-message copies of encoders that pass; verify_fcc's class check
+    # gives the same verdict, and a violation's witness and count
     rng = random.Random(7001)
     seen = {"pass": 0, "fail": 0, "r0": 0, "e1": 0, "t3": 0, "wide": 0}
     for case in range(240):
@@ -515,18 +530,75 @@ def test_verify_message_route_matches_row_loop_on_random_encoders():
             enc = fcc.per_message_encoder(
                 spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
             )
-        res = fcc.verify_fcc(enc)
-        if res.route == "value-level":
-            assert enc.mode == fcc.PER_VALUE and res.ok
-            continue
+        res = fcc._verify_message_level(enc, t, True)
         assert res.route == "message-level"
         assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(enc)
+        full = fcc.verify_fcc(enc)
+        assert full.ok == res.ok
+        if not res.ok:
+            assert full == res
         seen["pass" if res.ok else "fail"] += 1
         seen["r0"] += enc.r == 0
         seen["e1"] += e == 1
         seen["t3"] += t == 3
         seen["wide"] += enc.r > 8
     assert min(seen.values()) >= 20, seen
+
+
+def test_verify_class_route_matches_row_loop_on_flipped_copies():
+    # per-value encoders re-encoded per message with 0-2 parity bits flipped
+    # have few (value, parity) classes, so the class check settles most of
+    # them: its verdict is the row loop's, a violation reports the message
+    # route's witness and count, and a pass counts the class pairs with
+    # different values, read here off a per-message scan
+    rng = random.Random(1709)
+    seen = {"pass": 0, "fail": 0, "t3": 0}
+    for _ in range(150):
+        k, t = rng.randint(2, 8), rng.randint(1, 3)
+        spec = _shuffled_spec(rng, k, rng.randint(2, min(1 << k, 6)))
+        base = fcc.build_function_value_encoder(spec, rng.randint(1, 3))
+        par = list(base.parity_ints)
+        for _ in range(rng.randint(0, 2) if base.r else 0):
+            par[rng.randrange(1 << k)] ^= 1 << rng.randrange(base.r)
+        enc = fcc.per_message_encoder(spec, t, [BitWord(p, base.r) for p in par])
+        ok, witness, checked = reference_message_verify(enc)
+        quick = fcc._verify_exhaustive(enc, t, witness=False)
+        res = fcc.verify_fcc(enc)
+        assert quick.ok == res.ok == ok
+        if not ok:
+            assert (res.witness, res.pairs_checked, res.route) == (witness, checked, "message-level")
+        if quick.route != "class":
+            continue
+        classes = set(zip(spec.index_table, par))
+        pairs = sum(a[0] != b[0] for a, b in itertools.combinations(classes, 2))
+        assert quick.pairs_checked == pairs
+        if ok:
+            assert (res.route, res.pairs_checked) == ("class", pairs)
+        seen["pass" if ok else "fail"] += 1
+        seen["t3"] += t == 3
+    assert min(seen.values()) >= 10, seen
+
+
+def test_verify_cost_rule_picks_the_route_by_class_count():
+    # at k=6, t=1 the message-level kernel translates the planes by the 21
+    # vectors of weight 1..2, so the class check takes at most 4 classes:
+    # 4^2 * 1 <= 21 < 5^2. Parity of 6 bits, with parity bit 0 of u on both
+    # values (4 classes), or bits 0-1 on the even values (5 classes)
+    spec, t = functions.parity_spec(6), 1
+    for split, route in ((lambda u: u & 1, "class"),
+                         (lambda u: u & (1 if u.bit_count() % 2 else 3), "message-level")):
+        enc = fcc.per_message_encoder(spec, t, [BitWord(split(u), 2) for u in range(64)])
+        quick = fcc._verify_exhaustive(enc, t, witness=False)
+        assert quick.route == route
+        assert quick.ok == fcc._verify_message_level(enc, t, False).ok == naive_verify(enc)[0]
+    # at k=8, t=1 (36 vectors, so 6 classes): delta-ramp encoders that pass,
+    # with 6 classes at T=5 and more at T=4
+    for T, route in ((5, "class"), (4, "message-level")):
+        enc = functions.delta_ramp_encoder(8, T, 1)
+        classes = set(zip(enc.spec.index_table, enc.parity_ints))
+        assert (len(classes) <= 6) == (route == "class")
+        res = fcc.verify_fcc(enc)
+        assert res.ok and res.route == route
 
 
 def test_verify_message_route_with_more_than_256_values():

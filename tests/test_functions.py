@@ -3,7 +3,8 @@
 The families with a whole-space table builder are checked against
 tabulating their `fn` message by message, and `locally_binary_encoder`
 against `reference_locally_binary_parities`, which reads each message's
-indicator bit off its function ball.
+indicator bit off its function ball. `locally_binary_decode`, the paper's
+majority-vote decoder for that encoder, is an oracle for `fcc.decode`.
 """
 
 from __future__ import annotations
@@ -302,21 +303,47 @@ def test_locally_binary_encoder_matches_function_balls():
     assert tried >= 10, tried
 
 
+def locally_binary_decode(spec: fcc.FunctionSpec, t: int, y: BitWord):
+    """Recover f(u) from a received (u, p) pair of the repetition encoder.
+
+    If every message within distance t of the received message already agrees
+    on f, that value is the answer regardless of the parity bits. Otherwise
+    the ball holds exactly two values and the majority of the 2t+1 indicator
+    bits — the receiver's own recomputed bit plus the 2t received ones —
+    says whether to take the larger or the smaller.
+    """
+    k = spec.k
+    if y.length != k + 2 * t:
+        raise ValueError(f"received length {y.length}, expected {k + 2 * t}")
+    u, p = y.split(k)
+    ball_t = fcc.function_ball(spec, u, t)
+    if len(ball_t) == 1:
+        return next(iter(ball_t))
+    ball_2t = fcc.function_ball(spec, u, 2 * t)
+    own = 1 if spec.eval(u) == max(ball_2t) else 0
+    votes = own + p.weight()
+    return max(ball_t) if votes >= t + 1 else min(ball_t)
+
+
 def test_locally_binary_decode_all_patterns():
+    # the majority-vote decoder above and the nearest-codeword `fcc.decode`
+    # both recover f(u) under every pattern of weight <= t
     spec = functions.delta_spec(7, 5)
     t = 1
     enc = functions.locally_binary_encoder(spec, t)
     for u in all_words(7):
         c = enc.encode(u)
         for pattern in error_patterns(c.length, t):
-            got = functions.locally_binary_decode(spec, t, c ^ pattern)
-            assert got == spec.eval(u)
+            assert locally_binary_decode(spec, t, c ^ pattern) == spec.eval(u)
+            assert fcc.decode(enc, c ^ pattern).value == spec.eval(u)
 
 
 def test_locally_binary_decode_length_check():
     spec = functions.delta_spec(7, 5)
     with pytest.raises(ValueError):
-        functions.locally_binary_decode(spec, 1, BitWord.zeros(7))
+        locally_binary_decode(spec, 1, BitWord.zeros(7))
+    with pytest.raises(ValueError):
+        fcc.decode(functions.locally_binary_encoder(spec, 1), BitWord.zeros(7))
 
 
 def test_locally_binary_indicator_roundtrip():
