@@ -339,6 +339,9 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
 
 
 def cmd_fcc_build(args, params: dict[str, str]) -> int:
+    if args.json and "out" not in params:
+        raise ValueError("--json needs --out: without it stdout carries the encoder file")
+    started = time.perf_counter()
     encoder = _resolve_encoder(params)
     text = fcc.encoder_to_text(encoder)
     if "out" in params:
@@ -349,6 +352,10 @@ def cmd_fcc_build(args, params: dict[str, str]) -> int:
             f"mode={encoder.mode} -> {params['out']}",
             file=sys.stderr,
         )
+        if args.json:
+            print(json.dumps({"k": encoder.spec.k, "t": encoder.t, "r": encoder.r,
+                              "mode": encoder.mode, "out": params["out"],
+                              "stats": {"elapsed_s": round(time.perf_counter() - started, 6)}}))
     else:
         sys.stdout.write(text)
     return 0

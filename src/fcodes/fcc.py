@@ -373,6 +373,21 @@ _LIMB = (1 << 64) - 1  # one 64-bit limb of a table wider than 64 bits
 _DRAW_BATCH = 4096  # sampled draws made at once: fast, and little memory held
 
 
+def _message_draws(rng: random.Random, k: int, n: int) -> array:
+    """rng.choices(range(1 << k), k=n), for k <= 27, made in bulk.
+
+    choices takes floor(random() * 2^k); random() reads two 32-bit words and
+    takes the top 27 bits of the first as its highest, so the draw is the top
+    k bits of that first word. getrandbits(64 n) reads the same 2n words,
+    first word lowest: each 64-bit limb holds one draw, shifted down by 32 - k.
+    """
+    lanes = int.from_bytes(((1 << k) - 1).to_bytes(8, "little") * n, "little")
+    draws = array("Q", (rng.getrandbits(64 * n) >> (32 - k) & lanes).to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        draws.byteswap()
+    return draws
+
+
 def verify_fcc(
     encoder: FccEncoder, *, sample: int | None = None, seed: int = 0
 ) -> VerifyResult:
@@ -399,9 +414,12 @@ def verify_fcc(
     `sample` beyond. Both need t >= 1.
 
     A sample draws `sample` >= 1 close pairs (u, u ^ e), deterministic per
-    `seed`, in batches of 4096 u then 4096 e: u uniform over the 2^k
-    messages (random.choices, exact for k <= 53) and e uniform over the
-    masks of weight 1..2t, the only differences that can violate.
+    `seed` (>= 0), in batches of 4096 u then 4096 e: u uniform over the 2^k
+    messages, the draws random.choices would make, taken in bulk
+    (`_message_draws`), and e uniform over the masks of weight 1..2t, the
+    only differences that can violate. The parity of u is words[key[u]]: a
+    per-value encoder's words are keyed by the image index, so no 2^k parity
+    table is built; a per-message encoder's by the message itself.
     pairs_checked counts the draws whose two values differ, up to the first
     violating one, which is the witness (sorted low, high).
     """
@@ -409,23 +427,28 @@ def verify_fcc(
     k, t = spec.k, encoder.t
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    if seed < 0:  # Random(-s) seeds as Random(s) does
+        raise ValueError(f"need seed >= 0, got {seed}")
     if sample is not None:
         if sample < 1:
             raise ValueError(f"need sample >= 1, got {sample}")
         idx = spec.index_table
-        par = encoder.parity_ints
+        if encoder.mode == PER_VALUE:
+            key, words = idx, [p.value for p in encoder.parities]
+        else:
+            key, words = range(1 << k), encoder.parity_ints
         need = 2 * t + 1
         rng = random.Random(seed)
         masks = _low_weight_masks(k, 2 * t)
         checked = 0
         for left in range(sample, 0, -_DRAW_BATCH):
             batch = min(left, _DRAW_BATCH)
-            for u, e in zip(rng.choices(range(1 << k), k=batch), rng.choices(masks, k=batch)):
+            for u, e in zip(_message_draws(rng, k, batch), rng.choices(masks, k=batch)):
                 v = u ^ e
                 if idx[u] == idx[v]:
                     continue
                 checked += 1
-                if e.bit_count() + (par[u] ^ par[v]).bit_count() < need:
+                if e.bit_count() + (words[key[u]] ^ words[key[v]]).bit_count() < need:
                     lo, hi = sorted((u, v))
                     witness = (BitWord(lo, k), BitWord(hi, k))
                     return VerifyResult(False, witness, checked, "sampled")

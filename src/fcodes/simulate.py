@@ -62,6 +62,8 @@ class ChannelModel:
             raise ValueError(f"negative t {self.t}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown channel mode {self.mode!r}")
+        if self.seed < 0:  # Random(-s) seeds as Random(s) does
+            raise ValueError(f"need seed >= 0, got {self.seed}")
         if self.mode == "random" and self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
 

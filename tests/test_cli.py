@@ -371,6 +371,37 @@ def test_fcc_verify_rejects_a_sample_of_no_pairs(capsys, sample):
     assert len(err.strip().splitlines()) == 1 and "sample >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["--function", "wt", "--k", "16", "--t", "1", "--construction", "auto"], 11_208),
+        (["--function", "delta_T", "--k", "16", "--T", "4", "--t", "1",
+          "--construction", "delta-ramp"], 5_054),
+    ],
+)
+def test_fcc_verify_sample_pins_its_draws(capsys, argv, pairs):
+    # golden counts at the default seed 0: a change in how `random` draws
+    # would move them, on any Python version
+    code, out, _ = run(capsys, "fcc-verify", *argv, "--sample", "20000", "--json")
+    data = json.loads(out)
+    assert (code, data["ok"], data["route"], data["pairs_checked"]) == (0, True, "sampled", pairs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fcc-verify", "--function", "wt", "--k", "6", "--t", "1", "--sample", "10"],
+        ["simulate", "--function", "wt", "--k", "6", "--t", "1", "--construction", "1",
+         "--channel", "random"],
+    ],
+)
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    # Random(-1) draws what Random(1) draws, so the seed would alias silently
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "seed >= 0" in err
+
+
 def test_fcc_verify_above_the_exhaustive_limit_names_the_sample_flag(capsys):
     code, out, err = run(
         capsys, "fcc-verify", "--function", "wt", "--k", "15", "--t", "1", "--construction", "1"
@@ -408,6 +439,32 @@ def test_fcc_verify_delta_ramp_at_the_exhaustive_limit(capsys, tmp_path):
     assert data["pairs_checked"] == blocks == 75
     message = fcc._verify_message_level(fcc.encoder_from_text(path.read_text()), t, True)
     assert (message.ok, message.pairs_checked) == (True, ordered // 2)
+
+
+def test_fcc_build_json_reports_the_encoder_written(capsys, tmp_path):
+    path = tmp_path / "enc.txt"
+    argv = ["fcc-build", "--function", "wt", "--k", "8", "--t", "1", "--construction", "1",
+            "--out", str(path)]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    stats = data.pop("stats")
+    assert data == {"k": 8, "t": 1, "r": 3, "mode": fcc.PER_VALUE, "out": str(path)}
+    assert set(stats) == {"elapsed_s"} and stats["elapsed_s"] >= 0
+    # the stderr line and the file are those of a run without --json
+    text = path.read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (0, "", err)
+    assert path.read_text(encoding="utf-8") == text
+    assert err.startswith("encoder: k=8 t=1 r=3 ")
+
+
+def test_fcc_build_json_without_out_is_usage_error(capsys):
+    # stdout carries the encoder file then, so it has no room for JSON
+    code, out, err = run(
+        capsys, "fcc-build", "--function", "wt", "--k", "8", "--t", "1", "--json"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "--out" in err
 
 
 def test_fcc_build_wrong_family_is_usage_error(capsys):

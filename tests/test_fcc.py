@@ -14,7 +14,9 @@ codeword instead of searching shells, and `reference_simulate` for
 `simulate`: it decodes every trial through `BitWord` encodes and XORs, as
 the channel harness did before it settled trials off the nearest-value
 tables of `fcc._nearest_value_masks`. `reference_uniform_sample` is the
-sampled route before it drew close pairs: two uniform messages per draw.
+sampled route before it drew close pairs: two uniform messages per draw;
+`reference_sampled_verify` is the close-pair route one draw at a time,
+before it drew messages in bulk and read parities through the value index.
 """
 
 from __future__ import annotations
@@ -118,6 +120,29 @@ def reference_uniform_sample(encoder: fcc.FccEncoder, sample: int, seed: int) ->
         if (u1 ^ u2).bit_count() + (par[u1] ^ par[u2]).bit_count() < 2 * encoder.t + 1:
             return False, checked
     return True, checked
+
+
+def reference_sampled_verify(encoder: fcc.FccEncoder, sample: int, seed: int) -> fcc.VerifyResult:
+    """verify_fcc(sample=, seed=) draw by draw: per batch of 4096, the
+    messages by random.choices, then the masks of weight 1..2t, and both
+    parities read off the whole 2^k parity table."""
+    k, t = encoder.spec.k, encoder.t
+    idx, par = encoder.spec.index_table, encoder.parity_ints
+    rng = random.Random(seed)
+    masks = _difference_vectors(k, 2 * t)
+    checked = 0
+    for left in range(sample, 0, -4096):
+        batch = min(left, 4096)
+        for u, e in zip(rng.choices(range(1 << k), k=batch), rng.choices(masks, k=batch)):
+            v = u ^ e
+            if idx[u] == idx[v]:
+                continue
+            checked += 1
+            if e.bit_count() + (par[u] ^ par[v]).bit_count() < 2 * t + 1:
+                lo, hi = sorted((u, v))
+                witness = (BitWord(lo, k), BitWord(hi, k))
+                return fcc.VerifyResult(False, witness, checked, "sampled")
+    return fcc.VerifyResult(True, None, checked, "sampled")
 
 
 def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
@@ -698,6 +723,60 @@ def test_sampled_catches_a_single_corrupted_close_pair():
     assert reference_uniform_sample(enc, 20_000, seed=0)[0]
     parities[2048] = BitWord(7, 3)  # mended, the same draws find nothing
     assert fcc.verify_fcc(fcc.per_message_encoder(spec, 1, parities), sample=20_000).ok
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+def test_message_draws_are_the_draws_of_random_choices(k):
+    # the same messages, and the generator left in the same state
+    for seed in range(30):
+        for n in (1, 7, 4096):
+            bulk, one_by_one = random.Random(seed), random.Random(seed)
+            assert list(fcc._message_draws(bulk, k, n)) == one_by_one.choices(range(1 << k), k=n)
+            assert bulk.random() == one_by_one.random()
+
+
+def _flipped(enc: fcc.FccEncoder, rng: random.Random, flips: int) -> fcc.FccEncoder:
+    """enc with `flips` parity bits flipped, each in a drawn parity word."""
+    parities = list(enc.parities)
+    for _ in range(flips):
+        i = rng.randrange(len(parities))
+        parities[i] = BitWord(parities[i].value ^ 1 << rng.randrange(enc.r), enc.r)
+    return fcc.FccEncoder(enc.spec, enc.t, enc.r, enc.mode, tuple(parities))
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_sampled_verify_matches_the_draw_by_draw_loop(case):
+    # per-value wt-cycle and per-message delta-ramp encoders, valid as built,
+    # with 0-2 parity bits flipped: every field of the result must agree
+    rng = random.Random(case)
+    k, t, flips = rng.randint(2, 16), rng.randint(1, 3), case % 3
+    if case % 2:
+        t = min(t, k - 1)
+        enc = functions.wt_cyclic_encoder(k, t)
+    else:
+        enc = functions.delta_ramp_encoder(k, 2 * t + 1 + rng.randrange(3), t)
+    enc = _flipped(enc, rng, flips)
+    for sample in (1, 4096, 4097, 20_000):
+        seed = rng.randrange(100)
+        assert fcc.verify_fcc(enc, sample=sample, seed=seed) == reference_sampled_verify(
+            enc, sample, seed
+        )
+
+
+def test_sampled_per_value_verify_builds_no_message_parity_table():
+    enc = functions.wt_cyclic_encoder(16, 1)
+    assert fcc.verify_fcc(enc, sample=500).ok
+    assert "parity_ints" not in enc.__dict__
+
+
+def test_verify_rejects_a_negative_seed():
+    # Random(-s) draws what Random(s) draws, so -1 would silently mean 1
+    enc = functions.wt_cyclic_encoder(6, 1)
+    for sample in (None, 10):
+        with pytest.raises(ValueError, match="seed >= 0"):
+            fcc.verify_fcc(enc, sample=sample, seed=-1)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        ChannelModel(t=1, mode="random", seed=-1)
 
 
 def test_verify_exhaustive_guard():
