@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, filterfalse, islice
+from operator import methodcaller
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
@@ -269,53 +271,91 @@ PER_MESSAGE = "per-message"
 
 @dataclass(frozen=True)
 class FccEncoder:
-    """A systematic encoder u -> (u, p(u)) with a tabulated parity rule.
+    """A systematic encoder u -> (u, p(u)), where p(u) = words[key[u]].
 
-    In per-function-value mode `parities` is indexed by image index; in
-    per-message mode by the message integer itself.
+    `words` are r-bit parity words as ints. Without `message_key` the
+    encoder is per-function-value: words[i] is the parity of image index i,
+    and the key is the image index, read through `spec.index_table` when a
+    whole table is wanted and never stored. With it the encoder is
+    per-message: the words are distinct, and `message_key` holds one word
+    index per message integer (bytes up to 256 words, else a read-only table
+    of wider ints, see `_key_table`). `parities` and `parity_ints`, one
+    entry per value or per message, are views derived from the two.
     """
 
     spec: FunctionSpec
     t: int
     r: int
-    mode: str
-    parities: tuple[BitWord, ...]
+    words: tuple[int, ...]
+    message_key: bytes | memoryview | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (PER_VALUE, PER_MESSAGE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        expected = (
-            self.spec.expressiveness if self.mode == PER_VALUE else 1 << self.spec.k
-        )
-        if len(self.parities) != expected:
+        key, count = self.message_key, len(self.words)
+        if key is None and count != self.spec.expressiveness:
             raise ValueError(
-                f"{self.mode} encoder needs {expected} parities, got {len(self.parities)}"
+                f"{PER_VALUE} encoder needs {self.spec.expressiveness} parities, got {count}"
             )
-        for p in self.parities:
-            if p.length != self.r:
-                raise ValueError(f"parity {p} has length {p.length}, expected {self.r}")
+        if key is not None:
+            if len(key) != 1 << self.spec.k:
+                raise ValueError(f"{PER_MESSAGE} encoder needs {1 << self.spec.k} parities, "
+                                 f"got {len(key)}")
+            if len(set(self.words)) != count:
+                raise ValueError(f"{PER_MESSAGE} parity words repeat")
+            if isinstance(key, bytes):  # every valid index deleted, nothing may be left
+                beyond = key.translate(None, bytes(range(min(count, 256))))
+            else:
+                beyond = max(key) >= count
+            if beyond:
+                raise ValueError(f"message key names a word beyond the {count} given")
+        if self.r < 0:
+            raise ValueError(f"negative parity length {self.r}")
+        for w in set(self.words):
+            if not 0 <= w < 1 << self.r:
+                raise ValueError(f"parity {w} does not fit in {self.r} bits")
+
+    @property
+    def mode(self) -> str:
+        return PER_VALUE if self.message_key is None else PER_MESSAGE
+
+    @property
+    def key(self) -> Sequence[int]:
+        """The word index of every message: its image index per value, else
+        the message key."""
+        return self.spec.index_table if self.message_key is None else self.message_key
 
     @property
     def block_length(self) -> int:
         return self.spec.k + self.r
 
     def parity(self, u: BitWord) -> BitWord:
+        """p(u); a per-value encoder evaluates f at u and tabulates nothing."""
         if u.length != self.spec.k:
             raise ValueError(f"message length {u.length}, expected {self.spec.k}")
-        if self.mode == PER_VALUE:
-            return self.parities[self.spec.index_of(self.spec.fn(u.value))]
-        return self.parities[u.value]
+        if self.message_key is None:
+            return BitWord(self.words[self.spec.index_of(self.spec.fn(u.value))], self.r)
+        return BitWord(self.words[self.message_key[u.value]], self.r)
 
     def encode(self, u: BitWord) -> BitWord:
         return u.concat(self.parity(u))
 
     @cached_property
+    def parities(self) -> tuple[BitWord, ...]:
+        """The parity words as BitWords: one per image index, or one per message."""
+        words = [BitWord(w, self.r) for w in self.words]
+        return tuple(words if self.message_key is None else map(words.__getitem__, self.message_key))
+
+    @cached_property
     def parity_ints(self) -> list[int]:
         """Parity of every message, as integers indexed by message value."""
-        if self.mode == PER_MESSAGE:
-            return [p.value for p in self.parities]
-        by_index = [p.value for p in self.parities]
-        return [by_index[i] for i in self.spec.index_table]
+        return list(map(self.words.__getitem__, self.key))
+
+
+def _key_table(indices: Iterable[int], words: int) -> bytes | memoryview:
+    """A per-message key of word indices below `words`: one byte per message
+    up to 256 words, else a read-only view of 32-bit ints."""
+    if words <= 256:
+        return bytes(indices)
+    return memoryview(array("I", indices)).toreadonly()
 
 
 def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
@@ -340,14 +380,20 @@ def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     code = construct.greedy_irregular_code(dmat, r, order)
     if code is None:  # pragma: no cover - contradicts the threshold guarantee
         raise RuntimeError("greedy build failed at its own existence threshold")
-    return FccEncoder(spec, t, r, PER_VALUE, tuple(code.words))
+    return FccEncoder(spec, t, r, tuple(w.value for w in code.words))
 
 
 def per_message_encoder(spec: FunctionSpec, t: int, parities: Sequence[BitWord]) -> FccEncoder:
-    """Wrap an explicit per-message parity table (one word per message)."""
-    ps = tuple(parities)
-    r = ps[0].length if ps else 0
-    return FccEncoder(spec, t, r, PER_MESSAGE, ps)
+    """Wrap an explicit per-message parity table (one word per message),
+    keyed by its distinct words in order of first use."""
+    distinct = dict.fromkeys(parities)
+    r = next(iter(distinct)).length if distinct else 0
+    for p in distinct:
+        if p.length != r:
+            raise ValueError(f"parity {p} has length {p.length}, expected {r}")
+    index = {p: i for i, p in enumerate(distinct)}
+    key = _key_table(map(index.__getitem__, parities), len(index))
+    return FccEncoder(spec, t, r, tuple(p.value for p in distinct), key)
 
 
 # --- verification and decoding ----------------------------------------------
@@ -417,9 +463,8 @@ def verify_fcc(
     `seed` (>= 0), in batches of 4096 u then 4096 e: u uniform over the 2^k
     messages, the draws random.choices would make, taken in bulk
     (`_message_draws`), and e uniform over the masks of weight 1..2t, the
-    only differences that can violate. The parity of u is words[key[u]]: a
-    per-value encoder's words are keyed by the image index, so no 2^k parity
-    table is built; a per-message encoder's by the message itself.
+    only differences that can violate. The parity of u is words[key[u]]
+    (`FccEncoder.key`), so no 2^k parity table is built.
     pairs_checked counts the draws whose two values differ, up to the first
     violating one, which is the witness (sorted low, high).
     """
@@ -432,11 +477,7 @@ def verify_fcc(
     if sample is not None:
         if sample < 1:
             raise ValueError(f"need sample >= 1, got {sample}")
-        idx = spec.index_table
-        if encoder.mode == PER_VALUE:
-            key, words = idx, [p.value for p in encoder.parities]
-        else:
-            key, words = range(1 << k), encoder.parity_ints
+        idx, key, words = spec.index_table, encoder.key, encoder.words
         need = 2 * t + 1
         rng = random.Random(seed)
         masks = _low_weight_masks(k, 2 * t)
@@ -488,28 +529,36 @@ def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
     """The masks, image indices and parities of the (value, parity) classes.
 
     A per-value encoder's classes are its values. A per-message encoder's
-    values split on its parity planes, top plane first, dropping empty
-    halves, until E'^2 t pair tests would exceed the message-level kernel's
-    sum of C(k, w), w = 1..2t, plane translations: then None."""
+    values split on the bit planes of its message key, top plane first,
+    dropping empty halves; its words are distinct, so these are the classes.
+    The split gives up, with None, once the class check would do more 2^k-bit
+    operations than the message-level kernel: its pair tests are up to
+    E'^2 t ANDs, and the kernel half-swaps each of its image-index and r
+    parity planes, five operations each, once per translation, of which there
+    are sum of C(k, w), w = 1..2t."""
     spec = encoder.spec
-    if encoder.mode == PER_VALUE:
-        return spec.preimage_masks, range(len(spec.image)), [p.value for p in encoder.parities]
-    most = math.isqrt((sphere_size(spec.k, 2 * t) - 1) // t)  # E' <= most iff E'^2 t <= sum
+    if encoder.message_key is None:
+        return spec.preimage_masks, range(len(spec.image)), encoder.words
+    planes = (len(spec.image) - 1).bit_length() + encoder.r
+    # E' <= most iff E'^2 t <= 5 * translations * planes
+    most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
     classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
-    for plane in reversed(_bit_planes(encoder.parity_ints, encoder.r)):
+    width = (len(encoder.words) - 1).bit_length()
+    for plane in reversed(_bit_planes(encoder.message_key, width)):
         if len(classes) > most:
             return None
         split = []
-        for m, i, p in classes:  # parity bits gathered top plane first
+        for m, i, j in classes:  # word index bits gathered top plane first
             hi = m & plane
             if hi != m:
-                split.append((m ^ hi, i, p << 1))
+                split.append((m ^ hi, i, j << 1))
             if hi:
-                split.append((hi, i, p << 1 | 1))
+                split.append((hi, i, j << 1 | 1))
         classes = split
     if len(classes) > most:
         return None
-    return tuple(zip(*classes))
+    masks, values, keys = zip(*classes)
+    return masks, values, [encoder.words[j] for j in keys]
 
 
 def _bit_planes(table: Sequence[int], width: int) -> list[int]:
@@ -679,7 +728,7 @@ def encoder_from_exact_witness(
     """Per-message encoder from an exact-search witness (row u = parity of u)."""
     if code.size != 1 << spec.k:
         raise ValueError(f"witness has {code.size} rows, expected {1 << spec.k}")
-    return per_message_encoder(spec, t, tuple(code.words))
+    return per_message_encoder(spec, t, code.words)
 
 
 # --- function balls ----------------------------------------------------------
@@ -792,46 +841,86 @@ ENCODER_HEADER = "fcodes encoder v1"
 def encoder_to_text(encoder: FccEncoder) -> str:
     """Serialize an encoder as a commented bitcore code file.
 
-    The parity table doubles as a loadable plain code; the headers carry
-    enough to rebuild the encoder when the function is registry-addressable.
+    The parity table doubles as a loadable plain code: one line per value,
+    or per message; the headers carry enough to rebuild the encoder when the
+    function is registry-addressable. A per-message body keyed by bytes is
+    written a column at a time: column c of every line is the message key
+    mapped to bit c of its word.
     """
-    lines = [
-        f"# {ENCODER_HEADER}",
-        f"# function: {encoder.spec.name}",
-        f"# k: {encoder.spec.k}",
-        f"# t: {encoder.t}",
-        f"# r: {encoder.r}",
-        f"# mode: {encoder.mode}",
-    ]
-    if encoder.r > 0:
-        values = [p.value for p in encoder.parities]
-        # one string per distinct parity: a per-message table repeats a few
-        label = {v: format(v, f"0{encoder.r}b") for v in set(values)}
-        lines.extend(map(label.__getitem__, values))
-    else:
-        lines.append("# (no parity bits)")
-    return "\n".join(lines) + "\n"
+    r = encoder.r
+    head = (
+        f"# {ENCODER_HEADER}\n# function: {encoder.spec.name}\n# k: {encoder.spec.k}\n"
+        f"# t: {encoder.t}\n# r: {r}\n# mode: {encoder.mode}\n"
+    )
+    key = encoder.message_key
+    if r == 0:
+        return head + "# (no parity bits)\n"
+    if not isinstance(key, bytes):
+        labels = [format(w, f"0{r}b") for w in encoder.words]
+        return head + "\n".join(labels if key is None else map(labels.__getitem__, key)) + "\n"
+    body = bytearray(b"\n") * (len(key) * (r + 1))
+    for c in range(r):
+        column = bytes(48 | w >> (r - 1 - c) & 1 for w in encoder.words)  # b"0" or b"1"
+        body[c :: r + 1] = key.translate(column.ljust(256, b"0"))
+    return head + body.decode("ascii")
+
+
+_FIRST_BIT_LINE = re.compile("^[01]", re.MULTILINE)
+_BIT_LINE = re.compile("[01]+").fullmatch
+_is_comment = methodcaller("startswith", "#")
+_BULK_R = {str(r): r for r in range(1, 9)}  # widths read a column at a time
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bulk_values(body: str, r: int) -> bytes | None:
+    """The value of every line of `body`, one byte each, when it is only
+    lines of r <= 8 bits, each ending in a newline; else None. Column c of
+    every line is read at once, as the bytes body[c::r+1]."""
+    lines, rest = divmod(len(body), r + 1)
+    ends = b"\n" * lines
+    if rest or not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw[r :: r + 1] != ends or raw.translate(None, b"01") != ends:
+        return None
+    bits, value = raw.translate(_BIT_VALUES), 0
+    for c in range(r):  # every line's bits, top first, each in its own byte
+        value = value << 1 | int.from_bytes(bits[c :: r + 1], "little")
+    return value.to_bytes(lines, "little")
+
+
+def _headers(comments: Iterable[str]) -> dict[str, str]:
+    """The `key: value` pairs of '#' lines; a later one overrides."""
+    headers = {}
+    for line in comments:
+        key, sep, val = line[1:].strip().partition(":")
+        if sep:
+            headers[key.strip()] = val.strip()
+    return headers
 
 
 def encoder_from_text(text: str, spec: FunctionSpec | None = None) -> FccEncoder:
     """Rebuild an encoder serialized by encoder_to_text.
 
     A spec may be supplied to override the registry lookup (it must agree on
-    k). Raises on malformed headers or a parity table of the wrong size.
+    k). Raises on malformed headers or a parity table of the wrong size. The
+    body maps to its distinct words and, per message, a key, in bulk: the
+    header block is split off once, and a body of bare r <= 8 bit lines is
+    read a column at a time (`_bulk_values`); any other body is read as
+    stripped lines (blank, indented or comment lines among it). With r = 0
+    the body is ignored.
     """
-    headers: dict[str, str] = {}
-    body: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            content = line[1:].strip()
-            key, sep, val = content.partition(":")
-            if sep:
-                headers[key.strip()] = val.strip()
-            continue
-        body.append(line)
+    values = None
+    found = _FIRST_BIT_LINE.search(text)
+    if found:  # the header block: the lines before the first that starts with a bit
+        comments = list(filter(None, map(str.strip, text[: found.start()].splitlines())))
+        headers = _headers(comments)
+        if all(map(_is_comment, comments)) and headers.get("r") in _BULK_R:
+            values = _bulk_values(text[found.start():], _BULK_R[headers["r"]])
+    if values is None:  # every line stripped, blank ones dropped
+        lines = list(filter(None, map(str.strip, text.splitlines())))
+        body = list(filterfalse(_is_comment, lines))
+        headers = _headers(filter(_is_comment, lines))
     for required in ("k", "t", "r", "mode"):
         if required not in headers:
             raise ValueError(f"encoder file missing '{required}' header")
@@ -839,17 +928,37 @@ def encoder_from_text(text: str, spec: FunctionSpec | None = None) -> FccEncoder
     t = int(headers["t"])
     r = int(headers["r"])
     mode = headers["mode"]
+    if mode not in (PER_VALUE, PER_MESSAGE):
+        raise ValueError(f"unknown mode {mode!r}")
     if spec is None:
         if "function" not in headers:
             raise ValueError("encoder file names no function and no spec was given")
         spec = spec_from_string(headers["function"], defaults={"k": str(k)})
     if spec.k != k:
         raise ValueError(f"spec has k={spec.k} but encoder file says {k}")
-    if r == 0:
-        count = spec.expressiveness if mode == PER_VALUE else 1 << k
-        parities = tuple(BitWord.zeros(0) for _ in range(count))
-    else:
-        # one BitWord per distinct line, parsed in file order
-        words = {s: BitWord.from_string(s) for s in dict.fromkeys(body)}
-        parities = tuple(map(words.__getitem__, body))
-    return FccEncoder(spec, t, r, mode, parities)
+    size = spec.expressiveness if mode == PER_VALUE else 1 << k
+    if r == 0:  # no parity bits: the body, if any, is ignored
+        if mode == PER_VALUE:
+            return FccEncoder(spec, t, 0, (0,) * size)
+        return FccEncoder(spec, t, 0, (0,), bytes(size))
+    if values is not None:
+        if len(values) != size:
+            raise ValueError(f"{mode} encoder needs {size} parities, got {len(values)}")
+        if mode == PER_VALUE:
+            return FccEncoder(spec, t, r, tuple(values))
+        absent = bytes(range(256)).translate(None, values)
+        words = sorted(set(range(256)).difference(absent), key=values.find)  # in order of use
+        index = bytearray(256)
+        for i, w in enumerate(words):
+            index[w] = i
+        return FccEncoder(spec, t, r, tuple(words), values.translate(index))
+    if len(body) != size:
+        raise ValueError(f"{mode} encoder needs {size} parities, got {len(body)}")
+    index = {line: i for i, line in enumerate(dict.fromkeys(body))}
+    for line in index:
+        if len(line) != r or not _BIT_LINE(line):
+            raise ValueError(f"parity line {line!r} is not {r} bits")
+    if mode == PER_VALUE:
+        return FccEncoder(spec, t, r, tuple(int(line, 2) for line in body))
+    key = _key_table(map(index.__getitem__, body), len(index))
+    return FccEncoder(spec, t, r, tuple(int(line, 2) for line in index), key)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import construct, fcc
-from .bits import BitWord, Code, DistanceMatrix
+from .bits import Code, DistanceMatrix
 from .bounds import gv_irregular_threshold  # noqa: F401 - perfbench/spans.py wraps this name
-from .fcc import PER_MESSAGE, PER_VALUE, FccEncoder, FunctionSpec
+from .fcc import _BIT_VALUES, FccEncoder, FunctionSpec
 
 # --- plain specs ---------------------------------------------------------
 
@@ -463,8 +463,8 @@ def wt_cyclic_encoder(k: int, t: int) -> FccEncoder:
     base = _wt_parity_base(t)
     period = base.size
     spec = wt_spec(k)
-    parities = tuple(base[wgt % period] for wgt in range(k + 1))
-    return FccEncoder(spec, t, base.length, PER_VALUE, parities)
+    words = tuple(base[wgt % period].value for wgt in range(k + 1))
+    return FccEncoder(spec, t, base.length, words)
 
 
 def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
@@ -474,23 +474,20 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
     fits in 2t bits, else all ones; indices then repeat every T weights.
     Needs 2t+1 <= T: inside a block the value doesn't change, and across the
     block boundary the ramp wraps from all-ones back to all-zeros, paying the
-    full 2t where the messages themselves differ least.
+    full 2t where the messages themselves differ least. The words are the
+    2t+1 ramp steps, and the message key is the weight table mapped to
+    steps; k is bounded as `FunctionSpec.index_table` is.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if 2 * t + 1 > T:
         raise ValueError(f"need 2t+1 <= T, got t={t}, T={T}")
-    if k > 16:
-        raise ValueError(f"k={k} too large for a per-message parity table")
+    if k > 24:
+        raise ValueError(f"k={k} too large to tabulate")
     r = 2 * t
-    ramp = []
-    for residue in range(T):
-        ones = min(residue, r)
-        ramp.append(BitWord.ones(ones).concat(BitWord.zeros(r - ones)))
-    spec = delta_spec(k, T)
-    weight_mod_T = bytes(v % T for v in range(256))
-    parities = tuple(map(ramp.__getitem__, _weight_table(k).translate(weight_mod_T)))
-    return FccEncoder(spec, t, r, PER_MESSAGE, parities)
+    words = tuple(((1 << ones) - 1) << (r - ones) for ones in range(r + 1))
+    step_of_weight = bytes(min(v % T, r) for v in range(256))
+    return FccEncoder(delta_spec(k, T), t, r, words, _weight_table(k).translate(step_of_weight))
 
 
 # --- locally binary functions ------------------------------------------------
@@ -519,9 +516,9 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     for i in sorted(range(spec.expressiveness), key=spec.image.__getitem__, reverse=True):
         top |= spec.preimage_masks[i] & ~above
         above |= balls[i]
-    bit = {"1": BitWord.ones(2 * t), "0": BitWord.zeros(2 * t)}
-    parities = tuple(map(bit.__getitem__, format(top, f"0{1 << spec.k}b")[::-1]))
-    return FccEncoder(spec, t, 2 * t, PER_MESSAGE, parities)
+    bits = format(top, f"0{1 << spec.k}b")[::-1].encode()  # message u's bit at u
+    # bit 0 keys word 0, all zeros, and bit 1 word 1, all ones
+    return FccEncoder(spec, t, 2 * t, (0, (1 << 2 * t) - 1), bits.translate(_BIT_VALUES))
 
 
 # --- min-max -----------------------------------------------------------------
@@ -585,7 +582,7 @@ def minmax_parity_encoder(w: int, l: int, t: int) -> FccEncoder:
     width = (max(e - 1, 1)).bit_length() + 1  # ceil(log2 e) + 1
     base = construct.even_weight_subcode(e, width)
     code = construct.replicate_bits(base, t)
-    return FccEncoder(spec, t, code.length, PER_VALUE, tuple(code.words))
+    return FccEncoder(spec, t, code.length, tuple(w.value for w in code.words))
 
 
 def minmax_rm_encoder(w: int, t: int, l: int = 3) -> FccEncoder:
@@ -620,7 +617,7 @@ def minmax_rm_encoder(w: int, t: int, l: int = 3) -> FccEncoder:
     sub = Code.of(parities, rm.length)
     if construct.min_distance(sub) < 2 * t:  # pragma: no cover - by design
         raise AssertionError("Reed-Muller subcode lost its distance")
-    return FccEncoder(spec, t, rm.length, PER_VALUE, parities)
+    return FccEncoder(spec, t, rm.length, tuple(w.value for w in parities))
 
 
 # --- registry glue -----------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fcodes import bounds, construct, fcc, functions, tables
-from fcodes.bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
+from fcodes.bits import Code, DistanceMatrix, all_words, satisfies_distance_matrix
 from fcodes.functions import MinMaxValue
 from fcodes.simulate import ChannelModel, error_patterns, simulate
 
@@ -48,9 +48,7 @@ def test_criterion_03_binary_functions_need_exactly_2t():
         res = fcc.exact_optimal_redundancy(spec, 1)
         assert res.proven and res.value == 2, spec.name
         # the 2-fold repetition parities (00 for value 0, 11 for value 1) work
-        rep = fcc.FccEncoder(
-            spec, 1, 2, fcc.PER_VALUE, (BitWord.zeros(2), BitWord.ones(2))
-        )
+        rep = fcc.FccEncoder(spec, 1, 2, (0b00, 0b11))
         assert fcc.verify_fcc(rep).ok, spec.name
 
 

@@ -21,6 +21,7 @@ before it drew messages in bulk and read parities through the value index.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -478,8 +479,7 @@ def test_verify_matches_naive_oracle_on_good_and_bad():
     assert naive_verify(enc)[0]
 
     # break it: give weight-0 and weight-1 identical parities
-    bad_parities = (enc.parities[1],) + enc.parities[1:]
-    bad = fcc.FccEncoder(enc.spec, enc.t, enc.r, enc.mode, bad_parities)
+    bad = fcc.FccEncoder(enc.spec, enc.t, enc.r, (enc.words[1],) + enc.words[1:])
     mine = fcc.verify_fcc(bad)
     theirs_ok, theirs_witness = naive_verify(bad)
     assert not mine.ok and not theirs_ok
@@ -504,8 +504,7 @@ def test_verify_per_value_route_matches_message_loop_on_random_encoders():
     for _ in range(150):
         spec = _random_spec(rng, rng.randint(2, 7))
         t, r = rng.randint(1, 3), rng.randint(0, 5)
-        parities = tuple(BitWord(rng.randrange(1 << r), r) for _ in spec.image)
-        enc = fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, parities)
+        enc = fcc.FccEncoder(spec, t, r, tuple(rng.randrange(1 << r) for _ in spec.image))
         res = fcc.verify_fcc(enc)
         ok, witness = naive_verify(enc)
         assert res.ok == ok and res.witness == witness
@@ -549,8 +548,7 @@ def test_verify_message_route_matches_row_loop_on_random_encoders():
                 spec, t, [BitWord(p, enc.r) for p in enc.parity_ints]
             )
         elif case % 3 == 1:
-            enc = fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, tuple(
-                BitWord(rng.randrange(1 << r), r) for _ in spec.image))
+            enc = fcc.FccEncoder(spec, t, r, tuple(rng.randrange(1 << r) for _ in spec.image))
         else:
             enc = fcc.per_message_encoder(
                 spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
@@ -605,23 +603,33 @@ def test_verify_class_route_matches_row_loop_on_flipped_copies():
 
 
 def test_verify_cost_rule_picks_the_route_by_class_count():
-    # at k=6, t=1 the message-level kernel translates the planes by the 21
-    # vectors of weight 1..2, so the class check takes at most 4 classes:
-    # 4^2 * 1 <= 21 < 5^2. Parity of 6 bits, with parity bit 0 of u on both
-    # values (4 classes), or bits 0-1 on the even values (5 classes)
+    # at k=6, t=1 the message-level kernel translates its planes (1 index
+    # plane and r=4 parity planes) by the 21 vectors of weight 1..2, five
+    # operations per half-swap, so the class check takes at most 22 classes:
+    # 22^2 * 1 <= 5 * 21 * 5 < 23^2. Parity of 6 bits, with parity
+    # min(u & 15, c): c = 10 on both values (22 classes), or c = 11 on the
+    # odd values (23 classes)
     spec, t = functions.parity_spec(6), 1
-    for split, route in ((lambda u: u & 1, "class"),
-                         (lambda u: u & (1 if u.bit_count() % 2 else 3), "message-level")):
-        enc = fcc.per_message_encoder(spec, t, [BitWord(split(u), 2) for u in range(64)])
+    for odd_cap, route in ((10, "class"), (11, "message-level")):
+        caps = (10, odd_cap)
+        enc = fcc.per_message_encoder(
+            spec, t, [BitWord(min(u & 15, caps[u.bit_count() % 2]), 4) for u in range(64)])
+        assert len(set(zip(spec.index_table, enc.parity_ints))) == 12 + odd_cap
         quick = fcc._verify_exhaustive(enc, t, witness=False)
         assert quick.route == route
         assert quick.ok == fcc._verify_message_level(enc, t, False).ok == naive_verify(enc)[0]
-    # at k=8, t=1 (36 vectors, so 6 classes): delta-ramp encoders that pass,
-    # with 6 classes at T=5 and more at T=4
-    for T, route in ((5, "class"), (4, "message-level")):
-        enc = functions.delta_ramp_encoder(8, T, 1)
-        classes = set(zip(enc.spec.index_table, enc.parity_ints))
-        assert (len(classes) <= 6) == (route == "class")
+    # passing encoders at k=8, t=1 (36 vectors): every delta ramp takes the
+    # class route; a weight cycle (r=3, 4 index planes) with x low message
+    # bits appended has 9 * 2^x classes at most, against 5 * 36 * (7 + x)
+    for T in (3, 4, 5):
+        res = fcc.verify_fcc(functions.delta_ramp_encoder(8, T, 1))
+        assert res.ok and res.route == "class"
+    base = functions.wt_cyclic_encoder(8, 1)
+    for x, route in ((1, "class"), (2, "class"), (3, "message-level")):
+        enc = fcc.per_message_encoder(base.spec, 1, [
+            BitWord(p << x | u & ((1 << x) - 1), 3 + x) for u, p in enumerate(base.parity_ints)])
+        classes = len(set(zip(enc.spec.index_table, enc.parity_ints)))
+        assert (classes ** 2 <= 5 * 36 * (7 + x)) == (route == "class")
         res = fcc.verify_fcc(enc)
         assert res.ok and res.route == route
 
@@ -641,7 +649,7 @@ def test_verify_message_route_with_more_than_256_values():
 def test_verify_witness_is_lexicographically_smallest():
     spec = functions.parity_spec(3)
     # r=0 encoder cannot satisfy any t >= 1 requirement
-    enc = fcc.FccEncoder(spec, 1, 0, fcc.PER_VALUE, (BitWord.zeros(0), BitWord.zeros(0)))
+    enc = fcc.FccEncoder(spec, 1, 0, (0, 0))
     res = fcc.verify_fcc(enc)
     assert not res.ok
     assert res.witness == (BitWord.zeros(3), BitWord.from_string("001"))
@@ -655,7 +663,7 @@ def test_verify_sampled_mode():
 
 def _zero_parity_encoder(spec: fcc.FunctionSpec, t: int, r: int) -> fcc.FccEncoder:
     """Every value gets the same parity: only message distance separates values."""
-    return fcc.FccEncoder(spec, t, r, fcc.PER_VALUE, (BitWord.zeros(r),) * spec.expressiveness)
+    return fcc.FccEncoder(spec, t, r, (0,) * spec.expressiveness)
 
 
 @pytest.mark.parametrize(
@@ -741,7 +749,7 @@ def _flipped(enc: fcc.FccEncoder, rng: random.Random, flips: int) -> fcc.FccEnco
     for _ in range(flips):
         i = rng.randrange(len(parities))
         parities[i] = BitWord(parities[i].value ^ 1 << rng.randrange(enc.r), enc.r)
-    return fcc.FccEncoder(enc.spec, enc.t, enc.r, enc.mode, tuple(parities))
+    return _encoder_of(enc.spec, enc.t, enc.r, enc.mode, parities)
 
 
 @pytest.mark.parametrize("case", range(30))
@@ -914,8 +922,7 @@ def test_decode_tie_prefers_smallest_image_index():
     # deliberately weak 1-bit parity on wt(k=2): y = 001 sits at distance 1
     # from codewords of value 0 (000) and value 1 (011 and 101) alike
     spec = functions.wt_spec(2)
-    parities = (BitWord.zeros(1), BitWord.ones(1), BitWord.zeros(1))
-    enc = fcc.FccEncoder(spec, 1, 1, fcc.PER_VALUE, parities)
+    enc = fcc.FccEncoder(spec, 1, 1, (0, 1, 0))
     res = fcc.decode(enc, BitWord.from_string("001"))
     assert res.distance == 1
     assert res.value == 0  # smallest image index wins the tie
@@ -946,7 +953,15 @@ def _random_encoder(rng: random.Random) -> fcc.FccEncoder:
     mode = rng.choice((fcc.PER_VALUE, fcc.PER_MESSAGE))
     count = spec.expressiveness if mode == fcc.PER_VALUE else 1 << k
     parities = tuple(BitWord(rng.randrange(1 << r), r) for _ in range(count))
-    return fcc.FccEncoder(spec, t, r, mode, parities)
+    return _encoder_of(spec, t, r, mode, parities)
+
+
+def _encoder_of(spec, t, r, mode, parities) -> fcc.FccEncoder:
+    """The encoder with the given parity table, one r-bit word per value
+    or per message."""
+    if mode == fcc.PER_VALUE:
+        return fcc.FccEncoder(spec, t, r, tuple(p.value for p in parities))
+    return fcc.per_message_encoder(spec, t, parities)
 
 
 def test_decode_matches_full_scan_on_random_encoders():
@@ -1027,7 +1042,7 @@ def _corrupted(enc: fcc.FccEncoder, rng: random.Random) -> fcc.FccEncoder:
     """enc with one parity word replaced by a random word of the same length."""
     parities = list(enc.parities)
     parities[rng.randrange(len(parities))] = BitWord(rng.randrange(1 << enc.r), enc.r)
-    return fcc.FccEncoder(enc.spec, enc.t, enc.r, enc.mode, tuple(parities))
+    return _encoder_of(enc.spec, enc.t, enc.r, enc.mode, parities)
 
 
 def test_certified_route_matches_the_decode_every_trial_oracle():
@@ -1075,7 +1090,7 @@ def test_exhaustive_simulate_fails_exactly_when_the_fcc_check_fails():
     for _ in range(80):
         enc = _random_encoder(rng)
         for t in range(1, 4):
-            at_t = fcc.FccEncoder(enc.spec, t, enc.r, enc.mode, enc.parities)
+            at_t = dataclasses.replace(enc, t=t)
             ok = fcc._verify_exhaustive(enc, t, witness=False).ok
             assert ok == naive_verify(at_t)[0] == fcc.verify_fcc(at_t).ok
             failures = reference_simulate(enc, ChannelModel(t, "exhaustive")).failures

@@ -230,6 +230,17 @@ def test_delta_ramp_parities_match_per_message_weights(k, T, t):
     assert enc.parities == tuple(ramp[u.bit_count() % T] for u in range(1 << k))
 
 
+def test_delta_ramp_builds_past_k16_and_passes_sampled_verify():
+    # words plus a weight-derived key: no 2^k parity tuple, so k = 20 builds
+    enc = functions.delta_ramp_encoder(20, 5, 2)
+    assert (enc.words, len(enc.message_key)) == ((0b0000, 0b1000, 0b1100, 0b1110, 0b1111), 1 << 20)
+    assert "parities" not in enc.__dict__ and "parity_ints" not in enc.__dict__
+    res = fcc.verify_fcc(enc, sample=2000, seed=1)
+    assert res.ok and res.route == "sampled" and res.pairs_checked > 0
+    with pytest.raises(ValueError):
+        functions.delta_ramp_encoder(25, 5, 2)  # past index_table's k = 24
+
+
 @pytest.mark.parametrize("k,T,t", [(8, 3, 1), (9, 5, 2)])
 def test_delta_ramp_exhaustive_verify(k, T, t):
     enc = functions.delta_ramp_encoder(k, T, t)
@@ -519,9 +530,7 @@ def test_simulate_random_rejects_empty_message_list():
 
 def test_simulate_detects_broken_encoder():
     enc = functions.wt_cyclic_encoder(4, 1)
-    bad = fcc.FccEncoder(
-        enc.spec, enc.t, enc.r, enc.mode, (enc.parities[1],) + enc.parities[1:]
-    )
+    bad = fcc.FccEncoder(enc.spec, enc.t, enc.r, (enc.words[1],) + enc.words[1:])
     report = simulate(bad, ChannelModel(t=1, mode="exhaustive"))
     assert report.failures > 0
     u, pattern, got, expected = report.witness
