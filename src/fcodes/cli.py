@@ -110,8 +110,7 @@ def _family(command: str, params: dict[str, str]) -> str | None:
     text = params.get("function")
     if text is None and "encoder" in params:
         with open(params["encoder"], "r", encoding="utf-8") as fh:  # headers come first
-            headers = [line[1:].partition(":") for line in takewhile(lambda s: s[:1] == "#", fh)]
-        text = next((val for key, _, val in headers if key.strip() == "function"), None)
+            text = fcc._headers(takewhile(lambda s: s[:1] == "#", fh)).get("function")
     elif text is None:
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
         return _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
@@ -275,6 +274,8 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
         return 0 if result.proven else 2
     if kind == "hadamard":
         dist = _need(params, "dist", int)
+        if dist < 1:
+            raise ValueError(f"need --dist >= 1, got {dist}")
         code = construct.hadamard_code(dist)
         if code is None:
             return _fail(f"no Sylvester order for distance {dist}", 1)

@@ -33,49 +33,40 @@ def _weight_table(k: int) -> bytes:
     return table
 
 
-def _weight_spec(k: int, fn, image, name: str, index_of_weight) -> FunctionSpec:
-    """A spec whose value fn(u), and its image index, is index_of_weight(wt(u))."""
-
-    def bulk_table() -> bytes:
-        lookup = bytes(map(index_of_weight, range(k + 1))).ljust(256, b"\0")
-        return _weight_table(k).translate(lookup)
-
-    return FunctionSpec(k, fn, image, name=name, bulk_table=bulk_table)
+def _weight_spec(k: int, image, name: str, index_of_weight) -> FunctionSpec:
+    """A spec whose value at u is image[index_of_weight(wt(u))], the rule
+    written once on the weights: fn reads it per message, and the whole
+    table is the weight table mapped through it."""
+    values, index = tuple(image), list(map(index_of_weight, range(k + 1)))
+    bulk = lambda: _weight_table(k).translate(bytes(index).ljust(256, b"\0"))
+    return FunctionSpec(k, lambda u: values[index[u.bit_count()]], values, name=name, bulk_table=bulk)
 
 
 def wt_spec(k: int) -> FunctionSpec:
     """The Hamming weight of the message; image 0..k."""
-    return _weight_spec(k, lambda u: u.bit_count(), range(k + 1), f"wt:k={k}", lambda v: v)
+    return _weight_spec(k, range(k + 1), f"wt:k={k}", lambda v: v)
 
 
 def parity_spec(k: int) -> FunctionSpec:
     """XOR of all message bits; the canonical two-valued function."""
-    return _weight_spec(
-        k, lambda u: u.bit_count() & 1, (0, 1), f"parity:k={k}", lambda v: v & 1
-    )
+    return _weight_spec(k, (0, 1), f"parity:k={k}", lambda v: v & 1)
 
 
 def or_spec(k: int) -> FunctionSpec:
     """OR of all message bits: 0 only on the all-zero message."""
-    return _weight_spec(k, lambda u: 1 if u else 0, (0, 1), f"or:k={k}", lambda v: min(v, 1))
+    return _weight_spec(k, (0, 1), f"or:k={k}", lambda v: min(v, 1))
 
 
 def constant_spec(k: int) -> FunctionSpec:
     """The constant 0 function (nothing to protect; redundancy 0)."""
-    return _weight_spec(k, lambda u: 0, (0,), f"constant:k={k}", lambda v: 0)
+    return _weight_spec(k, (0,), f"constant:k={k}", lambda v: 0)
 
 
 def delta_spec(k: int, T: int) -> FunctionSpec:
     """Weight blocks: floor(wt(u) / T); image 0..floor(k/T)."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    return _weight_spec(
-        k,
-        lambda u: u.bit_count() // T,
-        range(k // T + 1),
-        f"delta_T:k={k},T={T}",
-        lambda v: v // T,
-    )
+    return _weight_spec(k, range(k // T + 1), f"delta_T:k={k},T={T}", lambda v: v // T)
 
 
 class MinMaxValue(NamedTuple):
@@ -387,18 +378,16 @@ def ml_distance_matrix(kind: MlFunctionKind, q: Quantizer, t: int) -> DistanceMa
     members: dict = {v: [] for v in image}
     for u in range(1 << q.k):
         members[_ml_classify(kind, q, u)].append(u)
-    need = 2 * t + 1
     e = len(image)
     rows = [[0] * e for _ in range(e)]
     for i in range(e):
         for j in range(i + 1, e):
-            d = min(
+            rows[i][j] = rows[j][i] = min(
                 (a ^ b).bit_count()
                 for a in members[image[i]]
                 for b in members[image[j]]
             )
-            rows[i][j] = rows[j][i] = max(need - d, 0)
-    return DistanceMatrix.from_rows(rows)
+    return fcc.requirement_matrix(rows, t, q.k)
 
 
 def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:
@@ -410,12 +399,8 @@ def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:
     """
     if k < 1 or t < 1:
         raise ValueError(f"need k >= 1 and t >= 1, got ({k}, {t})")
-    need = 2 * t + 1
-    return DistanceMatrix.from_rows(
-        [
-            [max(need - abs(i - j), 0) if i != j else 0 for j in range(k + 1)]
-            for i in range(k + 1)
-        ]
+    return fcc.requirement_matrix(
+        ([abs(i - j) for j in range(k + 1)] for i in range(k + 1)), t, k
     )
 
 

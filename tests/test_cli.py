@@ -199,6 +199,13 @@ def test_build_code_hadamard_impossible(capsys):
     assert "no Sylvester order" in err
 
 
+@pytest.mark.parametrize("dist", ["0", "-2"])
+def test_build_code_hadamard_distance_below_one_is_usage(capsys, dist):
+    code, out, err = run(capsys, "build-code", "--kind", "hadamard", "--dist", dist)
+    assert (code, out) == (2, "")
+    assert err == f"error: need --dist >= 1, got {dist}\n"
+
+
 def test_build_code_replicate(capsys, tmp_path):
     src = tmp_path / "in.txt"
     src.write_text("01\n10\n")

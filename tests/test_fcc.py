@@ -711,6 +711,19 @@ def test_verify_rejects_a_zero_budget_on_every_route():
             fcc.verify_fcc(enc, sample=sample)
 
 
+@pytest.mark.parametrize("words", [4, 512])
+def test_equal_encoders_hash_equal_at_both_key_widths(words):
+    # past 256 words the message key is a view of 32-bit ints, which has no hash
+    rng = random.Random(words)
+    spec = functions.wt_spec(9)
+    parities = [BitWord(rng.randrange(words), 10) for _ in range(512)]
+    a, b = (fcc.per_message_encoder(spec, 1, parities) for _ in range(2))
+    assert isinstance(a.message_key, bytes) is (words <= 256)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    parities[0] = BitWord(parities[0].value ^ 1, 10)
+    assert fcc.per_message_encoder(spec, 1, parities) != a
+
+
 def test_sampled_catches_a_single_corrupted_close_pair():
     # OR at k=16 takes value 0 on the zero message only, so a per-message
     # encoder with parity 000 there and 111 elsewhere is valid, and setting

@@ -64,21 +64,34 @@ def tabulated(spec: fcc.FunctionSpec) -> list[int]:
     return [spec.index_of(spec.fn(u)) for u in range(1 << spec.k)]
 
 
-@pytest.mark.parametrize(
-    "make", [functions.wt_spec, functions.parity_spec, functions.or_spec, functions.constant_spec]
-)
+# the weight families defined on the message itself: an oracle independent of
+# the weight rule that gives both their fn and their table
+WEIGHT_FAMILIES = {
+    functions.wt_spec: lambda u: u.bit_count(),
+    functions.parity_spec: lambda u: u.bit_count() & 1,
+    functions.or_spec: lambda u: 1 if u else 0,
+    functions.constant_spec: lambda u: 0,
+}
+
+
+def assert_matches_oracle(spec: fcc.FunctionSpec, oracle) -> None:
+    want = [oracle(u) for u in range(1 << spec.k)]
+    assert list(map(spec.fn, range(1 << spec.k))) == want
+    assert spec.index_table == list(map(spec.index_of, want)) == tabulated(spec)
+
+
+@pytest.mark.parametrize("make", list(WEIGHT_FAMILIES))
 @pytest.mark.parametrize("k", range(1, 13))
 def test_weight_family_tables_match_fn(make, k):
     spec = make(k)
     assert spec.bulk_table is not None
-    assert spec.index_table == tabulated(spec)
+    assert_matches_oracle(spec, WEIGHT_FAMILIES[make])
 
 
 @pytest.mark.parametrize("k", [1, 4, 7, 10, 12])
 def test_delta_tables_match_fn(k):
     for T in range(1, k + 2):
-        spec = functions.delta_spec(k, T)
-        assert spec.index_table == tabulated(spec), T
+        assert_matches_oracle(functions.delta_spec(k, T), lambda u: u.bit_count() // T)
 
 
 def test_minmax_tables_match_fn():
