@@ -138,8 +138,11 @@ def hadamard_upper(size: int, dist: int) -> BoundResult | None:
     """Upper bound N ≤ 2·D from a Hadamard-derived code, when one exists.
 
     Applicable when M ≤ 4D and a Sylvester matrix of order 2D materialises
-    (2D a power of two). Returns None otherwise.
+    (2D a power of two). Returns None otherwise; a negative size or distance
+    is an error.
     """
+    if size < 0 or dist < 0:
+        raise ValueError(f"negative size or distance: ({size}, {dist})")
     if size < 1 or dist < 1:
         return None
     if size > 4 * dist:
@@ -153,8 +156,11 @@ def hadamard_upper(size: int, dist: int) -> BoundResult | None:
 def gv_regular_closed_form(size: int, dist: int) -> BoundResult | None:
     """Closed-form upper bound 2D / (1 − 2·sqrt(ln D / D)).
 
-    Valid for D ≥ 10 and M ≤ D²; returns None outside that range.
+    Valid for D ≥ 10 and M ≤ D²; returns None outside that range, and a
+    negative size or distance is an error.
     """
+    if size < 0 or dist < 0:
+        raise ValueError(f"negative size or distance: ({size}, {dist})")
     if dist < 10 or size > dist * dist:
         return None
     raw = 2 * dist / (1 - 2 * math.sqrt(math.log(dist) / dist))

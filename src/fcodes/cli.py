@@ -15,7 +15,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import takewhile
 
 from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
@@ -109,8 +108,8 @@ def _family(command: str, params: dict[str, str]) -> str | None:
         return None
     text = params.get("function")
     if text is None and "encoder" in params:
-        with open(params["encoder"], "r", encoding="utf-8") as fh:  # headers come first
-            text = fcc._headers(takewhile(lambda s: s[:1] == "#", fh)).get("function")
+        with open(params["encoder"], "r", encoding="utf-8") as fh:  # the reader's own headers
+            text = fcc.encoder_headers(fh.read())[0].get("function")
     elif text is None:
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
         return _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None

@@ -35,7 +35,7 @@ class SearchBudget:
     time_limit: float = 30.0  # seconds
 
     def __post_init__(self) -> None:
-        if self.max_length <= 0 or self.max_nodes <= 0 or self.time_limit <= 0:
+        if not (self.max_length > 0 and self.max_nodes > 0 and self.time_limit > 0):  # NaN too
             raise ValueError(f"budget caps must be positive: {self}")
 
 

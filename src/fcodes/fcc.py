@@ -39,7 +39,7 @@ class FunctionSpec:
     `image` fixes the indexing order used by every matrix in this package.
     `bulk_table`, when given, returns the whole `index_table` at once (a
     family's own whole-space builder: byte tables for the weight families
-    and min-max, a closed form on the quantizer for the ML activations); it
+    and min-max, the quantizer layout for the ML activations); it
     must agree with tabulating `fn`, which `eval` and the message-level
     matrices keep calling. Without it, `index_table` calls `fn` once per
     message. For k <= 16 the image is validated by tabulating `index_table`;
@@ -906,38 +906,42 @@ def _bulk_values(body: str, r: int) -> bytes | None:
     return value.to_bytes(lines, "little")
 
 
-def _headers(comments: Iterable[str]) -> dict[str, str]:
-    """The `key: value` pairs of '#' lines; a later one overrides."""
+def encoder_headers(text: str) -> tuple[dict[str, str], int | None]:
+    """An encoder file's headers, and where its body starts when that body
+    is bare bit lines after only blank and comment lines (else None).
+
+    The headers are the `key: value` pairs of its '#' lines, wherever they
+    stand and however indented; a later one overrides. Only the lines
+    before the first bit line are split when no '#' follows it."""
+    found = _FIRST_BIT_LINE.search(text)
+    start = found.start() if found and text.find("#", found.start()) < 0 else None
+    lines = list(filter(None, map(str.strip, text[:start].splitlines())))
+    comments = list(filter(_is_comment, lines))
     headers = {}
     for line in comments:
         key, sep, val = line[1:].strip().partition(":")
         if sep:
             headers[key.strip()] = val.strip()
-    return headers
+    return headers, start if len(comments) == len(lines) else None
 
 
 def encoder_from_text(text: str, spec: FunctionSpec | None = None) -> FccEncoder:
     """Rebuild an encoder serialized by encoder_to_text.
 
     A spec may be supplied to override the registry lookup (it must agree on
-    k). Raises on malformed headers or a parity table of the wrong size. The
-    header block is split off once, and a body of bare r <= 8 bit lines is
-    read a column at a time (`_bulk_values`); any other body is read as
-    stripped lines (blank, indented or comment lines among it). With r = 0
+    k). Raises on malformed headers or a parity table of the wrong size.
+    The headers come from `encoder_headers`, and a body of bare r <= 8 bit
+    lines is read a column at a time (`_bulk_values`); any other body is read
+    as stripped lines (blank, indented or comment lines among it). With r = 0
     the body is ignored and every parity is 0. The parity values, however
     read, then map per message to distinct words and a key (`_keyed`).
     """
     values = None
-    found = _FIRST_BIT_LINE.search(text)
-    if found:  # the header block: the lines before the first that starts with a bit
-        comments = list(filter(None, map(str.strip, text[: found.start()].splitlines())))
-        headers = _headers(comments)
-        if all(map(_is_comment, comments)) and headers.get("r") in _BULK_R:
-            values = _bulk_values(text[found.start():], _BULK_R[headers["r"]])
-    if values is None:  # every line stripped, blank ones dropped
-        lines = list(filter(None, map(str.strip, text.splitlines())))
-        body = list(filterfalse(_is_comment, lines))
-        headers = _headers(filter(_is_comment, lines))
+    headers, start = encoder_headers(text)
+    if start is not None and headers.get("r") in _BULK_R:
+        values = _bulk_values(text[start:], _BULK_R[headers["r"]])
+    if values is None:  # every line stripped, blank and comment ones dropped
+        body = list(filterfalse(_is_comment, filter(None, map(str.strip, text.splitlines()))))
     for required in ("k", "t", "r", "mode"):
         if required not in headers:
             raise ValueError(f"encoder file missing '{required}' header")

@@ -238,31 +238,6 @@ def ml_kind(
     return MlFunctionKind(name, style, lo, hi)
 
 
-def _ml_classify(kind: MlFunctionKind, q: Quantizer, u: int):
-    """Function value of a message: a (band, level) pair ordered like g.
-
-    Band -1 sorts below the injective band 0 and band +1 above it, so the
-    image order follows the activation's own output order: low-saturation
-    values first, then the strictly increasing stretch, then high saturation.
-    Symmetric kinds decrease with |x|, so their level is -|center|.
-    """
-    c = q.center(u)
-    if kind.style == BIJECTIVE:
-        if c < kind.lo:
-            return (-1, Fraction(0))
-        if c > kind.hi:
-            return (1, Fraction(0))
-        return (0, c)
-    if kind.style == BIJECTIVE_POSITIVE:
-        if c < 0:
-            return (-1, Fraction(0))
-        return (0, c)
-    # symmetric: saturation (≈0) is the smallest value; g decreases in |x|
-    if abs(c) > kind.hi:
-        return (-1, Fraction(0))
-    return (0, -abs(c))
-
-
 def _ml_check(kind: MlFunctionKind, q: Quantizer) -> None:
     """Reject a quantizer that leaves a saturation class empty or whose step
     does not tile the injective stretch."""
@@ -287,14 +262,6 @@ def _ml_check(kind: MlFunctionKind, q: Quantizer) -> None:
             raise ValueError(
                 f"{kind.name}: epsilon {step} does not divide the cutoff {kind.hi}"
             )
-
-
-def _ml_image(kind: MlFunctionKind, q: Quantizer) -> list:
-    """The attained (band, level) values in the activation's output order (see
-    _ml_classify), after checking that both ends saturate and epsilon tiles.
-    Classifies every message: the oracle's route to the image."""
-    _ml_check(kind, q)
-    return sorted({_ml_classify(kind, q, u) for u in range(1 << q.k)})
 
 
 def _centers_below(q: Quantizer, x: Fraction, *, inclusive: bool = False) -> int:
@@ -328,19 +295,24 @@ def _ml_layout(kind: MlFunctionKind, q: Quantizer) -> tuple[int, int, int]:
 def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
     """Spec for g(center(u)): distinguishable activation outputs as values.
 
-    Messages in a saturation region share one value; messages in the
-    injective stretch each carry their own; symmetric kinds identify +/-c.
-    The index table comes in closed form from `_ml_layout`, and the image
-    from classifying one message per value.
+    `_ml_layout` defines it. The image, in the activation's output order, is
+    low saturation (-1, 0), (0, center(u)) for each u in a..b-1 (a symmetric
+    kind's are negative, so they order like -|center|), then high saturation
+    (1, 0) if b < end. `fn` reads u's index off the layout, mirrored to
+    2^k-1-u past end, and `bulk_table` lays it out for every message.
     """
     _ml_check(kind, q)
     a, b, end = _ml_layout(kind, q)
-    reps = [0, *range(a, b)] + ([b] if b < end else [])
-    image = [_ml_classify(kind, q, u) for u in reps]
+    n = 1 << q.k
+    image = [(-1, Fraction(0)), *((0, q.center(u)) for u in range(a, b))]
+    image += [(1, Fraction(0))] if b < end else []
+
+    def index(u: int) -> int:
+        return min(max((u if u < end else n - 1 - u) - a + 1, 0), b - a + 1)
 
     def bulk_table() -> list[int]:
         half = [0] * a + list(range(1, b - a + 1)) + [b - a + 1] * (end - b)
-        return half if end == 1 << q.k else half + half[::-1]
+        return half if end == n else half + half[::-1]
 
     extra = ""
     style, d_lo, d_hi = _ML_DEFAULTS[kind.name]
@@ -351,7 +323,7 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
             extra = f",a={kind.lo},b={kind.hi}"
     return FunctionSpec(
         q.k,
-        lambda u: _ml_classify(kind, q, u),
+        lambda u: image[index(u)],
         image,
         name=f"ml:{kind.name},k={q.k},eps={q.epsilon}{extra}",
         value_label=lambda v: (
@@ -364,28 +336,26 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
 def ml_distance_matrix(kind: MlFunctionKind, q: Quantizer, t: int) -> DistanceMatrix:
     """Requirement matrix for an activation, assembled classwise.
 
-    Groups messages by function value (saturation classes, single centers,
-    +/- pairs for symmetric kinds) and takes, for each pair of classes, the
-    plain minimum of Hamming distances between their members — the direct
-    form of the distance the generic matrix reaches through shell search.
-    Rows follow the same image order as ml_spec, so the two agree entrywise.
+    Groups messages by the spec's index table (saturation classes, single
+    centers, +/- pairs for symmetric kinds) and takes, for each pair of
+    classes, the plain minimum of Hamming distances between their members —
+    the direct form of the distance the generic matrix reaches through shell
+    search. Rows follow ml_spec's image order, so the two agree entrywise.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if q.k > 16:
         raise ValueError(f"k={q.k} too large for classwise minimization")
-    image = _ml_image(kind, q)
-    members: dict = {v: [] for v in image}
-    for u in range(1 << q.k):
-        members[_ml_classify(kind, q, u)].append(u)
-    e = len(image)
+    spec = ml_spec(kind, q)
+    members: list[list[int]] = [[] for _ in spec.image]
+    for u, i in enumerate(spec.index_table):
+        members[i].append(u)
+    e = len(members)
     rows = [[0] * e for _ in range(e)]
     for i in range(e):
         for j in range(i + 1, e):
             rows[i][j] = rows[j][i] = min(
-                (a ^ b).bit_count()
-                for a in members[image[i]]
-                for b in members[image[j]]
+                (a ^ b).bit_count() for a in members[i] for b in members[j]
             )
     return fcc.requirement_matrix(rows, t, q.k)
 

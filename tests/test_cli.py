@@ -53,6 +53,15 @@ def test_bounds_hadamard_not_applicable(capsys):
     assert out.strip() == "not-applicable"
 
 
+@pytest.mark.parametrize("method, size, dist", [
+    ("hadamard", "-1", "4"), ("gv-closed", "-5", "100"), ("gv-closed", "100", "-3"),
+])
+def test_regular_bounds_reject_a_negative_size_or_distance(capsys, method, size, dist):
+    code, out, err = run(capsys, "bounds", "--method", method, "--size", size, "--dist", dist)
+    assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: negative size or distance")
+
+
 def test_bounds_sandwich(capsys):
     code, out, _ = run(capsys, "bounds", "--matrix", "dwt", "--k", "4", "--t", "1", "--method", "sandwich")
     assert code == 0
@@ -141,6 +150,14 @@ def test_build_code_exact_budget_exhaustion_exit(capsys, tmp_path):
     )
     assert code == 2
     assert "budget exhausted" in out
+
+
+def test_build_code_exact_rejects_a_nan_time_limit(capsys):
+    argv = ["build-code", "--kind", "exact", "--matrix", "dwt", "--k", "3", "--t", "1"]
+    code, out, err = run(capsys, *argv, "--time-limit", "nan")
+    assert (code, out) == (2, "") and err.startswith("error: budget caps must be positive")
+    assert len(err.strip().splitlines()) == 1
+    assert run(capsys, *argv, "--time-limit", "inf")[0] == 0  # no limit
 
 
 def test_build_code_exact_json_stats(capsys, tmp_path):
@@ -914,6 +931,18 @@ def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):
     code, out, err = run(capsys, "fcc-verify", "--encoder", str(enc), "--T", "3")
     assert (code, out) == (2, "") and "'wt' takes no parameter 'T'" in err
     assert run(capsys, "fcc-verify", "--encoder", str(enc), "--k", "6")[:2] == (0, "OK\n")
+
+
+def test_a_blank_line_before_the_headers_still_names_the_family(capsys, tmp_path):
+    # the flag check reads the headers as the encoder reader does, so a
+    # leading blank line cannot hide the family from it
+    enc, blank = tmp_path / "w.txt", tmp_path / "wb.txt"
+    run(capsys, "fcc-build", "--function", "wt", "--k", "6", "--t", "1", "--construction", "1",
+        "--out", str(enc))
+    blank.write_text("\n" + enc.read_text())
+    assert run(capsys, "fcc-verify", "--encoder", str(blank))[:2] == (0, "OK\n")
+    code, out, err = run(capsys, "fcc-verify", "--encoder", str(blank), "--T", "3")
+    assert (code, out) == (2, "") and err.strip() == "error: 'wt' takes no parameter 'T'"
 
 
 def test_a_config_key_the_family_does_not_take_is_ignored(capsys, tmp_path):

@@ -229,6 +229,13 @@ def test_exact_wall_clock_ends_the_search_unproven():
     assert lines[-1] == f"budget-exhausted r={res.value} nodes=4096"
 
 
+def test_a_nan_time_limit_is_not_a_cap():
+    # NaN compares false with everything, so a deadline of NaN would never pass
+    with pytest.raises(ValueError, match="budget caps must be positive"):
+        construct.SearchBudget(time_limit=float("nan"))
+    assert construct.SearchBudget(time_limit=float("inf")).time_limit == float("inf")
+
+
 def test_exact_row_symmetry_same_answer():
     rng = random.Random(99)
     for _ in range(8):

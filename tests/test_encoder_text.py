@@ -66,6 +66,15 @@ GOLDEN = {
         lambda: fcc.build_function_value_encoder(fcc.spec_from_string("ml:sigmoid,k=6,eps=1/2"), 1),
         "785da805cdc3bc483c78f155eae916d9568f27cfc2e4703e81cd44545e7cfa5f",
     ),
+    "auto-ml-mirrored": (  # a symmetric kind's mirrored layout, with a= in its name
+        lambda: fcc.build_function_value_encoder(
+            fcc.spec_from_string("ml:tanh_derivative,k=7,eps=1/2,a=2"), 1),
+        "b034616f84650f329417fa8b316243dbf87f2aaee02e0b0b8025ff1645611ae8",
+    ),
+    "auto-ml-one-sided": (
+        lambda: fcc.build_function_value_encoder(fcc.spec_from_string("ml:relu,k=6,eps=1/2"), 1),
+        "3ad359a6d1c2a04a49e8236c7b1eacac9b5dfabf994212f97824b253f09f0db5",
+    ),
     "wt-cycle": (
         lambda: functions.wt_cyclic_encoder(8, 2),
         "fb07e8fe70d6b772d72eb159befd3e3e9a902615a178cb61c5325a5c87581c99",

@@ -221,6 +221,40 @@ def test_a_symmetric_kind_takes_one_cutoff():
         assert spec.index_table == direct.index_table
 
 
+def _ml_classify(kind, q, u):
+    """Function value of a message: a (band, level) pair ordered like g.
+
+    Band -1 sorts below the injective band 0 and band +1 above it, so the
+    image order follows the activation's own output order: low-saturation
+    values first, then the strictly increasing stretch, then high saturation.
+    Symmetric kinds decrease with |x|, so their level is -|center|. The
+    oracle for the class of each message: it compares one center with the
+    interval, where `ml_spec` reads the class off the quantizer layout.
+    """
+    c = q.center(u)
+    if kind.style == functions.BIJECTIVE:
+        if c < kind.lo:
+            return (-1, Fraction(0))
+        if c > kind.hi:
+            return (1, Fraction(0))
+        return (0, c)
+    if kind.style == functions.BIJECTIVE_POSITIVE:
+        if c < 0:
+            return (-1, Fraction(0))
+        return (0, c)
+    # symmetric: saturation (~0) is the smallest value; g decreases in |x|
+    if abs(c) > kind.hi:
+        return (-1, Fraction(0))
+    return (0, -abs(c))
+
+
+def _ml_image(kind, q):
+    """The attained classifier values in output order, after the spec's own
+    check that both ends saturate and epsilon tiles."""
+    functions._ml_check(kind, q)
+    return sorted({_ml_classify(kind, q, u) for u in range(1 << q.k)})
+
+
 def _ml_image_from_levels(kind, q):
     """The image as the saturation bands around the quantization centers in
     the injective stretch, in the activation's output order: the levels-based
@@ -245,10 +279,11 @@ def test_ml_image_matches_the_levels_construction(name):
             for interval in ((None, None), (Fraction(-1), Fraction(1))):
                 kind = functions.ml_kind(name, *interval)
                 try:
-                    image = functions._ml_image(kind, q)
+                    image = _ml_image(kind, q)
                 except ValueError:  # an empty saturation class or a step that cannot tile
                     continue
                 assert image == _ml_image_from_levels(kind, q), (k, eps, interval)
+                assert list(functions.ml_spec(kind, q).image) == image, (k, eps, interval)
                 compared.add(k)
     assert compared == set(range(2, 9))
 
@@ -278,9 +313,9 @@ def _ml_kinds(name):
 
 @pytest.mark.parametrize("name", sorted(IMAGE_SIZES))
 def test_ml_closed_form_table_equals_tabulating_fn(name):
-    # the index table comes from the quantizer in closed form and the image
-    # from one message per value: both must equal classifying every message,
-    # and a quantizer that classifying rejects must be rejected the same way
+    # the spec's image, fn and index table all come from the quantizer layout:
+    # each must equal classifying every message, and a quantizer that the
+    # classifier's image rejects must be rejected the same way
     built = 0
     edges = set()
     for k in range(2, 10):
@@ -288,16 +323,17 @@ def test_ml_closed_form_table_equals_tabulating_fn(name):
             q = Quantizer(k, eps)
             for kind in _ml_kinds(name):
                 try:
-                    image = functions._ml_image(kind, q)
+                    image = _ml_image(kind, q)
                 except ValueError as exc:
                     with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                         functions.ml_spec(kind, q)
                     continue
                 spec = functions.ml_spec(kind, q)
+                values = [_ml_classify(kind, q, u) for u in range(1 << k)]
+                where = {v: i for i, v in enumerate(image)}
                 assert list(spec.image) == image, (k, eps, kind)
-                assert spec.index_table == [
-                    spec.index_of(spec.fn(u)) for u in range(1 << k)
-                ], (k, eps, kind)
+                assert list(map(spec.fn, range(1 << k))) == values, (k, eps, kind)
+                assert spec.index_table == [where[v] for v in values], (k, eps, kind)
                 centers = set(map(q.center, range(1 << k)))
                 edges.update(end for end in ("lo", "hi") if getattr(kind, end) in centers)
                 built += 1
