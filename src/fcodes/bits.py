@@ -301,7 +301,10 @@ class DistanceMatrix:
     def from_json(cls, text: str) -> DistanceMatrix:
         """Read `{"entries": [[...], ...]}` (optionally with "dim"); any
         other shape, or an entry that is not a JSON integer, is a ValueError."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:  # not JSON at all: the same error as a bad shape
+            data = None
         rows = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(type(e) is int for e in row) for row in rows

@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
@@ -69,10 +68,10 @@ _SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
 
 def _params(args) -> dict[str, str]:
     """Every value of one call, keyed by flag dest: the defaults, then the
-    --config file, then the key=value pairs inside --function, then explicit
-    flags. A config key that is no flag of any subcommand, a flag that
-    contradicts a --function pair, and a spec flag the family does not take
-    are usage errors."""
+    --config file, then the key=value pairs of the call's function (see
+    `_function`), then explicit flags. A config key that is no flag of any
+    subcommand, a flag that contradicts one of those pairs, and a spec flag
+    the function's family does not take are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
         config = _load_config(args.config)
@@ -85,35 +84,37 @@ def _params(args) -> dict[str, str]:
         for key, val in vars(args).items()
         if val is not None and not isinstance(val, bool) and key not in ("command", "func")
     }
-    text = flags.get("function", params.get("function"))
-    if text:
-        pairs = fcc.parse_spec_string(text)[1]
-        for key, val in pairs.items():
-            if flags.get(key, val) != val:
-                raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
-        params.update(pairs)
+    text, pairs = _function(args.command, {**params, **flags})
+    for key, val in pairs.items():
+        if flags.get(key, val) != val:
+            raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
+    params.update(pairs)
     params.update(flags)
-    family = _family(args.command, params)
-    if family:  # an explicit spec flag is held to the family's keys like a pair
+    matrix_only = args.command in ("bounds", "build-code") and params["matrix"] != "function"
+    if text and not matrix_only:  # an explicit spec flag is held to the family's keys like a pair
+        params["function"] = text
+        family = fcc.parse_spec_string(text)[0]
         fcc.check_spec_pairs(family, set(_SPEC_KEYS) & set(flags), tables.row_keys(family))
     return params
 
 
-def _family(command: str, params: dict[str, str]) -> str | None:
-    """The family of the spec a call builds: --function's, else the one the
-    `# function:` header of the --encoder file names, else the one the named
-    construction protects; None if it builds none."""
-    matrix_only = command in ("bounds", "build-code") and params["matrix"] != "function"
-    if command == "oracle" or matrix_only:
-        return None
-    text = params.get("function")
-    if text is None and "encoder" in params:
-        with open(params["encoder"], "r", encoding="utf-8") as fh:  # the reader's own headers
-            text = fcc.encoder_headers(fh.read())[0].get("function")
-    elif text is None:
+def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[str, str]]:
+    """The registry string a call is about, and its key=value pairs. An
+    oracle's is its kind (`minmax`, or `ml:<--ml-kind>`); any other call's is
+    the first that names one of --function (the flag, then the config), then,
+    for an encoder, the `# function:` header of the --encoder file (whose
+    `# k:` fills a k the string leaves out) and the named construction's."""
+    text, pairs = params.get("function"), {}
+    if command == "oracle":
+        text = "minmax" if params["kind"] == "minmax" else "ml:" + _need(params, "ml_kind")
+    elif text is None and command not in ("bounds", "build-code"):  # an encoder's function
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
-        return _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
-    return fcc.parse_spec_string(text)[0] if text else None
+        text = _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
+        if "encoder" in params:  # the reader's own headers
+            with open(params["encoder"], "r", encoding="utf-8") as fh:
+                headers = fcc.encoder_headers(fh.read())[0]
+            text, pairs = headers.get("function"), {"k": headers["k"]} if "k" in headers else {}
+    return text, {**pairs, **fcc.parse_spec_string(text)[1]} if text else {}
 
 
 def _flag(name: str) -> str:
@@ -235,20 +236,11 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
             max_nodes=_need(params, "max_nodes", int),
             time_limit=_need(params, "time_limit", float),
         )
-        tries: list[int] = []  # nodes spent when each length was tried
-
-        def on_line(line: str) -> None:
-            if line.startswith("try r="):
-                tries.append(int(line.rsplit("nodes=", 1)[1]))
-            if args.trace:
-                _trace(line)
-
         started = time.perf_counter()
         result = construct.exact_min_length(
-            dmat, budget, use_row_symmetry=args.row_symmetry, trace=on_line
+            dmat, budget, use_row_symmetry=args.row_symmetry, trace=_trace if args.trace else None
         )
         elapsed = time.perf_counter() - started
-        refute = tries[-1] if tries else 0
         if args.json:
             payload = {
                 "value": result.value,
@@ -261,8 +253,8 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
                 "elapsed_s": round(elapsed, 6),
                 "nodes": result.nodes,
                 "nodes_per_s": round(result.nodes / elapsed, 1) if elapsed else 0.0,
-                "refute_nodes": refute,
-                "confirm_nodes": result.nodes - refute,
+                "refute_nodes": result.refute_nodes,
+                "confirm_nodes": result.nodes - result.refute_nodes,
             }
             print(json.dumps(payload))
         else:
@@ -321,7 +313,7 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
     name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
     if name in _CONSTRUCTIONS:
         expected, builder, needs = _CONSTRUCTIONS[name]
-        family = fcc.parse_spec_string(params.get("function", expected))[0]
+        family = fcc.parse_spec_string(params["function"])[0]
         if family != expected:
             raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
         values = [_need(params, n, int) for n in needs]
@@ -490,15 +482,9 @@ def cmd_oracle(args, params: dict[str, str]) -> int:
             print(f"claims {'hold' if ok else 'VIOLATED'}")
         return 0 if ok else 1
     if params["kind"] == "ml":
-        t, k = _need(params, "t", int), _need(params, "k", int)
-        eps = _need(params, "eps", Fraction)
-        kind = functions.ml_kind_from_pairs(_need(params, "ml_kind"), params.get("a"),
-                                            params.get("b"))
-        q = functions.Quantizer(k, eps)
-        lemma = functions.ml_distance_matrix(kind, q, t)
-        spec = functions.ml_spec(kind, q)
-        generic = fcc.function_distance_matrix(spec, t)
-        match = lemma.entries == generic.entries
+        t, spec = _need(params, "t", int), _spec(params)
+        lemma = functions.ml_distance_matrix(spec, t)
+        match = lemma.entries == fcc.function_distance_matrix(spec, t).entries
         if args.json:
             print(json.dumps({"dim": lemma.dim, "match": match}))
         else:

@@ -46,12 +46,14 @@ class ExactLengthResult:
     When `proven` is True, `value` is N(M, D) exactly and `code` is a witness.
     Otherwise `value` is the smallest length neither refuted nor confirmed
     before the budget ran out (so N >= value), and `code` is None.
+    `refute_nodes` of the `nodes` were spent before the last length tried.
     """
 
     value: int
     proven: bool
     nodes: int
     code: Code | None
+    refute_nodes: int = 0
 
 
 _GREEDY_WINDOW = 16  # greedy_irregular_code's first window, in bits
@@ -283,26 +285,27 @@ def exact_min_length(
     )
     rows = _row_lists(dmat)
     state = _Budget(budget)
-    r = start
+    r, refute = start, 0
     while True:
         if r > budget.max_length:
             if trace:
                 trace(f"length-cap r={r} nodes={state.nodes}")
-            return ExactLengthResult(r, False, state.nodes, None)
+            return ExactLengthResult(r, False, state.nodes, None, refute)
         if trace:
             trace(f"try r={r} nodes={state.nodes}")
+        refute = state.nodes
         found = _assignment_search(dmat, r, state, prev_in_group, rows)
         if state.exhausted:
             if trace:
                 trace(f"budget-exhausted r={r} nodes={state.nodes}")
-            return ExactLengthResult(r, False, state.nodes, None)
+            return ExactLengthResult(r, False, state.nodes, None, refute)
         if found is not None:
             code = Code.of((BitWord(v, r) for v in found), r)
             if not satisfies_distance_matrix(code, dmat)[0]:
                 raise RuntimeError("search returned an invalid witness")
             if trace:
                 trace(f"proven r={r} nodes={state.nodes}")
-            return ExactLengthResult(r, True, state.nodes, code)
+            return ExactLengthResult(r, True, state.nodes, code, refute)
         r += 1
 
 

@@ -333,8 +333,8 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
     )
 
 
-def ml_distance_matrix(kind: MlFunctionKind, q: Quantizer, t: int) -> DistanceMatrix:
-    """Requirement matrix for an activation, assembled classwise.
+def ml_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
+    """Requirement matrix for an activation's spec (`ml_spec`), classwise.
 
     Groups messages by the spec's index table (saturation classes, single
     centers, +/- pairs for symmetric kinds) and takes, for each pair of
@@ -344,9 +344,8 @@ def ml_distance_matrix(kind: MlFunctionKind, q: Quantizer, t: int) -> DistanceMa
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    if q.k > 16:
-        raise ValueError(f"k={q.k} too large for classwise minimization")
-    spec = ml_spec(kind, q)
+    if spec.k > 16:
+        raise ValueError(f"k={spec.k} too large for classwise minimization")
     members: list[list[int]] = [[] for _ in spec.image]
     for u, i in enumerate(spec.index_table):
         members[i].append(u)
@@ -357,7 +356,7 @@ def ml_distance_matrix(kind: MlFunctionKind, q: Quantizer, t: int) -> DistanceMa
             rows[i][j] = rows[j][i] = min(
                 (a ^ b).bit_count() for a in members[i] for b in members[j]
             )
-    return fcc.requirement_matrix(rows, t, q.k)
+    return fcc.requirement_matrix(rows, t, spec.k)
 
 
 def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:

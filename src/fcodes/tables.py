@@ -88,6 +88,10 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     fcc.check_spec_pairs(family, pairs, row_keys(family))
     p = {**(params or {}), **pairs}
     k = int(p["k"]) if "k" in p else None
+    if k is not None and (family == "wt" and k < 2 or family == "delta_T" and k < int(p.get("T", 0))):
+        # the closed forms need two weights, or two blocks: wt on one bit is
+        # binary, delta_T below T is constant, so the spec's own row is exact
+        return spec_row(fcc.spec_from_string(name, defaults=p), t)
 
     if family == "binary":
         # any two-valued function: repetition parities are exactly optimal,

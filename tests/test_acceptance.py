@@ -131,8 +131,8 @@ def test_criterion_08_bound_sandwich_on_100_random_matrices():
 def test_criterion_09_sigmoid_matrix_dual_route_and_encoder():
     kind = functions.ml_kind("sigmoid")
     q = functions.Quantizer(5, Fraction(1))
-    lemma = functions.ml_distance_matrix(kind, q, 1)
     spec = functions.ml_spec(kind, q)
+    lemma = functions.ml_distance_matrix(spec, 1)
     generic = fcc.function_distance_matrix(spec, 1)
     assert lemma.dim == generic.dim == 22
     assert lemma.entries == generic.entries

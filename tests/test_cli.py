@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,17 @@ def test_bounds_sandwich(capsys):
     code, out, _ = run(capsys, "bounds", "--matrix", "dwt", "--k", "4", "--t", "1", "--method", "sandwich")
     assert code == 0
     assert out.startswith("lower ") and " upper " in out
+
+
+def test_bounds_sandwich_json(capsys):
+    argv = ["bounds", "--method", "sandwich", "--matrix", "dwt", "--k", "4", "--t", "1", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["lower"] == {"value_num": 2, "value_den": 1, "integer_value": 2,
+                             "kind": "lower", "source": "max-entry"}
+    assert data["upper"] == {"value_num": 3, "value_den": 1, "integer_value": 3,
+                             "kind": "upper", "source": "gv-threshold"}
 
 
 def test_bounds_wt_lower(capsys):
@@ -208,6 +220,27 @@ def test_build_code_greedy_to_file(capsys, tmp_path):
     assert code == 0
     lines = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 5 and all(len(l) == 4 for l in lines)
+
+
+def test_build_code_greedy_without_a_length_builds_at_the_gv_threshold(capsys):
+    argv = ["build-code", "--kind", "greedy", "--matrix", "dwt", "--k", "4", "--t", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "using gv threshold length r=3\n"
+    assert out == "# greedy code, r=3\n000\n011\n100\n001\n010\n"
+    code, out, err = run(capsys, *argv, "--length", "2")
+    assert (code, out, err) == (1, "", "greedy build failed at length 2\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--kind", "hadamard", "--dist", "2"],
+     "# hadamard-derived code, distance 2\n0000\n0101\n0011\n0110\n1111\n1010\n1100\n1001\n"),
+    (["--kind", "reed-muller", "--rm-order", "1", "--log-length", "2"],
+     "# RM(1,2)\n0000\n1111\n0101\n1010\n0011\n1100\n0110\n1001\n"),
+    (["--kind", "even-weight", "--count", "3", "--length", "3"],
+     "# even-weight subcode\n000\n011\n101\n"),
+], ids=["hadamard", "reed-muller", "even-weight"])
+def test_build_code_generators_print_their_codes(capsys, argv, expected):
+    assert run(capsys, "build-code", *argv) == (0, expected, "")
 
 
 def test_build_code_hadamard_impossible(capsys):
@@ -708,6 +741,36 @@ def test_table_wt_row(capsys):
     assert "lower=6" in out and "fcc=6" in out
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_table_wt_row_on_one_bit_is_the_proven_optimum(capsys, t):
+    # wt on one bit takes two values: the closed forms for k >= 2 do not apply
+    optimum = fcc.exact_optimal_redundancy(functions.wt_spec(1), t)
+    assert optimum.proven and optimum.value == 2 * t
+    code, out, _ = run(capsys, "table", "--function", "wt", "--k", "1", "--t", str(t), "--json")
+    row = json.loads(out)
+    assert code == 0 and row["lower_bound"] == {"text": str(2 * t), "value": 2 * t, "exact": True}
+    assert row["fcc_redundancy"]["value"] == 2 * t
+
+
+def test_table_delta_row_below_one_block_is_all_zero(capsys):
+    # k < T: every weight lies in block 0, so the function is constant
+    code, out, err = run(capsys, "table", "--function", "delta_T", "--k", "4", "--T", "5", "--t",
+                         "1", "--json")
+    assert (code, err) == (0, "")
+    row = json.loads(out)
+    assert [row[key]["value"] for key in ("lower_bound", "ecc_on_function_values",
+                                          "fcc_redundancy")] == [0, 0, 0]
+
+
+def test_table_delta_row_without_k_names_what_the_ramp_needs(capsys):
+    code, out, _ = run(capsys, "table", "--function", "delta_T", "--T", "2", "--t", "1")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "delta_T(T=2) t=1  lower=2        ecc-data=t log k*   "
+        "ecc-values=log E + t log log E* fcc=needs 2t+1 <= T*"
+    )
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "--function", "binary", "--t", "1", "--json")
     assert code == 0
@@ -887,8 +950,12 @@ def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
     ["fcc-build", "--construction", "1", "--k", "6", "--T", "3", "--t", "1", "--out", "x.txt"],
     ["simulate", "--construction", "wt-cycle", "--k", "6", "--w", "3", "--t", "1"],
     ["fcc-verify", "--construction", "2", "--k", "8", "--T", "3", "--l", "5", "--t", "1"],
+    # an oracle's kind names its family
+    ["oracle", "--kind", "ml", "--ml-kind", "sigmoid", "--k", "5", "--eps", "1", "--t", "1",
+     "--T", "7"],
+    ["oracle", "--kind", "minmax", "--w", "3", "--l", "3", "--T", "5"],
 ], ids=["table", "build", "simulate", "verify", "auto", "binary", "construction-build",
-        "construction-simulate", "construction-verify"])
+        "construction-simulate", "construction-verify", "oracle-ml", "oracle-minmax"])
 def test_a_spec_flag_the_family_does_not_take_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
@@ -931,6 +998,41 @@ def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):
     code, out, err = run(capsys, "fcc-verify", "--encoder", str(enc), "--T", "3")
     assert (code, out) == (2, "") and "'wt' takes no parameter 'T'" in err
     assert run(capsys, "fcc-verify", "--encoder", str(enc), "--k", "6")[:2] == (0, "OK\n")
+
+
+def test_a_flag_must_agree_with_the_encoder_header_values(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["wt", "--k", "8", "--construction", "1", "--out", "w8.txt"],
+                 ["delta_T", "--k", "8", "--T", "5", "--construction", "2", "--out", "d8.txt"],
+                 ["ml:tanh,k=6,eps=3/5", "--out", "ml.txt"]):
+        assert run(capsys, "fcc-build", "--t", "1", "--function", *argv)[0] == 0
+    for argv, message in [
+        (["fcc-verify", "--encoder", "w8.txt", "--k", "9"], "--k 9 contradicts k=8 in 'wt:k=8'"),
+        (["simulate", "--encoder", "w8.txt", "--k", "5"], "--k 5 contradicts k=8 in 'wt:k=8'"),
+        (["fcc-verify", "--encoder", "d8.txt", "--T", "4"],
+         "--T 4 contradicts T=5 in 'delta_T:k=8,T=5'"),
+        (["fcc-verify", "--encoder", "ml.txt", "--eps", "1"],
+         "--eps 1 contradicts eps=3/5 in 'ml:tanh,k=6,eps=3/5'"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    # flags that agree with the header are accepted, and a given t still wins
+    assert run(capsys, "fcc-verify", "--encoder", "d8.txt", "--k", "8", "--T", "5")[:2] == (0, "OK\n")
+    assert run(capsys, "fcc-verify", "--encoder", "w8.txt", "--k", "8", "--t", "2")[0] == 1
+    # a function header without k takes the file's `# k:`
+    Path("wk.txt").write_text(Path("w8.txt").read_text().replace("wt:k=8", "wt"))
+    assert run(capsys, "fcc-verify", "--encoder", "wk.txt")[:2] == (0, "OK\n")
+    assert run(capsys, "fcc-verify", "--encoder", "wk.txt", "--k", "8")[:2] == (0, "OK\n")
+    assert run(capsys, "fcc-verify", "--encoder", "wk.txt", "--k", "4") == (
+        2, "", "error: --k 4 contradicts k=8 in 'wt'\n")
+
+
+def test_the_ml_oracle_builds_one_spec(capsys, monkeypatch):
+    built = []
+    ml_spec = functions.ml_spec
+    monkeypatch.setattr(functions, "ml_spec", lambda *a: built.append(a) or ml_spec(*a))
+    argv = ["oracle", "--kind", "ml", "--ml-kind", "sigmoid", "--k", "5", "--eps", "1", "--t", "1"]
+    assert run(capsys, *argv) == (0, "MATCH dim=22\n", "")
+    assert len(built) == 1
 
 
 def test_a_blank_line_before_the_headers_still_names_the_family(capsys, tmp_path):
@@ -1000,6 +1102,8 @@ _GARBAGE_FILES = {
     "null.json": '{"entries": null}',
     "five.json": "5",
     "float.json": '{"entries": [[0,1.5],[1.5,0]]}',
+    "empty.json": "",
+    "text.json": "dim: 2\n",
     "header.txt": _ENCODER.replace("# k: 4", "# k: four") + "000\n" * 5,
     "no-mode.txt": _ENCODER.replace("# mode: per-function-value\n", "") + "000\n" * 5,
     "bits.txt": _ENCODER + "000\n01x\n" + "000\n" * 3,
@@ -1016,7 +1120,7 @@ def _garbage_calls():
         yield f"{sub} config", [sub, *argv, "--config", "config.cfg"]
         takes_matrix = sub in ("bounds", "build-code")
         if takes_matrix:
-            for name in ("list", "rows", "null", "five", "float"):
+            for name in ("list", "rows", "null", "five", "float", "empty", "text"):
                 yield f"{sub} {name}.json", [sub, *argv, "--matrix", "file", "--file", f"{name}.json"]
         if sub not in ("oracle",):
             source = ["--matrix", "function"] if takes_matrix else []
@@ -1045,3 +1149,4 @@ def test_missing_or_garbage_input_is_one_line_usage_error(capsys, tmp_path, monk
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "--file" not in argv or "matrix JSON" in err

@@ -218,6 +218,20 @@ def test_exact_trace_lines():
     assert any(line.startswith("proven r=") for line in lines)
 
 
+@pytest.mark.parametrize("dmat, budget, proven", [
+    (wt_requirement_matrix(4, 1), None, True),
+    (wt_requirement_matrix(9, 4), construct.SearchBudget(16, 20_000, 30.0), False),
+    (wt_requirement_matrix(9, 4), construct.SearchBudget(11, 1_000_000, 30.0), False),
+], ids=["proven", "node-budget", "length-cap"])
+def test_exact_refute_nodes_are_the_nodes_before_the_last_try(dmat, budget, proven):
+    lines: list[str] = []
+    res = construct.exact_min_length(dmat, budget, trace=lines.append)
+    tries = [int(line.rsplit("nodes=", 1)[1]) for line in lines if line.startswith("try r=")]
+    assert res.proven is proven and len(tries) >= 2
+    assert res.refute_nodes == tries[-1] < res.nodes
+    assert construct.exact_min_length(dmat, budget) == res  # the same without a trace
+
+
 def test_exact_wall_clock_ends_the_search_unproven():
     # the clock is read every 4,096 nodes; the search below needs far more
     lines: list[str] = []

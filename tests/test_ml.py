@@ -150,8 +150,8 @@ def test_value_labels():
 def test_lemma_matrix_matches_generic_search(name, t):
     kind = functions.ml_kind(name)
     q = q5()
-    lemma = functions.ml_distance_matrix(kind, q, t)
     spec = functions.ml_spec(kind, q)
+    lemma = functions.ml_distance_matrix(spec, t)
     generic = fcc.function_distance_matrix(spec, t)
     assert lemma.entries == generic.entries
 
@@ -159,8 +159,9 @@ def test_lemma_matrix_matches_generic_search(name, t):
 def test_lemma_matrix_matches_generic_small_quantizer():
     kind = functions.ml_kind("tanh")
     q = Quantizer(4, Fraction(2))
-    lemma = functions.ml_distance_matrix(kind, q, 1)
-    generic = fcc.function_distance_matrix(functions.ml_spec(kind, q), 1)
+    spec = functions.ml_spec(kind, q)
+    lemma = functions.ml_distance_matrix(spec, 1)
+    generic = fcc.function_distance_matrix(spec, 1)
     assert lemma.entries == generic.entries
 
 
