@@ -30,7 +30,7 @@ def main() -> int:
         if w * args.l > 18:
             print(f"w={w}: skipped (2^{w * args.l} messages)")
             continue
-        oracle = functions.minmax_distance_oracle(w, args.l)
+        oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, args.l))
         counts = Counter(oracle.neighbor_counts)
         profile = Counter(
             d for row in oracle.distances.entries for d in row if d > 0

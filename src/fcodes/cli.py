@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
@@ -25,11 +26,6 @@ _CONSTRUCTION_ALIASES = {
     "3": "minmax-spc",
     "4": "minmax-rm",
 }
-
-
-def _fail(message: str, code: int = 2) -> int:
-    print(message, file=sys.stderr)
-    return code
 
 
 def _trace(line: str) -> None:
@@ -69,9 +65,11 @@ _SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
 def _params(args) -> dict[str, str]:
     """Every value of one call, keyed by flag dest: the defaults, then the
     --config file, then the key=value pairs of the call's function (see
-    `_function`), then explicit flags. A config key that is no flag of any
-    subcommand, a flag that contradicts one of those pairs, and a spec flag
-    the function's family does not take are usage errors."""
+    `_function`), then explicit flags; and, for a subcommand with an
+    --encoder flag, the text of the file it names under `encoder_text`, read
+    once. A config key that is no flag of any subcommand, a flag that
+    contradicts one of those pairs, and a spec flag the call does not read
+    (see `_reads`) are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
         config = _load_config(args.config)
@@ -84,18 +82,54 @@ def _params(args) -> dict[str, str]:
         for key, val in vars(args).items()
         if val is not None and not isinstance(val, bool) and key not in ("command", "func")
     }
-    text, pairs = _function(args.command, {**params, **flags})
+    merged = {**params, **flags}
+    if "encoder" in merged and "encoder" in vars(args):
+        with open(merged["encoder"], "r", encoding="utf-8") as fh:
+            params["encoder_text"] = merged["encoder_text"] = fh.read()
+    text, pairs = _function(args.command, merged)
     for key, val in pairs.items():
-        if flags.get(key, val) != val:
+        if key in flags and not _same_value(key, flags[key], val):
             raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
     params.update(pairs)
     params.update(flags)
-    matrix_only = args.command in ("bounds", "build-code") and params["matrix"] != "function"
-    if text and not matrix_only:  # an explicit spec flag is held to the family's keys like a pair
+    given = set(_SPEC_KEYS) & set(flags)
+    reads = _reads(args.command, params)
+    if reads is not None:
+        option, keys = reads
+        extra = sorted(given - keys)
+        if extra:
+            raise ValueError(f"{option} takes no {_flag(extra[0])}")
+    elif text:  # an explicit spec flag is held to the family's keys like a pair
         params["function"] = text
         family = fcc.parse_spec_string(text)[0]
-        fcc.check_spec_pairs(family, set(_SPEC_KEYS) & set(flags), tables.row_keys(family))
+        fcc.check_spec_pairs(family, given, tables.row_keys(family))
     return params
+
+
+def _same_value(key: str, flag: str, pair: str) -> bool:
+    """Whether a flag says what a pair says: numbers by value (`--eps 0.6`
+    is `eps=3/5`), a path as written."""
+    if flag == pair or key == "path":
+        return flag == pair
+    try:
+        return Fraction(flag) == Fraction(pair)
+    except ValueError:
+        return False
+
+
+def _reads(command: str, params: dict[str, str]) -> tuple[str, set[str]] | None:
+    """The spec flags a `bounds` or `build-code` call reads when no function
+    decides them, with the option that decides: a dwt matrix reads k, a
+    matrix file none, a method without a matrix the values it takes, a code
+    kind without one none. None for a function matrix, and for any other
+    command, whose function decides."""
+    if command == "bounds" and "matrix" not in _BOUNDS[params["method"]][1]:
+        return f"--method {params['method']}", set(_BOUNDS[params["method"]][1])
+    if command == "build-code" and params["kind"] not in ("greedy", "exact"):
+        return f"--kind {params['kind']}", set()
+    if command not in ("bounds", "build-code") or params["matrix"] == "function":
+        return None
+    return f"--matrix {params['matrix']}", {"k"} if params["matrix"] == "dwt" else set()
 
 
 def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[str, str]]:
@@ -111,8 +145,7 @@ def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[st
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
         text = _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
         if "encoder" in params:  # the reader's own headers
-            with open(params["encoder"], "r", encoding="utf-8") as fh:
-                headers = fcc.encoder_headers(fh.read())[0]
+            headers = fcc.encoder_headers(params["encoder_text"])[0]
             text, pairs = headers.get("function"), {"k": headers["k"]} if "k" in headers else {}
     return text, {**pairs, **fcc.parse_spec_string(text)[1]} if text else {}
 
@@ -156,16 +189,22 @@ def _row_order(params: dict[str, str], dmat: DistanceMatrix) -> list[int] | None
     return bounds.heuristic_row_order(dmat) if params["order"] == "heuristic" else None
 
 
-def _emit_code(code: Code, out: str | None, header: str | None = None) -> None:
-    text = code.to_text(header)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _written(text: str, out: str | None) -> str:
+    """The stdout text of a file a command makes: `text`, or nothing when
+    --out names where it goes (the file is written here, in either mode)."""
+    if out is None:
+        return text
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return ""
 
 
 # --- subcommands -------------------------------------------------------------
+
+# what each subcommand returns: (exit code, JSON payload, stdout text). It
+# prints no result itself; `main` prints the payload under --json, else the
+# text. Diagnostics and --trace lines go to stderr as they happen.
+_Result = tuple[int, dict, str]
 
 # method -> (name of the `bounds` function, the values it takes), where
 # "matrix" is the requirement matrix and "order" its row order; looked up
@@ -186,35 +225,43 @@ _BOUNDS = {
 }
 
 
-def _print_bound(res, as_json: bool) -> None:
-    """A BoundResult, a (lower, upper) pair of them, a plain length, or
-    None for a bound that does not apply."""
+def _bound_output(res) -> tuple[dict, str]:
+    """Payload and text of a BoundResult, a (lower, upper) pair of them, a
+    plain length, or None for a bound that does not apply."""
     if res is None:
-        print("not-applicable")
-    elif isinstance(res, int):
-        print(json.dumps({"value": res}) if as_json else res)
-    elif isinstance(res, tuple):
+        return {"value": None}, "not-applicable"
+    if isinstance(res, int):
+        return {"value": res}, str(res)
+    if isinstance(res, tuple):
         lo, hi = res
-        if as_json:
-            print(json.dumps({"lower": lo.to_json_dict(), "upper": hi.to_json_dict()}))
-        else:
-            print(f"lower {lo}  upper {hi}")
-    else:
-        print(json.dumps(res.to_json_dict()) if as_json else res)
+        return {"lower": lo.to_json_dict(), "upper": hi.to_json_dict()}, f"lower {lo}  upper {hi}"
+    return res.to_json_dict(), str(res)
 
 
-def cmd_bounds(args, params: dict[str, str]) -> int:
+def cmd_bounds(args, params: dict[str, str]) -> _Result:
     name, needs = _BOUNDS[params["method"]]
     if "matrix" in needs:
         dmat = _matrix(params)
         values = [dmat, _row_order(params, dmat)] if "order" in needs else [dmat]
     else:
         values = [_need(params, n, int) for n in needs]
-    _print_bound(getattr(bounds, name)(*values), args.json)
-    return 0
+    payload, text = _bound_output(getattr(bounds, name)(*values))
+    return 0, payload, text + "\n"
 
 
-def cmd_build_code(args, params: dict[str, str]) -> int:
+def _built(code: Code, out: str | None, header: str) -> _Result:
+    """A built code's result: its words, and its file unless --out takes it."""
+    payload = {"length": code.length, "code": [str(w) for w in code]}
+    return 0, payload, _written(code.to_text(header), out)
+
+
+def _not_built(message: str, length: int | None = None) -> _Result:
+    """A build that found no code: exit 1, its message on stderr."""
+    print(message, file=sys.stderr)
+    return 1, {"length": length, "code": None}, ""
+
+
+def cmd_build_code(args, params: dict[str, str]) -> _Result:
     kind, out = params["kind"], params.get("out")
     if kind == "greedy":
         dmat = _matrix(params)
@@ -226,9 +273,8 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
             print(f"using gv threshold length r={r}", file=sys.stderr)
         code = construct.greedy_irregular_code(dmat, r, order)
         if code is None:
-            return _fail(f"greedy build failed at length {r}", 1)
-        _emit_code(code, out, f"greedy code, r={r}")
-        return 0
+            return _not_built(f"greedy build failed at length {r}", r)
+        return _built(code, out, f"greedy code, r={r}")
     if kind == "exact":
         dmat = _matrix(params)
         budget = construct.SearchBudget(
@@ -240,52 +286,39 @@ def cmd_build_code(args, params: dict[str, str]) -> int:
         result = construct.exact_min_length(
             dmat, budget, use_row_symmetry=args.row_symmetry, trace=_trace if args.trace else None
         )
-        elapsed = time.perf_counter() - started
-        if args.json:
-            payload = {
-                "value": result.value,
-                "proven": result.proven,
-                "nodes": result.nodes,
-            }
-            if result.code is not None:
-                payload["code"] = [str(w) for w in result.code]
-            payload["stats"] = {
-                "elapsed_s": round(elapsed, 6),
-                "nodes": result.nodes,
-                "nodes_per_s": round(result.nodes / elapsed, 1) if elapsed else 0.0,
-                "refute_nodes": result.refute_nodes,
-                "confirm_nodes": result.nodes - result.refute_nodes,
-            }
-            print(json.dumps(payload))
-        else:
-            status = "proven" if result.proven else "budget exhausted (lower bound)"
-            print(f"N = {result.value} ({status}, {result.nodes} nodes)")
-            if result.code is not None:
-                _emit_code(result.code, out, "exact witness")
-        return 0 if result.proven else 2
+        searched = time.perf_counter() - started  # for the search's own rate
+        status = "proven" if result.proven else "budget exhausted (lower bound)"
+        text = f"N = {result.value} ({status}, {result.nodes} nodes)\n"
+        payload = {"value": result.value, "proven": result.proven, "nodes": result.nodes}
+        if result.code is not None:
+            payload["code"] = [str(w) for w in result.code]
+            text += _written(result.code.to_text("exact witness"), out)
+        payload["stats"] = {
+            "nodes": result.nodes,
+            "nodes_per_s": round(result.nodes / searched, 1) if searched else 0.0,
+            "refute_nodes": result.refute_nodes,
+            "confirm_nodes": result.nodes - result.refute_nodes,
+        }
+        return (0 if result.proven else 2), payload, text
     if kind == "hadamard":
         dist = _need(params, "dist", int)
         if dist < 1:
             raise ValueError(f"need --dist >= 1, got {dist}")
         code = construct.hadamard_code(dist)
         if code is None:
-            return _fail(f"no Sylvester order for distance {dist}", 1)
-        _emit_code(code, out, f"hadamard-derived code, distance {dist}")
-        return 0
+            return _not_built(f"no Sylvester order for distance {dist}")
+        return _built(code, out, f"hadamard-derived code, distance {dist}")
     if kind == "reed-muller":
         order, m = _need(params, "rm_order", int), _need(params, "log_length", int)
-        _emit_code(construct.reed_muller_code(order, m), out, f"RM({order},{m})")
-        return 0
+        return _built(construct.reed_muller_code(order, m), out, f"RM({order},{m})")
     if kind == "even-weight":
         count, length = _need(params, "count", int), _need(params, "length", int)
-        _emit_code(construct.even_weight_subcode(count, length), out, "even-weight subcode")
-        return 0
+        return _built(construct.even_weight_subcode(count, length), out, "even-weight subcode")
     if kind == "replicate":
         with open(_need(params, "infile"), "r", encoding="utf-8") as fh:
             code = Code.from_text(fh.read())
         factor = _need(params, "factor", int)
-        _emit_code(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
-        return 0
+        return _built(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -302,9 +335,8 @@ _CONSTRUCTIONS = {
 def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
     """Encoder from --encoder file, or built from --function/--construction."""
     if "encoder" in params:
-        with open(params["encoder"], "r", encoding="utf-8") as fh:
-            spec = _spec(params) if "function" in params else None
-            encoder = fcc.encoder_from_text(fh.read(), spec)
+        spec = _spec(params) if "function" in params else None
+        encoder = fcc.encoder_from_text(params["encoder_text"], spec)
         # a given t outranks the t stored in the file, so a code built for
         # one budget can be checked against a stronger adversary
         if "t" in params and int(params["t"]) != encoder.t:
@@ -330,30 +362,23 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
     raise ValueError(f"unknown construction {params['construction']!r}")
 
 
-def cmd_fcc_build(args, params: dict[str, str]) -> int:
-    if args.json and "out" not in params:
+def cmd_fcc_build(args, params: dict[str, str]) -> _Result:
+    out = params.get("out")
+    if args.json and out is None:
         raise ValueError("--json needs --out: without it stdout carries the encoder file")
-    started = time.perf_counter()
     encoder = _resolve_encoder(params)
-    text = fcc.encoder_to_text(encoder)
-    if "out" in params:
-        with open(params["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    text = _written(fcc.encoder_to_text(encoder), out)
+    if out is not None:
         print(
             f"encoder: k={encoder.spec.k} t={encoder.t} r={encoder.r} "
-            f"mode={encoder.mode} -> {params['out']}",
+            f"mode={encoder.mode} -> {out}",
             file=sys.stderr,
         )
-        if args.json:
-            print(json.dumps({"k": encoder.spec.k, "t": encoder.t, "r": encoder.r,
-                              "mode": encoder.mode, "out": params["out"],
-                              "stats": {"elapsed_s": round(time.perf_counter() - started, 6)}}))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0, {"k": encoder.spec.k, "t": encoder.t, "r": encoder.r, "mode": encoder.mode,
+               "out": out}, text
 
 
-def cmd_fcc_verify(args, params: dict[str, str]) -> int:
+def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
     encoder = _resolve_encoder(params)
     sample = int(params["sample"]) if "sample" in params else None
     if sample is None and encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
@@ -362,52 +387,35 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> int:
         )
     started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=sample, seed=_need(params, "seed", int))
-    elapsed = time.perf_counter() - started
     if args.trace:
-        _trace(f"route={result.route} pairs_checked={result.pairs_checked} elapsed_s={elapsed:.6f}")
-    if args.json:
-        payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode,
-                   "route": result.route}
-        if result.witness:
-            payload["witness"] = [str(w) for w in result.witness]
-        payload["stats"] = {"elapsed_s": round(elapsed, 6), "pairs_checked": result.pairs_checked,
-                            "route": result.route}
-        print(json.dumps(payload))
-    elif result.ok:
-        print("OK")
-    else:
-        u1, u2 = result.witness
-        print(f"VIOLATION u1={u1} u2={u2}")
-    return 0 if result.ok else 1
+        _trace(f"route={result.route} pairs_checked={result.pairs_checked} "
+               f"elapsed_s={time.perf_counter() - started:.6f}")
+    payload = {"ok": result.ok, "pairs_checked": result.pairs_checked, "mode": result.mode,
+               "route": result.route}
+    if result.witness:
+        payload["witness"] = [str(w) for w in result.witness]
+    payload["stats"] = {"pairs_checked": result.pairs_checked, "route": result.route}
+    if result.ok:
+        return 0, payload, "OK\n"
+    u1, u2 = result.witness
+    return 1, payload, f"VIOLATION u1={u1} u2={u2}\n"
 
 
-def cmd_fcc_encode(args, params: dict[str, str]) -> int:
-    encoder = _resolve_encoder(params)
-    print(encoder.encode(BitWord.from_string(params["u"])))
-    return 0
+def cmd_fcc_encode(args, params: dict[str, str]) -> _Result:
+    codeword = _resolve_encoder(params).encode(BitWord.from_string(params["u"]))
+    return 0, {"codeword": str(codeword)}, f"{codeword}\n"
 
 
-def cmd_fcc_decode(args, params: dict[str, str]) -> int:
+def cmd_fcc_decode(args, params: dict[str, str]) -> _Result:
     encoder = _resolve_encoder(params)
     result = fcc.decode(encoder, BitWord.from_string(params["y"]))
     label = encoder.spec.value_label(result.value)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "value": label,
-                    "out_of_model": result.out_of_model,
-                    "distance": result.distance,
-                }
-            )
-        )
-    else:
-        suffix = "  (out of model)" if result.out_of_model else ""
-        print(f"{label}{suffix}")
-    return 0
+    suffix = "  (out of model)" if result.out_of_model else ""
+    payload = {"value": label, "out_of_model": result.out_of_model, "distance": result.distance}
+    return 0, payload, f"{label}{suffix}\n"
 
 
-def cmd_simulate(args, params: dict[str, str]) -> int:
+def cmd_simulate(args, params: dict[str, str]) -> _Result:
     encoder = _resolve_encoder(params)
     t = int(params["channel_t"]) if "channel_t" in params else encoder.t
     seed, trials = _need(params, "seed", int), _need(params, "trials", int)
@@ -422,74 +430,46 @@ def cmd_simulate(args, params: dict[str, str]) -> int:
         messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]
     started = time.perf_counter()
     report = simulate(encoder, channel, messages, trace=_trace if args.trace else None)
-    elapsed = time.perf_counter() - started
-    if report.witness:  # name its values as fcc-decode does
-        u, pattern, got, expected = report.witness
-        label = encoder.spec.value_label
-        report = dataclasses.replace(report, witness=(u, pattern, label(got), label(expected)))
     if args.trace:
         _trace(f"trials={report.trials} failures={report.failures} "
-               f"decodes={report.decodes} elapsed_s={elapsed:.6f}")
-    if args.json:
-        payload = report.to_json_dict()
-        payload["stats"] = {
-            "elapsed_s": round(elapsed, 6), "trials": report.trials,
-            "decodes": report.decodes, "route": report.route,
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"trials={report.trials} failures={report.failures} mode={report.mode}")
-        if report.witness:
-            u, pattern, got, expected = report.witness
-            print(f"first failure: u={u} pattern={pattern} decoded={got} expected={expected}")
-    return 0 if report.failures == 0 else 1
+               f"decodes={report.decodes} elapsed_s={time.perf_counter() - started:.6f}")
+    text = f"trials={report.trials} failures={report.failures} mode={report.mode}\n"
+    if report.witness:  # name its values as fcc-decode does
+        u, pattern, got, expected = report.witness
+        got, expected = encoder.spec.value_label(got), encoder.spec.value_label(expected)
+        report = dataclasses.replace(report, witness=(u, pattern, got, expected))
+        text += f"first failure: u={u} pattern={pattern} decoded={got} expected={expected}\n"
+    payload = report.to_json_dict()
+    payload["stats"] = {"trials": report.trials, "decodes": report.decodes, "route": report.route}
+    return (0 if report.failures == 0 else 1), payload, text
 
 
-def cmd_table(args, params: dict[str, str]) -> int:
-    t = _need(params, "t", int)
-    row = tables.table_row(params["function"], t, _spec_params(params))
-    if args.json:
-        print(json.dumps(row.to_json_dict()))
-    else:
-        print(tables.render_header())
-        print(row.render())
-    return 0
+def cmd_table(args, params: dict[str, str]) -> _Result:
+    row = tables.table_row(params["function"], _need(params, "t", int), _spec_params(params))
+    return 0, row.to_json_dict(), f"{tables.render_header()}\n{row.render()}\n"
 
 
-def cmd_oracle(args, params: dict[str, str]) -> int:
+def cmd_oracle(args, params: dict[str, str]) -> _Result:
     if params["kind"] == "minmax":
         w, l = _need(params, "w", int), _need(params, "l", int)
-        oracle = functions.minmax_distance_oracle(w, l)
+        oracle = functions.minmax_distance_oracle(_spec(params))
         ok = oracle.claims_hold(int(params.get("t", 1)))
-        dists = oracle.distances
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "w": w,
-                        "l": l,
-                        "distances": [list(r) for r in dists.entries],
-                        "neighbor_counts": list(oracle.neighbor_counts),
-                        "claims_hold": ok,
-                    }
-                )
-            )
-        else:
-            print(f"min-max value distances (w={w}, l={l}):")
-            for row_entries in dists.entries:
-                print("  " + " ".join(str(x) for x in row_entries))
-            print(f"distance-1 neighbors per value: {list(oracle.neighbor_counts)}")
-            print(f"claims {'hold' if ok else 'VIOLATED'}")
-        return 0 if ok else 1
+        rows = [list(r) for r in oracle.distances.entries]
+        payload = {"w": w, "l": l, "distances": rows,
+                   "neighbor_counts": list(oracle.neighbor_counts), "claims_hold": ok}
+        text = "".join([
+            f"min-max value distances (w={w}, l={l}):\n",
+            *("  " + " ".join(map(str, r)) + "\n" for r in rows),
+            f"distance-1 neighbors per value: {payload['neighbor_counts']}\n",
+            f"claims {'hold' if ok else 'VIOLATED'}\n",
+        ])
+        return (0 if ok else 1), payload, text
     if params["kind"] == "ml":
         t, spec = _need(params, "t", int), _spec(params)
         lemma = functions.ml_distance_matrix(spec, t)
         match = lemma.entries == fcc.function_distance_matrix(spec, t).entries
-        if args.json:
-            print(json.dumps({"dim": lemma.dim, "match": match}))
-        else:
-            print(f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}")
-        return 0 if match else 1
+        text = f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}\n"
+        return (0 if match else 1), {"dim": lemma.dim, "match": match}, text
     raise ValueError(f"unknown oracle kind {params['kind']!r}")
 
 
@@ -651,11 +631,24 @@ def _flag_dests() -> frozenset[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Under --json its payload goes to stdout as one
+    JSON line, with `stats.elapsed_s` timing the call from the end of
+    parsing; else its text does. A usage error prints one `error:` line to
+    stderr and exits 2."""
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args, _params(args))
+        code, payload, text = args.func(args, _params(args))
     except (ValueError, OSError) as exc:
-        return _fail(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.json:
+        payload["stats"] = {"elapsed_s": round(time.perf_counter() - started, 6),
+                            **payload.get("stats", {})}
+        print(json.dumps(payload))
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

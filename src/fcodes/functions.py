@@ -507,14 +507,13 @@ class MinMaxOracleResult:
         )
 
 
-def minmax_distance_oracle(w: int, l: int) -> MinMaxOracleResult:
-    """Exhaustively measure all pairwise value distances of the min-max function.
+def minmax_distance_oracle(spec: FunctionSpec) -> MinMaxOracleResult:
+    """Exhaustively measure all pairwise value distances of a min-max spec.
 
     Ground truth for the structural facts the cheap encoders rely on: the
     farthest pairs are the swapped (i,j)/(j,i) ones at distance 2, and every
     value has exactly 4(w-2) values at distance 1.
     """
-    spec = minmax_spec(w, l)
     if spec.k > 18:
         raise ValueError(f"k={spec.k} too large for the exhaustive oracle")
     rows = fcc.value_distances(spec, spec.k)

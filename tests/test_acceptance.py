@@ -77,7 +77,7 @@ def test_criterion_05_locally_binary_certificate_and_exhaustive_decoding():
 
 def test_criterion_06_minmax_oracle_reproduces_value_distance_structure():
     w, l, t = 3, 3, 1
-    oracle = functions.minmax_distance_oracle(w, l)
+    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, l))
     d = oracle.distances
     assert d.dim == 6
     assert d.max_entry == 2

@@ -19,6 +19,15 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_json(capsys, *argv: str) -> tuple[int, dict, str]:
+    """A --json run, its payload without the `stats`, whose elapsed time
+    differs run to run."""
+    code, out, err = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    del payload["stats"]
+    return code, payload, err
+
+
 # --- bounds -------------------------------------------------------------------
 
 
@@ -52,6 +61,34 @@ def test_bounds_hadamard_not_applicable(capsys):
     code, out, _ = run(capsys, "bounds", "--method", "hadamard", "--size", "9", "--dist", "2")
     assert code == 0
     assert out.strip() == "not-applicable"
+    assert run_json(capsys, "bounds", "--method", "hadamard", "--size", "9", "--dist", "2") == (
+        0, {"value": None}, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--method", "plotkin", "--matrix", "dwt", "--k", "4", "--t", "1", "--T", "9"],
+     "--matrix dwt takes no --T"),
+    (["bounds", "--method", "ecc-data", "--k", "10", "--t", "2", "--w", "7"],
+     "--method ecc-data takes no --w"),
+    (["build-code", "--kind", "hadamard", "--dist", "4", "--k", "3"], "--kind hadamard takes no --k"),
+    (["build-code", "--kind", "exact", "--matrix", "file", "--file", "d.json", "--k", "3"],
+     "--matrix file takes no --k"),
+    (["bounds", "--method", "minmax-lower", "--w", "3", "--t", "1", "--l", "3"],
+     "--method minmax-lower takes no --l"),
+], ids=["dwt", "method", "kind", "file", "minmax-lower"])
+def test_a_spec_flag_the_matrix_or_method_does_not_read_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_matrix_and_method_read_their_own_spec_flags(capsys, tmp_path):
+    assert run(capsys, "bounds", "--method", "ecc-data", "--k", "10", "--t", "2")[:2] == (0, "10\n")
+    assert run(capsys, "bounds", "--method", "minmax-lower", "--w", "3", "--t", "1")[0] == 0
+    # a config key stays exempt: one config serves several subcommands
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("k=4\nT=9\nw=3\n")
+    argv = ["bounds", "--method", "plotkin", "--matrix", "dwt", "--t", "1"]
+    assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv, "--k", "4")
 
 
 @pytest.mark.parametrize("method, size, dist", [
@@ -254,6 +291,42 @@ def test_build_code_hadamard_distance_below_one_is_usage(capsys, dist):
     code, out, err = run(capsys, "build-code", "--kind", "hadamard", "--dist", dist)
     assert (code, out) == (2, "")
     assert err == f"error: need --dist >= 1, got {dist}\n"
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["--kind", "even-weight", "--count", "3", "--length", "3"],
+     {"length": 3, "code": ["000", "011", "101"]}),
+    (["--kind", "greedy", "--matrix", "dwt", "--k", "4", "--t", "1"],
+     {"length": 3, "code": ["000", "011", "100", "001", "010"]}),
+], ids=["even-weight", "greedy"])
+def test_build_code_json_lists_the_code(capsys, tmp_path, argv, payload):
+    code, data, _ = run_json(capsys, "build-code", *argv)
+    assert (code, data) == (0, payload)
+    # --out takes the file, and the payload stays
+    path = tmp_path / "code.txt"
+    assert run_json(capsys, "build-code", *argv, "--out", str(path))[:2] == (0, payload)
+    assert path.read_text() == run(capsys, "build-code", *argv)[1]
+
+
+@pytest.mark.parametrize("argv, length, err", [
+    (["--kind", "hadamard", "--dist", "3"], None, "no Sylvester order for distance 3\n"),
+    (["--kind", "greedy", "--matrix", "dwt", "--k", "4", "--t", "1", "--length", "2"], 2,
+     "greedy build failed at length 2\n"),
+], ids=["hadamard", "greedy"])
+def test_build_code_json_failure_has_no_code(capsys, argv, length, err):
+    assert run_json(capsys, "build-code", *argv) == (1, {"length": length, "code": None}, err)
+
+
+def test_build_code_exact_json_writes_its_out_file(capsys, tmp_path):
+    path = tmp_path / "witness.txt"
+    argv = ["build-code", "--kind", "exact", "--matrix", "dwt", "--k", "4", "--t", "1",
+            "--out", str(path)]
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0 and data["code"] == ["000", "011", "100", "001", "010"]
+    text = path.read_text()
+    path.unlink()
+    assert run(capsys, *argv)[:2] == (0, "N = 3 (proven, 7 nodes)\n")
+    assert path.read_text() == text == "# exact witness\n000\n011\n100\n001\n010\n"
 
 
 def test_build_code_replicate(capsys, tmp_path):
@@ -515,6 +588,24 @@ def test_fcc_build_json_reports_the_encoder_written(capsys, tmp_path):
     assert err.startswith("encoder: k=8 t=1 r=3 ")
 
 
+def test_fcc_encode_json_names_the_codeword(capsys):
+    argv = ["fcc-encode", "--function", "wt", "--k", "6", "--t", "1", "--construction", "1",
+            "--u", "110100"]
+    code, out, _ = run(capsys, *argv)
+    assert run_json(capsys, *argv) == (0, {"codeword": out.strip()}, "") and code == 0
+
+
+def test_the_encoder_file_is_read_once_per_call(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "enc.txt"
+    run(capsys, "fcc-build", "--function", "wt", "--k", "6", "--t", "1", "--out", str(path))
+    opened, real_open = [], open
+    monkeypatch.setattr("builtins.open", lambda f, *a, **kw: opened.append(f) or real_open(f, *a, **kw))
+    for command in (["fcc-verify"], ["simulate"], ["fcc-decode", "--y", "110100111"]):
+        opened.clear()
+        assert run(capsys, *command, "--encoder", str(path))[0] == 0
+        assert opened.count(str(path)) == 1, command
+
+
 def test_fcc_build_json_without_out_is_usage_error(capsys):
     # stdout carries the encoder file then, so it has no room for JSON
     code, out, err = run(
@@ -596,9 +687,9 @@ def test_table_minmax_k_of_no_block_layout_is_usage_error(capsys, w, k):
 
 
 def test_table_minmax_k_without_l_prints_the_row_of_its_layout(capsys):
-    flags = ("table", "--function", "minmax", "--w", "3", "--k", "9", "--t", "1", "--json")
-    without_l = run(capsys, *flags)
-    assert without_l == run(capsys, *flags, "--l", "3") and without_l[0] == 0
+    flags = ("table", "--function", "minmax", "--w", "3", "--k", "9", "--t", "1")
+    without_l = run_json(capsys, *flags)
+    assert without_l == run_json(capsys, *flags, "--l", "3") and without_l[0] == 0
 
 
 def test_fcc_build_locally_binary(capsys):
@@ -885,10 +976,10 @@ def test_repeated_key_in_a_function_string_is_usage_error(capsys):
     ],
 )
 def test_table_inline_and_flag_forms_print_the_same_row(capsys, inline, flags):
-    inline_run = run(capsys, "table", "--function", inline, "--t", "1", "--json")
-    flag_run = run(capsys, "table", *flags, "--t", "1", "--json")
+    inline_run = run_json(capsys, "table", "--function", inline, "--t", "1")
+    flag_run = run_json(capsys, "table", *flags, "--t", "1")
     assert inline_run == flag_run and inline_run[0] == 0
-    assert json.loads(flag_run[1])["function"] != inline.partition(":")[0]  # the family row
+    assert flag_run[1]["function"] != inline.partition(":")[0]  # the family row
 
 
 def test_table_family_row_rejects_an_unknown_pair(capsys):
@@ -987,9 +1078,19 @@ def test_an_ml_interval_the_kind_cannot_take_is_a_usage_error(capsys, argv, mess
 def test_the_ml_oracle_reads_a_symmetric_cutoff_from_a(capsys):
     # the cutoff 3 leaves 4 values at k=4, eps=1; the default cutoff 6 leaves 7
     argv = ["oracle", "--kind", "ml", "--ml-kind", "tanh_derivative", "--k", "4",
-            "--eps", "1", "--t", "1", "--json"]
-    assert json.loads(run(capsys, *argv)[1]) == {"dim": 7, "match": True}
-    assert json.loads(run(capsys, *argv, "--a", "3")[1]) == {"dim": 4, "match": True}
+            "--eps", "1", "--t", "1"]
+    assert run_json(capsys, *argv)[1] == {"dim": 7, "match": True}
+    assert run_json(capsys, *argv, "--a", "3")[1] == {"dim": 4, "match": True}
+
+
+def test_a_numeric_flag_agrees_with_an_equal_pair(capsys, tmp_path):
+    argv = ["fcc-verify", "--function", "ml:tanh,k=6,eps=3/5", "--t", "1"]
+    assert run(capsys, *argv, "--eps", "0.6")[:2] == (0, "OK\n")
+    assert run(capsys, *argv, "--eps", "0.5") == (
+        2, "", "error: --eps 0.5 contradicts eps=3/5 in 'ml:tanh,k=6,eps=3/5'\n")
+    enc = tmp_path / "ml.txt"
+    run(capsys, "fcc-build", *argv[1:], "--out", str(enc))
+    assert run(capsys, "fcc-verify", "--encoder", str(enc), "--eps", "0.6")[:2] == (0, "OK\n")
 
 
 def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):
@@ -1077,6 +1178,18 @@ def test_oracle_minmax_claims_beyond_three_blocks(capsys, w, l, expected):
     assert json.loads(out)["claims_hold"] is (expected == 0)
 
 
+def test_oracle_minmax_checks_k_as_the_minmax_function_does(capsys, monkeypatch):
+    argv = ["oracle", "--kind", "minmax", "--w", "3", "--l", "3"]
+    assert run(capsys, *argv, "--k", "10") == (2, "", "error: k=10 inconsistent with w*l=9\n")
+    assert run(capsys, "table", "--function", "minmax", *argv[3:], "--k", "10", "--t", "1")[2] == (
+        "error: k=10 inconsistent with w*l=9\n")
+    built = []
+    minmax_spec = functions.minmax_spec
+    monkeypatch.setattr(functions, "minmax_spec", lambda *a: built.append(a) or minmax_spec(*a))
+    assert run(capsys, *argv, "--k", "9") == run(capsys, *argv) and run(capsys, *argv)[0] == 0
+    assert built == [(3, 3)] * 3  # one spec per call
+
+
 def test_oracle_minmax_rejects_a_zero_budget(capsys):
     code, out, err = run(capsys, "oracle", "--kind", "minmax", "--w", "3", "--l", "2", "--t", "0")
     assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1
@@ -1119,9 +1232,10 @@ def _garbage_calls():
         yield f"{sub} without {needed}", [sub, *argv[:at], *argv[at + 2:]]
         yield f"{sub} config", [sub, *argv, "--config", "config.cfg"]
         takes_matrix = sub in ("bounds", "build-code")
-        if takes_matrix:
+        if takes_matrix:  # a matrix file reads no --k, so these calls leave it out
             for name in ("list", "rows", "null", "five", "float", "empty", "text"):
-                yield f"{sub} {name}.json", [sub, *argv, "--matrix", "file", "--file", f"{name}.json"]
+                yield f"{sub} {name}.json", [sub, *argv[:at], *argv[at + 2:], "--matrix", "file",
+                                              "--file", f"{name}.json"]
         if sub not in ("oracle",):
             source = ["--matrix", "function"] if takes_matrix else []
             for text in _BAD_FUNCTIONS:
@@ -1150,3 +1264,26 @@ def test_missing_or_garbage_input_is_one_line_usage_error(capsys, tmp_path, monk
     assert (code, out) == (2, "")
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "--file" not in argv or "matrix JSON" in err
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The `fcodes ...` lines of README's Command line block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("fcodes ")]
+
+
+def test_every_readme_command_prints_one_json_payload_with_its_elapsed_time(
+    capsys, tmp_path, monkeypatch
+):
+    # in order, since later lines read the files earlier ones write
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) >= 30
+    for argv in lines:
+        code = run(capsys, *argv)[0]
+        json_code, out, _ = run(capsys, *argv, "--json")
+        assert json_code == code, argv
+        (line,) = out.splitlines()
+        payload = json.loads(line)
+        assert isinstance(payload, dict) and payload["stats"]["elapsed_s"] >= 0, argv

@@ -410,21 +410,21 @@ def test_minmax_image_is_all_ordered_pairs():
 def test_minmax_claims_hold(w, l):
     # distance 2 at w >= 4 also joins index-disjoint pairs: the check must
     # not read it as a swap
-    oracle = functions.minmax_distance_oracle(w, l)
+    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, l))
     assert oracle.claims_hold(1) and oracle.claims_hold(2)
 
 
 @pytest.mark.parametrize("w", [4, 5])
 def test_minmax_claims_fail_on_two_bit_blocks(w):
     # with l = 2 the neighbour counts spread ({6, 8} at w = 4)
-    oracle = functions.minmax_distance_oracle(w, 2)
+    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, 2))
     assert len(set(oracle.neighbor_counts)) > 1
     assert not oracle.claims_hold(1)
 
 
 def test_minmax_claims_need_a_positive_budget():
     with pytest.raises(ValueError):
-        functions.minmax_distance_oracle(3, 2).claims_hold(0)
+        functions.minmax_distance_oracle(functions.minmax_spec(3, 2)).claims_hold(0)
 
 
 def test_minmax_needs_two_bit_blocks():
@@ -434,7 +434,7 @@ def test_minmax_needs_two_bit_blocks():
 
 @pytest.mark.parametrize("w", [3, 4])
 def test_minmax_oracle_structure(w):
-    oracle = functions.minmax_distance_oracle(w, 3)
+    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, 3))
     d = oracle.distances
     assert d.max_entry == 2
     assert all(c == 4 * (w - 2) for c in oracle.neighbor_counts)
