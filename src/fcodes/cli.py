@@ -68,8 +68,8 @@ def _params(args) -> dict[str, str]:
     `_function`), then explicit flags; and, for a subcommand with an
     --encoder flag, the text of the file it names under `encoder_text`, read
     once. A config key that is no flag of any subcommand, a flag that
-    contradicts one of those pairs, and a spec flag the call does not read
-    (see `_reads`) are usage errors."""
+    contradicts one of those pairs, and a spec flag, --function, --t or
+    --matrix that the call does not read (see `_reads`) are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
         config = _load_config(args.config)
@@ -92,17 +92,16 @@ def _params(args) -> dict[str, str]:
             raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
     params.update(pairs)
     params.update(flags)
-    given = set(_SPEC_KEYS) & set(flags)
     reads = _reads(args.command, params)
     if reads is not None:
         option, keys = reads
-        extra = sorted(given - keys)
+        extra = sorted(({*_SPEC_KEYS, "function", "t", "matrix"} & set(flags)) - keys)
         if extra:
             raise ValueError(f"{option} takes no {_flag(extra[0])}")
     elif text:  # an explicit spec flag is held to the family's keys like a pair
         params["function"] = text
         family = fcc.parse_spec_string(text)[0]
-        fcc.check_spec_pairs(family, given, tables.row_keys(family))
+        fcc.check_spec_pairs(family, set(_SPEC_KEYS) & set(flags), tables.row_keys(family))
     return params
 
 
@@ -118,9 +117,10 @@ def _same_value(key: str, flag: str, pair: str) -> bool:
 
 
 def _reads(command: str, params: dict[str, str]) -> tuple[str, set[str]] | None:
-    """The spec flags a `bounds` or `build-code` call reads when no function
-    decides them, with the option that decides: a dwt matrix reads k, a
-    matrix file none, a method without a matrix the values it takes, a code
+    """The spec flags, --function, --t and --matrix that a `bounds` or
+    `build-code` call reads when no function decides them, with the option
+    that decides: a dwt matrix reads --matrix, k and t, a matrix file
+    --matrix alone, a method without a matrix the values it takes, a code
     kind without one none. None for a function matrix, and for any other
     command, whose function decides."""
     if command == "bounds" and "matrix" not in _BOUNDS[params["method"]][1]:
@@ -129,7 +129,8 @@ def _reads(command: str, params: dict[str, str]) -> tuple[str, set[str]] | None:
         return f"--kind {params['kind']}", set()
     if command not in ("bounds", "build-code") or params["matrix"] == "function":
         return None
-    return f"--matrix {params['matrix']}", {"k"} if params["matrix"] == "dwt" else set()
+    dwt = params["matrix"] == "dwt"
+    return f"--matrix {params['matrix']}", {"matrix", "k", "t"} if dwt else {"matrix"}
 
 
 def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[str, str]]:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import bounds, construct
 from .bits import BitWord, Code, DistanceMatrix, all_words, sphere_size
 from .bits import _at_least, _bit_set_patterns, _byte_planes, _expand_once, _low_weight_masks
-from .bits import _shells, _weight_shell, _xor_translate
+from .bits import _shells, _weight_shell
 
 FunctionValue = Any  # any value with equality and a stable total order
 
@@ -600,14 +600,17 @@ def _bit_planes(table: Sequence[int], width: int) -> list[int]:
 def _translated_planes(planes: list[int], k: int, depth: int):
     """(e, top bit of e, planes XOR-translated by e) for every k-bit e of
     weight 1..depth, depth first: each e extends its parent above its top
-    bit, so each node costs one half-swap per plane."""
+    bit, so each node costs one half-swap per plane (`_xor_translate` by
+    one bit, written out)."""
+    pats = _bit_set_patterns(k)
 
     def walk(e: int, moved: list[int], w: int):
         for b in range(e.bit_length(), k):
-            here = [_xor_translate(p, k, 1 << b) for p in moved]
-            yield e | 1 << b, b, here
+            s, pat = 1 << b, pats[b]
+            here = [(p ^ (hi := p & pat)) << s | hi >> s for p in moved]
+            yield e | s, b, here
             if w + 1 < depth:
-                yield from walk(e | 1 << b, here, w + 1)
+                yield from walk(e | s, here, w + 1)
 
     return walk(0, planes, 0)
 

@@ -18,11 +18,16 @@ skipped.
 An encoder that fails the check runs its trials. A received word y = c(u) ^
 e lies within wt(e) <= t of the code, so per-value tables of every word
 within t of a codeword, each labelled with the value `decode` returns for it
-(`fcc._nearest_value_masks`), settle every trial with one bit test, in both
-modes and for any message list. Only the first failure is decoded, for its
-witness. Functions with too many values for the tables to pay off call
-`decode` on every trial. The report's `route` names which of the three
-routes settled it, and `decodes` counts the words handed to `decode`.
+(`fcc._nearest_value_masks`), settle every trial, in both modes and for any
+message list. An exhaustive run over ascending messages that is cheap enough
+(_WALK_BITS_PER_TRIAL) is settled one error pattern at a time: the bit
+planes of the labels, translated by the pattern, mark every codeword it
+moves to a word of another value, so one popcount counts the pattern's
+failures over all messages (`_failures_by_pattern`). Any other run takes one
+bit test per trial. Only the first failure is decoded, for its witness.
+Functions with too many values for the tables to pay off call `decode` on
+every trial. The report's `route` names which of the three routes settled
+it, and `decodes` counts the words handed to `decode`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import BitWord, _weight_shell, sphere_size
 from .fcc import EXHAUSTIVE_MAX_K, FccEncoder, FunctionValue, decode
-from .fcc import _nearest_value_masks, _verify_exhaustive
+from .fcc import _nearest_value_masks, _translated_planes, _verify_exhaustive
 
 
 # Largest table, in mask bits per trial, that simulate builds. The masks cost
@@ -46,6 +51,18 @@ from .fcc import _nearest_value_masks, _verify_exhaustive
 # 1,050 bits per trial at channel t 3-6 and between 1,050 and 4,200 at t = 1;
 # at or below 512 the tables were 1.1-3.6x faster (2-core Xeon host).
 _TABLE_BITS_PER_TRIAL = 512
+
+# Largest cost per trial, in 2^n-bit operations, at which an exhaustive run
+# on the tables is settled one error pattern at a time over all its messages
+# (`_failures_by_pattern`) rather than one trial at a time. A pattern costs
+# about seven operations per label plane and half as many again for the
+# codeword mask, so (label planes + 1) * 2^n over the messages counts it:
+# (width + 1) * 2^r for every message. Measured on per-message encoders of
+# u -> u mod E at k 6-10, depth 2-3 and widths 1-5 (2-core Xeon host,
+# settling alone): at 256-384 the walk took 0.36-0.73 of the one-bit-test
+# loop's time, at 768 0.80-1.03, and at 1,024 0.96-1.17; at 1,280-2,048 it
+# took 1.2-1.7x. Random draws and larger costs keep the loop.
+_WALK_BITS_PER_TRIAL = 768
 
 
 @dataclass(frozen=True)
@@ -121,11 +138,15 @@ def simulate(
     order) is kept as the witness; a verified encoder must come back with
     zero failures in exhaustive mode. An encoder that passes the exhaustive
     FCC check at channel.t (capped at n) is certified: no trial can fail, so
-    none is run. Otherwise each trial is settled by one bit test in the
-    per-value tables of `fcc._nearest_value_masks` grown to depth channel.t,
-    which label every word a trial can produce as `decode` would; only the
-    witness is decoded. Above _TABLE_BITS_PER_TRIAL every trial is decoded
-    instead. `trace` receives one line naming the route.
+    none is run. Otherwise the trials are settled on the per-value tables
+    of `fcc._nearest_value_masks` grown to depth channel.t, which label
+    every word a trial can produce as `decode` would: an exhaustive run
+    over all messages, or an ascending list, whose label planes cost at
+    most _WALK_BITS_PER_TRIAL per trial by error pattern over all messages
+    at once, any other run by one bit test per trial. Only the witness is
+    decoded. Above _TABLE_BITS_PER_TRIAL every trial is decoded instead.
+    `trace` receives one line naming the route (and, on the tables, how the
+    trials were settled: `settle=patterns` or `settle=trials`).
     """
     spec = encoder.spec
     k, r = spec.k, encoder.r
@@ -155,8 +176,7 @@ def simulate(
         return SimulationReport(trials, 0, None, channel.mode, seed, 0, "certified")
     groups: Iterable[tuple[int, Sequence[int]]]
     if channel.mode == "exhaustive":
-        patterns = [p.value for p in error_patterns(n, depth)]
-        groups = ((u, patterns) for u in msgs)
+        groups = _exhaustive_trials(msgs, n, depth)
     else:
         groups = _random_trials(msgs, n, channel)
     idx = spec.index_table
@@ -178,25 +198,38 @@ def simulate(
     bits = len(image) << n
     if bits <= _TABLE_BITS_PER_TRIAL * trials:
         route = "tables"
-        size = ((1 << n) + 7) >> 3
         building = time.perf_counter()
         tables = _nearest_value_masks(encoder, depth)
-        for i, mask in enumerate(tables):
-            tables[i] = mask.to_bytes(size, "little")  # in place: no second copy
+        by_pattern = (
+            channel.mode == "exhaustive"
+            and ((len(tables) - 1).bit_length() + 1) << n <= _WALK_BITS_PER_TRIAL * len(msgs)
+            # ascending, so the lowest failing codeword is the first message
+            and (messages is None or all(a < b for a, b in zip(msgs, msgs[1:])))
+        )
+        if not by_pattern:
+            size = ((1 << n) + 7) >> 3
+            for i, mask in enumerate(tables):
+                tables[i] = mask.to_bytes(size, "little")  # in place: no second copy
         if trace:
             build_ms = (time.perf_counter() - building) * 1e3
-            trace(f"route=tables E={len(image)} n={n} depth={depth} "
-                  f"mask_bits={bits} build_ms={build_ms:.3f}")
-        for u, es in groups:
-            own = tables[idx[u]]
-            c = (u << r) | par[u]
-            for e in es:
-                y = c ^ e
-                if not own[y >> 3] >> (y & 7) & 1:
-                    if witness is None:
-                        judge(u, e)  # a failure: decode it for the witness
-                    else:
-                        failures += 1
+            trace(f"route=tables E={len(image)} n={n} depth={depth} mask_bits={bits} "
+                  f"build_ms={build_ms:.3f} settle={'patterns' if by_pattern else 'trials'}")
+        if by_pattern:
+            counted, first = _failures_by_pattern(tables, msgs, par, r, n, depth)
+            if first is not None:
+                judge(*first)  # decoded for the witness only
+            failures = counted
+        else:
+            for u, es in groups:
+                own = tables[idx[u]]
+                c = (u << r) | par[u]
+                for e in es:
+                    y = c ^ e
+                    if not own[y >> 3] >> (y & 7) & 1:
+                        if witness is None:
+                            judge(u, e)  # a failure: decode it for the witness
+                        else:
+                            failures += 1
     else:
         route = "decode-every-trial"
         if trace:
@@ -205,6 +238,59 @@ def simulate(
             for e in es:
                 judge(u, e)
     return SimulationReport(trials, failures, witness, channel.mode, seed, decodes, route)
+
+
+def _failures_by_pattern(
+    tables: list[int], msgs: Sequence[int], par: Sequence[int], r: int, n: int, depth: int
+) -> tuple[int, tuple[int, int] | None]:
+    """How many trials fail over every message in `msgs` (ascending) and
+    every n-bit pattern of weight 0..depth, and the first failure in
+    (message, `error_patterns`) order as (u, e), or None.
+
+    Label plane b is the set of words whose image index in `tables` has bit
+    b set. Codewords are distinct, so each is labelled with its own value,
+    and c(u) fails under e iff some plane holds exactly one of c(u) and
+    c(u) ^ e: the failures of e are the codewords in OR_b(translate(plane b,
+    e) ^ plane b). Pattern 0 fails nowhere and is skipped; the others are
+    walked depth first (`fcc._translated_planes`), one half-swap per plane
+    each. The first failure is a running minimum of (codeword, weight, -e):
+    the lowest failing codeword is the first failing message, and
+    error_patterns lists a weight's patterns in descending integer order.
+    """
+    labels = [0] * (len(tables) - 1).bit_length()
+    for i, mask in enumerate(tables):
+        for b in range(len(labels)):
+            if i >> b & 1:
+                labels[b] |= mask
+    marks = bytearray(((1 << n) + 7) >> 3)
+    for u in msgs:
+        c = (u << r) | par[u]
+        marks[c >> 3] |= 1 << (c & 7)
+    code = int.from_bytes(marks, "little")
+    failures, best = 0, None
+    for e, _, moved in _translated_planes(labels, n, depth):
+        wrong = 0
+        for a, b in zip(labels, moved):
+            wrong |= a ^ b
+        wrong &= code
+        if wrong:
+            failures += wrong.bit_count()
+            first = ((wrong & -wrong).bit_length() - 1, e.bit_count(), -e)
+            if best is None or first < best:
+                best = first
+    if best is None:
+        return 0, None
+    return failures, (best[0] >> r, -best[2])
+
+
+def _exhaustive_trials(
+    msgs: Sequence[int], n: int, depth: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(message, every pattern of weight 0..depth) for each message in turn;
+    the patterns are listed when the first message is asked for."""
+    patterns = [p.value for p in error_patterns(n, depth)]
+    for u in msgs:
+        yield u, patterns
 
 
 def _random_trials(

@@ -75,7 +75,15 @@ def test_bounds_hadamard_not_applicable(capsys):
      "--matrix file takes no --k"),
     (["bounds", "--method", "minmax-lower", "--w", "3", "--t", "1", "--l", "3"],
      "--method minmax-lower takes no --l"),
-], ids=["dwt", "method", "kind", "file", "minmax-lower"])
+    (["bounds", "--method", "plotkin", "--matrix", "dwt", "--k", "4", "--t", "1",
+      "--function", "nosuch:x=1"], "--matrix dwt takes no --function"),
+    (["build-code", "--kind", "hadamard", "--dist", "4", "--t", "3"], "--kind hadamard takes no --t"),
+    (["bounds", "--method", "wt-lower", "--t", "2", "--matrix", "file"],
+     "--method wt-lower takes no --matrix"),
+    (["build-code", "--kind", "exact", "--matrix", "file", "--file", "d.json", "--t", "1"],
+     "--matrix file takes no --t"),
+], ids=["dwt", "method", "kind", "file", "minmax-lower", "dwt-function", "kind-t",
+        "method-matrix", "file-t"])
 def test_a_spec_flag_the_matrix_or_method_does_not_read_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -1232,9 +1240,11 @@ def _garbage_calls():
         yield f"{sub} without {needed}", [sub, *argv[:at], *argv[at + 2:]]
         yield f"{sub} config", [sub, *argv, "--config", "config.cfg"]
         takes_matrix = sub in ("bounds", "build-code")
-        if takes_matrix:  # a matrix file reads no --k, so these calls leave it out
+        if takes_matrix:  # a matrix file reads no --k or --t, so these calls leave them out
+            keep = [*argv[:at], *argv[at + 2:]]
+            keep = keep[:keep.index("--t")] + keep[keep.index("--t") + 2:]
             for name in ("list", "rows", "null", "five", "float", "empty", "text"):
-                yield f"{sub} {name}.json", [sub, *argv[:at], *argv[at + 2:], "--matrix", "file",
+                yield f"{sub} {name}.json", [sub, *keep, "--matrix", "file",
                                               "--file", f"{name}.json"]
         if sub not in ("oracle",):
             source = ["--matrix", "function"] if takes_matrix else []

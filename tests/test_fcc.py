@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from fcodes import bounds, construct, fcc, functions
 from fcodes import simulate as simulate_mod
-from fcodes.bits import BitWord, DistanceMatrix, _shells, all_words, hamming_distance
+from fcodes.bits import BitWord, DistanceMatrix, _shells, all_words, hamming_distance, sphere_size
 from fcodes.simulate import ChannelModel, SimulationReport, error_patterns, simulate
 
 
@@ -1137,6 +1137,109 @@ def test_simulate_decodes_only_the_witness_on_the_table_route():
         assert report.failures > 1 and report.decodes == 1
 
 
+def _settle(enc, channel, messages=None) -> tuple[SimulationReport, str | None]:
+    """The report, and how the tables route settled its trials (the
+    `settle=` word of its trace line; None on another route)."""
+    lines = []
+    report = simulate(enc, channel, messages, trace=lines.append)
+    if report.route != "tables":
+        return report, None
+    head, _, settle = lines[0].rpartition(" settle=")
+    assert head.startswith("route=tables ") and settle in ("patterns", "trials")
+    return report, settle
+
+
+def test_pattern_walk_matches_reference_simulate():
+    # per-value encoders built at t 1-2 (half of them with one parity
+    # corrupted) and per-message encoders of random parities; k 2-8, r 0-6,
+    # channel t up to the encoder's t + 2, every message or an ascending
+    # list of them
+    rng = random.Random(2402)
+    settled = {"patterns": 0, "trials": 0}
+    witnesses = lists_walked = 0
+    for case in range(48):
+        k = rng.randint(2, 8)
+        spec = _random_spec(rng, k)
+        if case % 2:
+            r = rng.randint(0, 6)
+            parities = [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
+            enc = fcc.per_message_encoder(spec, rng.randint(1, 2), parities)
+        else:
+            enc = fcc.build_function_value_encoder(spec, rng.randint(1, 2))
+            if case % 4 == 0 and enc.r:
+                enc = _corrupted(enc, rng)
+        if enc.r > 6:
+            continue
+        n = enc.block_length
+        ascending = sorted(rng.sample(range(1 << k), rng.randint(1, 1 << k)))
+        for messages in (None, [BitWord(u, k) for u in ascending]):
+            for t in range(enc.t + 3):
+                channel = ChannelModel(t, "exhaustive")
+                count = (1 << k) if messages is None else len(messages)
+                if count * sphere_size(n, t) > 10_000:
+                    continue
+                got, settle = _settle(enc, channel, messages)
+                assert got == reference_simulate(enc, channel, messages), (enc, t, messages)
+                if settle is not None:
+                    settled[settle] += 1
+                    assert got.decodes == (got.witness is not None)
+                if settle == "patterns":
+                    witnesses += got.witness is not None
+                    lists_walked += messages is not None
+    assert settled["patterns"] >= 40 and witnesses >= 30 and lists_walked >= 5, (
+        settled, witnesses, lists_walked)
+
+
+def test_pattern_walk_and_trial_loop_give_one_report(monkeypatch):
+    # the same runs settled both ways, with the rule's constant moved so
+    # that every run is walked, then none is
+    rng = random.Random(2403)
+    runs = []
+    for _ in range(30):
+        enc = _random_encoder(rng)
+        k = enc.spec.k
+        ascending = sorted(rng.sample(range(1 << k), rng.randint(1, 1 << k)))
+        ascending = [BitWord(u, k) for u in ascending]
+        runs += [(enc, ChannelModel(t, "exhaustive"), m)
+                 for t in range(1, enc.t + 3) for m in (None, ascending)]
+    reports = {}
+    for constant, settle in ((1 << 40, "patterns"), (0, "trials")):
+        monkeypatch.setattr(simulate_mod, "_WALK_BITS_PER_TRIAL", constant)
+        reports[settle] = []
+        for enc, channel, messages in runs:
+            got, how = _settle(enc, channel, messages)
+            assert how in (settle, None)
+            reports[settle].append((got, got.decodes))
+    assert reports["patterns"] == reports["trials"]
+    assert sum(got.witness is not None for got, _ in reports["patterns"]) >= 40
+
+
+def test_simulate_settles_high_redundancy_and_unsorted_lists_by_trials():
+    # r = 10: a pattern walk costs (width + 1) * 2^r operations per trial,
+    # past the rule's crossover, so the one-bit-test loop runs
+    rng = random.Random(2404)
+    spec = fcc.FunctionSpec(3, lambda u: u % 3, range(3))
+    parities = [BitWord(rng.randrange(1 << 10), 10) for _ in range(8)]
+    parities[4] = parities[0] ^ BitWord(1, 10)  # values 0 and 1 three apart
+    enc = fcc.per_message_encoder(spec, 1, parities)
+    assert enc.r >= 10
+    for t in (1, 2):
+        channel = ChannelModel(t, "exhaustive")
+        got, settle = _settle(enc, channel)
+        assert settle == "trials" and got == reference_simulate(enc, channel)
+        assert got.failures > 0 and got.decodes == 1
+    # a list out of order, or with a message twice, keeps the list's order
+    wt = functions.wt_cyclic_encoder(5, 1)
+    for order in ([9, 3, 17], [3, 9, 9, 17]):
+        messages = [BitWord(u, 5) for u in order]
+        channel = ChannelModel(2, "exhaustive")
+        got, settle = _settle(wt, channel, messages)
+        assert settle == "trials" and got == reference_simulate(wt, channel, messages)
+    messages = [BitWord(u, 5) for u in (3, 9, 17)]
+    got, settle = _settle(wt, channel, messages)
+    assert settle == "patterns" and got == reference_simulate(wt, channel, messages)
+
+
 def test_simulate_trace_names_the_route():
     # channels beyond the encoder's t = 1, so the check fails and trials run
     enc = functions.wt_cyclic_encoder(6, 1)
@@ -1145,6 +1248,7 @@ def test_simulate_trace_names_the_route():
     report = simulate(enc, ChannelModel(2, "exhaustive"), trace=lines.append)
     assert len(lines) == 1
     assert lines[0].startswith(f"route=tables E=7 n={n} depth=2 mask_bits={7 << n} build_ms=")
+    assert lines[0].endswith(" settle=patterns")
     assert (report.route, report.decodes) == ("tables", 1)
     lines.clear()
     # one random trial does not pay for 7 * 2^n mask bits
