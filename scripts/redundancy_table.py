@@ -18,6 +18,9 @@ import sys
 
 from fcodes import tables
 
+# the families whose rows take a free k; a min-max row's k is w*l, so those
+# rows keep their w-only form
+FREE_K = ("binary", "wt", "delta_T")
 ROWS = [
     ("binary", 1, {}),
     ("binary", 2, {}),
@@ -34,14 +37,14 @@ ROWS = [
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--k", type=int, help="message length for the data-route column")
+    ap.add_argument("--k", type=int, help="message length of the binary, wt and delta_T rows")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
 
     rows = []
     for name, t, params in ROWS:
         p = dict(params)
-        if args.k is not None:
+        if args.k is not None and name in FREE_K:
             p.setdefault("k", str(args.k))
         rows.append(tables.table_row(name, t, p))
 

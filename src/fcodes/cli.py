@@ -75,7 +75,7 @@ def _params(args) -> dict[str, str]:
         config = _load_config(args.config)
         unknown = sorted(set(config) - _flag_dests())
         if unknown:
-            raise ValueError(f"config key {unknown[0]!r} names no flag of any subcommand")
+            raise ValueError(f"config key {unknown[0]!r} names no value flag of any subcommand")
         params.update(config)
     flags = {
         key: str(val)
@@ -84,6 +84,8 @@ def _params(args) -> dict[str, str]:
     }
     merged = {**params, **flags}
     if "encoder" in merged and "encoder" in vars(args):
+        if "construction" in flags:
+            raise ValueError("--encoder takes no --construction")
         with open(merged["encoder"], "r", encoding="utf-8") as fh:
             params["encoder_text"] = merged["encoder_text"] = fh.read()
     text, pairs = _function(args.command, merged)
@@ -138,7 +140,9 @@ def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[st
     oracle's is its kind (`minmax`, or `ml:<--ml-kind>`); any other call's is
     the first that names one of --function (the flag, then the config), then,
     for an encoder, the `# function:` header of the --encoder file (whose
-    `# k:` fills a k the string leaves out) and the named construction's."""
+    `# k:` fills a k the string leaves out) and the named construction's. A
+    key the string's family does not take is a usage error here, before any
+    pair can stand in for a flag."""
     text, pairs = params.get("function"), {}
     if command == "oracle":
         text = "minmax" if params["kind"] == "minmax" else "ml:" + _need(params, "ml_kind")
@@ -148,7 +152,12 @@ def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[st
         if "encoder" in params:  # the reader's own headers
             headers = fcc.encoder_headers(params["encoder_text"])[0]
             text, pairs = headers.get("function"), {"k": headers["k"]} if "k" in headers else {}
-    return text, {**pairs, **fcc.parse_spec_string(text)[1]} if text else {}
+    if not text:
+        return text, {}
+    family, own = fcc.parse_spec_string(text)
+    if family == "binary" or family in fcc.registered_spec_names():  # else its build fails
+        fcc.check_spec_pairs(family, own, tables.row_keys(family))
+    return text, {**pairs, **own}
 
 
 def _flag(name: str) -> str:
@@ -315,12 +324,11 @@ def cmd_build_code(args, params: dict[str, str]) -> _Result:
     if kind == "even-weight":
         count, length = _need(params, "count", int), _need(params, "length", int)
         return _built(construct.even_weight_subcode(count, length), out, "even-weight subcode")
-    if kind == "replicate":
-        with open(_need(params, "infile"), "r", encoding="utf-8") as fh:
-            code = Code.from_text(fh.read())
-        factor = _need(params, "factor", int)
-        return _built(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
-    raise ValueError(f"unknown kind {kind!r}")
+    # replicate, the last of --kind's choices
+    with open(_need(params, "infile"), "r", encoding="utf-8") as fh:
+        code = Code.from_text(fh.read())
+    factor = _need(params, "factor", int)
+    return _built(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
 
 
 # construction -> (the family it protects, name of the `functions` builder,
@@ -465,13 +473,12 @@ def cmd_oracle(args, params: dict[str, str]) -> _Result:
             f"claims {'hold' if ok else 'VIOLATED'}\n",
         ])
         return (0 if ok else 1), payload, text
-    if params["kind"] == "ml":
-        t, spec = _need(params, "t", int), _spec(params)
-        lemma = functions.ml_distance_matrix(spec, t)
-        match = lemma.entries == fcc.function_distance_matrix(spec, t).entries
-        text = f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}\n"
-        return (0 if match else 1), {"dim": lemma.dim, "match": match}, text
-    raise ValueError(f"unknown oracle kind {params['kind']!r}")
+    # ml, the other of --kind's choices
+    t, spec = _need(params, "t", int), _spec(params)
+    lemma = functions.ml_distance_matrix(spec, t)
+    match = lemma.entries == fcc.function_distance_matrix(spec, t).entries
+    text = f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}\n"
+    return (0 if match else 1), {"dim": lemma.dim, "match": match}, text
 
 
 # --- parser ------------------------------------------------------------------
@@ -623,11 +630,12 @@ def _parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _flag_dests() -> frozenset[str]:
-    """The dest of every flag of every subcommand: the keys a config may set,
-    so one config file can serve several subcommands."""
+    """The dest of every value flag (not on/off, not --config) of every
+    subcommand: the keys a config may set, so one config can serve several."""
     (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     return frozenset(
-        a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"
+        a.dest for p in sub.choices.values() for a in p._actions
+        if a.nargs != 0 and a.dest != "config"
     )
 
 

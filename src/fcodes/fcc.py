@@ -465,10 +465,10 @@ def verify_fcc(
     to that depth (`_closest_approaches`), and on success pairs_checked
     counts the class pairs with different values; a per-value encoder's
     classes are its values, so there it counts value pairs. An encoder with
-    too many classes for that to pay, and any encoder that violates, is
-    checked over every difference vector e of weight 1..2t (pairs further
-    apart satisfy the condition on message distance alone) by the
-    message-level kernel: the image-index and parity bit planes, 2^k-bit
+    too many classes for that to pay (in either mode), and any encoder that
+    violates, is checked over every difference vector e of weight 1..2t
+    (pairs further apart satisfy the condition on message distance alone) by
+    the message-level kernel: the image-index and parity bit planes, 2^k-bit
     masks, are XOR-translated by e, and their differences mark the pairs
     (u, u ^ e), u < u ^ e, whose values differ and whose parities are too
     close. pairs_checked then counts message pairs with differing values.
@@ -547,23 +547,22 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
 def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
     """The masks, image indices and parities of the (value, parity) classes.
 
-    A per-value encoder's classes are its values. A per-message encoder's
-    values split on the bit planes of its message key, top plane first,
-    dropping empty halves; its words are distinct, so these are the classes.
-    The split gives up, with None, once the class check would do more 2^k-bit
-    operations than the message-level kernel: its pair tests are up to
-    E'^2 t ANDs, and the kernel half-swaps each of its image-index and r
-    parity planes, five operations each, once per translation, of which there
-    are sum of C(k, w), w = 1..2t."""
-    spec = encoder.spec
-    if encoder.message_key is None:
-        return spec.preimage_masks, range(len(spec.image)), encoder.words
+    A per-value encoder's word index is its value index, so its values are
+    its classes. A per-message encoder's values split on the bit planes of
+    its message key, top plane first, dropping empty halves; its words are
+    distinct, so these are the classes. In both modes this gives up, with
+    None, once the class check would do more 2^k-bit operations than the
+    message-level kernel: its pair tests are up to E'^2 t ANDs, and the
+    kernel half-swaps each of its image-index and r parity planes, five
+    operations each, once per translation, of which there are sum of
+    C(k, w), w = 1..2t."""
+    spec, key = encoder.spec, encoder.message_key
     planes = (len(spec.image) - 1).bit_length() + encoder.r
     # E' <= most iff E'^2 t <= 5 * translations * planes
     most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
-    classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
-    width = (len(encoder.words) - 1).bit_length()
-    for plane in reversed(_bit_planes(encoder.message_key, width)):
+    classes = [(m, i, i if key is None else 0) for i, m in enumerate(spec.preimage_masks)]
+    split_on = [] if key is None else _bit_planes(key, (len(encoder.words) - 1).bit_length())
+    for plane in reversed(split_on):
         if len(classes) > most:
             return None
         split = []

@@ -622,10 +622,9 @@ def ml_kind_from_pairs(name: str, a: str | None, b: str | None) -> MlFunctionKin
 
 
 def _build_ml(p: dict[str, str]) -> FunctionSpec:
-    kind_name = p.get("kind") or p.get("arg")
-    if kind_name is None:
+    if "arg" not in p:
         raise ValueError("ml needs a kind, e.g. ml:sigmoid,k=5,eps=1")
-    kind = ml_kind_from_pairs(kind_name, p.get("a"), p.get("b"))
+    kind = ml_kind_from_pairs(p["arg"], p.get("a"), p.get("b"))
     q = Quantizer(_get(p, "k", int), _get(p, "eps", Fraction))
     return ml_spec(kind, q)
 
@@ -640,4 +639,4 @@ for _name, _build, _keys in (
     fcc.register_spec_builder(_name, _int_family(_build, *_keys), _keys)
 fcc.register_spec_builder("minmax", _build_minmax, ("k", "w", "l"))
 fcc.register_spec_builder("indicator", _build_indicator, ("k", "path"))
-fcc.register_spec_builder("ml", _build_ml, ("k", "kind", "arg", "eps", "a", "b"))
+fcc.register_spec_builder("ml", _build_ml, ("k", "arg", "eps", "a", "b"))

@@ -1021,6 +1021,43 @@ def test_config_key_of_no_flag_is_usage_error(capsys, tmp_path, text):
     assert len(err.strip().splitlines()) == 1 and "'seeds'" in err
 
 
+@pytest.mark.parametrize("text", ["json=1", "trace=1", "row_symmetry=1", "config=x.cfg"])
+def test_config_key_of_an_on_off_flag_or_of_config_is_usage_error(capsys, tmp_path, text):
+    # a config sets value flags only: these keys would otherwise be ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    code, out, err = run(capsys, "fcc-verify", "--function", "wt", "--k", "4", "--t", "1",
+                         "--config", str(cfg))
+    assert (code, out) == (2, "")
+    key = text.partition("=")[0]
+    assert err == f"error: config key {key!r} names no value flag of any subcommand\n"
+
+
+def test_encoder_takes_no_construction_flag(capsys, tmp_path):
+    # the file's own function decides; a construction for another family
+    # next to it is refused, while a config may still name one
+    enc = str(tmp_path / "w6.txt")
+    assert run(capsys, "fcc-build", "--function", "wt", "--k", "6", "--t", "1",
+               "--construction", "wt-cycle", "--out", enc)[0] == 0
+    code, out, err = run(capsys, "fcc-verify", "--encoder", enc, "--construction", "minmax-spc")
+    assert (code, out, err) == (2, "", "error: --encoder takes no --construction\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("construction=minmax-spc\n")
+    assert run(capsys, "fcc-verify", "--encoder", enc, "--config", str(cfg))[:2] == (0, "OK\n")
+
+
+@pytest.mark.parametrize("argv, family, key", [
+    (["table", "--function", "ml:sigmoid,kind=tanh,k=6,eps=3/5", "--t", "1"], "ml", "kind"),
+    (["build-code", "--kind", "greedy", "--matrix", "function", "--function",
+      "ml:kind=tanh,k=6,eps=3/5", "--t", "1"], "ml", "kind"),
+    (["fcc-build", "--function", "wt:k=4,trials=3", "--t", "1", "--construction", "wt-cycle"],
+     "wt", "trials"),
+], ids=["table-kind", "build-code-kind", "construction-trials"])
+def test_a_function_pair_its_family_does_not_take_is_usage_error(capsys, argv, family, key):
+    # the ml kind is the bare token only, and no pair stands in for a flag
+    assert run(capsys, *argv) == (2, "", f"error: {family!r} takes no parameter {key!r}\n")
+
+
 def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
     # seed, sample and construction are fcc-verify flags, order and size
     # bounds flags, none of them a table flag; each reads the keys it has

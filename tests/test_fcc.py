@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -632,6 +633,74 @@ def test_verify_cost_rule_picks_the_route_by_class_count():
         assert (classes ** 2 <= 5 * 36 * (7 + x)) == (route == "class")
         res = fcc.verify_fcc(enc)
         assert res.ok and res.route == route
+
+
+def _identity_encoder(k: int) -> fcc.FccEncoder:
+    """The identity on k bits, per value, with the message repeated twice as
+    its parity: codewords with different values are 3d(u, v) apart."""
+    spec = fcc.FunctionSpec(k, lambda u: u, range(1 << k), name=f"id{k}")
+    return fcc.FccEncoder(spec, 1, 2 * k, tuple(u << k | u for u in range(1 << k)))
+
+
+def _with_word(enc: fcc.FccEncoder, i: int, word: int) -> fcc.FccEncoder:
+    return dataclasses.replace(enc, words=enc.words[:i] + (word,) + enc.words[i + 1:])
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_per_value_encoders_follow_the_class_cost_rule(k):
+    # the rule of `_classes` holds per-value encoders as it holds per-message
+    # ones: E classes pay when E^2 t <= 5 * translations * planes, here
+    # k + 2k planes and sum C(k, w), w = 1..2 translations, so up to k = 5;
+    # above that the message-level kernel checks the identity
+    enc = _identity_encoder(k)
+    e, pays = 1 << k, (1 << 2 * k) <= 5 * (k + comb(k, 2)) * 3 * k
+    assert (fcc._classes(enc, 1) is not None) == pays == (k <= 5)
+    res = fcc.verify_fcc(enc)
+    if pays:  # value pairs
+        assert (res.ok, res.route, res.pairs_checked) == (True, "class", e * (e - 1) // 2)
+    else:
+        assert res.route == "message-level"
+        assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(enc)
+    # one parity bit flipped: the value across that bit is 2 away
+    bad = _with_word(enc, 5 % e, enc.words[5 % e] ^ 1 << k)
+    res = fcc.verify_fcc(bad)
+    assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(bad)
+    assert res.route == "message-level" and not res.ok
+    if k <= 8:
+        assert (res.ok, res.witness) == naive_verify(bad)
+        assert naive_verify(enc) == (True, None)
+
+
+@pytest.fixture(scope="module")
+def sigmoid_642():
+    """The `auto` encoder of a quantized sigmoid with 642 values at t = 1."""
+    spec = fcc.spec_from_string("ml:sigmoid,k=10,eps=1/32")
+    return fcc.build_function_value_encoder(spec, 1)
+
+
+def test_many_valued_activation_takes_the_message_route(sigmoid_642):
+    enc = sigmoid_642
+    assert (len(enc.spec.image), enc.r, enc.mode) == (642, 7, fcc.PER_VALUE)
+    assert fcc._classes(enc, 1) is None
+    res = fcc.verify_fcc(enc)
+    assert (res.ok, res.route) == (True, "message-level")
+    assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(enc)
+    # a value whose word takes that of a value one bit flip away: the copy
+    # violates
+    idx = enc.spec.index_table
+    u = next(u for u in range(1024) if idx[u] != idx[u ^ 1])
+    bad = _with_word(enc, idx[u], enc.words[idx[u ^ 1]])
+    res = fcc.verify_fcc(bad)
+    assert not res.ok and res.route == "message-level"
+    assert (res.ok, res.witness, res.pairs_checked) == reference_message_verify(bad)
+
+
+def test_many_valued_activation_is_certified_by_simulate(sigmoid_642):
+    # the same report as when the certificate took the class route
+    report = simulate(sigmoid_642, ChannelModel(1, "exhaustive"))
+    assert report.route == "certified"
+    assert (report.trials, report.failures, report.witness, report.decodes) == (
+        1024 * sphere_size(17, 1), 0, None, 0)
 
 
 def test_verify_message_route_with_more_than_256_values():

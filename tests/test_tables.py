@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,20 @@ def test_minmax_row_w2_uses_2t_floor():
     row = tables.table_row("minmax", 1, {"w": "2"})
     assert row.lower_bound.value == 2
     assert row.fcc_redundancy.value == 2
+
+
+def test_redundancy_table_script_gives_k_to_the_free_k_rows_only(capsys, monkeypatch):
+    # README's first experiment: binary, wt and delta_T rows take k = 1024,
+    # the min-max rows keep their w-only form (their k is w*l)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "redundancy_table.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--k", "1024"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 10
+    for row in rows:
+        assert ("ecc-data=t log k*" in row) == row.startswith("minmax")
 
 
 def test_generic_registry_row():
