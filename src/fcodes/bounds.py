@@ -134,6 +134,16 @@ def heuristic_row_order(dmat: DistanceMatrix) -> tuple[int, ...]:
     return tuple(sorted(range(dmat.dim), key=lambda i: (-sums[i], i)))
 
 
+def gv_threshold_and_order(dmat: DistanceMatrix) -> tuple[int, tuple[int, ...] | None]:
+    """The greedy length and row order of every greedy build: the smaller
+    `gv_irregular_threshold` of the identity order (None, which wins ties)
+    and `heuristic_row_order`. Either threshold bounds N(M, D) above."""
+    r = gv_irregular_threshold(dmat)
+    order = heuristic_row_order(dmat)
+    r_heur = gv_irregular_threshold(dmat, order)
+    return (r_heur, order) if r_heur < r else (r, None)
+
+
 def hadamard_upper(size: int, dist: int) -> BoundResult | None:
     """Upper bound N ≤ 2·D from a Hadamard-derived code, when one exists.
 
@@ -171,14 +181,14 @@ def sandwich(dmat: DistanceMatrix) -> tuple[BoundResult, BoundResult]:
     """Bracket N(M, D) between the largest single requirement and a GV bound.
 
     Lower: some pair must differ in D_max coordinates, so N ≥ D_max. Upper:
-    the closed form at D_max when its range applies, else the exact greedy
-    threshold on the matrix itself.
+    the closed form at D_max when its range applies, else the greedy
+    threshold on the matrix itself (`gv_threshold_and_order`).
     """
     d_max = dmat.max_entry
     lower = _lower(Fraction(d_max), "max-entry")
     upper = gv_regular_closed_form(dmat.dim, d_max)
     if upper is None:
-        upper = _upper(Fraction(gv_irregular_threshold(dmat)), "gv-threshold")
+        upper = _upper(Fraction(gv_threshold_and_order(dmat)[0]), "gv-threshold")
     return lower, upper
 
 

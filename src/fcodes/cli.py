@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -54,9 +53,8 @@ def _load_config(path: str) -> dict[str, str]:
 # values of the flags that have one when neither the command line nor the
 # config names them
 _DEFAULTS = {
-    "matrix": "dwt", "order": "id", "max_length": "16", "max_nodes": "2000000",
-    "time_limit": "30.0", "construction": "auto", "seed": "0", "channel": "exhaustive",
-    "trials": "1000", "messages": "all",
+    "matrix": "dwt", "max_length": "16", "max_nodes": "2000000", "time_limit": "30.0",
+    "construction": "auto", "seed": "0", "channel": "exhaustive", "trials": "1000",
 }
 # the parameters a registry string may take from the flags
 _SPEC_KEYS = ("k", "T", "w", "l", "eps", "a", "b", "path")
@@ -68,8 +66,8 @@ def _params(args) -> dict[str, str]:
     `_function`), then explicit flags; and, for a subcommand with an
     --encoder flag, the text of the file it names under `encoder_text`, read
     once. A config key that is no flag of any subcommand, a flag that
-    contradicts one of those pairs, and a spec flag, --function, --t or
-    --matrix that the call does not read (see `_reads`) are usage errors."""
+    contradicts one of those pairs, and a value flag that a `bounds` or
+    `build-code` call does not read (see `_reads`) are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
         config = _load_config(args.config)
@@ -94,13 +92,9 @@ def _params(args) -> dict[str, str]:
             raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
     params.update(pairs)
     params.update(flags)
-    reads = _reads(args.command, params)
-    if reads is not None:
-        option, keys = reads
-        extra = sorted(({*_SPEC_KEYS, "function", "t", "matrix"} & set(flags)) - keys)
-        if extra:
-            raise ValueError(f"{option} takes no {_flag(extra[0])}")
-    elif text:  # an explicit spec flag is held to the family's keys like a pair
+    reads = _reads(args.command, params, flags)
+    if text and (reads is None or "function" in reads):
+        # an explicit spec flag is held to the family's keys like a pair
         params["function"] = text
         family = fcc.parse_spec_string(text)[0]
         fcc.check_spec_pairs(family, set(_SPEC_KEYS) & set(flags), tables.row_keys(family))
@@ -118,21 +112,31 @@ def _same_value(key: str, flag: str, pair: str) -> bool:
         return False
 
 
-def _reads(command: str, params: dict[str, str]) -> tuple[str, set[str]] | None:
-    """The spec flags, --function, --t and --matrix that a `bounds` or
-    `build-code` call reads when no function decides them, with the option
-    that decides: a dwt matrix reads --matrix, k and t, a matrix file
-    --matrix alone, a method without a matrix the values it takes, a code
-    kind without one none. None for a function matrix, and for any other
-    command, whose function decides."""
-    if command == "bounds" and "matrix" not in _BOUNDS[params["method"]][1]:
-        return f"--method {params['method']}", set(_BOUNDS[params["method"]][1])
-    if command == "build-code" and params["kind"] not in ("greedy", "exact"):
-        return f"--kind {params['kind']}", set()
-    if command not in ("bounds", "build-code") or params["matrix"] == "function":
+# matrix source -> the flags it reads besides --matrix; a function matrix's
+# spec flags are then held to its family's keys
+_MATRIX_READS = {"dwt": {"k", "t"}, "file": {"file"}, "function": {"function", "t", *_SPEC_KEYS}}
+
+
+def _reads(command: str, params: dict[str, str], flags: dict[str, str]) -> set[str] | None:
+    """The value flags a `bounds` or `build-code` call reads: its method's
+    values (`_BOUNDS`) or its kind's (`_KINDS`, and --out), where "matrix"
+    adds what the matrix source reads (`_MATRIX_READS`). Any other flag in
+    `flags` is a usage error, named with the option that decides: --matrix
+    for a flag some matrix source reads, else --method or --kind. None for
+    any other command, whose function decides."""
+    if command not in ("bounds", "build-code"):
         return None
-    dwt = params["matrix"] == "dwt"
-    return f"--matrix {params['matrix']}", {"matrix", "k", "t"} if dwt else {"matrix"}
+    name = "method" if command == "bounds" else "kind"
+    values = _BOUNDS[params[name]][1] if command == "bounds" else (*_KINDS[params[name]], "out")
+    keys, owner = {name, "config", *values}, f"--{name} {params[name]}"
+    if "matrix" in values:  # an unknown source fails where the matrix is made
+        keys |= _MATRIX_READS.get(params["matrix"], set())
+    extra = sorted(set(flags) - keys)
+    if extra and "matrix" in values and extra[0] in {"file", *_MATRIX_READS["function"]}:
+        owner = f"--matrix {params['matrix']}"
+    if extra:
+        raise ValueError(f"{owner} takes no {_flag(extra[0])}")
+    return keys
 
 
 def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[str, str]]:
@@ -193,12 +197,6 @@ def _matrix(params: dict[str, str]) -> DistanceMatrix:
     raise ValueError(f"unknown matrix source {source!r}")
 
 
-def _row_order(params: dict[str, str], dmat: DistanceMatrix) -> list[int] | None:
-    if params["order"] not in ("id", "heuristic"):
-        raise ValueError(f"unknown order {params['order']!r}")
-    return bounds.heuristic_row_order(dmat) if params["order"] == "heuristic" else None
-
-
 def _written(text: str, out: str | None) -> str:
     """The stdout text of a file a command makes: `text`, or nothing when
     --out names where it goes (the file is written here, in either mode)."""
@@ -217,12 +215,12 @@ def _written(text: str, out: str | None) -> str:
 _Result = tuple[int, dict, str]
 
 # method -> (name of the `bounds` function, the values it takes), where
-# "matrix" is the requirement matrix and "order" its row order; looked up
-# when called, so the function can be replaced at run time
+# "matrix" is the requirement matrix; looked up when called, so the function
+# can be replaced at run time
 _BOUNDS = {
     "plotkin": ("plotkin_irregular", ("matrix",)),
     "plotkin-regular": ("plotkin_regular", ("size", "dist")),
-    "gv": ("gv_irregular_threshold", ("matrix", "order")),
+    "gv": ("gv_threshold_and_order", ("matrix",)),
     "hadamard": ("hadamard_upper", ("size", "dist")),
     "gv-closed": ("gv_regular_closed_form", ("size", "dist")),
     "sandwich": ("sandwich", ("matrix",)),
@@ -250,12 +248,10 @@ def _bound_output(res) -> tuple[dict, str]:
 
 def cmd_bounds(args, params: dict[str, str]) -> _Result:
     name, needs = _BOUNDS[params["method"]]
-    if "matrix" in needs:
-        dmat = _matrix(params)
-        values = [dmat, _row_order(params, dmat)] if "order" in needs else [dmat]
-    else:
-        values = [_need(params, n, int) for n in needs]
-    payload, text = _bound_output(getattr(bounds, name)(*values))
+    values = [_matrix(params)] if "matrix" in needs else [_need(params, n, int) for n in needs]
+    res = getattr(bounds, name)(*values)
+    # gv's result is (length, row order), and the length bounds N
+    payload, text = _bound_output(res[0] if params["method"] == "gv" else res)
     return 0, payload, text + "\n"
 
 
@@ -271,15 +267,26 @@ def _not_built(message: str, length: int | None = None) -> _Result:
     return 1, {"length": length, "code": None}, ""
 
 
+# kind -> the values `build-code --kind` takes besides --out, where "matrix"
+# is the requirement matrix
+_KINDS = {
+    "greedy": ("matrix", "length"),
+    "exact": ("matrix", "max_length", "max_nodes", "time_limit"),
+    "hadamard": ("dist",),
+    "reed-muller": ("rm_order", "log_length"),
+    "even-weight": ("count", "length"),
+    "replicate": ("infile", "factor"),
+}
+
+
 def cmd_build_code(args, params: dict[str, str]) -> _Result:
     kind, out = params["kind"], params.get("out")
     if kind == "greedy":
         dmat = _matrix(params)
-        order = _row_order(params, dmat)
+        r, order = bounds.gv_threshold_and_order(dmat)
         if "length" in params:
             r = int(params["length"])
         else:
-            r = bounds.gv_irregular_threshold(dmat, order)
             print(f"using gv threshold length r={r}", file=sys.stderr)
         code = construct.greedy_irregular_code(dmat, r, order)
         if code is None:
@@ -358,10 +365,8 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
         if family != expected:
             raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
         values = [_need(params, n, int) for n in needs]
-        if expected == "minmax" and "k" in params:
-            w_l = _need(params, "w", int) * _need(params, "l", int)
-            if int(params["k"]) != w_l:
-                raise ValueError(f"k={params['k']} inconsistent with w*l={w_l}")
+        if expected == "minmax":
+            functions.check_minmax_k(params.get("k"), int(params["w"]), int(params["l"]))
         return getattr(functions, builder)(*values)
     t = _need(params, "t", int)
     if name == "locally-binary":
@@ -429,16 +434,8 @@ def cmd_simulate(args, params: dict[str, str]) -> _Result:
     t = int(params["channel_t"]) if "channel_t" in params else encoder.t
     seed, trials = _need(params, "seed", int), _need(params, "trials", int)
     channel = ChannelModel(t=t, mode=params["channel"], seed=seed, trials=trials)
-    messages, wanted = None, params["messages"]
-    if wanted != "all":
-        head, _, count = wanted.partition(":")
-        if head != "sample" or not count.isdigit() or int(count) < 1:
-            raise ValueError(f"--messages must be 'all' or 'sample:N', N >= 1, got {wanted!r}")
-        rng = random.Random(seed)
-        k = encoder.spec.k
-        messages = [BitWord(rng.randrange(1 << k), k) for _ in range(int(count))]
     started = time.perf_counter()
-    report = simulate(encoder, channel, messages, trace=_trace if args.trace else None)
+    report = simulate(encoder, channel, trace=_trace if args.trace else None)
     if args.trace:
         _trace(f"trials={report.trials} failures={report.failures} "
                f"decodes={report.decodes} elapsed_s={time.perf_counter() - started:.6f}")
@@ -534,20 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="number of words M")
     p.add_argument("--dist", type=int, help="common distance requirement D")
     p.add_argument("--image-size", type=int, help="function image size E")
-    p.add_argument("--order", choices=["id", "heuristic"])
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("build-code", help="construct a code")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["greedy", "exact", "hadamard", "reed-muller", "even-weight", "replicate"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_KINDS))
     _add_matrix_source(p)
     _add_spec_params(p)
     p.add_argument("--length", type=int, help="code length (greedy/even-weight)")
-    p.add_argument("--order", choices=["id", "heuristic"])
     p.add_argument("--max-length", type=int)
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--time-limit", type=float)
@@ -600,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel-t", type=int, help="channel error budget (default: encoder t)")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--messages", help="all | sample:N")
     p.add_argument("--trace", action="store_true", help="print the route and totals to stderr")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)

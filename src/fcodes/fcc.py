@@ -383,22 +383,14 @@ def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], bytes | memoryview]:
 def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Encoder whose parity depends on the function value only.
 
-    Builds the value-level requirement matrix, takes the better of the
-    identity and descending-row-sum greedy thresholds, and fills the parities
-    first-fit at that length. The greedy build cannot fail there, and the
-    resulting encoder protects f against t substitutions: messages with
-    different values are either 2t+1 apart already or their parities make up
-    the difference.
+    Builds the value-level requirement matrix and fills the parities
+    first-fit at the length and in the row order `bounds.gv_threshold_and_order`
+    picks. The greedy build cannot fail there, and the resulting encoder
+    protects f against t substitutions: messages with different values are
+    either 2t+1 apart already or their parities make up the difference.
     """
     dmat = function_distance_matrix(spec, t)
-    r_id = bounds.gv_irregular_threshold(dmat)
-    order: Sequence[int] | None = None
-    r = r_id
-    heur = bounds.heuristic_row_order(dmat)
-    r_heur = bounds.gv_irregular_threshold(dmat, heur)
-    if r_heur < r_id:
-        order = heur
-        r = r_heur
+    r, order = bounds.gv_threshold_and_order(dmat)
     code = construct.greedy_irregular_code(dmat, r, order)
     if code is None:  # pragma: no cover - contradicts the threshold guarantee
         raise RuntimeError("greedy build failed at its own existence threshold")

@@ -587,11 +587,16 @@ def _int_family(build, *keys: str):
     return lambda p: build(*(_get(p, key, int) for key in keys))
 
 
+def check_minmax_k(k: int | str | None, w: int, l: int) -> None:
+    """The min-max rule k = w·l: a given k that breaks it is an error."""
+    if k is not None and int(k) != w * l:
+        raise ValueError(f"k={k} inconsistent with w*l={w * l}")
+
+
 def _build_minmax(p: dict[str, str]) -> FunctionSpec:
     w = _get(p, "w", int)
     l = _get(p, "l", int)
-    if "k" in p and int(p["k"]) != w * l:
-        raise ValueError(f"k={p['k']} inconsistent with w*l={w * l}")
+    check_minmax_k(p.get("k"), w, l)
     return minmax_spec(w, l)
 
 

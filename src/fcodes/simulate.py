@@ -1,9 +1,10 @@
 """Substitution-channel harness: drive an encoder through error patterns.
 
-Exhaustive mode enumerates every pattern of weight 0..t (by weight, then by
-lexicographic position set, so witnesses are canonical); random mode draws
-(message, pattern) pairs from a seeded `random.Random` — same seed, same
-report, always. Both modes cap the pattern weight at the block length.
+Every run is over all 2^k messages. Exhaustive mode enumerates every
+pattern of weight 0..t (by weight, then by lexicographic position set, so
+witnesses are canonical); random mode draws (message, pattern) pairs from a
+seeded `random.Random` — same seed, same report, always. Both modes cap the
+pattern weight at the block length.
 
 An encoder protects f against t substitutions iff every two codewords with
 different values are 2t+1 apart: then each word within t of c(u) is at least
@@ -18,13 +19,12 @@ skipped.
 An encoder that fails the check runs its trials. A received word y = c(u) ^
 e lies within wt(e) <= t of the code, so per-value tables of every word
 within t of a codeword, each labelled with the value `decode` returns for it
-(`fcc._nearest_value_masks`), settle every trial, in both modes and for any
-message list. An exhaustive run over ascending messages that is cheap enough
-(_WALK_BITS_PER_TRIAL) is settled one error pattern at a time: the bit
-planes of the labels, translated by the pattern, mark every codeword it
-moves to a word of another value, so one popcount counts the pattern's
-failures over all messages (`_failures_by_pattern`). Any other run takes one
-bit test per trial. Only the first failure is decoded, for its witness.
+(`fcc._nearest_value_masks`), settle every trial, in both modes. An
+exhaustive run that is cheap enough (_WALK_BITS_PER_TRIAL) is settled one
+error pattern at a time: the bit planes of the labels, translated by the
+pattern, mark every codeword it moves to a word of another value, so one
+popcount counts the pattern's failures over all messages
+(`_failures_by_pattern`). Any other run takes one bit test per trial. Only the first failure is decoded, for its witness.
 Functions with too many values for the tables to pay off call `decode` on
 every trial. The report's `route` names which of the three routes settled
 it, and `decodes` counts the words handed to `decode`.
@@ -129,22 +129,21 @@ class SimulationReport:
 def simulate(
     encoder: FccEncoder,
     channel: ChannelModel,
-    messages: Iterable[BitWord] | None = None,
     trace: Callable[[str], None] | None = None,
 ) -> SimulationReport:
     """Decode every (message, error) combination and count wrong values.
 
-    `messages` defaults to every message. The first failure (in enumeration
+    The messages are all 2^k of them. The first failure (in enumeration
     order) is kept as the witness; a verified encoder must come back with
     zero failures in exhaustive mode. An encoder that passes the exhaustive
     FCC check at channel.t (capped at n) is certified: no trial can fail, so
     none is run. Otherwise the trials are settled on the per-value tables
     of `fcc._nearest_value_masks` grown to depth channel.t, which label
     every word a trial can produce as `decode` would: an exhaustive run
-    over all messages, or an ascending list, whose label planes cost at
-    most _WALK_BITS_PER_TRIAL per trial by error pattern over all messages
-    at once, any other run by one bit test per trial. Only the witness is
-    decoded. Above _TABLE_BITS_PER_TRIAL every trial is decoded instead.
+    whose label planes cost at most _WALK_BITS_PER_TRIAL per trial by error
+    pattern over all messages at once, any other run by one bit test per
+    trial. Only the witness is decoded. Above _TABLE_BITS_PER_TRIAL every
+    trial is decoded instead.
     `trace` receives one line naming the route (and, on the tables, how the
     trials were settled: `settle=patterns` or `settle=trials`).
     """
@@ -152,19 +151,10 @@ def simulate(
     k, r = spec.k, encoder.r
     n = k + r
     depth = min(channel.t, n)
-    if messages is None:
-        msgs: Sequence[int] = range(1 << k)
-    else:
-        msgs = []
-        for u in messages:
-            if u.length != k:
-                raise ValueError(f"message length {u.length}, expected {k}")
-            msgs.append(u.value)
+    msgs = range(1 << k)
     if channel.mode == "exhaustive":
         trials, seed = len(msgs) * sphere_size(n, depth), None
     else:
-        if not msgs:
-            raise ValueError("random channel needs at least one message")
         trials, seed = channel.trials, channel.seed
     checking = time.perf_counter()
     if depth == 0 or (
@@ -203,8 +193,6 @@ def simulate(
         by_pattern = (
             channel.mode == "exhaustive"
             and ((len(tables) - 1).bit_length() + 1) << n <= _WALK_BITS_PER_TRIAL * len(msgs)
-            # ascending, so the lowest failing codeword is the first message
-            and (messages is None or all(a < b for a, b in zip(msgs, msgs[1:])))
         )
         if not by_pattern:
             size = ((1 << n) + 7) >> 3
@@ -243,9 +231,9 @@ def simulate(
 def _failures_by_pattern(
     tables: list[int], msgs: Sequence[int], par: Sequence[int], r: int, n: int, depth: int
 ) -> tuple[int, tuple[int, int] | None]:
-    """How many trials fail over every message in `msgs` (ascending) and
-    every n-bit pattern of weight 0..depth, and the first failure in
-    (message, `error_patterns`) order as (u, e), or None.
+    """How many trials fail over every message in `msgs` (all of them, in
+    ascending order) and every n-bit pattern of weight 0..depth, and the
+    first failure in (message, `error_patterns`) order as (u, e), or None.
 
     Label plane b is the set of words whose image index in `tables` has bit
     b set. Codewords are distinct, so each is labelled with its own value,

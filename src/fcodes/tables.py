@@ -144,9 +144,9 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         if w < 2 or l < 2:  # minmax_spec's conditions; the row cannot do without w
             raise ValueError(f"minmax row needs w >= 2 and l >= 2, got w={p.get('w')}, l={p.get('l')}")
         e = w * (w - 1)
-        k_mm = w * l if "l" in p else k
-        if k is not None and k != k_mm:
-            raise ValueError(f"k={k} inconsistent with w*l={k_mm}")
+        if "l" in p:
+            functions.check_minmax_k(k, w, l)
+            k = w * l
         if k is not None and (k % w or k < 2 * w):  # a k without l
             raise ValueError(f"k={k} is not w*l for w={w} and any block length l >= 2")
         lower = 2 * t
@@ -157,7 +157,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             f"minmax(w={w})",
             t,
             lower_bound=_exact(lower),
-            ecc_on_data=_ecc_data_entry(k_mm, t),
+            ecc_on_data=_ecc_data_entry(k, t),
             ecc_on_function_values=_ecc_values_entry(e, t, "log E + t log log E"),
             fcc_redundancy=_exact(achieved),
         )

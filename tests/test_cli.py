@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from fcodes import fcc, functions
+from fcodes import bounds, cli, construct, fcc, functions
 from fcodes.bits import BitWord
 from fcodes.cli import main
 
@@ -57,6 +58,58 @@ def test_bounds_gv_function_matrix(capsys):
     assert out.strip() == "2"
 
 
+# the (function, t) cases where the row-sum order's GV threshold is below
+# the identity order's
+_ORDER_MOVES = [
+    ("minmax:w=4,l=2", 2), ("minmax:w=5,l=2", 2), ("ml:sigmoid,k=6,eps=1", 1),
+    ("ml:sigmoid,k=6,eps=1", 2), ("ml:tanh,k=7,eps=3/10", 1), ("ml:tanh,k=7,eps=3/10", 2),
+]
+
+
+@pytest.mark.parametrize("function, t", _ORDER_MOVES)
+def test_gv_sandwich_and_greedy_code_take_the_auto_encoders_length_and_order(
+    capsys, function, t
+):
+    matrix = ("--matrix", "function", "--function", function, "--t", str(t))
+    enc = fcc.build_function_value_encoder(fcc.spec_from_string(function), t)
+    dmat = fcc.function_distance_matrix(enc.spec, t)
+    assert enc.r < bounds.gv_irregular_threshold(dmat)
+    assert run(capsys, "bounds", "--method", "gv", *matrix)[:2] == (0, f"{enc.r}\n")
+    code, payload, _ = run_json(capsys, "bounds", "--method", "sandwich", *matrix)
+    assert code == 0 and payload["upper"]["integer_value"] == enc.r
+    code, payload, _ = run_json(capsys, "build-code", "--kind", "greedy", *matrix)
+    assert code == 0 and payload["length"] == enc.r
+    # one parity word per value, in image order, as the encoder has them
+    assert payload["code"] == [str(BitWord(w, enc.r)) for w in enc.words]
+    assert run_json(capsys, "build-code", "--kind", "greedy", *matrix, "--length", str(enc.r)) == (
+        code, payload, "")
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_dwt_bounds_and_greedy_codes_keep_the_identity_order(capsys, k):
+    for t in (1, 2, 3):
+        matrix = ("--matrix", "dwt", "--k", str(k), "--t", str(t))
+        r = 4 * t - 1
+        assert run(capsys, "bounds", "--method", "gv", *matrix)[:2] == (0, f"{r}\n")
+        assert run(capsys, "bounds", "--method", "sandwich", *matrix)[:2] == (
+            0, f"lower {2 * t} (ceil {2 * t})  upper {r} (ceil {r})\n")
+        code, payload, _ = run_json(capsys, "build-code", "--kind", "greedy", *matrix)
+        greedy = construct.greedy_irregular_code(functions.wt_requirement_matrix(k, t), r)
+        assert (code, payload["length"]) == (0, r)
+        assert payload["code"] == [str(w) for w in greedy]
+
+
+def test_row_order_and_message_options_are_gone(capsys, tmp_path):
+    for argv in (["bounds", "--method", "gv", "--matrix", "dwt", "--k", "3", "--t", "1",
+                  "--order", "heuristic"],
+                 ["build-code", "--kind", "greedy", "--k", "3", "--t", "1", "--order", "id"],
+                 ["simulate", "--function", "wt", "--k", "4", "--t", "1", "--messages", "all"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bounds_hadamard_not_applicable(capsys):
     code, out, _ = run(capsys, "bounds", "--method", "hadamard", "--size", "9", "--dist", "2")
     assert code == 0
@@ -85,6 +138,21 @@ def test_bounds_hadamard_not_applicable(capsys):
 ], ids=["dwt", "method", "kind", "file", "minmax-lower", "dwt-function", "kind-t",
         "method-matrix", "file-t"])
 def test_a_spec_flag_the_matrix_or_method_does_not_read_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build-code", "--kind", "exact", "--matrix", "dwt", "--k", "3", "--t", "1", "--length", "9"],
+     "--kind exact takes no --length"),
+    (["build-code", "--kind", "greedy", "--matrix", "dwt", "--k", "3", "--t", "1",
+      "--max-nodes", "5"], "--kind greedy takes no --max-nodes"),
+    (["build-code", "--kind", "hadamard", "--dist", "2", "--count", "3", "--factor", "2"],
+     "--kind hadamard takes no --count"),
+    (["bounds", "--method", "plotkin", "--matrix", "dwt", "--k", "4", "--t", "1", "--size", "3"],
+     "--method plotkin takes no --size"),
+], ids=["exact-length", "greedy-max-nodes", "hadamard-count", "plotkin-size"])
+def test_a_value_flag_the_method_or_kind_does_not_read_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -397,12 +465,16 @@ def test_fcc_verify_all_constructions(capsys, function, construction):
 
 
 def test_bounds_gv_heuristic_order(capsys):
+    # the row-sum order's threshold is below the identity's here, so gv
+    # prints it, as `auto` builds at it
+    dmat = fcc.function_distance_matrix(fcc.spec_from_string("ml:tanh,k=7,eps=3/10"), 2)
+    heuristic = bounds.gv_irregular_threshold(dmat, bounds.heuristic_row_order(dmat))
+    assert (heuristic, bounds.gv_irregular_threshold(dmat)) == (11, 15)
     code, out, _ = run(
-        capsys, "bounds", "--matrix", "function", "--function", "wt:k=5",
-        "--t", "1", "--method", "gv", "--order", "heuristic",
+        capsys, "bounds", "--matrix", "function", "--function", "ml:tanh,k=7,eps=3/10",
+        "--t", "2", "--method", "gv",
     )
-    assert code == 0
-    assert out.strip().isdigit()
+    assert (code, out) == (0, "11\n")
 
 
 def test_fcc_verify_detects_violation(capsys, tmp_path):
@@ -792,15 +864,6 @@ def test_simulate_witness_names_its_values_as_fcc_decode_does(capsys):
     assert code == 0 and out.split()[0] == witness["decoded"]
 
 
-def test_simulate_message_sample(capsys):
-    code, out, _ = run(
-        capsys, "simulate", "--function", "wt", "--k", "12", "--t", "1",
-        "--construction", "1", "--messages", "sample:20",
-    )
-    assert code == 0
-    assert "failures=0" in out
-
-
 def test_simulate_random_channel_caps_weight_at_block_length(capsys):
     # wt k=4 at t=1 gives a 7-bit code; a 12-error budget flips at most 7 bits
     code, out, err = run(
@@ -811,16 +874,6 @@ def test_simulate_random_channel_caps_weight_at_block_length(capsys):
     assert code == 1
     assert json.loads(out)["trials"] == 50
     assert err == ""
-
-
-def test_simulate_empty_message_sample_is_usage_error(capsys):
-    code, out, err = run(
-        capsys, "simulate", "--function", "wt", "--k", "4", "--t", "1",
-        "--construction", "1", "--channel", "random", "--messages", "sample:0",
-    )
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "sample:N" in err
 
 
 # --- table and oracle -------------------------------------------------------------
@@ -932,14 +985,12 @@ def test_consecutive_calls_do_not_share_parsed_values(capsys):
 
 
 def test_cached_parser_matches_fresh_parser():
-    from fcodes import cli
-
     argvs = [
         ["build-code", "--kind", "exact", "--row-symmetry", "--trace", "--max-nodes", "5"],
         ["build-code", "--kind", "greedy", "--k", "4", "--t", "1"],
         ["simulate", "--function", "wt", "--k", "4", "--t", "1", "--channel", "random"],
         ["simulate", "--function", "wt", "--k", "5", "--t", "2"],
-        ["bounds", "--method", "gv", "--order", "heuristic", "--json"],
+        ["bounds", "--method", "gv", "--matrix", "function", "--json"],
         ["bounds", "--method", "gv"],
     ]
     for argv in argvs:
@@ -1001,11 +1052,11 @@ def test_config_supplies_every_value_flag(capsys, tmp_path):
     assert run(capsys, "bounds", "--method", "plotkin-regular", "--config", str(cfg)) == run(
         capsys, "bounds", "--method", "plotkin-regular", "--size", "9", "--dist", "4"
     )
-    # a value argparse would default, here the row order
-    cfg.write_text("order=heuristic\nk=5\nt=1\n")
-    assert run(capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--config", str(cfg)) == run(
-        capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--k", "5", "--t", "1",
-        "--order", "heuristic",
+    # a value argparse would default, here the matrix source
+    cfg.write_text("matrix=function\nfunction=wt\nk=5\nt=1\n")
+    assert run(capsys, "bounds", "--method", "gv", "--config", str(cfg)) == run(
+        capsys, "bounds", "--method", "gv", "--matrix", "function", "--function", "wt",
+        "--k", "5", "--t", "1",
     )
 
 
@@ -1021,9 +1072,11 @@ def test_config_key_of_no_flag_is_usage_error(capsys, tmp_path, text):
     assert len(err.strip().splitlines()) == 1 and "'seeds'" in err
 
 
-@pytest.mark.parametrize("text", ["json=1", "trace=1", "row_symmetry=1", "config=x.cfg"])
+@pytest.mark.parametrize("text", ["json=1", "trace=1", "row_symmetry=1", "config=x.cfg",
+                                  "order=heuristic", "messages=all"])
 def test_config_key_of_an_on_off_flag_or_of_config_is_usage_error(capsys, tmp_path, text):
-    # a config sets value flags only: these keys would otherwise be ignored
+    # a config sets value flags only: these keys would otherwise be ignored,
+    # the last two naming options that are gone
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text + "\n")
     code, out, err = run(capsys, "fcc-verify", "--function", "wt", "--k", "4", "--t", "1",
@@ -1059,16 +1112,15 @@ def test_a_function_pair_its_family_does_not_take_is_usage_error(capsys, argv, f
 
 
 def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
-    # seed, sample and construction are fcc-verify flags, order and size
+    # seed, sample and construction are fcc-verify flags, size and dist
     # bounds flags, none of them a table flag; each reads the keys it has
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("k=6\nt=1\nconstruction=1\nseed=3\nsample=50\norder=heuristic\nsize=4\n")
+    cfg.write_text("k=6\nt=1\nconstruction=1\nseed=3\nsample=50\nsize=4\ndist=2\n")
     code, out, _ = run(capsys, "fcc-verify", "--function", "wt", "--config", str(cfg), "--json")
     assert code == 0 and json.loads(out)["mode"] == "sampled"
     code, out, _ = run(capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--config", str(cfg))
     assert (code, out) == run(
         capsys, "bounds", "--method", "gv", "--matrix", "dwt", "--k", "6", "--t", "1",
-        "--order", "heuristic",
     )[:2]
     assert run(capsys, "table", "--function", "wt", "--config", str(cfg))[0] == 0
 
@@ -1318,6 +1370,18 @@ def _readme_command_lines() -> list[list[str]]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     return [line.split()[1:] for line in block.splitlines() if line.startswith("fcodes ")]
+
+
+def test_readme_config_key_list_names_every_value_flag():
+    # the keys listed after "under the flag's name": every value flag but
+    # the ones the parser requires
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    listed = text.split("under the flag's name", 1)[1].split("`_`:", 1)[1]
+    listed = listed.split("The flags the parser requires", 1)[0]
+    keys = re.findall(r"`(\w+)`", listed)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cli._flag_dests() - {"method", "kind", "u", "y"}
 
 
 def test_every_readme_command_prints_one_json_payload_with_its_elapsed_time(

@@ -154,14 +154,11 @@ def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
     return fcc.DecodeResult(encoder.spec.image[min(indices)], out, d)
 
 
-def reference_simulate(encoder, channel, messages=None) -> SimulationReport:
+def reference_simulate(encoder, channel) -> SimulationReport:
     """Every trial through `decode`, in the canonical (message, pattern) order."""
     spec = encoder.spec
     n = encoder.block_length
-    if messages is None:
-        msg_list = [BitWord(u, spec.k) for u in range(1 << spec.k)]
-    else:
-        msg_list = list(messages)
+    msg_list = [BitWord(u, spec.k) for u in range(1 << spec.k)]
     trials = failures = 0
     witness = None
 
@@ -1093,28 +1090,25 @@ def test_simulate_matches_reference_on_random_encoders():
     shapes = set()
     for case in range(40):
         enc = _random_encoder(rng)
-        k, n = enc.spec.k, enc.block_length
+        n = enc.block_length
         shapes.add((enc.mode, enc.r == 0))
         ties_within_t += any(
             got.out_of_model and got.distance <= enc.t
             for got in (fcc.decode(enc, y) for y in all_words(n))
         )
-        repeats = [BitWord(rng.randrange(1 << k), k) for _ in range(3)]
-        lists = [None, repeats + repeats[:2]]
         for t in range(enc.t + 3):
             for mode in ("exhaustive", "random"):
                 channel = ChannelModel(t, mode, seed=case, trials=60)
-                for messages in lists:
-                    got = simulate(enc, channel, messages)
-                    assert got == reference_simulate(enc, channel, messages), (enc, channel)
-                    routes[got.route] += 1
-                    if got.route == "certified":
-                        assert (got.failures, got.decodes) == (0, 0)
-                    elif got.route == "tables":
-                        # only the first failure is decoded, for its witness
-                        assert got.decodes == (got.witness is not None)
-                    else:
-                        assert got.decodes == got.trials
+                got = simulate(enc, channel)
+                assert got == reference_simulate(enc, channel), (enc, channel)
+                routes[got.route] += 1
+                if got.route == "certified":
+                    assert (got.failures, got.decodes) == (0, 0)
+                elif got.route == "tables":
+                    # only the first failure is decoded, for its witness
+                    assert got.decodes == (got.witness is not None)
+                else:
+                    assert got.decodes == got.trials
     assert routes["certified"] > 0 and routes["tables"] > 0, routes
     assert ties_within_t > 0
     assert len(shapes) == 4  # per-value and per-message, with and without parity bits
@@ -1130,7 +1124,7 @@ def _corrupted(enc: fcc.FccEncoder, rng: random.Random) -> fcc.FccEncoder:
 def test_certified_route_matches_the_decode_every_trial_oracle():
     # built per-value encoders (certified at their own t and below), the same
     # with one parity corrupted, and per-message tables of random parities;
-    # channel t 0-3 on both sides of the encoder's t, both modes, message lists
+    # channel t 0-3 on both sides of the encoder's t, both modes
     rng = random.Random(1207)
     routes = {"certified": 0, "tables": 0, "decode-every-trial": 0}
     certified_failing_encoders = 0
@@ -1147,17 +1141,15 @@ def test_certified_route_matches_the_decode_every_trial_oracle():
             enc = fcc.per_message_encoder(
                 spec, t, [BitWord(rng.randrange(1 << r), r) for _ in range(1 << k)]
             )
-        subset = [BitWord(rng.randrange(1 << k), k) for _ in range(rng.randint(1, 4))]
         for channel_t in range(4):
             for mode in ("exhaustive", "random"):
                 channel = ChannelModel(channel_t, mode, seed=case, trials=40)
-                for messages in (None, subset):
-                    got = simulate(enc, channel, messages)
-                    assert got == reference_simulate(enc, channel, messages), (enc, channel)
-                    routes[got.route] += 1
-                    if got.route == "certified":
-                        assert got.witness is None and got.decodes == 0
-                        certified_failing_encoders += not fcc.verify_fcc(enc).ok
+                got = simulate(enc, channel)
+                assert got == reference_simulate(enc, channel), (enc, channel)
+                routes[got.route] += 1
+                if got.route == "certified":
+                    assert got.witness is None and got.decodes == 0
+                    certified_failing_encoders += not fcc.verify_fcc(enc).ok
     assert min(routes.values()) > 0, routes
     # a corrupted or random encoder can still pass at a lower channel t
     assert certified_failing_encoders > 0
@@ -1187,11 +1179,11 @@ def test_simulate_runs_the_trials_above_the_exhaustive_check_limit():
     # verified encoder runs its trials; at channel t = 0 nothing can fail
     k = fcc.EXHAUSTIVE_MAX_K + 1
     enc = functions.wt_cyclic_encoder(k, 1)
-    messages = [BitWord(u * 977 % (1 << k), k) for u in range(5)]
-    report = simulate(enc, ChannelModel(1, "exhaustive"), messages)
-    assert report == reference_simulate(enc, ChannelModel(1, "exhaustive"), messages)
+    channel = ChannelModel(1, "random", seed=5, trials=20)
+    report = simulate(enc, channel)
+    assert report == reference_simulate(enc, channel)
     assert report.route != "certified" and report.failures == 0
-    assert simulate(enc, ChannelModel(0, "exhaustive"), messages).route == "certified"
+    assert simulate(enc, ChannelModel(0, "random", trials=20)).route == "certified"
 
 
 def test_simulate_decodes_only_the_witness_on_the_table_route():
@@ -1206,11 +1198,11 @@ def test_simulate_decodes_only_the_witness_on_the_table_route():
         assert report.failures > 1 and report.decodes == 1
 
 
-def _settle(enc, channel, messages=None) -> tuple[SimulationReport, str | None]:
+def _settle(enc, channel) -> tuple[SimulationReport, str | None]:
     """The report, and how the tables route settled its trials (the
     `settle=` word of its trace line; None on another route)."""
     lines = []
-    report = simulate(enc, channel, messages, trace=lines.append)
+    report = simulate(enc, channel, trace=lines.append)
     if report.route != "tables":
         return report, None
     head, _, settle = lines[0].rpartition(" settle=")
@@ -1221,11 +1213,10 @@ def _settle(enc, channel, messages=None) -> tuple[SimulationReport, str | None]:
 def test_pattern_walk_matches_reference_simulate():
     # per-value encoders built at t 1-2 (half of them with one parity
     # corrupted) and per-message encoders of random parities; k 2-8, r 0-6,
-    # channel t up to the encoder's t + 2, every message or an ascending
-    # list of them
+    # channel t up to the encoder's t + 2
     rng = random.Random(2402)
     settled = {"patterns": 0, "trials": 0}
-    witnesses = lists_walked = 0
+    witnesses = 0
     for case in range(48):
         k = rng.randint(2, 8)
         spec = _random_spec(rng, k)
@@ -1240,23 +1231,18 @@ def test_pattern_walk_matches_reference_simulate():
         if enc.r > 6:
             continue
         n = enc.block_length
-        ascending = sorted(rng.sample(range(1 << k), rng.randint(1, 1 << k)))
-        for messages in (None, [BitWord(u, k) for u in ascending]):
-            for t in range(enc.t + 3):
-                channel = ChannelModel(t, "exhaustive")
-                count = (1 << k) if messages is None else len(messages)
-                if count * sphere_size(n, t) > 10_000:
-                    continue
-                got, settle = _settle(enc, channel, messages)
-                assert got == reference_simulate(enc, channel, messages), (enc, t, messages)
-                if settle is not None:
-                    settled[settle] += 1
-                    assert got.decodes == (got.witness is not None)
-                if settle == "patterns":
-                    witnesses += got.witness is not None
-                    lists_walked += messages is not None
-    assert settled["patterns"] >= 40 and witnesses >= 30 and lists_walked >= 5, (
-        settled, witnesses, lists_walked)
+        for t in range(enc.t + 3):
+            channel = ChannelModel(t, "exhaustive")
+            if (1 << k) * sphere_size(n, t) > 10_000:
+                continue
+            got, settle = _settle(enc, channel)
+            assert got == reference_simulate(enc, channel), (enc, t)
+            if settle is not None:
+                settled[settle] += 1
+                assert got.decodes == (got.witness is not None)
+            if settle == "patterns":
+                witnesses += got.witness is not None
+    assert settled["patterns"] >= 40 and witnesses >= 30, (settled, witnesses)
 
 
 def test_pattern_walk_and_trial_loop_give_one_report(monkeypatch):
@@ -1266,17 +1252,13 @@ def test_pattern_walk_and_trial_loop_give_one_report(monkeypatch):
     runs = []
     for _ in range(30):
         enc = _random_encoder(rng)
-        k = enc.spec.k
-        ascending = sorted(rng.sample(range(1 << k), rng.randint(1, 1 << k)))
-        ascending = [BitWord(u, k) for u in ascending]
-        runs += [(enc, ChannelModel(t, "exhaustive"), m)
-                 for t in range(1, enc.t + 3) for m in (None, ascending)]
+        runs += [(enc, ChannelModel(t, "exhaustive")) for t in range(1, enc.t + 3)]
     reports = {}
     for constant, settle in ((1 << 40, "patterns"), (0, "trials")):
         monkeypatch.setattr(simulate_mod, "_WALK_BITS_PER_TRIAL", constant)
         reports[settle] = []
-        for enc, channel, messages in runs:
-            got, how = _settle(enc, channel, messages)
+        for enc, channel in runs:
+            got, how = _settle(enc, channel)
             assert how in (settle, None)
             reports[settle].append((got, got.decodes))
     assert reports["patterns"] == reports["trials"]
@@ -1297,16 +1279,17 @@ def test_simulate_settles_high_redundancy_and_unsorted_lists_by_trials():
         got, settle = _settle(enc, channel)
         assert settle == "trials" and got == reference_simulate(enc, channel)
         assert got.failures > 0 and got.decodes == 1
-    # a list out of order, or with a message twice, keeps the list's order
+    # random draws come unsorted and with repeats, so they keep the loop,
+    # while the exhaustive run of the same encoder is walked
     wt = functions.wt_cyclic_encoder(5, 1)
-    for order in ([9, 3, 17], [3, 9, 9, 17]):
-        messages = [BitWord(u, 5) for u in order]
-        channel = ChannelModel(2, "exhaustive")
-        got, settle = _settle(wt, channel, messages)
-        assert settle == "trials" and got == reference_simulate(wt, channel, messages)
-    messages = [BitWord(u, 5) for u in (3, 9, 17)]
-    got, settle = _settle(wt, channel, messages)
-    assert settle == "patterns" and got == reference_simulate(wt, channel, messages)
+    for seed in (0, 1):
+        channel = ChannelModel(2, "random", seed=seed, trials=200)
+        got, settle = _settle(wt, channel)
+        assert settle == "trials" and got == reference_simulate(wt, channel)
+        assert got.failures > 0
+    channel = ChannelModel(2, "exhaustive")
+    got, settle = _settle(wt, channel)
+    assert settle == "patterns" and got == reference_simulate(wt, channel)
 
 
 def test_simulate_trace_names_the_route():
@@ -1342,13 +1325,6 @@ def test_simulate_decodes_every_trial_above_the_table_cap():
     assert report == reference_simulate(enc, channel)
     assert report.route == "decode-every-trial"
     assert report.decodes == report.trials and report.failures > 0
-
-
-@pytest.mark.parametrize("mode", ["exhaustive", "random"])
-def test_simulate_rejects_messages_of_the_wrong_length(mode):
-    enc = functions.wt_cyclic_encoder(4, 1)
-    with pytest.raises(ValueError, match="message length 5"):
-        simulate(enc, ChannelModel(1, mode, trials=5), [BitWord(0, 4), BitWord(0, 5)])
 
 
 # --- locally binary ---------------------------------------------------------------

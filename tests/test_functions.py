@@ -532,15 +532,6 @@ def test_simulate_random_reproducible():
     assert (a.trials, a.failures) == (b.trials, b.failures) == (200, 0)
 
 
-def test_simulate_random_rejects_empty_message_list():
-    enc = functions.wt_cyclic_encoder(4, 1)
-    for t in (0, 1, 2):  # certified without a check, certified, beyond the encoder's t
-        with pytest.raises(ValueError, match="at least one message"):
-            simulate(enc, ChannelModel(t, "random", trials=5), [])
-    # exhaustive mode has nothing to enumerate and reports zero trials
-    assert simulate(enc, ChannelModel(1, "exhaustive"), []).trials == 0
-
-
 def test_simulate_detects_broken_encoder():
     enc = functions.wt_cyclic_encoder(4, 1)
     bad = fcc.FccEncoder(enc.spec, enc.t, enc.r, (enc.words[1],) + enc.words[1:])
