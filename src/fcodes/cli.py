@@ -66,7 +66,7 @@ def _params(args) -> dict[str, str]:
     `_function`), then explicit flags; and, for a subcommand with an
     --encoder flag, the text of the file it names under `encoder_text`, read
     once. A config key that is no flag of any subcommand, a flag that
-    contradicts one of those pairs, and a value flag that a `bounds` or
+    contradicts one of those pairs, and a flag that a `bounds` or
     `build-code` call does not read (see `_reads`) are usage errors."""
     params = dict(_DEFAULTS)
     if args.config is not None:
@@ -92,7 +92,8 @@ def _params(args) -> dict[str, str]:
             raise ValueError(f"{_flag(key)} {flags[key]} contradicts {key}={val} in {text!r}")
     params.update(pairs)
     params.update(flags)
-    reads = _reads(args.command, params, flags)
+    switches = {key for key, val in vars(args).items() if val is True}
+    reads = _reads(args.command, params, {*flags, *switches})
     if text and (reads is None or "function" in reads):
         # an explicit spec flag is held to the family's keys like a pair
         params["function"] = text
@@ -117,21 +118,24 @@ def _same_value(key: str, flag: str, pair: str) -> bool:
 _MATRIX_READS = {"dwt": {"k", "t"}, "file": {"file"}, "function": {"function", "t", *_SPEC_KEYS}}
 
 
-def _reads(command: str, params: dict[str, str], flags: dict[str, str]) -> set[str] | None:
-    """The value flags a `bounds` or `build-code` call reads: its method's
-    values (`_BOUNDS`) or its kind's (`_KINDS`, and --out), where "matrix"
-    adds what the matrix source reads (`_MATRIX_READS`). Any other flag in
-    `flags` is a usage error, named with the option that decides: --matrix
-    for a flag some matrix source reads, else --method or --kind. None for
-    any other command, whose function decides."""
+def _reads(command: str, params: dict[str, str], flags: set[str]) -> set[str] | None:
+    """The flags a `bounds` or `build-code` call reads: its method's values
+    (`_BOUNDS`) or its kind's (`_KINDS`, and --out), where "matrix" adds what
+    the matrix source reads (`_MATRIX_READS`), and --json. A matrix source
+    not in `_MATRIX_READS` is a usage error, and so is any other flag in
+    `flags` (the dests given, value or on/off), named with the option that
+    decides: --matrix for a flag some matrix source reads, else --method or
+    --kind. None for any other command, whose function decides."""
     if command not in ("bounds", "build-code"):
         return None
     name = "method" if command == "bounds" else "kind"
     values = _BOUNDS[params[name]][1] if command == "bounds" else (*_KINDS[params[name]], "out")
-    keys, owner = {name, "config", *values}, f"--{name} {params[name]}"
-    if "matrix" in values:  # an unknown source fails where the matrix is made
-        keys |= _MATRIX_READS.get(params["matrix"], set())
-    extra = sorted(set(flags) - keys)
+    keys, owner = {name, "config", "json", *values}, f"--{name} {params[name]}"
+    if "matrix" in values:
+        if params["matrix"] not in _MATRIX_READS:
+            raise ValueError(f"unknown matrix source {params['matrix']!r}")
+        keys |= _MATRIX_READS[params["matrix"]]
+    extra = sorted(flags - keys)
     if extra and "matrix" in values and extra[0] in {"file", *_MATRIX_READS["function"]}:
         owner = f"--matrix {params['matrix']}"
     if extra:
@@ -192,9 +196,8 @@ def _matrix(params: dict[str, str]) -> DistanceMatrix:
     t = _need(params, "t", int)
     if source == "dwt":
         return functions.wt_requirement_matrix(_need(params, "k", int), t)
-    if source == "function":
-        return fcc.function_distance_matrix(_spec(params), t)
-    raise ValueError(f"unknown matrix source {source!r}")
+    # function, the last source `_reads` admits
+    return fcc.function_distance_matrix(_spec(params), t)
 
 
 def _written(text: str, out: str | None) -> str:
@@ -267,11 +270,11 @@ def _not_built(message: str, length: int | None = None) -> _Result:
     return 1, {"length": length, "code": None}, ""
 
 
-# kind -> the values `build-code --kind` takes besides --out, where "matrix"
-# is the requirement matrix
+# kind -> the flags `build-code --kind` takes besides --out and --json, where
+# "matrix" is the requirement matrix
 _KINDS = {
     "greedy": ("matrix", "length"),
-    "exact": ("matrix", "max_length", "max_nodes", "time_limit"),
+    "exact": ("matrix", "max_length", "max_nodes", "time_limit", "row_symmetry", "trace"),
     "hadamard": ("dist",),
     "reed-muller": ("rm_order", "log_length"),
     "even-weight": ("count", "length"),

@@ -6,11 +6,12 @@ Hamming balls around the words placed before it, read off a bitset of those
 balls. The exact search settles N(M, D) on desk-scale instances by
 depth-first backtracking, run as an iterative kernel over row depths: each
 row's domain is a cached mask of the balls of all but its last earlier row,
-plus one ball per candidate. Its tree, and so its node count, is that of
-the plain backtracking search, which the benchmark's committed node counts
-pin. Hadamard (Sylvester), Reed-Muller,
-even-weight subcodes and bit replication supply the raw material for the
-specialised encoders in `fcodes.functions`.
+plus one ball per candidate. That mask is read one row early, so a row whose
+successor it blocks entirely has its candidates counted as leaves in one
+step. Its tree, and so its node count, is that of the plain backtracking
+search, which the benchmark's committed node counts pin. Hadamard
+(Sylvester), Reed-Muller, even-weight subcodes and bit replication supply
+the raw material for the specialised encoders in `fcodes.functions`.
 """
 
 from __future__ import annotations
@@ -194,17 +195,22 @@ def _assignment_search(
     j (under row symmetry, also not below the word of its group
     predecessor), minus those already tried. They are tried lowest bit
     first at one budget node each, as a scan over all 2^r words would meet
-    them; row 0's single word is the root node. No domain is looked at
-    before its row is reached, so the tree and its node count are those of
-    the plain backtracking search (the contract with pinned node counts).
+    them; row 0's single word is the root node. The tree and its node count
+    are those of the plain backtracking search (the contract with pinned
+    node counts).
 
     pre[i] holds the balls of rows < i - 1 against row i, ORed once when
     row i - 1's domain is set; each of row i - 1's candidates then adds one
-    ball to form row i's domain. The node count is kept in a local and
-    written back to `budget` on every exit; the node cap is tested at every
-    node, the wall clock every 4,096 nodes (counted across lengths), and the
-    node that reaches either still counts. `rows` is `_row_lists(dmat)`,
-    built once per matrix.
+    ball to form row i's domain. So the next row's mask is read before its
+    row is reached: when pre[i + 1] blocks every word, each candidate of row
+    i (i + 1 < m) is a leaf, and all dom.bit_count() of them are counted in
+    one step without visiting them, which leaves the node count unchanged.
+    The node count is kept in a local and written back to `budget` on every
+    exit; the node cap is tested at every node, the wall clock every 4,096
+    nodes (counted across lengths), and the node that reaches either still
+    counts. A one-step count stops at the cap, or, when the clock read at
+    the first multiple of 4,096 it passes shows the deadline gone, at that
+    multiple. `rows` is `_row_lists(dmat)`, built once per matrix.
     """
     m = dmat.dim
     if m == 0:
@@ -251,13 +257,25 @@ def _assignment_search(
         if not dom:
             i -= 1  # a leaf: back to its siblings
             continue
-        doms[i] = dom
         if i + 1 < m:
             blocked = 0
             for j, d in far[i + 1]:
                 v = words[j]
                 blocked |= balls[d].get(v) or _ball(balls, r, d, v)
+            if blocked == full:  # row i + 1 has no word: each candidate is a leaf
+                end = nodes + dom.bit_count()
+                stop = max_nodes
+                if end >> 12 != nodes >> 12 and monotonic() > deadline:
+                    stop = min(stop, (nodes | 4095) + 1)
+                if end >= stop:
+                    budget.nodes = stop
+                    budget.exhausted = True
+                    return None
+                nodes = end
+                i -= 1
+                continue
             pre[i + 1] = blocked
+        doms[i] = dom
 
 
 def exact_min_length(

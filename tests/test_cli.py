@@ -157,6 +157,36 @@ def test_a_value_flag_the_method_or_kind_does_not_read_is_a_usage_error(capsys, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build-code", "--kind", "hadamard", "--dist", "2", "--row-symmetry", "--trace"],
+     "--kind hadamard takes no --row-symmetry"),
+    (["build-code", "--kind", "greedy", "--k", "3", "--t", "1", "--row-symmetry"],
+     "--kind greedy takes no --row-symmetry"),
+    (["build-code", "--kind", "even-weight", "--count", "3", "--length", "4", "--trace"],
+     "--kind even-weight takes no --trace"),
+], ids=["hadamard", "greedy", "even-weight"])
+def test_an_on_off_flag_only_exact_reads_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_exact_reads_its_on_off_flags_and_every_kind_reads_json(capsys):
+    code, out, err = run(capsys, "build-code", "--kind", "exact", "--k", "3", "--t", "1",
+                         "--row-symmetry", "--trace")
+    assert code == 0 and out.startswith("N = 3 (proven") and "proven r=3" in err
+    assert run_json(capsys, "build-code", "--kind", "hadamard", "--dist", "2")[0] == 0
+
+
+def test_an_unknown_config_matrix_source_is_named_before_its_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("matrix=bogus\n")
+    code, out, err = run(capsys, "bounds", "--method", "gv", "--k", "4", "--t", "1",
+                         "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: unknown matrix source 'bogus'\n")
+    # a method that reads no matrix leaves the config key alone
+    assert run(capsys, "bounds", "--method", "wt-lower", "--t", "1", "--config", str(cfg))[0] == 0
+
+
 def test_matrix_and_method_read_their_own_spec_flags(capsys, tmp_path):
     assert run(capsys, "bounds", "--method", "ecc-data", "--k", "10", "--t", "2")[:2] == (0, "10\n")
     assert run(capsys, "bounds", "--method", "minmax-lower", "--w", "3", "--t", "1")[0] == 0

@@ -393,6 +393,44 @@ def test_exact_search_matches_popcount_reference_on_symmetric_matrices():
         _assert_same_search(dmat, rng)
 
 
+# Rows 0 and 2 need distance d and row 1 is free: below r = d, row 0's ball
+# covers all of row 2, so every word of row 1 is a leaf, counted in one step.
+def _far_pair(d: int) -> DistanceMatrix:
+    return DistanceMatrix.from_rows([[0, 0, d], [0, 0, 0], [d, 0, 0]])
+
+
+# A random matrix whose search counts 183 of its 378 nodes in 159 such steps.
+_MIXED = DistanceMatrix.from_rows([
+    [0, 2, 0, 4, 1, 0], [2, 0, 1, 0, 0, 4], [0, 1, 0, 1, 5, 5],
+    [4, 0, 1, 0, 2, 0], [1, 0, 5, 2, 0, 0], [0, 4, 5, 0, 0, 0],
+])
+
+
+@pytest.mark.parametrize("dmat", [_far_pair(8), _MIXED], ids=["far-pair", "mixed"])
+@pytest.mark.parametrize("sym", [False, True])
+def test_dead_end_rows_count_like_the_reference_at_every_node_cap(dmat, sym):
+    full = construct.exact_min_length(dmat, use_row_symmetry=sym)
+    assert full.proven
+    for max_nodes in range(1, full.nodes + 2):
+        budget = construct.SearchBudget(max_nodes=max_nodes)
+        got = _outcome(construct.exact_min_length(dmat, budget, use_row_symmetry=sym))
+        assert got == reference_exact(dmat, budget, sym), (sym, max_nodes)
+
+
+@pytest.mark.parametrize("reads_in_time, value, nodes", [(0, 12, 4096), (1, 13, 8192)])
+def test_a_dead_end_row_past_the_deadline_stops_at_the_first_multiple_of_4096(
+    monkeypatch, reads_in_time, value, nodes
+):
+    # _far_pair(14) counts nodes 3,974-8,070 in one step at r = 12 and
+    # 8,071-16,263 (past 8,192 and 12,288) in one at r = 13. The clock reads
+    # in time at the budget's set-up and `reads_in_time` more times, then late.
+    clock = itertools.chain([0.0] * (1 + reads_in_time), itertools.repeat(2.0))
+    monkeypatch.setattr(construct.time, "monotonic", lambda: next(clock))
+    budget = construct.SearchBudget(max_nodes=10**6, time_limit=1.0)
+    res = construct.exact_min_length(_far_pair(14), budget)
+    assert (res.value, res.proven, res.nodes) == (value, False, nodes)
+
+
 def _benchmark_workloads():
     """perfbench/workloads.py, loaded read-only for its pinned corpora."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
