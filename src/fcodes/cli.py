@@ -412,8 +412,8 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
     if result.witness:
         payload["witness"] = [str(w) for w in result.witness]
     payload["stats"] = {"pairs_checked": result.pairs_checked, "route": result.route}
-    if result.ok:
-        return 0, payload, "OK\n"
+    if result.ok:  # a sample proves nothing, so its OK names the route and count
+        return 0, payload, f"OK (sampled: {result.pairs_checked} pairs checked)\n" if sample else "OK\n"
     u1, u2 = result.witness
     return 1, payload, f"VIOLATION u1={u1} u2={u2}\n"
 

@@ -42,9 +42,10 @@ class FunctionSpec:
     and min-max, the quantizer layout for the ML activations); it
     must agree with tabulating `fn`, which `eval` and the message-level
     matrices keep calling. Without it, `index_table` calls `fn` once per
-    message. For k <= 16 the image is validated by tabulating `index_table`;
-    above that by a deterministic sample, and `index_table` still rejects
-    any value outside the image.
+    message; either way `_compact` packs it once, as it packs message keys.
+    For k <= 16 the image is validated by tabulating `index_table`; above
+    that by a deterministic sample, and `index_table` still rejects any
+    value or index outside the image.
     """
 
     def __init__(
@@ -65,16 +66,18 @@ class FunctionSpec:
         self.name = name
         self.value_label = value_label or str
         self.bulk_table = bulk_table
-        if len(set(self.image)) != len(self.image):
-            raise ValueError("image contains duplicates")
         self._index = {v: i for i, v in enumerate(self.image)}
+        if len(self._index) != len(self.image):
+            raise ValueError("image contains duplicates")
         self._validate()
 
     def _validate(self) -> None:
-        if self.k <= 16:
-            attained = set(self.index_table)
-            if len(attained) < len(self.image):
-                missing = [v for i, v in enumerate(self.image) if i not in attained]
+        if self.k <= 16:  # every index below E must be named by the table
+            e, table = len(self.image), self.index_table
+            unseen = (sorted(set(range(e)) - set(table)) if e > 256
+                      else bytes(range(e)).translate(None, table))
+            if unseen:
+                missing = [self.image[i] for i in unseen]
                 raise ValueError(f"image values never attained: {missing!r}")
         else:
             rng = random.Random(0)
@@ -100,19 +103,18 @@ class FunctionSpec:
             raise ValueError(f"value {value!r} not in image") from None
 
     @cached_property
-    def index_table(self) -> list[int]:
-        """Image index of f(u) for every message integer u (2^k entries).
+    def index_table(self) -> bytes | memoryview:
+        """Image index of f(u) for every message integer u, compact (`_compact`).
 
         Raises ValueError at the first message whose value is not in the
-        image."""
+        image, and at a `bulk_table` index beyond it."""
         if self.k > 24:
             raise ValueError(f"k={self.k} too large to tabulate")
+        idx, fn, e = self._index, self.fn, len(self.image)
         if self.bulk_table is not None:
-            return list(self.bulk_table())
-        idx = self._index
-        fn = self.fn
+            return _compact(self.bulk_table(), e)
         try:
-            return [idx[fn(u)] for u in range(1 << self.k)]
+            return _compact([idx[fn(u)] for u in range(1 << self.k)], e)
         except KeyError:
             for u in range(1 << self.k):
                 if fn(u) not in idx:
@@ -288,9 +290,9 @@ class FccEncoder:
     and the key is the image index, read through `spec.index_table` when a
     whole table is wanted and never stored. With it the encoder is
     per-message: the words are distinct, and `message_key` holds one word
-    index per message integer (bytes up to 256 words, else a read-only table
-    of wider ints, see `_keyed`), compared by `==` but not hashed. `parities`
-    and `parity_ints`, one entry per value or per message, are views.
+    index per message integer, packed and checked as `spec.index_table` is
+    (`_compact`), compared by `==` but not hashed. `parities` and
+    `parity_ints`, one entry per value or per message, are views.
     """
 
     spec: FunctionSpec
@@ -306,17 +308,13 @@ class FccEncoder:
                 f"{PER_VALUE} encoder needs {self.spec.expressiveness} parities, got {count}"
             )
         if key is not None:
+            if len(set(self.words)) != count:
+                raise ValueError(f"{PER_MESSAGE} parity words repeat")
+            key = _compact(key, count)  # packed and checked once, here
+            object.__setattr__(self, "message_key", key)
             if len(key) != 1 << self.spec.k:
                 raise ValueError(f"{PER_MESSAGE} encoder needs {1 << self.spec.k} parities, "
                                  f"got {len(key)}")
-            if len(set(self.words)) != count:
-                raise ValueError(f"{PER_MESSAGE} parity words repeat")
-            if isinstance(key, bytes):  # every valid index deleted, nothing may be left
-                beyond = key.translate(None, bytes(range(min(count, 256))))
-            else:
-                beyond = max(key) >= count
-            if beyond:
-                raise ValueError(f"message key names a word beyond the {count} given")
         if self.r < 0:
             raise ValueError(f"negative parity length {self.r}")
         for w in set(self.words):
@@ -361,11 +359,26 @@ class FccEncoder:
         return list(map(self.words.__getitem__, self.key))
 
 
-def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], bytes | memoryview]:
+def _compact(table: Iterable[int], count: int) -> bytes | memoryview:
+    """A table of indices below `count`: one byte each up to 256, else a
+    read-only view of 32-bit ints; one already in that form is not copied.
+    Raises ValueError naming an index at or beyond `count`."""
+    if count <= 256:
+        table = table if isinstance(table, bytes) else bytes(table)
+        stray = table.translate(None, bytes(range(count)))  # every valid index deleted
+    else:
+        table = table if isinstance(table, memoryview) else memoryview(array("I", table)).toreadonly()
+        stray = [top] if (top := max(table, default=0)) >= count else []
+    if stray:
+        raise ValueError(f"index {stray[0]} is beyond the {count} indices the table may name")
+    return table
+
+
+def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], Iterable[int]]:
     """A per-message parity table as its distinct words, in order of first
-    use, and the word index of every message: one byte each up to 256 words,
-    else a read-only view of 32-bit ints. A bytes table is keyed by one
-    translate, with no step per message."""
+    use, and the word index of every message, which `FccEncoder` packs
+    (`_compact`). A bytes table is keyed by one translate, with no step per
+    message."""
     if isinstance(values, bytes):
         absent = bytes(range(256)).translate(None, values)
         words = sorted(set(range(256)).difference(absent), key=values.find)
@@ -374,10 +387,7 @@ def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], bytes | memoryview]:
             index[w] = i
         return tuple(words), values.translate(index)
     index = {w: i for i, w in enumerate(dict.fromkeys(values))}
-    key = map(index.__getitem__, values)
-    if len(index) > 256:
-        return tuple(index), memoryview(array("I", key)).toreadonly()
-    return tuple(index), bytes(key)
+    return tuple(index), map(index.__getitem__, values)
 
 
 def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:

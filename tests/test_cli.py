@@ -592,12 +592,15 @@ def test_fcc_verify_json_names_each_route(capsys, tmp_path):
     "extra, route", [([], "class"), (["--sample", "500"], "sampled")]
 )
 def test_fcc_verify_trace_writes_route_to_stderr(capsys, extra, route):
+    # a sampled OK names its route and count, so it never reads as a proof
     argv = ["fcc-verify", "--function", "wt", "--k", "6", "--t", "1", *extra]
     code, out, err = run(capsys, *argv, "--trace")
-    assert (code, out) == (0, "OK\n")
     (line,) = err.strip().splitlines()
     assert line.startswith(f"route={route} pairs_checked=") and " elapsed_s=" in line
-    assert run(capsys, *argv) == (0, "OK\n", "")
+    pairs = line.split()[1].removeprefix("pairs_checked=")
+    text = f"OK (sampled: {pairs} pairs checked)\n" if extra else "OK\n"
+    assert (code, out) == (0, text)
+    assert run(capsys, *argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("sample", ["0", "-5"])
@@ -625,6 +628,8 @@ def test_fcc_verify_sample_pins_its_draws(capsys, argv, pairs):
     code, out, _ = run(capsys, "fcc-verify", *argv, "--sample", "20000", "--json")
     data = json.loads(out)
     assert (code, data["ok"], data["route"], data["pairs_checked"]) == (0, True, "sampled", pairs)
+    text = f"OK (sampled: {pairs} pairs checked)\n"
+    assert run(capsys, "fcc-verify", *argv, "--sample", "20000")[:2] == (0, text)
 
 
 @pytest.mark.parametrize(

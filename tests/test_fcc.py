@@ -24,6 +24,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
+import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -190,18 +193,76 @@ def reference_simulate(encoder, channel) -> SimulationReport:
 
 
 def test_spec_rejects_unattained_image_value():
-    with pytest.raises(ValueError):
-        fcc.FunctionSpec(3, lambda u: 0, image=[0, 1])
+    # each image value is its own index, so fn's list is also a bulk table;
+    # past 256 values the unattained ones are read off a set
+    for image, fn, missing in (([0, 1], lambda u: 0, "[1]"), (range(300), lambda u: u, "[8, 9, ")):
+        match = re.escape(f"image values never attained: {missing}")
+        for bulk in (None, lambda: list(map(fn, range(8)))):
+            with pytest.raises(ValueError, match=match):
+                fcc.FunctionSpec(3, fn, image, bulk_table=bulk)
 
 
 def test_spec_rejects_value_outside_image():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in declared image"):
         fcc.FunctionSpec(3, lambda u: u % 3, image=[0, 1])
 
 
 def test_spec_rejects_duplicate_image():
-    with pytest.raises(ValueError):
-        fcc.FunctionSpec(2, lambda u: u % 2, image=[0, 1, 1])
+    for image in ([0, 1, 1], [Fraction(1, 2), 0, Fraction(2, 4)]):
+        with pytest.raises(ValueError, match="image contains duplicates"):
+            fcc.FunctionSpec(2, lambda u: u % 2, image=image)
+
+
+@pytest.mark.parametrize("k, e, table", [
+    (2, 3, bytes([0, 1, 3, 0])),
+    (17, 3, bytes([0, 1, 3, 0]) + bytes((1 << 17) - 4)),
+    (9, 300, list(range(300)) + [0] * 211 + [300]),
+])
+def test_spec_rejects_a_stray_bulk_index(k, e, table):
+    # the bulk table names index E: without the check, at k = 2 value 2
+    # would pass as attained and message 2 would be in no mask. Above
+    # k = 16 the spec validates fn on a sample, and the table is rejected
+    # when it is built; past 256 values the table is 32-bit ints
+    with pytest.raises(ValueError, match=f"index {e} is beyond the {e}"):
+        fcc.FunctionSpec(k, lambda u: u % e, range(e), bulk_table=lambda: table).index_table
+
+
+@pytest.mark.parametrize("k, e", [(9, 3), (9, 256), (9, 257), (9, 512), (4, 1)])
+def test_generic_index_tables_are_compact(k, e):
+    # bytes up to 256 values, else a read-only view of 32-bit ints: the
+    # layout of a message key; the identity at k = 9 has 512 values
+    spec = fcc.FunctionSpec(k, lambda u: u % e, range(e))
+    table = spec.index_table
+    if e <= 256:
+        assert type(table) is bytes
+    else:
+        assert type(table) is memoryview and table.readonly and table.format == "I"
+    assert list(table) == [u % e for u in range(1 << k)]
+
+
+def test_wt16_spec_holds_its_table_as_one_byte_per_message():
+    functions.wt_spec(3)  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        spec = functions.wt_spec(16)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(spec.index_table) is bytes
+    # a list of ints held 8 bytes a message and peaked at nine
+    assert held < 5 << 14 and peak < 3 << 16, (held, peak)
+
+
+@pytest.mark.parametrize("words", [3, 300])
+def test_encoder_rejects_a_message_key_beyond_its_words(words):
+    spec = functions.wt_spec(9)
+    key = [u % words for u in range(512)]
+    enc = fcc.FccEncoder(spec, 1, 9, tuple(range(words)), key)
+    assert enc.message_key == fcc._compact(key, words)
+    assert type(enc.message_key) is (bytes if words <= 256 else memoryview)
+    key[-1] = words
+    with pytest.raises(ValueError, match=f"index {words} is beyond the {words}"):
+        fcc.FccEncoder(spec, 1, 9, tuple(range(words)), key)
 
 
 def test_spec_index_table_rejects_value_outside_image_above_k16():

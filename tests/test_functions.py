@@ -77,7 +77,7 @@ WEIGHT_FAMILIES = {
 def assert_matches_oracle(spec: fcc.FunctionSpec, oracle) -> None:
     want = [oracle(u) for u in range(1 << spec.k)]
     assert list(map(spec.fn, range(1 << spec.k))) == want
-    assert spec.index_table == list(map(spec.index_of, want)) == tabulated(spec)
+    assert list(spec.index_table) == list(map(spec.index_of, want)) == tabulated(spec)
 
 
 @pytest.mark.parametrize("make", list(WEIGHT_FAMILIES))
@@ -100,11 +100,36 @@ def test_minmax_tables_match_fn():
     for w, l in layouts:
         spec = functions.minmax_spec(w, l)
         assert spec.bulk_table is not None
-        assert spec.index_table == tabulated(spec), (w, l)
+        assert list(spec.index_table) == tabulated(spec), (w, l)
     # every tie kind occurs: all blocks equal, a tied minimum, a tied maximum
     assert functions.minmax_spec(3, 2).eval(BitWord.from_string("010101")) == MinMaxValue(1, 3)
     assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110101")) == MinMaxValue(2, 1)
     assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110011")) == MinMaxValue(2, 3)
+
+
+@pytest.mark.parametrize("name", [
+    "wt:k=9", "parity:k=9", "or:k=9", "constant:k=9", "delta_T:k=9,T=4", "minmax:w=3,l=3",
+    "ml:tanh,k=7,eps=3/10", "ml:relu,k=8,eps=1", "ml:sigmoid,k=10,eps=1/32",
+])
+def test_family_index_tables_are_compact(name):
+    # one byte per message up to 256 values, else a read-only view of 32-bit
+    # ints (sigmoid at eps=1/32 has 642 values), equal to tabulating fn
+    assert_compact(fcc.spec_from_string(name))
+
+
+def test_indicator_index_tables_are_compact():
+    # the generic fn path: a partial cover has few values, the full cover 512
+    assert_compact(functions.indicator_spec(Code.from_strings(["000000000", "111111111"])))
+    assert_compact(functions.indicator_spec(Code.of(all_words(9))))
+
+
+def assert_compact(spec: fcc.FunctionSpec) -> None:
+    table = spec.index_table
+    if spec.expressiveness <= 256:
+        assert type(table) is bytes
+    else:
+        assert type(table) is memoryview and table.readonly and table.format == "I"
+    assert list(table) == tabulated(spec)
 
 
 def test_minmax_blocks_beyond_a_byte_tabulate_fn():

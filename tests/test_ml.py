@@ -334,7 +334,7 @@ def test_ml_closed_form_table_equals_tabulating_fn(name):
                 where = {v: i for i, v in enumerate(image)}
                 assert list(spec.image) == image, (k, eps, kind)
                 assert list(map(spec.fn, range(1 << k))) == values, (k, eps, kind)
-                assert spec.index_table == [where[v] for v in values], (k, eps, kind)
+                assert list(spec.index_table) == [where[v] for v in values], (k, eps, kind)
                 centers = set(map(q.center, range(1 << k)))
                 edges.update(end for end in ("lo", "hi") if getattr(kind, end) in centers)
                 built += 1
