@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -204,13 +205,16 @@ def _matrix(params: dict[str, str]) -> DistanceMatrix:
 def _written(text: str, out: str | None) -> str:
     """The stdout text of a file a command makes: `text`, or nothing when
     --out names where it goes (written here, in either mode). It is
-    rewritten in place, then cut to length, as truncating it to zero makes
-    ext4 flush it on close; only a regular file (not /dev/null) is cut."""
+    rewritten in place, as truncating it to zero makes ext4 flush it on
+    close, and cut only where it was a regular file (not /dev/null) longer
+    than the new text, by the one `fstat` made at opening."""
     if out is None:
         return text
-    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    was = os.fstat(fd)
+    with open(fd, "w", encoding="utf-8") as fh:
         fh.write(text)
-        if os.path.isfile(out):
+        if stat.S_ISREG(was.st_mode) and was.st_size > fh.tell():
             fh.truncate()
     return ""
 

@@ -43,9 +43,11 @@ class FunctionSpec:
     must agree with tabulating `fn`, which `eval` and the message-level
     matrices keep calling. Without it, `index_table` calls `fn` once per
     message; either way `_compact` packs it once, as it packs message keys.
-    For k <= 16 the image is validated by tabulating `index_table`; above
-    that by a deterministic sample, and `index_table` still rejects any
-    value or index outside the image.
+    `weight_index`, for a function of the weight alone, is the image index
+    of each weight 0..k: value distances, the per-value class check and the
+    image check read it, not a table. Without it the image is checked on
+    `index_table` for k <= 16, above that on a deterministic sample, and
+    `index_table` still rejects any value or index outside the image.
     """
 
     def __init__(
@@ -57,6 +59,7 @@ class FunctionSpec:
         name: str = "f",
         value_label: Callable[[FunctionValue], str] | None = None,
         bulk_table: Callable[[], Sequence[int]] | None = None,
+        weight_index: Sequence[int] | None = None,
     ):
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
@@ -66,14 +69,18 @@ class FunctionSpec:
         self.name = name
         self.value_label = value_label or str
         self.bulk_table = bulk_table
+        self.weight_index = weight_index
         self._index = {v: i for i, v in enumerate(self.image)}
         if len(self._index) != len(self.image):
             raise ValueError("image contains duplicates")
         self._validate()
 
     def _validate(self) -> None:
-        if self.k <= 16:  # every index below E must be named by the table
-            e, table = len(self.image), self.index_table
+        e, weights = len(self.image), self.weight_index
+        if weights is not None and len(weights) != self.k + 1:
+            raise ValueError(f"need a weight map of k+1 = {self.k + 1} entries")
+        if weights is not None or self.k <= 16:  # every index below E must be named
+            table = self.index_table if weights is None else _compact(weights, e)
             unseen = (sorted(set(range(e)) - set(table)) if e > 256
                       else bytes(range(e)).translate(None, table))
             if unseen:
@@ -235,14 +242,23 @@ def _closest_approaches(
 
 def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
     """The function distance d_f between every two values, in image order:
-    the closest approach of their preimage sets, found by growing the
-    preimage masks from both sides (`_closest_approaches`). Distances above
-    max_d are reported as max_d + 1; max_d >= k gives every distance exactly.
+    the closest approach of their preimage sets. With a weight map it is the
+    least |a - b| over weights a, b of the two values (nested messages meet
+    it); else the preimage masks grow from both sides (`_closest_approaches`).
+    Distances above max_d are reported as max_d + 1; max_d >= k gives every
+    distance exactly.
     """
-    e = len(spec.image)
+    e, weights = len(spec.image), spec.weight_index
     rows = [[max_d + 1] * e for _ in range(e)]
     for i in range(e):
         rows[i][i] = 0
+    if weights is not None:
+        for a, i in enumerate(weights):
+            row = rows[i]
+            for d, j in enumerate(weights[a + 1 : a + 1 + max_d], 1):
+                if d < row[j]:
+                    row[j] = rows[j][i] = d
+        return rows
     pending = [range(i + 1, e) if max_d >= 1 else () for i in range(e)]
     _closest_approaches(spec.preimage_masks, spec.k, pending, [[max_d] * e] * e, rows)
     return rows
@@ -337,7 +353,8 @@ class FccEncoder:
 
     def parity(self, u: BitWord) -> BitWord:
         """p(u); a per-value encoder evaluates f at u, so encoding tabulates
-        nothing (the spec tabulates its values at k <= 16, to check its image)."""
+        nothing (a spec without a weight map tabulates its values at k <= 16
+        to check its image)."""
         if u.length != self.spec.k:
             raise ValueError(f"message length {u.length}, expected {self.spec.k}")
         if self.message_key is None:
@@ -469,7 +486,8 @@ def verify_fcc(
     approach is at most 2t - d(p, q). The class masks grow from both sides
     to that depth (`_closest_approaches`), and on success pairs_checked
     counts the class pairs with different values; a per-value encoder's
-    classes are its values, so there it counts value pairs. An encoder with
+    classes are its values, so there it counts value pairs (read off
+    `value_distances` with a weight map). An encoder with
     too many classes for that to pay (in either mode), and any encoder that
     violates, is checked over every difference vector e of weight 1..2t
     (pairs further apart satisfy the condition on message distance alone) by
@@ -540,10 +558,14 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
     limits = [[0] * (i + 1) + [2 * t - (p ^ q).bit_count() if w != v else 0
                                for w, q in zip(values[i + 1:], parities[i + 1:])]
               for i, (v, p) in enumerate(zip(values, parities))]
-    e = len(masks)
+    e = len(values)
     pending = [[j for j in range(i + 1, e) if lim[j] >= 1] for i, lim in enumerate(limits)]
     pairs = (e * e - sum(c * c for c in Counter(values).values())) // 2  # with different values
-    ok = not _closest_approaches(masks, encoder.spec.k, pending, limits)
+    if masks is None:  # values on a weight map
+        near = value_distances(encoder.spec, 2 * t)
+        ok = all(near[i][j] > lim[j] for i, (js, lim) in enumerate(zip(pending, limits)) for j in js)
+    else:
+        ok = not _closest_approaches(masks, encoder.spec.k, pending, limits)
     if ok or not witness:
         return VerifyResult(ok, None, pairs, "class")
     return _verify_message_level(encoder, t, witness)
@@ -553,21 +575,25 @@ def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
     """The masks, image indices and parities of the (value, parity) classes.
 
     A per-value encoder's word index is its value index, so its values are
-    its classes. A per-message encoder's values split on the bit planes of
-    its message key, top plane first, dropping empty halves; its words are
-    distinct, so these are the classes. In both modes this gives up, with
-    None, once the class check would do more 2^k-bit operations than the
-    message-level kernel: its pair tests are up to E'^2 t ANDs, and the
-    kernel half-swaps each of its image-index and r parity planes, five
-    operations each, once per translation, of which there are sum of
-    C(k, w), w = 1..2t."""
-    spec, key = encoder.spec, encoder.message_key
-    planes = (len(spec.image) - 1).bit_length() + encoder.r
+    its classes, without masks (None) on a weight map. A per-message
+    encoder's values split on the bit planes of its message key, top plane
+    first, dropping empty halves; its words are distinct, so these are the
+    classes. In both modes this gives up, with None, once the class check
+    would do more 2^k-bit operations than the message-level kernel: its pair
+    tests are up to E'^2 t ANDs, and the kernel half-swaps each of its
+    image-index and r parity planes, five operations each, once per
+    translation, of which there are sum of C(k, w), w = 1..2t."""
+    spec, key, e = encoder.spec, encoder.message_key, len(encoder.spec.image)
+    planes = (e - 1).bit_length() + encoder.r
     # E' <= most iff E'^2 t <= 5 * translations * planes
     most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
-    classes = [(m, i, i if key is None else 0) for i, m in enumerate(spec.preimage_masks)]
-    split_on = [] if key is None else _bit_planes(key, (len(encoder.words) - 1).bit_length())
-    for plane in reversed(split_on):
+    if key is None:
+        if e > most:
+            return None
+        masks = None if spec.weight_index is not None else spec.preimage_masks
+        return masks, range(e), encoder.words
+    classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
+    for plane in reversed(_bit_planes(key, (len(encoder.words) - 1).bit_length())):
         if len(classes) > most:
             return None
         split = []

@@ -35,11 +35,12 @@ def _weight_table(k: int) -> bytes:
 
 def _weight_spec(k: int, image, name: str, index_of_weight) -> FunctionSpec:
     """A spec whose value at u is image[index_of_weight(wt(u))], the rule
-    written once on the weights: fn reads it per message, and the whole
-    table is the weight table mapped through it."""
+    written once on the weights: fn reads it per message, the whole table is
+    the weight table mapped through it, and it is the spec's weight map."""
     values, index = tuple(image), list(map(index_of_weight, range(k + 1)))
     bulk = lambda: _weight_table(k).translate(bytes(index).ljust(256, b"\0"))
-    return FunctionSpec(k, lambda u: values[index[u.bit_count()]], values, name=name, bulk_table=bulk)
+    return FunctionSpec(k, lambda u: values[index[u.bit_count()]], values, name=name,
+                        bulk_table=bulk, weight_index=index)
 
 
 def wt_spec(k: int) -> FunctionSpec:
@@ -360,17 +361,10 @@ def ml_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
 
 
 def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:
-    """Requirement matrix between weight values, in closed form.
-
-    Weights i and j admit messages as close as |i - j|, so the entry is
-    max(2t+1 - |i - j|, 0). Equal to the generic value-distance matrix of
-    wt_spec(k) but costs nothing to build, whatever k.
-    """
-    if k < 1 or t < 1:
-        raise ValueError(f"need k >= 1 and t >= 1, got ({k}, {t})")
-    return fcc.requirement_matrix(
-        ([abs(i - j) for j in range(k + 1)] for i in range(k + 1)), t, k
-    )
+    """Requirement matrix between weight values: weights i and j admit
+    messages as close as |i - j|, so the entry is max(2t+1 - |i - j|, 0),
+    read off wt_spec(k)'s weights at any k."""
+    return fcc.function_distance_matrix(wt_spec(k), t)
 
 
 # --- specialized encoders ---------------------------------------------------

@@ -778,6 +778,58 @@ def test_build_code_writes_its_out_file_in_place_too(capsys, tmp_path, monkeypat
     assert path.read_text(encoding="utf-8") == text and path.stat().st_ino == inode
 
 
+def test_an_out_file_is_cut_only_where_it_was_longer(capsys, tmp_path, monkeypatch):
+    # the size read at opening decides: a new file, a rewrite with the same
+    # bytes and a longer text are written without a cut, a shorter one is cut
+    cuts, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        truncate = fh.truncate
+        fh.truncate = lambda *size: cuts.append(file) or truncate(*size)
+        return fh
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    path = tmp_path / "enc.txt"
+    short = _built(capsys, _SHORT, path)
+    assert _built(capsys, _SHORT, path) == short and cuts == []
+    assert len(_built(capsys, _LONG, path)) > len(short) and cuts == []
+    assert _built(capsys, _SHORT, path) == short and len(cuts) == 1
+
+
+# --- weight families beyond the value tables ----------------------------------
+
+_WT30 = ["--function", "wt", "--k", "30", "--t", "2"]
+
+
+def test_weight_families_build_encode_and_row_beyond_the_tables(capsys, tmp_path):
+    # README's k = 30 and k = 40 lines: their value distances come off the
+    # k+1 weights, where a 2^k table could not be built
+    path = tmp_path / "wt30.txt"
+    code, payload, _ = run_json(capsys, "fcc-build", *_WT30, "--out", str(path))
+    assert (code, payload) == (0, {"k": 30, "t": 2, "r": 7, "mode": fcc.PER_VALUE,
+                                   "out": str(path)})
+    enc = fcc.encoder_from_text(path.read_text(encoding="utf-8"))
+    assert fcc._verify_exhaustive(enc, 2) == fcc.VerifyResult(True, None, 31 * 30 // 2, "class")
+    u = "10" * 15
+    code, out, _ = run(capsys, "fcc-encode", "--encoder", str(path), "--u", u)
+    assert (code, out) == (0, u + format(enc.words[15], "07b") + "\n")
+    code, out, _ = run(capsys, "table", "--function", "delta_T:k=40,T=3", "--t", "2")
+    assert code == 0 and out.split()[-1] == "fcc=5*"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fcc-verify", "--sample", "100"],
+    ["fcc-decode", "--y", "0" * 37],
+    ["simulate", "--channel", "random"],
+], ids=["sampled-verify", "decode", "simulate"])
+def test_what_reads_a_k30_value_table_still_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "wt30.txt"
+    assert run(capsys, "fcc-build", *_WT30, "--out", str(path))[0] == 0
+    assert run(capsys, *argv, "--encoder", str(path)) == (
+        2, "", "error: k=30 too large to tabulate\n")
+
+
 def test_fcc_encode_json_names_the_codeword(capsys):
     argv = ["fcc-encode", "--function", "wt", "--k", "6", "--t", "1", "--construction", "1",
             "--u", "110100"]

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcodes import bounds, construct, fcc, functions
+from fcodes import bounds, construct, fcc, functions, tables
 from fcodes import simulate as simulate_mod
 from fcodes.bits import BitWord, DistanceMatrix, _shells, all_words, sphere_size
 from fcodes.simulate import ChannelModel, SimulationReport, error_patterns, simulate
@@ -510,6 +510,99 @@ def test_value_distances_match_the_one_sided_search_on_families(name):
     spec = fcc.spec_from_string(name)
     for max_d in range(spec.k + 3):
         assert fcc.value_distances(spec, max_d) == reference_value_distances(spec, max_d), max_d
+
+
+# --- weight specs against the same functions without their weight map ----------
+
+
+def _without_weights(spec: fcc.FunctionSpec) -> fcc.FunctionSpec:
+    """The same function with no weight map, which takes the ball route: the
+    oracle for everything a weight spec reads off its weights."""
+    return fcc.FunctionSpec(spec.k, spec.fn, spec.image, name=spec.name)
+
+
+def _weight_families(k: int) -> list[fcc.FunctionSpec]:
+    return [functions.wt_spec(k), functions.parity_spec(k), functions.or_spec(k),
+            functions.constant_spec(k), *(functions.delta_spec(k, T) for T in range(1, k + 2))]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_weight_value_distances_equal_the_ball_route(k):
+    for spec in _weight_families(k):
+        oracle = _without_weights(spec)
+        assert oracle.weight_index is None and len(spec.weight_index) == k + 1
+        for max_d in range(k + 2):
+            assert fcc.value_distances(spec, max_d) == fcc.value_distances(oracle, max_d), (
+                spec.name, max_d)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_weight_verify_equals_the_ball_route(k):
+    # the `auto` encoders and the weight cycle, with and without a flipped
+    # bit: the whole result (ok, witness, pairs_checked, route) is the
+    # oracle's, the witness-free check's verdict too, and so is simulate's
+    # certificate, which is that check at the channel's t
+    rng, seen = random.Random(k), {"class": 0, "message-level": 0, "fail": 0}
+    for t in (1, 2, 3):
+        encoders = [fcc.build_function_value_encoder(spec, t) for spec in _weight_families(k)]
+        encoders += [functions.wt_cyclic_encoder(k, t)] if k > t else []
+        flipped = [_flipped(base, rng, 1) for base in encoders if base.r]
+        for enc in encoders + flipped:
+            plain = dataclasses.replace(enc, spec=_without_weights(enc.spec))
+            res = fcc.verify_fcc(enc)
+            assert res == fcc.verify_fcc(plain), (enc.spec.name, t)
+            quick = fcc._verify_exhaustive(enc, t, witness=False)
+            assert quick.ok == fcc._verify_exhaustive(plain, t, witness=False).ok == res.ok
+            channel = ChannelModel(t=t, mode="random", seed=k, trials=20)
+            report = simulate(enc, channel)
+            assert report == simulate(plain, channel)
+            assert (report.route == "certified") == res.ok
+            seen[res.route] += 1
+            seen["fail"] += not res.ok
+    assert min(seen.values()) >= 1, seen
+
+
+@pytest.mark.parametrize("k", [3, 9])
+@pytest.mark.parametrize("head, image, message", [
+    ([0, 1], (0, 1, 2), "image values never attained: [2]"),
+    ([0, 2], (0, 1), "index 2 is beyond the 2 indices"),
+    ([0, -1], (0, 1), "index -1 is beyond the 2 indices"),
+], ids=["missing", "beyond", "negative"])
+def test_a_bad_weight_map_is_rejected_as_its_table_is(k, head, image, message):
+    # a map that misses a value, or names an index beyond the image or a
+    # negative one, raises what the same map tabulated raises
+    index = head + [1] * (k - 1)
+    fn = lambda u: index[u.bit_count()]  # noqa: E731
+    bulk = lambda: [index[u.bit_count()] for u in range(1 << k)]  # noqa: E731
+    with pytest.raises(ValueError) as tabulated:
+        fcc.FunctionSpec(k, fn, image, bulk_table=bulk)
+    with pytest.raises(ValueError) as weighed:
+        fcc.FunctionSpec(k, fn, image, weight_index=index)
+    assert str(weighed.value) == str(tabulated.value)
+    assert str(weighed.value).startswith(message)
+
+
+def test_a_weight_map_names_every_weight():
+    with pytest.raises(ValueError, match="need a weight map of k\\+1 = 4 entries"):
+        fcc.FunctionSpec(3, lambda u: 0, [0], weight_index=[0, 0, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fcc.build_function_value_encoder(functions.wt_spec(20), 2),
+    lambda: tables.table_row("delta_T:k=20,T=3", 2),
+    lambda: fcc.verify_fcc(functions.wt_cyclic_encoder(14, 2)),
+], ids=["auto-wt20", "table-delta20", "verify-wt14"])
+def test_weight_specs_build_and_verify_without_a_2k_table(call):
+    # a 2^k byte table at k = 20 alone is 1 MiB; through the tables these
+    # peaked at 9.5 MiB, 6.3 MiB and 121 KiB
+    call()  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
 
 
 def test_function_distance_matrix_requirements():

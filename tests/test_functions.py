@@ -141,9 +141,11 @@ def test_minmax_blocks_beyond_a_byte_tabulate_fn():
 
 @pytest.mark.parametrize("k,t", [(4, 1), (6, 2), (8, 1), (5, 3)])
 def test_wt_requirement_matrix_matches_generic(k, t):
+    # the generic route is the ball search over the same function without
+    # its weight map, which the matrix is read off
     direct = functions.wt_requirement_matrix(k, t)
     spec = functions.wt_spec(k)
-    generic = fcc.function_distance_matrix(spec, t)
+    generic = fcc.function_distance_matrix(fcc.FunctionSpec(k, spec.fn, spec.image), t)
     assert direct == generic
 
 
