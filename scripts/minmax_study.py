@@ -30,19 +30,18 @@ def main() -> int:
         if w * args.l > 18:
             print(f"w={w}: skipped (2^{w * args.l} messages)")
             continue
-        oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, args.l))
-        counts = Counter(oracle.neighbor_counts)
-        profile = Counter(
-            d for row in oracle.distances.entries for d in row if d > 0
-        )
-        print(f"w={w}, l={args.l}: E={oracle.distances.dim}, "
+        spec = functions.minmax_spec(w, args.l)
+        rows = fcc.value_distances(spec, spec.k)
+        counts = Counter(row.count(1) for row in rows)
+        profile = Counter(d for row in rows for d in row if d > 0)
+        print(f"w={w}, l={args.l}: E={len(rows)}, "
               f"distance profile {dict(sorted(profile.items()))}, "
               f"neighbor counts {dict(sorted(counts.items()))} "
               f"(4(w-2) = {4 * (w - 2)})")
         for t in args.t:
             closed = bounds.minmax_gv_upper(w, t)
             generic = bounds.gv_irregular_threshold(
-                fcc.function_distance_matrix(oracle.spec, t)
+                fcc.function_distance_matrix(spec, t)
             )
             enc = functions.minmax_parity_encoder(w, args.l, t)
             lower = bounds.minmax_lower_bound(w, t)

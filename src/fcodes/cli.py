@@ -1,7 +1,7 @@
 """Command-line driver for bounds, code building, encoders, and experiments.
 
 Exit codes: 0 = success / property verified, 1 = property violated (failed
-verification, simulation failures, oracle mismatch, impossible build),
+verification, simulation failures, impossible build),
 2 = usage or budget problems. Results go to stdout, diagnostics to stderr.
 """
 
@@ -146,17 +146,14 @@ def _reads(command: str, params: dict[str, str], flags: set[str]) -> set[str] | 
 
 
 def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[str, str]]:
-    """The registry string a call is about, and its key=value pairs. An
-    oracle's is its kind (`minmax`, or `ml:<--ml-kind>`); any other call's is
-    the first that names one of --function (the flag, then the config), then,
+    """The registry string a call is about, and its key=value pairs: the
+    first that names one of --function (the flag, then the config), then,
     for an encoder, the `# function:` header of the --encoder file (whose
     `# k:` fills a k the string leaves out) and the named construction's. A
     key the string's family does not take is a usage error here, before any
     pair can stand in for a flag."""
     text, pairs = params.get("function"), {}
-    if command == "oracle":
-        text = "minmax" if params["kind"] == "minmax" else "ml:" + _need(params, "ml_kind")
-    elif text is None and command not in ("bounds", "build-code"):  # an encoder's function
+    if text is None and command not in ("bounds", "build-code"):  # an encoder's function
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
         text = _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
         if "encoder" in params:  # the reader's own headers
@@ -420,7 +417,6 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
                "route": result.route}
     if result.witness:
         payload["witness"] = [str(w) for w in result.witness]
-    payload["stats"] = {"pairs_checked": result.pairs_checked, "route": result.route}
     if result.ok:  # a sample proves nothing, so its OK names the route and count
         return 0, payload, f"OK (sampled: {result.pairs_checked} pairs checked)\n" if sample else "OK\n"
     u1, u2 = result.witness
@@ -465,29 +461,6 @@ def cmd_simulate(args, params: dict[str, str]) -> _Result:
 def cmd_table(args, params: dict[str, str]) -> _Result:
     row = tables.table_row(params["function"], _need(params, "t", int), _spec_params(params))
     return 0, row.to_json_dict(), f"{tables.render_header()}\n{row.render()}\n"
-
-
-def cmd_oracle(args, params: dict[str, str]) -> _Result:
-    if params["kind"] == "minmax":
-        w, l = _need(params, "w", int), _need(params, "l", int)
-        oracle = functions.minmax_distance_oracle(_spec(params))
-        ok = oracle.claims_hold(int(params.get("t", 1)))
-        rows = [list(r) for r in oracle.distances.entries]
-        payload = {"w": w, "l": l, "distances": rows,
-                   "neighbor_counts": list(oracle.neighbor_counts), "claims_hold": ok}
-        text = "".join([
-            f"min-max value distances (w={w}, l={l}):\n",
-            *("  " + " ".join(map(str, r)) + "\n" for r in rows),
-            f"distance-1 neighbors per value: {payload['neighbor_counts']}\n",
-            f"claims {'hold' if ok else 'VIOLATED'}\n",
-        ])
-        return (0 if ok else 1), payload, text
-    # ml, the other of --kind's choices
-    t, spec = _need(params, "t", int), _spec(params)
-    lemma = functions.ml_distance_matrix(spec, t)
-    match = lemma.entries == fcc.function_distance_matrix(spec, t).entries
-    text = f"{'MATCH' if match else 'MISMATCH'} dim={lemma.dim}\n"
-    return (0 if match else 1), {"dim": lemma.dim, "match": match}, text
 
 
 # --- parser ------------------------------------------------------------------
@@ -612,13 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_params(p)
     _add_common(p)
     p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("oracle", help="structural ground-truth checks")
-    p.add_argument("--kind", required=True, choices=["minmax", "ml"])
-    _add_spec_params(p)
-    p.add_argument("--ml-kind", help="sigmoid | tanh | relu | sigmoid_derivative | tanh_derivative")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -334,32 +334,6 @@ def ml_spec(kind: MlFunctionKind, q: Quantizer) -> FunctionSpec:
     )
 
 
-def ml_distance_matrix(spec: FunctionSpec, t: int) -> DistanceMatrix:
-    """Requirement matrix for an activation's spec (`ml_spec`), classwise.
-
-    Groups messages by the spec's index table (saturation classes, single
-    centers, +/- pairs for symmetric kinds) and takes, for each pair of
-    classes, the plain minimum of Hamming distances between their members —
-    the direct form of the distance the generic matrix reaches through shell
-    search. Rows follow ml_spec's image order, so the two agree entrywise.
-    """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if spec.k > 16:
-        raise ValueError(f"k={spec.k} too large for classwise minimization")
-    members: list[list[int]] = [[] for _ in spec.image]
-    for u, i in enumerate(spec.index_table):
-        members[i].append(u)
-    e = len(members)
-    rows = [[0] * e for _ in range(e)]
-    for i in range(e):
-        for j in range(i + 1, e):
-            rows[i][j] = rows[j][i] = min(
-                (a ^ b).bit_count() for a in members[i] for b in members[j]
-            )
-    return fcc.requirement_matrix(rows, t, spec.k)
-
-
 def wt_requirement_matrix(k: int, t: int) -> DistanceMatrix:
     """Requirement matrix between weight values: weights i and j admit
     messages as close as |i - j|, so the entry is max(2t+1 - |i - j|, 0),
@@ -470,49 +444,6 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
 
 
 # --- min-max -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinMaxOracleResult:
-    """Exhaustively measured value-distance landscape of a min-max spec."""
-
-    spec: FunctionSpec
-    distances: DistanceMatrix  # raw closest-approach distances, not requirements
-    neighbor_counts: tuple[int, ...]  # per value: values at distance exactly 1
-
-    def claims_hold(self, t: int = 1) -> bool:
-        """Whether the landscape has the structure the min-max encoders rely
-        on: swapped values at distance 2 (for w >= 4 index-disjoint ones too),
-        none farther, 4(w-2) values at distance 1 from each, and so
-        4w(w-1)(w-2) ordered pairs needing the full 2t at budget t."""
-        if t < 1:
-            raise ValueError(f"need t >= 1, got {t}")
-        image, d = self.spec.image, self.distances
-        w = len({v.argmin_index for v in image})
-        pairs = [(i, j) for i in range(d.dim) for j in range(d.dim) if i != j]
-        swaps_at_2 = all(d.at(i, j) == 2 for i, j in pairs if image[i] == image[j][::-1])
-        req = fcc.function_distance_matrix(self.spec, t)
-        full_2t = sum(req.at(i, j) == 2 * t for i, j in pairs)
-        return (
-            swaps_at_2
-            and d.max_entry == 2
-            and all(c == 4 * (w - 2) for c in self.neighbor_counts)
-            and full_2t == 4 * w * (w - 1) * (w - 2)
-        )
-
-
-def minmax_distance_oracle(spec: FunctionSpec) -> MinMaxOracleResult:
-    """Exhaustively measure all pairwise value distances of a min-max spec.
-
-    Ground truth for the structural facts the cheap encoders rely on: the
-    farthest pairs are the swapped (i,j)/(j,i) ones at distance 2, and every
-    value has exactly 4(w-2) values at distance 1.
-    """
-    if spec.k > 18:
-        raise ValueError(f"k={spec.k} too large for the exhaustive oracle")
-    rows = fcc.value_distances(spec, spec.k)
-    counts = tuple(row.count(1) for row in rows)
-    return MinMaxOracleResult(spec, DistanceMatrix.from_rows(rows), counts)
 
 
 def minmax_parity_encoder(w: int, l: int, t: int) -> FccEncoder:

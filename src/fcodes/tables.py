@@ -62,9 +62,13 @@ def _ecc_data_entry(k: int | None, t: int) -> TableEntry:
     return _approx(bounds.ecc_on_data_redundancy(k, t))
 
 
-def _ecc_values_entry(e: int | None, t: int, symbolic: str) -> TableEntry:
+def _ecc_values_entry(e: int | None, t: int, symbolic: str = "log E + t log log E") -> TableEntry:
+    """Sending one of e values on its own: a two-valued one is one bit, which
+    takes exactly a 2t+1 repetition; more values take the estimate."""
     if e is None:
         return _symbolic(symbolic)
+    if e == 2:
+        return _exact(2 * t + 1)
     return _approx(bounds.ecc_on_function_values_redundancy(e, t))
 
 
@@ -94,14 +98,13 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         return spec_row(fcc.spec_from_string(name, defaults=p), t)
 
     if family == "binary":
-        # any two-valued function: repetition parities are exactly optimal,
-        # and sending the value itself takes a 2t+1 repetition code
+        # any two-valued function: repetition parities are exactly optimal
         return TableRow(
             "binary",
             t,
             lower_bound=_exact(2 * t),
             ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_exact(2 * t + 1),
+            ecc_on_function_values=_ecc_values_entry(2, t),
             fcc_redundancy=_exact(2 * t),
         )
 
@@ -135,7 +138,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             t,
             lower_bound=_exact(2 * t),
             ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_ecc_values_entry(e, t, "log E + t log log E"),
+            ecc_on_function_values=_ecc_values_entry(e, t),
             fcc_redundancy=fcc_entry,
         )
 
@@ -158,7 +161,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             t,
             lower_bound=_exact(lower),
             ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_ecc_values_entry(e, t, "log E + t log log E"),
+            ecc_on_function_values=_ecc_values_entry(e, t),
             fcc_redundancy=_exact(achieved),
         )
 
@@ -170,7 +173,8 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
     """The generic comparison row of any spec, from its matrices.
 
     The lower bound is Plotkin over the message-level requirement matrix of
-    one representative per value (its smallest preimage), floored at 2t.
+    one representative per value (its smallest preimage: 2^a - 1 on a weight
+    map, a the least weight of the value), floored at 2t.
     Every encoder must meet the requirements of any message subset (paper
     Thm. 2), so the bound holds whichever representatives are taken. The
     achieved entry is the per-value greedy build.
@@ -178,14 +182,18 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
     e = spec.expressiveness
     if e < 2:
         return TableRow(spec.name, t, _exact(0), _ecc_data_entry(spec.k, t), _exact(0), _exact(0))
-    reps = [BitWord((m & -m).bit_length() - 1, spec.k) for m in spec.preimage_masks]
+    if spec.weight_index is None:
+        firsts = [(m & -m).bit_length() - 1 for m in spec.preimage_masks]
+    else:
+        firsts = [(1 << spec.weight_index.index(i)) - 1 for i in range(e)]
+    reps = [BitWord(u, spec.k) for u in firsts]
     dmat = fcc.distance_requirement_matrix(spec, t, reps)
     return TableRow(
         spec.name,
         t,
         lower_bound=_exact(max(2 * t, bounds.plotkin_irregular(dmat).integer_value)),
         ecc_on_data=_ecc_data_entry(spec.k, t),
-        ecc_on_function_values=_ecc_values_entry(e, t, "log E + t log log E"),
+        ecc_on_function_values=_ecc_values_entry(e, t),
         fcc_redundancy=_exact(fcc.build_function_value_encoder(spec, t).r),
     )
 

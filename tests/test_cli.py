@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -563,10 +564,10 @@ def test_fcc_verify_json_stats(capsys, extra):
     assert code == 0
     data = json.loads(out)
     stats = data.pop("stats")
-    assert set(stats) == {"elapsed_s", "pairs_checked", "route"}
-    assert stats["elapsed_s"] >= 0 and stats["pairs_checked"] == data["pairs_checked"] > 0
-    assert set(data) == {"ok", "pairs_checked", "mode", "route"}
-    assert stats["route"] == data["route"] == ("sampled" if extra else "class")
+    # each figure is named once: the pairs and the route at top level
+    assert set(stats) == {"elapsed_s"} and stats["elapsed_s"] >= 0
+    assert set(data) == {"ok", "pairs_checked", "mode", "route"} and data["pairs_checked"] > 0
+    assert data["route"] == ("sampled" if extra else "class")
 
 
 def test_fcc_verify_json_names_each_route(capsys, tmp_path):
@@ -585,7 +586,7 @@ def test_fcc_verify_json_names_each_route(capsys, tmp_path):
     for argv, rc, route, pairs in cases:
         code, out, _ = run(capsys, "fcc-verify", *argv, "--json")
         data = json.loads(out)
-        assert (code, data["route"], data["stats"]["route"]) == (rc, route, route)
+        assert (code, data["route"]) == (rc, route)
         assert pairs is None or data["pairs_checked"] == pairs
     assert data["mode"] == "sampled"
 
@@ -1038,7 +1039,7 @@ def test_simulate_random_channel_caps_weight_at_block_length(capsys):
     assert err == ""
 
 
-# --- table and oracle -------------------------------------------------------------
+# --- table ----------------------------------------------------------------------
 
 
 def test_table_binary_row(capsys):
@@ -1093,6 +1094,15 @@ def test_table_json(capsys):
     assert data["ecc_on_function_values"] == {"text": "3", "value": 3, "exact": True}
 
 
+@pytest.mark.parametrize("name", ["parity", "or"])
+def test_table_weight_family_row_at_k30(capsys, name):
+    # each value's least message comes off the weights: no 2^30 table
+    code, out, err = run(capsys, "table", "--function", name, "--k", "30", "--t", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        f"{name + ':k=30':<12} t=2  lower=4        ecc-data=12*        ecc-values=5            fcc=4")
+
+
 def test_table_generic_lower_bound_is_sound(capsys, tmp_path):
     # the message-level bound: 0010 and 1101 are 4 apart, but 0010 has a
     # neighbour outside the code, so only 2t = 4 parity bits are forced (and
@@ -1107,18 +1117,22 @@ def test_table_generic_lower_bound_is_sound(capsys, tmp_path):
 
 
 def test_oracle_minmax(capsys):
-    code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", "3", "--l", "3")
-    assert code == 0
-    assert "claims hold" in out
+    # there is no `oracle` subcommand: its old call is argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--kind", "minmax", "--w", "3", "--l", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice: 'oracle'" in err and "Traceback" not in err
 
 
-def test_oracle_ml_match(capsys):
-    code, out, _ = run(
-        capsys, "oracle", "--kind", "ml", "--ml-kind", "sigmoid", "--k", "5",
-        "--eps", "1", "--t", "1",
-    )
-    assert code == 0
-    assert out.strip() == "MATCH dim=22"
+def test_oracle_ml_match(capsys, tmp_path, class_distance_matrix):
+    # an activation with its own cutoff, as the flags build it: its value
+    # matrix is the brute-force one
+    enc = tmp_path / "td.txt"
+    argv = ["--function", "ml:tanh_derivative", "--k", "6", "--eps", "1", "--a", "3", "--t", "1"]
+    assert run(capsys, "fcc-build", *argv, "--out", str(enc))[0] == 0
+    spec = fcc.encoder_from_text(enc.read_text()).spec
+    assert spec.name == "ml:tanh_derivative,k=6,eps=1,a=3"
+    assert class_distance_matrix(spec, 1) == fcc.function_distance_matrix(spec, 1)
 
 
 def test_unknown_function_is_usage_error(capsys):
@@ -1300,12 +1314,8 @@ def test_config_shared_across_subcommands_keeps_working(capsys, tmp_path):
     ["fcc-build", "--construction", "1", "--k", "6", "--T", "3", "--t", "1", "--out", "x.txt"],
     ["simulate", "--construction", "wt-cycle", "--k", "6", "--w", "3", "--t", "1"],
     ["fcc-verify", "--construction", "2", "--k", "8", "--T", "3", "--l", "5", "--t", "1"],
-    # an oracle's kind names its family
-    ["oracle", "--kind", "ml", "--ml-kind", "sigmoid", "--k", "5", "--eps", "1", "--t", "1",
-     "--T", "7"],
-    ["oracle", "--kind", "minmax", "--w", "3", "--l", "3", "--T", "5"],
 ], ids=["table", "build", "simulate", "verify", "auto", "binary", "construction-build",
-        "construction-simulate", "construction-verify", "oracle-ml", "oracle-minmax"])
+        "construction-simulate", "construction-verify"])
 def test_a_spec_flag_the_family_does_not_take_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
@@ -1325,8 +1335,9 @@ def test_an_empty_ml_interval_is_a_usage_error(capsys, text):
     (["table", "--function", "ml:relu,k=4,eps=1", "--a", "1", "--t", "1"],
      "relu has no interval"),
     (["table", "--function", "ml:tanh_derivative,k=4,eps=1,a=1,b=3", "--t", "1"], "one cutoff"),
-    (["oracle", "--kind", "ml", "--ml-kind", "relu", "--k", "4", "--eps", "1", "--t", "1",
-      "--a", "1"], "relu has no interval"),
+    # every parameter from a flag, as the old oracle subcommand built the kind
+    (["fcc-build", "--function", "ml:relu", "--k", "4", "--eps", "1", "--t", "1", "--a", "1"],
+     "relu has no interval"),
 ], ids=["relu-pairs", "relu-flag", "symmetric-pairs", "oracle-relu"])
 def test_an_ml_interval_the_kind_cannot_take_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -1334,12 +1345,13 @@ def test_an_ml_interval_the_kind_cannot_take_is_a_usage_error(capsys, argv, mess
     assert len(err.strip().splitlines()) == 1 and message in err
 
 
-def test_the_ml_oracle_reads_a_symmetric_cutoff_from_a(capsys):
-    # the cutoff 3 leaves 4 values at k=4, eps=1; the default cutoff 6 leaves 7
-    argv = ["oracle", "--kind", "ml", "--ml-kind", "tanh_derivative", "--k", "4",
-            "--eps", "1", "--t", "1"]
-    assert run_json(capsys, *argv)[1] == {"dim": 7, "match": True}
-    assert run_json(capsys, *argv, "--a", "3")[1] == {"dim": 4, "match": True}
+def test_a_sets_a_symmetric_kinds_cutoff(capsys):
+    # the cutoff 3 leaves 4 values at k=4, eps=1; the default cutoff 6 leaves
+    # 7: one body line each
+    argv = ["fcc-build", "--function", "ml:tanh_derivative", "--k", "4", "--eps", "1", "--t", "1"]
+    for extra, values in (([], 7), (["--a", "3"], 4)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0 and sum(not line.startswith("#") for line in out.splitlines()) == values
 
 
 def test_a_numeric_flag_agrees_with_an_equal_pair(capsys, tmp_path):
@@ -1386,12 +1398,12 @@ def test_a_flag_must_agree_with_the_encoder_header_values(capsys, tmp_path, monk
         2, "", "error: --k 4 contradicts k=8 in 'wt'\n")
 
 
-def test_the_ml_oracle_builds_one_spec(capsys, monkeypatch):
+def test_an_ml_call_builds_one_spec(capsys, monkeypatch):
     built = []
     ml_spec = functions.ml_spec
     monkeypatch.setattr(functions, "ml_spec", lambda *a: built.append(a) or ml_spec(*a))
-    argv = ["oracle", "--kind", "ml", "--ml-kind", "sigmoid", "--k", "5", "--eps", "1", "--t", "1"]
-    assert run(capsys, *argv) == (0, "MATCH dim=22\n", "")
+    argv = ["fcc-verify", "--function", "ml:sigmoid", "--k", "5", "--eps", "1", "--t", "1"]
+    assert run(capsys, *argv) == (0, "OK\n", "")
     assert len(built) == 1
 
 
@@ -1430,28 +1442,36 @@ def test_table_rejects_parameters_its_family_rejects(capsys, function, flags):
     assert len(err.strip().splitlines()) == 1 and " row needs " in err
 
 
-@pytest.mark.parametrize("w, l, expected", [(4, 3, 0), (5, 3, 0), (4, 2, 1)])
-def test_oracle_minmax_claims_beyond_three_blocks(capsys, w, l, expected):
-    code, out, _ = run(capsys, "oracle", "--kind", "minmax", "--w", str(w), "--l", str(l), "--json")
-    assert code == expected
-    assert json.loads(out)["claims_hold"] is (expected == 0)
+# the min-max checks the old oracle subcommand made, through the subcommands
+# that stay
+@pytest.mark.parametrize("w, l, spread", [(4, 3, 0), (5, 3, 0), (4, 2, 1)])
+def test_oracle_minmax_claims_beyond_three_blocks(capsys, tmp_path, w, l, spread):
+    # the spec fcc-build writes from --w and --l: 4(w-2) neighbours at
+    # distance 1 for every value on blocks of 3 bits; on 2-bit blocks the
+    # counts spread
+    enc = tmp_path / "minmax.txt"
+    argv = ["--function", "minmax", "--w", str(w), "--l", str(l), "--t", "1", "--out", str(enc)]
+    assert run(capsys, "fcc-build", *argv)[0] == 0
+    spec = fcc.encoder_from_text(enc.read_text()).spec
+    counts = {row.count(1) for row in fcc.value_distances(spec, spec.k)}
+    assert len(counts) == 1 + spread and (spread or counts == {4 * (w - 2)})
 
 
 def test_oracle_minmax_checks_k_as_the_minmax_function_does(capsys, monkeypatch):
-    argv = ["oracle", "--kind", "minmax", "--w", "3", "--l", "3"]
-    assert run(capsys, *argv, "--k", "10") == (2, "", "error: k=10 inconsistent with w*l=9\n")
-    assert run(capsys, "table", "--function", "minmax", *argv[3:], "--k", "10", "--t", "1")[2] == (
-        "error: k=10 inconsistent with w*l=9\n")
+    argv = ["--function", "minmax", "--w", "3", "--l", "3", "--t", "1"]
+    for sub in ("fcc-build", "table"):
+        assert run(capsys, sub, *argv, "--k", "10") == (
+            2, "", "error: k=10 inconsistent with w*l=9\n")
     built = []
     minmax_spec = functions.minmax_spec
     monkeypatch.setattr(functions, "minmax_spec", lambda *a: built.append(a) or minmax_spec(*a))
-    assert run(capsys, *argv, "--k", "9") == run(capsys, *argv) and run(capsys, *argv)[0] == 0
-    assert built == [(3, 3)] * 3  # one spec per call
+    assert run(capsys, "fcc-build", *argv, "--k", "9") == run(capsys, "fcc-build", *argv)
+    assert built == [(3, 3)] * 2  # one spec per call
 
 
 def test_oracle_minmax_rejects_a_zero_budget(capsys):
-    code, out, err = run(capsys, "oracle", "--kind", "minmax", "--w", "3", "--l", "2", "--t", "0")
-    assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1
+    code, out, err = run(capsys, "table", "--function", "minmax", "--w", "3", "--l", "3", "--t", "0")
+    assert (code, out) == (2, "") and err == "error: need t >= 1, got 0\n"
 
 
 # every subcommand: a call that succeeds, and a value it cannot do without
@@ -1464,7 +1484,6 @@ _CALLS = {
     "fcc-decode": (["--function", "wt", "--k", "4", "--t", "1", "--y", "1010000"], "--t"),
     "simulate": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
     "table": (["--function", "wt", "--k", "4", "--t", "1"], "--t"),
-    "oracle": (["--kind", "minmax", "--w", "3", "--l", "2"], "--w"),
 }
 _ENCODER = "# fcodes encoder v1\n# function: wt\n# k: 4\n# t: 1\n# r: 3\n# mode: per-function-value\n"
 _GARBAGE_FILES = {
@@ -1497,15 +1516,20 @@ def _garbage_calls():
             for name in ("list", "rows", "null", "five", "float", "empty", "text"):
                 yield f"{sub} {name}.json", [sub, *keep, "--matrix", "file",
                                               "--file", f"{name}.json"]
-        if sub not in ("oracle",):
-            source = ["--matrix", "function"] if takes_matrix else []
-            for text in _BAD_FUNCTIONS:
-                yield f"{sub} {text}", [sub, *argv, *source, "--function", text]
+        source = ["--matrix", "function"] if takes_matrix else []
+        for text in _BAD_FUNCTIONS:
+            yield f"{sub} {text}", [sub, *argv, *source, "--function", text]
         if sub.startswith("fcc-") or sub == "simulate":
             for name in ("header", "no-mode", "bits"):
                 yield f"{sub} {name}.txt", [sub, *argv, "--encoder", f"{name}.txt"]
     yield "fcc-encode bad bits", ["fcc-encode", *_CALLS["fcc-encode"][0], "--u", "10x0"]
     yield "fcc-decode bad bits", ["fcc-decode", *_CALLS["fcc-decode"][0], "--y", "10x0000"]
+
+
+def test_every_subcommand_has_a_fuzz_call_and_a_readme_line():
+    (sub,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_CALLS) == set(sub.choices)
+    assert set(_CALLS) <= {argv[0] for argv in _readme_command_lines()}
 
 
 def test_every_good_fuzz_call_succeeds(capsys, tmp_path, monkeypatch):

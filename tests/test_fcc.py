@@ -537,6 +537,15 @@ def test_weight_value_distances_equal_the_ball_route(k):
 
 
 @pytest.mark.parametrize("k", range(1, 13))
+def test_weight_table_rows_equal_the_ball_route(k):
+    # a value's least message is 2^a - 1 for its least weight a, as its
+    # preimage mask says
+    for spec in _weight_families(k):
+        for t in (1, 2):
+            assert tables.spec_row(spec, t) == tables.spec_row(_without_weights(spec), t), spec.name
+
+
+@pytest.mark.parametrize("k", range(1, 13))
 def test_weight_verify_equals_the_ball_route(k):
     # the `auto` encoders and the weight cycle, with and without a flipped
     # bit: the whole result (ok, witness, pairs_checked, route) is the

@@ -434,23 +434,33 @@ def test_minmax_image_is_all_ordered_pairs():
 
 @pytest.mark.parametrize("w, l", [(3, 2), (3, 3), (4, 3), (5, 3), (4, 4)])
 def test_minmax_claims_hold(w, l):
-    # distance 2 at w >= 4 also joins index-disjoint pairs: the check must
-    # not read it as a swap
-    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, l))
-    assert oracle.claims_hold(1) and oracle.claims_hold(2)
+    # the structure the min-max encoders rest on: swapped values at distance
+    # 2 (at w >= 4 index-disjoint ones join them, so not every 2 is a swap),
+    # none farther, 4(w-2) values at distance 1 from each, and so
+    # 4w(w-1)(w-2) ordered pairs that need the full 2t at budget t
+    spec = functions.minmax_spec(w, l)
+    d, image = fcc.value_distances(spec, spec.k), spec.image
+    pairs = [(i, j) for i in range(len(d)) for j in range(len(d)) if i != j]
+    assert all(d[i][j] == 2 for i, j in pairs if image[i] == image[j][::-1])
+    assert max(map(max, d)) == 2
+    assert all(row.count(1) == 4 * (w - 2) for row in d)
+    for t in (1, 2):
+        req = fcc.function_distance_matrix(spec, t)
+        assert sum(req.at(i, j) == 2 * t for i, j in pairs) == 4 * w * (w - 1) * (w - 2)
 
 
 @pytest.mark.parametrize("w", [4, 5])
 def test_minmax_claims_fail_on_two_bit_blocks(w):
-    # with l = 2 the neighbour counts spread ({6, 8} at w = 4)
-    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, 2))
-    assert len(set(oracle.neighbor_counts)) > 1
-    assert not oracle.claims_hold(1)
+    # with l = 2 the neighbour counts spread ({6, 8} at w = 4), so some value
+    # has other than 4(w-2)
+    spec = functions.minmax_spec(w, 2)
+    assert len({row.count(1) for row in fcc.value_distances(spec, spec.k)}) > 1
 
 
 def test_minmax_claims_need_a_positive_budget():
+    # the full-2t count reads the requirement matrix at t
     with pytest.raises(ValueError):
-        functions.minmax_distance_oracle(functions.minmax_spec(3, 2)).claims_hold(0)
+        fcc.function_distance_matrix(functions.minmax_spec(3, 2), 0)
 
 
 def test_minmax_needs_two_bit_blocks():
@@ -460,18 +470,16 @@ def test_minmax_needs_two_bit_blocks():
 
 @pytest.mark.parametrize("w", [3, 4])
 def test_minmax_oracle_structure(w):
-    oracle = functions.minmax_distance_oracle(functions.minmax_spec(w, 3))
-    d = oracle.distances
-    assert d.max_entry == 2
-    assert all(c == 4 * (w - 2) for c in oracle.neighbor_counts)
+    spec = functions.minmax_spec(w, 3)
+    d = fcc.value_distances(spec, spec.k)
     # swapped pairs always sit at distance 2; for w >= 4 index-disjoint
     # pairs join them, for a per-row total of w^2-5w+7 distance-2 entries
-    for i in range(d.dim):
+    for i in range(len(d)):
         row_2s = 0
-        for j in range(d.dim):
+        for j in range(len(d)):
             if i == j:
                 continue
-            vi, vj = oracle.spec.image[i], oracle.spec.image[j]
+            vi, vj = spec.image[i], spec.image[j]
             swapped = (vi.argmin_index, vi.argmax_index) == (
                 vj.argmax_index,
                 vj.argmin_index,
@@ -481,10 +489,10 @@ def test_minmax_oracle_structure(w):
                 vj.argmax_index,
             }
             if swapped:
-                assert d.at(i, j) == 2
-            elif d.at(i, j) == 2:
+                assert d[i][j] == 2
+            elif d[i][j] == 2:
                 assert not shared  # only disjoint pairs can be this far
-            row_2s += d.at(i, j) == 2
+            row_2s += d[i][j] == 2
         assert row_2s == w * w - 5 * w + 7
 
 

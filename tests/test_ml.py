@@ -1,9 +1,9 @@
-"""Quantized activation functions and their value-distance shortcut.
+"""Quantized activation functions and their value distances.
 
-`ml_distance_matrix` computes pairwise value distances from the band
-structure (saturation classes and bijective levels) directly;
-`fcc.function_distance_matrix` knows nothing about bands and searches the
-hypercube. Entrywise equality of the two is the point of these tests.
+The `class_distance_matrix` fixture compares every member of one value's
+class with every member of another's; `fcc.function_distance_matrix` grows
+the classes shell by shell through the hypercube. Entrywise equality of the
+two is the point of the matrix tests.
 """
 
 from __future__ import annotations
@@ -147,22 +147,14 @@ def test_value_labels():
 
 @pytest.mark.parametrize("name", sorted(IMAGE_SIZES))
 @pytest.mark.parametrize("t", [1, 2])
-def test_lemma_matrix_matches_generic_search(name, t):
-    kind = functions.ml_kind(name)
-    q = q5()
-    spec = functions.ml_spec(kind, q)
-    lemma = functions.ml_distance_matrix(spec, t)
-    generic = fcc.function_distance_matrix(spec, t)
-    assert lemma.entries == generic.entries
+def test_lemma_matrix_matches_generic_search(name, t, class_distance_matrix):
+    spec = functions.ml_spec(functions.ml_kind(name), q5())
+    assert class_distance_matrix(spec, t) == fcc.function_distance_matrix(spec, t)
 
 
-def test_lemma_matrix_matches_generic_small_quantizer():
-    kind = functions.ml_kind("tanh")
-    q = Quantizer(4, Fraction(2))
-    spec = functions.ml_spec(kind, q)
-    lemma = functions.ml_distance_matrix(spec, 1)
-    generic = fcc.function_distance_matrix(spec, 1)
-    assert lemma.entries == generic.entries
+def test_lemma_matrix_matches_generic_small_quantizer(class_distance_matrix):
+    spec = functions.ml_spec(functions.ml_kind("tanh"), Quantizer(4, Fraction(2)))
+    assert class_distance_matrix(spec, 1) == fcc.function_distance_matrix(spec, 1)
 
 
 def test_theorem2_encoder_on_sigmoid():

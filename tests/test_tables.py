@@ -22,6 +22,14 @@ def test_binary_rows():
         assert row.ecc_on_data.text == "t log k*"
 
 
+@pytest.mark.parametrize("name", ["binary", "parity:k=8", "or:k=8", "delta_T:k=8,T=5", "minmax:w=2"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_a_two_valued_row_sends_its_value_by_repetition(name, t):
+    # one bit against t errors takes exactly a 2t+1 repetition
+    entry = tables.table_row(name, t).ecc_on_function_values
+    assert entry == tables.TableEntry(str(2 * t + 1), 2 * t + 1, True)
+
+
 def test_binary_row_with_k():
     row = tables.table_row("binary", 1, {"k": "1024"})
     assert row.ecc_on_data.value == 11 and not row.ecc_on_data.exact
