@@ -9,24 +9,75 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class BitWord:
+_set = object.__setattr__  # how a record's own __init__ sets its fields
+
+
+def _tuple_getter(names: tuple[str, ...]) -> staticmethod:
+    """An object's attributes `names` as a tuple (attrgetter gives one bare)."""
+    get = attrgetter(*names)
+    return staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+
+class Record:
+    """Base of the package's immutable records, in place of frozen dataclasses,
+    whose import pulls in `inspect` and whose classes are slow to create. A
+    record lists its fields in `_fields` and sets them in its `__init__`,
+    with `_set` where it is built often, else `_init`. Records of one class
+    are equal when their first `_compared` fields are; the hash is that of
+    the first `_hashed` as a tuple, as a dataclass's; `repr` shows them all;
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared = _hashed = None  # None: every field
+
+    def __init_subclass__(cls) -> None:
+        cls._compare_key = _tuple_getter(cls._fields[: cls._compared])
+        cls._hash_key = _tuple_getter(cls._fields[: cls._hashed])
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compare_key(self) == self._compare_key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._hash_key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class BitWord(Record):
     """An immutable bit string of known length, packed into an int."""
 
-    value: int
-    length: int
+    __slots__ = _fields = ("value", "length")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+    def __init__(self, value: int, length: int) -> None:
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        if not 0 <= value < (1 << length):
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        _set(self, "value", value)
+        _set(self, "length", length)
 
     @classmethod
     def from_string(cls, text: str) -> BitWord:
@@ -220,19 +271,18 @@ def sphere_size(n: int, radius: int) -> int:
     return sum(math.comb(n, i) for i in range(min(radius, n) + 1))
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Record):
     """A symmetric matrix of non-negative pairwise distance requirements.
 
     Entry (i, j) is the minimum Hamming distance required between the i-th and
     j-th word of a code; the diagonal is zero. Entries are plain ints.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)  # no __slots__: max_entry is cached in __dict__
 
-    def __post_init__(self) -> None:
-        rows = self.entries
-        m = len(rows)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "entries", entries)
+        rows, m = entries, len(entries)
         # equal to its transpose implies square: zip stops at the shortest row
         if (
             tuple(zip(*rows)) == rows
@@ -309,17 +359,17 @@ class DistanceMatrix:
         return m
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Record):
     """An ordered list of equal-length binary words (repeats allowed)."""
 
-    words: tuple[BitWord, ...]
-    length: int
+    __slots__ = _fields = ("words", "length")
 
-    def __post_init__(self) -> None:
-        for w in self.words:
-            if w.length != self.length:
-                raise ValueError(f"word {w} has length {w.length}, expected {self.length}")
+    def __init__(self, words: tuple[BitWord, ...], length: int) -> None:
+        for w in words:
+            if w.length != length:
+                raise ValueError(f"word {w} has length {w.length}, expected {length}")
+        _set(self, "words", words)
+        _set(self, "length", length)
 
     @classmethod
     def of(cls, words: Iterable[BitWord], length: int | None = None) -> Code:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bits import DistanceMatrix, sphere_size
+from .bits import DistanceMatrix, Record, sphere_size
 
 CEIL_GUARD = 1e-9
 
@@ -31,14 +30,13 @@ def ceil_guarded(x: float) -> int:
     return math.ceil(x)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """An exact bound value together with its integer form and provenance."""
 
-    value: Fraction
-    integer_value: int
-    kind: str  # "lower" | "upper"
-    source: str
+    __slots__ = _fields = ("value", "integer_value", "kind", "source")
+
+    def __init__(self, value: Fraction, integer_value: int, kind: str, source: str) -> None:
+        self._init(value, integer_value, kind, source)  # kind: "lower" | "upper"
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,7 +270,8 @@ def ecc_on_data_redundancy(k: int, t: int) -> int:
 
     Smallest r with r ≥ t·ceil(log2(k + r)) — a Singleton/Hamming style
     estimate for a t-error-correcting code on k message bits. Grows like
-    t·log2(k).
+    t·log2(k). (At k = 1 the estimate degenerates to 0; a one-bit message
+    really takes a repetition code costing 2t.)
     """
     if k < 1 or t < 1:
         raise ValueError(f"need k >= 1 and t >= 1, got ({k}, {t})")

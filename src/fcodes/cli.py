@@ -8,7 +8,6 @@ verification, simulation failures, impossible build),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
-from .simulate import ChannelModel, simulate
+from .simulate import ChannelModel, SimulationReport, simulate
 
 _CONSTRUCTION_ALIASES = {
     "1": "wt-cycle",
@@ -365,7 +364,8 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
         # a given t outranks the t stored in the file, so a code built for
         # one budget can be checked against a stronger adversary
         if "t" in params and int(params["t"]) != encoder.t:
-            encoder = dataclasses.replace(encoder, t=int(params["t"]))
+            encoder = fcc.FccEncoder(encoder.spec, int(params["t"]), encoder.r, encoder.words,
+                                     encoder.message_key)
         return encoder
     name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
     if name in _CONSTRUCTIONS:
@@ -451,7 +451,8 @@ def cmd_simulate(args, params: dict[str, str]) -> _Result:
     if report.witness:  # name its values as fcc-decode does
         u, pattern, got, expected = report.witness
         got, expected = encoder.spec.value_label(got), encoder.spec.value_label(expected)
-        report = dataclasses.replace(report, witness=(u, pattern, got, expected))
+        report = SimulationReport(report.trials, report.failures, (u, pattern, got, expected),
+                                  report.mode, report.seed, report.decodes, report.route)
         text += f"first failure: u={u} pattern={pattern} decoded={got} expected={expected}\n"
     payload = report.to_json_dict()
     payload["stats"] = {"trials": report.trials, "decodes": report.decodes, "route": report.route}

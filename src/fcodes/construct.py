@@ -18,30 +18,27 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
 from . import bounds
-from .bits import BitWord, Code, DistanceMatrix, _expand_once, _xor_translate
+from .bits import BitWord, Code, DistanceMatrix, Record, _expand_once, _set, _xor_translate
 from .bits import satisfies_distance_matrix
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Caps for the exact search: length, backtracking nodes, wall clock."""
 
-    max_length: int = 16
-    max_nodes: int = 2_000_000
-    time_limit: float = 30.0  # seconds
+    __slots__ = _fields = ("max_length", "max_nodes", "time_limit")
 
-    def __post_init__(self) -> None:
-        if not (self.max_length > 0 and self.max_nodes > 0 and self.time_limit > 0):  # NaN too
+    def __init__(self, max_length: int = 16, max_nodes: int = 2_000_000,
+                 time_limit: float = 30.0) -> None:  # time_limit in seconds
+        self._init(max_length, max_nodes, time_limit)
+        if not (max_length > 0 and max_nodes > 0 and time_limit > 0):  # NaN too
             raise ValueError(f"budget caps must be positive: {self}")
 
 
-@dataclass(frozen=True)
-class ExactLengthResult:
+class ExactLengthResult(Record):
     """Outcome of exact_min_length.
 
     When `proven` is True, `value` is N(M, D) exactly and `code` is a witness.
@@ -50,11 +47,15 @@ class ExactLengthResult:
     `refute_nodes` of the `nodes` were spent before the last length tried.
     """
 
-    value: int
-    proven: bool
-    nodes: int
-    code: Code | None
-    refute_nodes: int = 0
+    __slots__ = _fields = ("value", "proven", "nodes", "code", "refute_nodes")
+
+    def __init__(self, value: int, proven: bool, nodes: int, code: Code | None,
+                 refute_nodes: int = 0) -> None:
+        _set(self, "value", value)
+        _set(self, "proven", proven)
+        _set(self, "nodes", nodes)
+        _set(self, "code", code)
+        _set(self, "refute_nodes", refute_nodes)
 
 
 _GREEDY_WINDOW = 16  # greedy_irregular_code's first window, in bits

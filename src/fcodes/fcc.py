@@ -18,14 +18,13 @@ import re
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, filterfalse, islice
 from operator import methodcaller
 from typing import Any, Callable, Iterable, Sequence
 
 from . import bounds, construct
-from .bits import BitWord, Code, DistanceMatrix, all_words, sphere_size
+from .bits import BitWord, Code, DistanceMatrix, Record, all_words, sphere_size
 from .bits import _at_least, _bit_set_patterns, _byte_planes, _expand_once, _low_weight_masks
 from .bits import _shells, _weight_shell
 
@@ -297,8 +296,7 @@ PER_VALUE = "per-function-value"
 PER_MESSAGE = "per-message"
 
 
-@dataclass(frozen=True)
-class FccEncoder:
+class FccEncoder(Record):
     """A systematic encoder u -> (u, p(u)), where p(u) = words[key[u]].
 
     `words` are r-bit parity words as ints. Without `message_key` the
@@ -311,31 +309,27 @@ class FccEncoder:
     `parity_ints`, one entry per value or per message, are views.
     """
 
-    spec: FunctionSpec
-    t: int
-    r: int
-    words: tuple[int, ...]
-    message_key: bytes | memoryview | None = field(default=None, hash=False)
+    _fields = ("spec", "t", "r", "words", "message_key")  # no __slots__: cached views
+    _hashed = 4
 
-    def __post_init__(self) -> None:
-        key, count = self.message_key, len(self.words)
-        if key is None and count != self.spec.expressiveness:
-            raise ValueError(
-                f"{PER_VALUE} encoder needs {self.spec.expressiveness} parities, got {count}"
-            )
+    def __init__(self, spec: FunctionSpec, t: int, r: int, words: tuple[int, ...],
+                 message_key: bytes | memoryview | None = None) -> None:
+        key, count = message_key, len(words)
+        if key is None and count != spec.expressiveness:
+            raise ValueError(f"{PER_VALUE} encoder needs {spec.expressiveness} parities, got {count}")
         if key is not None:
-            if len(set(self.words)) != count:
+            if len(set(words)) != count:
                 raise ValueError(f"{PER_MESSAGE} parity words repeat")
             key = _compact(key, count)  # packed and checked once, here
-            object.__setattr__(self, "message_key", key)
-            if len(key) != 1 << self.spec.k:
-                raise ValueError(f"{PER_MESSAGE} encoder needs {1 << self.spec.k} parities, "
+            if len(key) != 1 << spec.k:
+                raise ValueError(f"{PER_MESSAGE} encoder needs {1 << spec.k} parities, "
                                  f"got {len(key)}")
-        if self.r < 0:
-            raise ValueError(f"negative parity length {self.r}")
-        for w in set(self.words):
-            if not 0 <= w < 1 << self.r:
-                raise ValueError(f"parity {w} does not fit in {self.r} bits")
+        if r < 0:
+            raise ValueError(f"negative parity length {r}")
+        for w in set(words):
+            if not 0 <= w < 1 << r:
+                raise ValueError(f"parity {w} does not fit in {r} bits")
+        self._init(spec, t, r, words, key)
 
     @property
     def mode(self) -> str:
@@ -440,12 +434,12 @@ def per_message_encoder(spec: FunctionSpec, t: int, parities: Sequence[BitWord])
 # --- verification and decoding ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    witness: tuple[BitWord, BitWord] | None
-    pairs_checked: int
-    route: str  # "class" | "message-level" | "sampled": what pairs_checked counts
+class VerifyResult(Record):
+    __slots__ = _fields = ("ok", "witness", "pairs_checked", "route")
+
+    def __init__(self, ok: bool, witness: tuple[BitWord, BitWord] | None, pairs_checked: int,
+                 route: str) -> None:  # "class", "message-level" or "sampled": what it counts
+        self._init(ok, witness, pairs_checked, route)
 
     @property
     def mode(self) -> str:
@@ -685,11 +679,11 @@ def _verify_message_level(encoder: FccEncoder, t: int, witness: bool) -> VerifyR
     return VerifyResult(False, witness, checked, "message-level")
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    value: FunctionValue
-    out_of_model: bool
-    distance: int
+class DecodeResult(Record):
+    __slots__ = _fields = ("value", "out_of_model", "distance")
+
+    def __init__(self, value: FunctionValue, out_of_model: bool, distance: int) -> None:
+        self._init(value, out_of_model, distance)
 
 
 def decode(encoder: FccEncoder, y: BitWord) -> DecodeResult:
@@ -908,11 +902,13 @@ def encoder_to_text(encoder: FccEncoder) -> str:
     if not isinstance(key, bytes):
         labels = [format(w, f"0{r}b") for w in encoder.words]
         return head + "\n".join(labels if key is None else map(labels.__getitem__, key)) + "\n"
-    body = bytearray(b"\n") * (len(key) * (r + 1))
+    raw = head.encode()  # the header leads the buffer too, so one copy is decoded
+    body = bytearray(b"\n") * (len(raw) + len(key) * (r + 1))
+    body[: len(raw)] = raw
     for c in range(r):
         column = bytes(48 | w >> (r - 1 - c) & 1 for w in encoder.words)  # b"0" or b"1"
-        body[c :: r + 1] = key.translate(column.ljust(256, b"0"))
-    return head + body.decode("ascii")
+        body[len(raw) + c :: r + 1] = key.translate(column.ljust(256, b"0"))
+    return body.decode()
 
 
 _FIRST_BIT_LINE = re.compile("^[01]", re.MULTILINE)

@@ -9,12 +9,11 @@ material in `fcodes.construct`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import construct, fcc
-from .bits import Code, DistanceMatrix
+from .bits import Code, DistanceMatrix, Record
 from .bounds import gv_irregular_threshold  # noqa: F401 - perfbench/spans.py wraps this name
 from .fcc import _BIT_VALUES, FccEncoder, FunctionSpec
 
@@ -170,22 +169,21 @@ def indicator_spec(code: Code, *, name: str = "indicator") -> FunctionSpec:
 # --- quantized ML activations ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quantizer:
+class Quantizer(Record):
     """Fixed-precision signed quantizer: k bits, step epsilon.
 
     Message u represents the real value epsilon * (u - 2^(k-1) + 1/2); the
     2^k centers are symmetric about zero and strictly increasing in u.
     """
 
-    k: int
-    epsilon: Fraction
+    __slots__ = _fields = ("k", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
-        if self.epsilon <= 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
+    def __init__(self, k: int, epsilon: Fraction) -> None:
+        if k < 2:
+            raise ValueError(f"need k >= 2, got {k}")
+        if epsilon <= 0:
+            raise ValueError(f"need epsilon > 0, got {epsilon}")
+        self._init(k, epsilon)
 
     def center(self, u: int) -> Fraction:
         eps = self.epsilon  # epsilon * (2u + 1 - 2^k) / 2, as one Fraction
@@ -205,14 +203,15 @@ BIJECTIVE_POSITIVE = "bijective-positive"  # zero below 0, increasing above (rel
 SYMMETRIC = "symmetric"  # g(x) = g(-x), decreasing on [0, a] (the derivatives)
 
 
-@dataclass(frozen=True)
-class MlFunctionKind:
-    """An activation's shape class and the interval where it is injective."""
+class MlFunctionKind(Record):
+    """An activation's shape class and the interval where it is injective:
+    `lo` is its start (bijective kinds), `hi` its end, or the one-sided
+    cutoff a (symmetric kinds)."""
 
-    name: str
-    style: str
-    lo: Fraction | None  # interval start (bijective kinds)
-    hi: Fraction | None  # interval end, or the one-sided cutoff a (symmetric)
+    __slots__ = _fields = ("name", "style", "lo", "hi")
+
+    def __init__(self, name: str, style: str, lo: Fraction | None, hi: Fraction | None) -> None:
+        self._init(name, style, lo, hi)
 
 
 _ML_DEFAULTS: dict[str, tuple[str, Fraction | None, Fraction | None]] = {

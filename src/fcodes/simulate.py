@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bits import BitWord, _weight_shell, sphere_size
+from .bits import BitWord, Record, _weight_shell, sphere_size
 from .fcc import EXHAUSTIVE_MAX_K, FccEncoder, FunctionValue, decode
 from .fcc import _nearest_value_masks, _translated_planes, _verify_exhaustive
 
@@ -65,24 +64,22 @@ _TABLE_BITS_PER_TRIAL = 512
 _WALK_BITS_PER_TRIAL = 768
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(Record):
     """Up-to-t substitutions, enumerated exhaustively or sampled."""
 
-    t: int
-    mode: str = "exhaustive"  # or "random"
-    seed: int = 0
-    trials: int = 1000
+    __slots__ = _fields = ("t", "mode", "seed", "trials")
 
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"negative t {self.t}")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown channel mode {self.mode!r}")
-        if self.seed < 0:  # Random(-s) seeds as Random(s) does
-            raise ValueError(f"need seed >= 0, got {self.seed}")
-        if self.mode == "random" and self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
+    def __init__(self, t: int, mode: str = "exhaustive", seed: int = 0,
+                 trials: int = 1000) -> None:  # mode: "exhaustive" or "random"
+        if t < 0:
+            raise ValueError(f"negative t {t}")
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown channel mode {mode!r}")
+        if seed < 0:  # Random(-s) seeds as Random(s) does
+            raise ValueError(f"need seed >= 0, got {seed}")
+        if mode == "random" and trials < 1:
+            raise ValueError(f"need trials >= 1, got {trials}")
+        self._init(t, mode, seed, trials)
 
 
 def error_patterns(n: int, t: int) -> Iterator[BitWord]:
@@ -93,19 +90,19 @@ def error_patterns(n: int, t: int) -> Iterator[BitWord]:
             yield BitWord(e, n)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    trials: int
-    failures: int
-    witness: tuple[BitWord, BitWord, FunctionValue, FunctionValue] | None
-    # witness = (message, error pattern, decoded value, expected value)
-    mode: str
-    seed: int | None
-    # how the report was reached, not part of the result, so reports compare
-    # equal whatever route they took: the received words handed to `decode`,
-    # and the route ("certified", "tables" or "decode-every-trial")
-    decodes: int = field(default=0, compare=False)
-    route: str = field(default="", compare=False)
+class SimulationReport(Record):
+    """`witness` is (message, error pattern, decoded value, expected value).
+    The last two fields, how the report was reached, are not part of the
+    result, so reports compare equal whatever route they took: the words handed
+    to `decode`, and the route ("certified", "tables" or "decode-every-trial")."""
+
+    __slots__ = _fields = ("trials", "failures", "witness", "mode", "seed", "decodes", "route")
+    _compared = _hashed = 5
+
+    def __init__(self, trials: int, failures: int,
+                 witness: tuple[BitWord, BitWord, FunctionValue, FunctionValue] | None,
+                 mode: str, seed: int | None, decodes: int = 0, route: str = "") -> None:
+        self._init(trials, failures, witness, mode, seed, decodes, route)
 
     def to_json_dict(self) -> dict:
         out: dict = {

@@ -9,30 +9,31 @@ rather than exact values carry a '*' (and exact=False).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from . import bounds, fcc, functions
-from .bits import BitWord
+from .bits import BitWord, Record
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    text: str
-    value: int | None
-    exact: bool
+class TableEntry(Record):
+    __slots__ = _fields = ("text", "value", "exact")
+
+    def __init__(self, text: str, value: int | None, exact: bool) -> None:
+        self._init(text, value, exact)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    function: str
-    t: int
-    lower_bound: TableEntry
-    ecc_on_data: TableEntry
-    ecc_on_function_values: TableEntry
-    fcc_redundancy: TableEntry
+class TableRow(Record):
+    __slots__ = _fields = ("function", "t", "lower_bound", "ecc_on_data",
+                           "ecc_on_function_values", "fcc_redundancy")
+
+    def __init__(self, function: str, t: int, lower_bound: TableEntry, ecc_on_data: TableEntry,
+                 ecc_on_function_values: TableEntry, fcc_redundancy: TableEntry) -> None:
+        self._init(function, t, lower_bound, ecc_on_data, ecc_on_function_values, fcc_redundancy)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        out: dict = {"function": self.function, "t": self.t}
+        for name in self._fields[2:]:
+            entry = getattr(self, name)
+            out[name] = {"text": entry.text, "value": entry.value, "exact": entry.exact}
+        return out
 
     def render(self) -> str:
         return (
@@ -57,8 +58,12 @@ def _symbolic(s: str) -> TableEntry:
 
 
 def _ecc_data_entry(k: int | None, t: int) -> TableEntry:
+    """Correcting the data: a one-bit message takes exactly a 2t+1
+    repetition, 2t parity bits; longer ones take the estimate."""
     if k is None:
         return _symbolic("t log k")
+    if k == 1:
+        return _exact(2 * t)
     return _approx(bounds.ecc_on_data_redundancy(k, t))
 
 

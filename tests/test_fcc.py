@@ -21,7 +21,6 @@ before it drew messages in bulk and read parities through the value index.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -557,7 +556,7 @@ def test_weight_verify_equals_the_ball_route(k):
         encoders += [functions.wt_cyclic_encoder(k, t)] if k > t else []
         flipped = [_flipped(base, rng, 1) for base in encoders if base.r]
         for enc in encoders + flipped:
-            plain = dataclasses.replace(enc, spec=_without_weights(enc.spec))
+            plain = fcc.FccEncoder(_without_weights(enc.spec), enc.t, enc.r, enc.words, enc.message_key)
             res = fcc.verify_fcc(enc)
             assert res == fcc.verify_fcc(plain), (enc.spec.name, t)
             quick = fcc._verify_exhaustive(enc, t, witness=False)
@@ -825,7 +824,8 @@ def _identity_encoder(k: int) -> fcc.FccEncoder:
 
 
 def _with_word(enc: fcc.FccEncoder, i: int, word: int) -> fcc.FccEncoder:
-    return dataclasses.replace(enc, words=enc.words[:i] + (word,) + enc.words[i + 1:])
+    words = enc.words[:i] + (word,) + enc.words[i + 1:]
+    return fcc.FccEncoder(enc.spec, enc.t, enc.r, words, enc.message_key)
 
 
 @pytest.mark.parametrize("k", range(2, 12))
@@ -1347,7 +1347,7 @@ def test_exhaustive_simulate_fails_exactly_when_the_fcc_check_fails():
     for _ in range(80):
         enc = _random_encoder(rng)
         for t in range(1, 4):
-            at_t = dataclasses.replace(enc, t=t)
+            at_t = fcc.FccEncoder(enc.spec, t, enc.r, enc.words, enc.message_key)
             ok = fcc._verify_exhaustive(enc, t, witness=False).ok
             assert ok == naive_verify(at_t)[0] == fcc.verify_fcc(at_t).ok
             failures = reference_simulate(enc, ChannelModel(t, "exhaustive")).failures
@@ -1626,6 +1626,19 @@ def test_encoder_text_roundtrip_per_message():
     assert again.mode == fcc.PER_MESSAGE
     for u in all_words(8):
         assert again.encode(u) == enc.encode(u)
+
+
+def test_encoder_text_of_a_per_message_file_holds_two_copies_at_most():
+    enc = functions.delta_ramp_encoder(16, 3, 1)
+    fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))  # first-call caches out
+    tracemalloc.start()
+    try:
+        text = fcc.encoder_to_text(enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the byte buffer and the text; with a separate header it peaked at three
+    assert len(text) == 196_699 and peak < 2.5 * len(text), peak
 
 
 @pytest.mark.parametrize(

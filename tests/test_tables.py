@@ -30,6 +30,16 @@ def test_a_two_valued_row_sends_its_value_by_repetition(name, t):
     assert entry == tables.TableEntry(str(2 * t + 1), 2 * t + 1, True)
 
 
+@pytest.mark.parametrize("name", ["wt", "binary"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_a_one_bit_message_is_corrected_by_repetition(name, t):
+    # correcting one data bit against t errors takes exactly a 2t+1
+    # repetition: 2t parity bits, as many as the function route's lower bound
+    row = tables.table_row(name, t, {"k": "1"})
+    assert row.ecc_on_data == tables.TableEntry(str(2 * t), 2 * t, True)
+    assert row.lower_bound.value == 2 * t
+
+
 def test_binary_row_with_k():
     row = tables.table_row("binary", 1, {"k": "1024"})
     assert row.ecc_on_data.value == 11 and not row.ecc_on_data.exact
