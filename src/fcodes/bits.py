@@ -431,12 +431,17 @@ def satisfies_distance_matrix(
     """
     if code.size != dmat.dim:
         raise ValueError(f"code has {code.size} words but matrix is {dmat.dim}x{dmat.dim}")
-    vals = [w.value for w in code.words]
-    for i in range(code.size):
+    bad = first_violation([w.value for w in code.words], dmat)
+    return bad is None, bad
+
+
+def first_violation(values: Sequence[int], dmat: DistanceMatrix) -> tuple[int, int] | None:
+    """`satisfies_distance_matrix` on word values, one per row: the first
+    violating pair (i, j), or None when every pair meets its requirement."""
+    for i, vi in enumerate(values):
         row = dmat.entries[i]
-        vi = vals[i]
-        for j in range(i + 1, code.size):
+        for j in range(i + 1, len(values)):
             need = row[j]
-            if need and (vi ^ vals[j]).bit_count() < need:
-                return False, (i, j)
-    return True, None
+            if need and (vi ^ values[j]).bit_count() < need:
+                return i, j
+    return None

@@ -69,12 +69,16 @@ def plotkin_irregular(dmat: DistanceMatrix) -> BoundResult:
     (odd M); dividing the required distance total by that cap bounds the
     length from below.
     """
+    return _lower(Fraction(*plotkin_ratio(dmat)), "plotkin-irregular")
+
+
+def plotkin_ratio(dmat: DistanceMatrix) -> tuple[int, int]:
+    """`plotkin_irregular`'s value as (4 · required distance total, M² − (M mod 2))."""
     m = dmat.dim
     if m < 2:
         raise ValueError(f"need at least 2 rows, got {m}")
     total = sum(dmat.entries[i][j] for i in range(m) for j in range(i + 1, m))
-    denom = m * m if m % 2 == 0 else m * m - 1
-    return _lower(Fraction(4 * total, denom), "plotkin-irregular")
+    return 4 * total, m * m - m % 2
 
 
 def plotkin_regular(size: int, dist: int) -> BoundResult:

@@ -598,22 +598,33 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@functools.cache
 def _flag_dests() -> frozenset[str]:
     """The dest of every value flag (not on/off, not --config) of every
     subcommand: the keys a config may set, so one config can serve several."""
-    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     return frozenset(
-        a.dest for p in sub.choices.values() for a in p._actions
+        a.dest for p in _subparsers().values() for a in p._actions
         if a.nargs != 0 and a.dest != "config"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. Under --json its payload goes to stdout as one
-    JSON line, with `stats.elapsed_s` timing the call from the end of
-    parsing; else its text does. A usage error prints one `error:` line to
-    stderr and exits 2."""
-    args = _parser().parse_args(argv)
+    """Run one subcommand, parsed once, by its own parser; only an argv that
+    names no subcommand gets the full parser's usage and help. Under --json
+    its payload goes to stdout as one JSON line, with `stats.elapsed_s`
+    timing the call from the end of parsing; else its text does. A usage
+    error prints one `error:` line to stderr and exits 2."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _subparsers():
+        args = _subparsers()[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code, payload, text = args.func(args, _params(args))

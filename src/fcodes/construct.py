@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import bounds
 from .bits import BitWord, Code, DistanceMatrix, Record, _expand_once, _set, _xor_translate
-from .bits import satisfies_distance_matrix
+from .bits import first_violation, satisfies_distance_matrix
 
 
 class SearchBudget(Record):
@@ -298,13 +298,13 @@ def exact_min_length(
     m = dmat.dim
     if m <= 1:
         return ExactLengthResult(0, True, 0, Code.of([BitWord.zeros(0)] * m, 0))
-    start = max(0, bounds.plotkin_irregular(dmat).integer_value)
+    num, den = bounds.plotkin_ratio(dmat)
     prev_in_group = (
         _interchange_groups(dmat) if use_row_symmetry else [None] * m
     )
     rows = _row_lists(dmat)
     state = _Budget(budget)
-    r, refute = start, 0
+    r, refute = -(-num // den), 0  # from the averaging bound's ceiling
     while True:
         if r > budget.max_length:
             if trace:
@@ -319,9 +319,9 @@ def exact_min_length(
                 trace(f"budget-exhausted r={r} nodes={state.nodes}")
             return ExactLengthResult(r, False, state.nodes, None, refute)
         if found is not None:
-            code = Code.of((BitWord(v, r) for v in found), r)
-            if not satisfies_distance_matrix(code, dmat)[0]:
+            if first_violation(found, dmat) is not None:
                 raise RuntimeError("search returned an invalid witness")
+            code = Code.of((BitWord(v, r) for v in found), r)
             if trace:
                 trace(f"proven r={r} nodes={state.nodes}")
             return ExactLengthResult(r, True, state.nodes, code, refute)

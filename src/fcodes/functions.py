@@ -125,21 +125,25 @@ def _minmax_table(w: int, l: int) -> bytes:
     size = 1 << l
     mins = maxs = bytes(range(size))
     argmin = argmax = bytes([w - 1]) * size
+    # the four translate tables of each block value b, built once
+    marks = [(b"\0" * b + b"\xff" * (256 - b), b"\xff" * b + b"\0" * (256 - b),
+              bytes(range(b)) + bytes([b]) * (256 - b),
+              bytes([b]) * (b + 1) + bytes(range(b + 1, 256))) for b in range(size)]
     for i in range(w - 2, -1, -1):
         n = len(mins)
         here = int.from_bytes(bytes([i]) * n, "big")
         amin, amax = int.from_bytes(argmin, "big"), int.from_bytes(argmax, "big")
         parts: list[list[bytes]] = [[], [], [], []]
-        for b in range(size):
-            takes_min = int.from_bytes(mins.translate(b"\0" * b + b"\xff" * (256 - b)), "big")
-            takes_max = int.from_bytes(maxs.translate(b"\xff" * b + b"\0" * (256 - b)), "big")
-            parts[0].append(mins.translate(bytes(range(b)) + bytes([b]) * (256 - b)))
-            parts[1].append(maxs.translate(bytes([b]) * (b + 1) + bytes(range(b + 1, 256))))
+        for low, high, to_min, to_max in marks:
+            takes_min = int.from_bytes(mins.translate(low), "big")
+            takes_max = int.from_bytes(maxs.translate(high), "big")
+            parts[0].append(mins.translate(to_min))
+            parts[1].append(maxs.translate(to_max))
             parts[2].append(((amin & ~takes_min) | (here & takes_min)).to_bytes(n, "big"))
             parts[3].append(((amax & ~takes_max) | (here & takes_max)).to_bytes(n, "big"))
         mins, maxs, argmin, argmax = (b"".join(p) for p in parts)
-    # position pair (i, j) as the byte i * w + j, then its image index
-    pair = int.from_bytes(argmin.translate(bytes(v * w & 255 for v in range(256))), "big")
+    # position pair (i, j) as the byte i * w + j (i, j < w), then its image index
+    pair = int.from_bytes(argmin.translate(bytes(range(0, w * w, w)).ljust(256, b"\0")), "big")
     pair = (pair + int.from_bytes(argmax, "big")).to_bytes(len(argmax), "big")
     index = bytearray(256)
     for i in range(w):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -1160,18 +1159,56 @@ def test_consecutive_calls_do_not_share_parsed_values(capsys):
     assert code == 2 and "--size" in err  # --size of no earlier call is kept
 
 
+_PARSER_ARGVS = [
+    ["build-code", "--kind", "exact", "--row-symmetry", "--trace", "--max-nodes", "5"],
+    ["build-code", "--kind", "greedy", "--k", "4", "--t", "1"],
+    ["simulate", "--function", "wt", "--k", "4", "--t", "1", "--channel", "random"],
+    ["simulate", "--function", "wt", "--k", "5", "--t", "2"],
+    ["bounds", "--method", "gv", "--matrix", "function", "--json"],
+    ["bounds", "--method", "gv"],
+]
+
+
 def test_cached_parser_matches_fresh_parser():
-    argvs = [
-        ["build-code", "--kind", "exact", "--row-symmetry", "--trace", "--max-nodes", "5"],
-        ["build-code", "--kind", "greedy", "--k", "4", "--t", "1"],
-        ["simulate", "--function", "wt", "--k", "4", "--t", "1", "--channel", "random"],
-        ["simulate", "--function", "wt", "--k", "5", "--t", "2"],
-        ["bounds", "--method", "gv", "--matrix", "function", "--json"],
-        ["bounds", "--method", "gv"],
-    ]
-    for argv in argvs:
+    for argv in _PARSER_ARGVS:
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_subcommand_parse_matches_full_parse(capsys, monkeypatch):
+    # main parses a call with its subcommand's parser alone, into the
+    # namespace the full parser makes; the stand-in for `_params` keeps it
+    seen = []
+
+    def keep(args):
+        seen.append(vars(args))
+        raise ValueError("kept")
+
+    monkeypatch.setattr(cli, "_params", keep)
+    argvs = [*_PARSER_ARGVS, *_readme_command_lines(),
+             *([sub, *argv] for sub, (argv, _) in _CALLS.items())]
+    assert len(argvs) >= 6 + 30 + 8
+    for argv in argvs:
+        assert main(argv) == 2 and capsys.readouterr().err == "error: kept\n"
+        assert seen.pop() == vars(cli.build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv, exit_code, text", [
+    ([], 2, "the following arguments are required: command"),
+    (["nosuch"], 2, "invalid choice: 'nosuch'"),
+    (["--help"], 0, "usage: fcodes [-h]"),
+    (["fcc-build", "--help"], 0, "usage: fcodes fcc-build [-h]"),
+    (["bounds", "--method", "gv", "--order", "x"], 2,
+     "fcodes bounds: error: unrecognized arguments: --order x"),
+])
+def test_usage_errors_and_help_keep_argparse_exit_codes(capsys, argv, exit_code, text):
+    # no argument, an unknown word and --help get argparse's own usage and
+    # help; an unrecognized flag is reported by its subcommand's parser
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == exit_code
+    captured = capsys.readouterr()
+    assert text in (captured.out if exit_code == 0 else captured.err)
 
 
 # --- one parameter layer ----------------------------------------------------------
@@ -1527,8 +1564,7 @@ def _garbage_calls():
 
 
 def test_every_subcommand_has_a_fuzz_call_and_a_readme_line():
-    (sub,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(_CALLS) == set(sub.choices)
+    assert set(_CALLS) == set(cli._subparsers())
     assert set(_CALLS) <= {argv[0] for argv in _readme_command_lines()}
 
 

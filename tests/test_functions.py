@@ -94,8 +94,10 @@ def test_delta_tables_match_fn(k):
 
 
 def test_minmax_tables_match_fn():
+    # every layout up to k = 12, and the k = 15-16 ones of the slowest studies
     layouts = [(w, l) for w in range(2, 7) for l in range(2, 7) if w * l <= 12]
-    assert len(layouts) == 12
+    layouts += [(5, 3), (4, 4), (2, 8)]
+    assert len(layouts) == 15
     for w, l in layouts:
         spec = functions.minmax_spec(w, l)
         assert spec.bulk_table is not None
