@@ -404,10 +404,6 @@ def cmd_fcc_build(args, params: dict[str, str]) -> _Result:
 def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
     encoder = _resolve_encoder(params)
     sample = int(params["sample"]) if "sample" in params else None
-    if sample is None and encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
-        raise ValueError(
-            f"k={encoder.spec.k} too large for exhaustive verification; pass --sample N"
-        )
     started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=sample, seed=_need(params, "seed", int))
     if args.trace:

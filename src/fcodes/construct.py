@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import bounds
-from .bits import BitWord, Code, DistanceMatrix, Record, _expand_once, _set, _xor_translate
-from .bits import first_violation, satisfies_distance_matrix
+from .bits import BitWord, Code, DistanceMatrix, Record, _bit_set_patterns, _expand_once, _set
+from .bits import _xor_translate, first_violation, satisfies_distance_matrix
 
 
 class SearchBudget(Record):
@@ -340,13 +340,12 @@ def hadamard_code(dist: int) -> Code | None:
     n = 2 * dist
     if n & (n - 1) != 0:
         return None
-    rows = []
-    for i in range(n):
-        v = 0
-        for j in range(n):
-            v = (v << 1) | ((i & j).bit_count() & 1)
-        rows.append(v)
-    full = (1 << n) - 1
+    # bit n-1-j of row i is the parity of popcount(i AND j), the XOR over i's
+    # set bits b of the j with bit b set: full ^ pats[b], as position n-1-j
+    # clears bit b exactly when j sets it. Doubling keeps row i at index i
+    full, rows = (1 << n) - 1, [0]
+    for pat in _bit_set_patterns(n.bit_length() - 1):
+        rows += [v ^ full ^ pat for v in rows]
     words = [BitWord(v, n) for v in rows] + [BitWord(v ^ full, n) for v in rows]
     code = Code.of(words, n)
     ok, _ = satisfies_distance_matrix(code, DistanceMatrix.uniform(4 * dist, dist))
@@ -365,26 +364,16 @@ def reed_muller_code(r_rm: int, m: int) -> Code:
     if not 0 <= r_rm <= m:
         raise ValueError(f"need 0 <= order <= m, got ({r_rm}, {m})")
     n = 1 << m
-    monomials: list[tuple[int, ...]] = []
+    full, pats, words = (1 << n) - 1, _bit_set_patterns(m), [0]
+    # point x sits at bit n-1-x, so the points with x's bit `var` set are
+    # full ^ pats[var]; doubling keeps codeword msg at index msg
     for size in range(r_rm + 1):
-        monomials.extend(tuple(c) for c in combinations(range(m), size))
-    gen_rows = []
-    for s in monomials:
-        v = 0
-        for x in range(n):
-            bit = 1
-            for var in s:
-                bit &= (x >> var) & 1
-            v = (v << 1) | bit
-        gen_rows.append(v)
-    words = []
-    for msg in range(1 << len(gen_rows)):
-        v = 0
-        for j, row in enumerate(gen_rows):
-            if (msg >> j) & 1:
-                v ^= row
-        words.append(BitWord(v, n))
-    return Code.of(words, n)
+        for monomial in combinations(range(m), size):
+            row = full
+            for var in monomial:
+                row &= full ^ pats[var]
+            words += [w ^ row for w in words]
+    return Code.of([BitWord(v, n) for v in words], n)
 
 
 def even_weight_subcode(count: int, length: int) -> Code:

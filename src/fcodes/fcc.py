@@ -449,7 +449,13 @@ class VerifyResult(Record):
         return self.ok
 
 
-EXHAUSTIVE_MAX_K = 14  # verify_fcc samples above this
+EXHAUSTIVE_MAX_K = 14  # the kernel's cost at this k is every exhaustive check's budget
+
+
+class _OverBudget(ValueError):
+    """An exhaustive check that `_classes` admits by neither route."""
+
+
 _LIMB = (1 << 64) - 1  # one 64-bit limb of a table wider than 64 bits
 _DRAW_BATCH = 4096  # sampled draws made at once: fast, and little memory held
 
@@ -492,8 +498,8 @@ def verify_fcc(
     The witness, if any, is the lexicographically smallest violating
     (u1, u2) with u1 < u2, and pairs_checked on a violation counts the pairs
     whose u1 is at most the witness's, as a row-by-row scan stopping after
-    row u1 would. Exhaustive mode requires k <= EXHAUSTIVE_MAX_K; ask for
-    `sample` beyond. Both need t >= 1.
+    row u1 would. An exhaustive check over budget (`_classes`) raises
+    ValueError naming its cost: pass `sample` then. Both need t >= 1.
 
     A sample draws `sample` >= 1 close pairs (u, u ^ e), deterministic per
     `seed` (>= 0), in batches of 4096 u then 4096 e: u uniform over the 2^k
@@ -531,13 +537,12 @@ def verify_fcc(
                     return VerifyResult(False, witness, checked, "sampled")
         return VerifyResult(True, None, checked, "sampled")
 
-    if k > EXHAUSTIVE_MAX_K:
-        raise ValueError(f"k={k} too large for exhaustive verification; pass sample=")
     return _verify_exhaustive(encoder, t)
 
 
 def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> VerifyResult:
-    """verify_fcc's exhaustive route at t >= 1, which need not be encoder.t.
+    """verify_fcc's exhaustive route at t >= 1, which need not be encoder.t;
+    raises `_OverBudget` where `_classes` admits no route.
 
     With witness=False only `ok` is exact, and a failure comes back as soon
     as it is known, with no witness: pairs_checked then counts the class
@@ -562,34 +567,49 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
         ok = not _closest_approaches(masks, encoder.spec.k, pending, limits)
     if ok or not witness:
         return VerifyResult(ok, None, pairs, "class")
+    _classes(encoder, t, kernel=True)  # the witness is the kernel's, if admitted
     return _verify_message_level(encoder, t, witness)
 
 
-def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
-    """The masks, image indices and parities of the (value, parity) classes.
+def _classes(
+    encoder: FccEncoder, t: int, *, kernel: bool = False
+) -> tuple[Sequence[int], ...] | None:
+    """The masks, image indices and parities of the (value, parity) classes,
+    or None for the message-level kernel (all that `kernel` asks for);
+    raises `_OverBudget` where neither route is admitted.
 
     A per-value encoder's word index is its value index, so its values are
     its classes, without masks (None) on a weight map. A per-message
     encoder's values split on the bit planes of its message key, top plane
     first, dropping empty halves; its words are distinct, so these are the
-    classes. In both modes this gives up, with None, once the class check
-    would do more 2^k-bit operations than the message-level kernel: its pair
-    tests are up to E'^2 t ANDs, and the kernel half-swaps each of its
-    image-index and r parity planes, five operations each, once per
-    translation, of which there are sum of C(k, w), w = 1..2t."""
+    classes. In 2^k-bit operations, the class check's pair tests are up to
+    E'^2 t ANDs, and the kernel half-swaps each of its image-index and r
+    parity planes, five operations each, once per translation, of which
+    there are sum of C(k, w), w = 1..2t. Up to k = EXHAUSTIVE_MAX_K the
+    cheaper is taken; above, the kernel's bit operations at that k are the
+    budget of a class check, which one on a weight map never spends."""
     spec, key, e = encoder.spec, encoder.message_key, len(encoder.spec.image)
-    planes = (e - 1).bit_length() + encoder.r
-    # E' <= most iff E'^2 t <= 5 * translations * planes
-    most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
+    k, planes = spec.k, (e - 1).bit_length() + encoder.r
+    cap = min(k, EXHAUSTIVE_MAX_K)  # the budget: the kernel's at k <= cap, spread over 2^k above
+    budget = 5 * (sphere_size(cap, 2 * t) - 1) * planes >> (k - cap)
+    most = math.isqrt(budget // t)  # E' <= most iff E'^2 t <= budget
+
+    def fallback(count: int) -> None:  # the kernel, where admitted; count 0 names its cost
+        if k > cap:
+            cost = count * count * t if count else 5 * (sphere_size(k, 2 * t) - 1) * planes
+            raise _OverBudget(f"exhaustive verification at k={k}, t={t} costs at least {cost} "
+                              f"operations on 2^{k}-bit masks, over its budget of {budget}; "
+                              "pass --sample N")
+
+    if kernel:
+        return fallback(0)
+    weights = key is None and spec.weight_index is not None
+    if e > most and not (weights and k > cap):
+        return fallback(e)
     if key is None:
-        if e > most:
-            return None
-        masks = None if spec.weight_index is not None else spec.preimage_masks
-        return masks, range(e), encoder.words
+        return None if weights else spec.preimage_masks, range(e), encoder.words
     classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
     for plane in reversed(_bit_planes(key, (len(encoder.words) - 1).bit_length())):
-        if len(classes) > most:
-            return None
         split = []
         for m, i, j in classes:  # word index bits gathered top plane first
             hi = m & plane
@@ -598,8 +618,8 @@ def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
             if hi:
                 split.append((hi, i, j << 1 | 1))
         classes = split
-    if len(classes) > most:
-        return None
+        if len(classes) > most:
+            return fallback(len(classes))
     masks, values, keys = zip(*classes)
     return masks, values, [encoder.words[j] for j in keys]
 

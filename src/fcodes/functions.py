@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from . import construct, fcc
@@ -25,7 +26,10 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 def _weight_table(k: int) -> bytes:
     """wt(u) for every k-bit message u, one byte each, by doubling: the
-    messages with the new top bit set weigh one more than those without."""
+    messages with the new top bit set weigh one more than those without.
+    k is bounded as `FunctionSpec.index_table` is."""
+    if k > 24:
+        raise ValueError(f"k={k} too large to tabulate")
     table = b"\0"
     for _ in range(k):
         table += table.translate(_PLUS_ONE)
@@ -401,14 +405,12 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
     block boundary the ramp wraps from all-ones back to all-zeros, paying the
     full 2t where the messages themselves differ least. The words are the
     2t+1 ramp steps, and the message key is the weight table mapped to
-    steps; k is bounded as `FunctionSpec.index_table` is.
+    steps (`_weight_table`, which bounds k).
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if 2 * t + 1 > T:
         raise ValueError(f"need 2t+1 <= T, got t={t}, T={T}")
-    if k > 24:
-        raise ValueError(f"k={k} too large to tabulate")
     r = 2 * t
     words = tuple(((1 << ones) - 1) << (r - ones) for ones in range(r + 1))
     step_of_weight = bytes(min(v % T, r) for v in range(256))
@@ -481,19 +483,10 @@ def minmax_rm_encoder(w: int, t: int, l: int = 3) -> FccEncoder:
     e = spec.expressiveness
     need_dim = (max(e - 1, 1)).bit_length()  # ceil(log2 e)
     dist_gap = (2 * t - 1).bit_length()  # smallest g with 2^g >= 2t
-    m = 0
-    while True:
-        chosen = None
-        for order in range(m + 1):
-            if m - order < dist_gap:
-                break
-            if sum(math.comb(m, i) for i in range(order + 1)) >= need_dim:
-                chosen = order
-                break
-        if chosen is not None:
-            break
-        m += 1
-    rm = construct.reed_muller_code(chosen, m)
+    # the least m, then order, with distance 2^(m - order) >= 2t and dimension >= need_dim
+    m, order = next((m, o) for m in count() for o in range(m - dist_gap + 1)
+                    if sum(math.comb(m, i) for i in range(o + 1)) >= need_dim)
+    rm = construct.reed_muller_code(order, m)
     parities = tuple(rm.words[:e])
     sub = Code.of(parities, rm.length)
     if construct.min_distance(sub) < 2 * t:  # pragma: no cover - by design

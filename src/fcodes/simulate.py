@@ -13,8 +13,8 @@ codewords less than 2t+1 apart is within t of both, so whatever it decodes
 to, a trial from one of them fails. So `simulate` first checks the encoder
 exhaustively at the channel's t (`fcc._verify_exhaustive`); an encoder that
 passes gets its report, zero failures, without a trial being run or drawn.
-At t = 0 every encoder passes, and above fcc.EXHAUSTIVE_MAX_K the check is
-skipped.
+At t = 0 every encoder passes, and a check over budget (`fcc._classes`) is
+not run: the trials are.
 
 An encoder that fails the check runs its trials. A received word y = c(u) ^
 e lies within wt(e) <= t of the code, so per-value tables of every word
@@ -37,8 +37,8 @@ import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import BitWord, Record, _weight_shell, sphere_size
-from .fcc import EXHAUSTIVE_MAX_K, FccEncoder, FunctionValue, decode
-from .fcc import _nearest_value_masks, _translated_planes, _verify_exhaustive
+from .fcc import FccEncoder, FunctionValue, decode
+from .fcc import _OverBudget, _nearest_value_masks, _translated_planes, _verify_exhaustive
 
 
 # Largest table, in mask bits per trial, that simulate builds. The masks cost
@@ -132,15 +132,15 @@ def simulate(
 
     The messages are all 2^k of them. The first failure (in enumeration
     order) is kept as the witness; a verified encoder must come back with
-    zero failures in exhaustive mode. An encoder that passes the exhaustive
-    FCC check at channel.t (capped at n) is certified: no trial can fail, so
-    none is run. Otherwise the trials are settled on the per-value tables
-    of `fcc._nearest_value_masks` grown to depth channel.t, which label
-    every word a trial can produce as `decode` would: an exhaustive run
-    whose label planes cost at most _WALK_BITS_PER_TRIAL per trial by error
-    pattern over all messages at once, any other run by one bit test per
-    trial. Only the witness is decoded. Above _TABLE_BITS_PER_TRIAL every
-    trial is decoded instead.
+    zero failures in exhaustive mode. An encoder that passes an admitted
+    exhaustive FCC check at channel.t (capped at n) is certified: no trial
+    can fail, so none is run. Otherwise the trials are settled on the
+    per-value tables of `fcc._nearest_value_masks` grown to depth channel.t,
+    which label every word a trial can produce as `decode` would: an
+    exhaustive run whose label planes cost at most _WALK_BITS_PER_TRIAL per
+    trial by error pattern over all messages at once, any other run by one
+    bit test per trial. Only the witness is decoded. Above
+    _TABLE_BITS_PER_TRIAL every trial is decoded instead.
     `trace` receives one line naming the route (and, on the tables, how the
     trials were settled: `settle=patterns` or `settle=trials`).
     """
@@ -154,9 +154,11 @@ def simulate(
     else:
         trials, seed = channel.trials, channel.seed
     checking = time.perf_counter()
-    if depth == 0 or (
-        k <= EXHAUSTIVE_MAX_K and _verify_exhaustive(encoder, depth, witness=False).ok
-    ):
+    try:
+        certified = depth == 0 or _verify_exhaustive(encoder, depth, witness=False).ok
+    except _OverBudget:
+        certified = False
+    if certified:
         if trace:
             check_ms = (time.perf_counter() - checking) * 1e3
             trace(f"route=certified t={depth} check_ms={check_ms:.3f}")

@@ -650,11 +650,20 @@ def test_a_negative_seed_is_a_usage_error(capsys, argv):
 
 
 def test_fcc_verify_above_the_exhaustive_limit_names_the_sample_flag(capsys):
-    code, out, err = run(
-        capsys, "fcc-verify", "--function", "wt", "--k", "15", "--t", "1", "--construction", "1"
-    )
+    # 82 values at k = 16: the class check's 82^2 ANDs are over the budget,
+    # the kernel's bit operations at k = 14, and the kernel is dearer still
+    code, out, err = run(capsys, "fcc-verify", "--function", "ml:sigmoid,k=16,eps=1/4",
+                         "--t", "1")
     assert (code, out) == (2, "")
-    assert len(err.strip().splitlines()) == 1 and "pass --sample N" in err
+    assert err == ("error: exhaustive verification at k=16, t=1 costs at least 6724 operations "
+                   "on 2^16-bit masks, over its budget of 1706; pass --sample N\n")
+
+
+def test_fcc_verify_admits_a_cheap_proof_above_k14(capsys):
+    # a weight cycle's class check reads its k+1 weights, so no k caps it
+    code, out, _ = run(capsys, "fcc-verify", "--function", "wt", "--k", "15", "--t", "1",
+                       "--construction", "1")
+    assert (code, out) == (0, "OK\n")
 
 
 def test_fcc_verify_delta_ramp_at_the_exhaustive_limit(capsys, tmp_path):
@@ -821,13 +830,27 @@ def test_weight_families_build_encode_and_row_beyond_the_tables(capsys, tmp_path
 @pytest.mark.parametrize("argv", [
     ["fcc-verify", "--sample", "100"],
     ["fcc-decode", "--y", "0" * 37],
-    ["simulate", "--channel", "random"],
+    # beyond the encoder's t the certificate fails, so the trials run
+    ["simulate", "--channel", "random", "--channel-t", "3"],
 ], ids=["sampled-verify", "decode", "simulate"])
 def test_what_reads_a_k30_value_table_still_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "wt30.txt"
     assert run(capsys, "fcc-build", *_WT30, "--out", str(path))[0] == 0
     assert run(capsys, *argv, "--encoder", str(path)) == (
         2, "", "error: k=30 too large to tabulate\n")
+
+
+def test_the_k30_value_file_is_proven_and_certified(capsys, tmp_path):
+    # its class check runs on the 31 weights: 465 value pairs, no 2^30 table
+    path = tmp_path / "wt30.txt"
+    assert run(capsys, "fcc-build", *_WT30, "--out", str(path))[0] == 0
+    assert run_json(capsys, "fcc-verify", "--encoder", str(path)) == (
+        0, {"ok": True, "pairs_checked": 465, "mode": "exhaustive", "route": "class"}, "")
+    for channel in ("random", "exhaustive"):
+        code, out, _ = run(capsys, "simulate", "--encoder", str(path), "--channel", channel,
+                           "--json")
+        payload = json.loads(out)
+        assert (code, payload["failures"], payload["stats"]["route"]) == (0, 0, "certified")
 
 
 def test_fcc_encode_json_names_the_codeword(capsys):

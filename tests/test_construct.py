@@ -8,6 +8,7 @@ import json
 import random
 import time
 from collections import defaultdict
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,25 @@ def test_hadamard_requires_power_of_two():
     assert construct.hadamard_code(6) is None
 
 
+def _sylvester_rows_by_loop(n: int) -> list[int]:
+    """Row i holds parity(popcount(i AND j)) at bit n-1-j, one entry at a time."""
+    rows = []
+    for i in range(n):
+        v = 0
+        for j in range(n):
+            v = (v << 1) | ((i & j).bit_count() & 1)
+        rows.append(v)
+    return rows
+
+
+@pytest.mark.parametrize("dist", [1, 2, 4, 8, 16, 32, 64])
+def test_hadamard_words_match_the_entrywise_loop(dist):
+    n = 2 * dist
+    rows, full = _sylvester_rows_by_loop(n), (1 << n) - 1
+    code = construct.hadamard_code(dist)
+    assert [w.value for w in code] == rows + [v ^ full for v in rows]
+
+
 # --- Reed-Muller ----------------------------------------------------------------
 
 
@@ -501,6 +521,37 @@ def test_reed_muller_min_distance(order, m):
     assert code.size == 1 << dim
     assert code.length == 1 << m
     assert _rm_min_distance(code) == 1 << (m - order)
+
+
+def _rm_words_by_loop(r_rm: int, m: int) -> list[int]:
+    """Each monomial evaluated point by point (point x at bit 2^m-1-x), rows
+    by (degree, variable tuple), codeword msg the XOR of the rows msg selects."""
+    n = 1 << m
+    rows = []
+    for size in range(r_rm + 1):
+        for s in itertools.combinations(range(m), size):
+            v = 0
+            for x in range(n):
+                v = (v << 1) | all(x >> var & 1 for var in s)
+            rows.append(v)
+    words = []
+    for msg in range(1 << len(rows)):
+        v = 0
+        for j, row in enumerate(rows):
+            if msg >> j & 1:
+                v ^= row
+        words.append(v)
+    return words
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_reed_muller_words_match_the_pointwise_loop(m):
+    for order in range(m + 1):
+        if sum(comb(m, i) for i in range(order + 1)) > 12:  # 2^dim words
+            break
+        code = construct.reed_muller_code(order, m)
+        assert code.length == 1 << m
+        assert [w.value for w in code] == _rm_words_by_loop(order, m), (order, m)
 
 
 def test_reed_muller_rm13_contains_constants():

@@ -22,6 +22,7 @@ before it drew messages in bulk and read parities through the value index.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -1052,11 +1053,164 @@ def test_verify_rejects_a_negative_seed():
 
 
 def test_verify_exhaustive_guard():
-    spec = functions.wt_spec(15)
-    enc = functions.wt_cyclic_encoder(15, 1)
-    with pytest.raises(ValueError):
-        fcc.verify_fcc(enc)  # k > 14 must be sampled
+    # 82 values at k = 15: over the budget by either route, so it is sampled
+    enc = fcc.build_function_value_encoder(fcc.spec_from_string("ml:sigmoid,k=15,eps=1/4"), 1)
+    with pytest.raises(ValueError, match="over its budget of 3412; pass --sample N"):
+        fcc.verify_fcc(enc)
     assert fcc.verify_fcc(enc, sample=200).ok
+
+
+# --- exhaustive checks admitted by cost -----------------------------------------
+
+
+def _parent_classes(encoder, t, *, kernel=False):
+    """The route rule of `fcc._classes` when the kernel was admitted at every
+    k <= 14 and refused above by k alone: the class check while its E'^2 t
+    ANDs are at most the kernel's 5 * translations * planes, else None (the
+    kernel, also all that `kernel` asked for). The oracle at k <= 14."""
+    if kernel:
+        return None
+    spec, key, e = encoder.spec, encoder.message_key, len(encoder.spec.image)
+    planes = (e - 1).bit_length() + encoder.r
+    most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
+    if key is None:
+        if e > most:
+            return None
+        masks = None if spec.weight_index is not None else spec.preimage_masks
+        return masks, range(e), encoder.words
+    classes = [(m, i, 0) for i, m in enumerate(spec.preimage_masks)]
+    for plane in reversed(fcc._bit_planes(key, (len(encoder.words) - 1).bit_length())):
+        if len(classes) > most:
+            return None
+        split = []
+        for m, i, j in classes:
+            hi = m & plane
+            if hi != m:
+                split.append((m ^ hi, i, j << 1))
+            if hi:
+                split.append((hi, i, j << 1 | 1))
+        classes = split
+    if len(classes) > most:
+        return None
+    masks, values, keys = zip(*classes)
+    return masks, values, [encoder.words[j] for j in keys]
+
+
+def _route_corpus(rng: random.Random) -> list[fcc.FccEncoder]:
+    """Encoders at k <= 14: per-value on a weight map (built and cycles),
+    per-value without one (random and ml), keyed per-message (delta ramps
+    and per-message copies of built encoders), a single-bit-flipped copy of
+    each with r > 0, and one-valued specs with r = 0, with and without a map."""
+    encs = []
+    for _ in range(12):
+        k = rng.randint(3, 14)
+        t = rng.randint(1, min(3, k - 1))
+        make = rng.choice((functions.wt_spec, functions.parity_spec, functions.or_spec,
+                           lambda k: functions.delta_spec(k, rng.randint(2, k))))
+        encs.append(fcc.build_function_value_encoder(make(k), t))
+        encs.append(functions.wt_cyclic_encoder(k, rng.randint(1, min(2, k - 1))))
+    for _ in range(16):
+        k, t = rng.randint(1, 8), rng.randint(1, 3)
+        spec = _shuffled_spec(rng, k, rng.randint(1, min(1 << k, 8)))
+        enc = fcc.build_function_value_encoder(spec, t)
+        encs.append(enc)
+        if enc.r:
+            par = [BitWord(p, enc.r) for p in enc.parity_ints]
+            encs.append(fcc.per_message_encoder(spec, t, par))
+    for spec in ("ml:sigmoid,k=8,eps=1/4", "ml:relu,k=7,eps=1", "minmax:w=3,l=3"):
+        encs.append(fcc.build_function_value_encoder(fcc.spec_from_string(spec), 1))
+    for k, T, t in ((6, 3, 1), (10, 5, 2), (12, 7, 3), (14, 3, 1)):
+        encs.append(functions.delta_ramp_encoder(k, T, t))
+    encs += [_flipped(enc, rng, 1) for enc in encs if enc.r]
+    k = rng.randint(1, 14)
+    encs += [fcc.FccEncoder(functions.constant_spec(k), 1, 0, (0,)),
+             fcc.FccEncoder(fcc.FunctionSpec(k, lambda u: 0, [0]), 2, 0, (0,))]
+    return encs
+
+
+def test_exhaustive_routes_at_k14_and_below_are_the_parent_rules(monkeypatch):
+    # every verify_fcc result, the quick check at t = 1..3 and simulate's
+    # route equal those under the rule that admitted by k: up to k = 14 the
+    # budget admits what that rule admitted, by the same route
+    rng = random.Random(3511)
+    encs = _route_corpus(rng)
+    seen = {"class": 0, "message-level": 0, "fail": 0, "keyed": 0, "weights": 0}
+
+    def outcomes(enc):
+        quick = [fcc._verify_exhaustive(enc, t, witness=False) for t in (1, 2, 3)]
+        full = fcc.verify_fcc(enc)
+        runs = []
+        if enc.spec.k <= 10:
+            for t in (1, enc.t + 1):
+                report = simulate(enc, ChannelModel(t, "random", seed=t, trials=40))
+                runs.append((report, report.route, report.decodes))
+        return full, quick, runs
+
+    for enc in encs:
+        got = outcomes(enc)
+        with monkeypatch.context() as patch:
+            patch.setattr(fcc, "_classes", _parent_classes)
+            assert outcomes(enc) == got, enc.spec.name
+        full = got[0]
+        seen[full.route] += 1
+        seen["fail"] += not full.ok
+        seen["keyed"] += enc.message_key is not None
+        seen["weights"] += enc.message_key is None and enc.spec.weight_index is not None
+    assert min(seen.values()) >= 10, seen
+
+
+def _above_k14() -> dict[str, fcc.FccEncoder]:
+    auto = lambda spec: fcc.build_function_value_encoder(spec, 1)
+    return {
+        "wt16-cycle": functions.wt_cyclic_encoder(16, 1),
+        "ramp16-T3": functions.delta_ramp_encoder(16, 3, 1),
+        "ramp16-T5-t2": functions.delta_ramp_encoder(16, 5, 2),
+        "minmax5x3-auto": auto(functions.minmax_spec(5, 3)),
+        "minmax5x3-spc": functions.minmax_parity_encoder(5, 3, 1),
+        "minmax4x4-auto": auto(functions.minmax_spec(4, 4)),
+        "sigmoid16": auto(fcc.spec_from_string("ml:sigmoid,k=16,eps=1")),
+    }
+
+
+def test_checks_admitted_above_k14_agree_with_the_kernel():
+    # the kernel itself is not admitted there: called directly, it is the
+    # oracle of each admitted check and of a flipped copy; a copy that fails
+    # would need the kernel for its witness, so verify_fcc refuses it
+    rng = random.Random(1516)
+    verdicts = {True: 0, False: 0}
+    for name, enc in _above_k14().items():
+        assert enc.spec.k in (15, 16), name
+        for case in (enc, _flipped(enc, rng, 1)):
+            ok = fcc._verify_message_level(case, case.t, False).ok
+            quick = fcc._verify_exhaustive(case, case.t, witness=False)
+            assert (quick.ok, quick.route) == (ok, "class"), name
+            if ok:
+                assert fcc.verify_fcc(case) == quick
+            else:
+                with pytest.raises(ValueError, match="over its budget"):
+                    fcc.verify_fcc(case)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) >= 3, verdicts
+    assert verdicts[True] >= 7  # every unflipped encoder passes
+
+
+def test_refused_above_k14_before_the_value_masks():
+    # 82 values at k = 16 refuse a per-message copy before its 82 masks of
+    # 2^16 bits are built; minmax 4x5 at k = 20 refuses its class check
+    name = "ml:sigmoid,k=16,eps=1/4"
+    enc = fcc.build_function_value_encoder(fcc.spec_from_string(name), 1)
+    fresh = fcc.FccEncoder(fcc.spec_from_string(name), 1, enc.r, enc.words)  # no masks built
+    keyed = fcc.per_message_encoder(fcc.spec_from_string(name), 1,
+                                    [BitWord(p, enc.r) for p in enc.parity_ints])
+    for case in (fresh, keyed):
+        with pytest.raises(ValueError, match="at least 6724 operations on 2"):
+            fcc.verify_fcc(case)
+        assert "preimage_masks" not in case.spec.__dict__
+    mm = fcc.build_function_value_encoder(functions.minmax_spec(4, 5), 1)
+    with pytest.raises(ValueError, match=r"k=20, t=1 .* over its budget of 82; pass --sample N"):
+        fcc.verify_fcc(mm)
+    channel = ChannelModel(1, "random", seed=2, trials=5)
+    assert simulate(enc, channel).route != "certified"
 
 
 # --- theorem-level properties ---------------------------------------------------
@@ -1358,10 +1512,10 @@ def test_exhaustive_simulate_fails_exactly_when_the_fcc_check_fails():
 
 
 def test_simulate_runs_the_trials_above_the_exhaustive_check_limit():
-    # above EXHAUSTIVE_MAX_K the check is skipped (never sampled), so even a
-    # verified encoder runs its trials; at channel t = 0 nothing can fail
-    k = fcc.EXHAUSTIVE_MAX_K + 1
-    enc = functions.wt_cyclic_encoder(k, 1)
+    # a check over budget is not run (nor sampled), so even an encoder that
+    # verifies runs its trials; at channel t = 0 nothing can fail
+    enc = fcc.build_function_value_encoder(fcc.spec_from_string("ml:sigmoid,k=15,eps=1/4"), 1)
+    assert fcc.verify_fcc(enc, sample=2000).ok
     channel = ChannelModel(1, "random", seed=5, trials=20)
     report = simulate(enc, channel)
     assert report == reference_simulate(enc, channel)

@@ -282,6 +282,17 @@ def test_delta_ramp_builds_past_k16_and_passes_sampled_verify():
         functions.delta_ramp_encoder(25, 5, 2)  # past index_table's k = 24
 
 
+def test_the_weight_table_holds_the_tabulation_cap():
+    # the ramp's key is the weight table mapped to steps, so the table's own
+    # check refuses it, as `index_table` refuses a weight spec's table; the
+    # spec itself builds at any k, off its weight map
+    for make in (lambda: functions.delta_ramp_encoder(25, 3, 1),
+                 lambda: functions._weight_table(25), lambda: functions.wt_spec(30).index_table):
+        with pytest.raises(ValueError, match=r"^k=(25|30) too large to tabulate$"):
+            make()
+    assert functions._weight_table(3) == bytes([0, 1, 1, 2, 1, 2, 2, 3])
+
+
 @pytest.mark.parametrize("k,T,t", [(8, 3, 1), (9, 5, 2)])
 def test_delta_ramp_exhaustive_verify(k, T, t):
     enc = functions.delta_ramp_encoder(k, T, t)
