@@ -110,7 +110,7 @@ def _same_value(key: str, flag: str, pair: str) -> bool:
         return flag == pair
     try:
         return Fraction(flag) == Fraction(pair)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # a number that does not parse says nothing
         return False
 
 
@@ -356,8 +356,10 @@ _CONSTRUCTIONS = {
 }
 
 
-def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
-    """Encoder from --encoder file, or built from --function/--construction."""
+def _resolve_encoder(params: dict[str, str]) -> tuple[str | None, fcc.FccEncoder]:
+    """Encoder from --encoder file, or built from --function/--construction,
+    and the construction that built it (None for a file; `auto` names the
+    one `tables.best_encoder` picks)."""
     if "encoder" in params:
         spec = _spec(params) if "function" in params else None
         encoder = fcc.encoder_from_text(params["encoder_text"], spec)
@@ -366,7 +368,7 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
         if "t" in params and int(params["t"]) != encoder.t:
             encoder = fcc.FccEncoder(encoder.spec, int(params["t"]), encoder.r, encoder.words,
                                      encoder.message_key)
-        return encoder
+        return None, encoder
     name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
     if name in _CONSTRUCTIONS:
         expected, builder, needs = _CONSTRUCTIONS[name]
@@ -376,12 +378,12 @@ def _resolve_encoder(params: dict[str, str]) -> fcc.FccEncoder:
         values = [_need(params, n, int) for n in needs]
         if expected == "minmax":
             functions.check_minmax_k(params.get("k"), int(params["w"]), int(params["l"]))
-        return getattr(functions, builder)(*values)
+        return name, getattr(functions, builder)(*values)
     t = _need(params, "t", int)
     if name == "locally-binary":
-        return functions.locally_binary_encoder(_spec(params), t)
+        return name, functions.locally_binary_encoder(_spec(params), t)
     if name == "auto":
-        return fcc.build_function_value_encoder(_spec(params), t)
+        return tables.best_encoder(_spec(params), t)
     raise ValueError(f"unknown construction {params['construction']!r}")
 
 
@@ -389,7 +391,7 @@ def cmd_fcc_build(args, params: dict[str, str]) -> _Result:
     out = params.get("out")
     if args.json and out is None:
         raise ValueError("--json needs --out: without it stdout carries the encoder file")
-    encoder = _resolve_encoder(params)
+    construction, encoder = _resolve_encoder(params)
     text = _written(fcc.encoder_to_text(encoder), out)
     if out is not None:
         print(
@@ -398,11 +400,11 @@ def cmd_fcc_build(args, params: dict[str, str]) -> _Result:
             file=sys.stderr,
         )
     return 0, {"k": encoder.spec.k, "t": encoder.t, "r": encoder.r, "mode": encoder.mode,
-               "out": out}, text
+               "out": out, "construction": construction}, text
 
 
 def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
-    encoder = _resolve_encoder(params)
+    encoder = _resolve_encoder(params)[1]
     sample = int(params["sample"]) if "sample" in params else None
     started = time.perf_counter()
     result = fcc.verify_fcc(encoder, sample=sample, seed=_need(params, "seed", int))
@@ -420,12 +422,12 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
 
 
 def cmd_fcc_encode(args, params: dict[str, str]) -> _Result:
-    codeword = _resolve_encoder(params).encode(BitWord.from_string(params["u"]))
+    codeword = _resolve_encoder(params)[1].encode(BitWord.from_string(params["u"]))
     return 0, {"codeword": str(codeword)}, f"{codeword}\n"
 
 
 def cmd_fcc_decode(args, params: dict[str, str]) -> _Result:
-    encoder = _resolve_encoder(params)
+    encoder = _resolve_encoder(params)[1]
     result = fcc.decode(encoder, BitWord.from_string(params["y"]))
     label = encoder.spec.value_label(result.value)
     suffix = "  (out of model)" if result.out_of_model else ""
@@ -434,7 +436,7 @@ def cmd_fcc_decode(args, params: dict[str, str]) -> _Result:
 
 
 def cmd_simulate(args, params: dict[str, str]) -> _Result:
-    encoder = _resolve_encoder(params)
+    encoder = _resolve_encoder(params)[1]
     t = int(params["channel_t"]) if "channel_t" in params else encoder.t
     seed, trials = _need(params, "seed", int), _need(params, "trials", int)
     channel = ChannelModel(t=t, mode=params["channel"], seed=seed, trials=trials)
@@ -495,7 +497,9 @@ def _add_encoder_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--function", help="registry string, e.g. wt or delta_T:T=3")
     p.add_argument(
         "--construction",
-        help="auto | wt-cycle/1 | delta-ramp/2 | minmax-spc/3 | minmax-rm/4 | locally-binary",
+        help="auto (the least r of wt-cycle, minmax-spc, minmax-rm and the greedy build, "
+        "where each applies) | wt-cycle/1 | delta-ramp/2 | minmax-spc/3 | minmax-rm/4 | "
+        "locally-binary",
     )
 
 

@@ -245,9 +245,11 @@ def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
     least |a - b| over weights a, b of the two values (nested messages meet
     it); else the preimage masks grow from both sides (`_closest_approaches`).
     Distances above max_d are reported as max_d + 1; max_d >= k gives every
-    distance exactly.
+    distance exactly. The masks are read before the E x E rows are made, so
+    a spec too large to tabulate is refused before they take any memory.
     """
     e, weights = len(spec.image), spec.weight_index
+    masks = spec.preimage_masks if weights is None else ()
     rows = [[max_d + 1] * e for _ in range(e)]
     for i in range(e):
         rows[i][i] = 0
@@ -259,7 +261,7 @@ def value_distances(spec: FunctionSpec, max_d: int) -> list[list[int]]:
                     row[j] = rows[j][i] = d
         return rows
     pending = [range(i + 1, e) if max_d >= 1 else () for i in range(e)]
-    _closest_approaches(spec.preimage_masks, spec.k, pending, [[max_d] * e] * e, rows)
+    _closest_approaches(masks, spec.k, pending, [[max_d] * e] * e, rows)
     return rows
 
 
@@ -404,7 +406,9 @@ def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], Sequence[int]]:
     return tuple(index), list(map(index.__getitem__, values))
 
 
-def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
+def build_function_value_encoder(
+    spec: FunctionSpec, t: int, shorter_than: int | None = None
+) -> FccEncoder | None:
     """Encoder whose parity depends on the function value only.
 
     Builds the value-level requirement matrix and fills the parities
@@ -412,9 +416,12 @@ def build_function_value_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     picks. The greedy build cannot fail there, and the resulting encoder
     protects f against t substitutions: messages with different values are
     either 2t+1 apart already or their parities make up the difference.
+    With `shorter_than`, a length not below it is None, with no build.
     """
     dmat = function_distance_matrix(spec, t)
     r, order = bounds.gv_threshold_and_order(dmat)
+    if shorter_than is not None and r >= shorter_than:
+        return None
     code = construct.greedy_irregular_code(dmat, r, order)
     if code is None:  # pragma: no cover - contradicts the threshold guarantee
         raise RuntimeError("greedy build failed at its own existence threshold")
@@ -820,14 +827,17 @@ def value_balls(spec: FunctionSpec, rho: int) -> list[int]:
     return [next(islice(_shells(m, spec.k), level, None)) for m in spec.preimage_masks]
 
 
-def is_locally_binary(spec: FunctionSpec, rho: int) -> tuple[bool, BitWord | None]:
+def is_locally_binary(
+    spec: FunctionSpec, rho: int, balls: list[int] | None = None
+) -> tuple[bool, BitWord | None]:
     """Whether every radius-rho ball sees at most two function values.
 
     Counts, bit-sliced over all messages at once, how many value balls
-    (`value_balls`) cover each message. On failure returns the smallest
-    message whose ball witnesses three values.
+    (`value_balls`, or `balls` where the caller has grown them) cover each
+    message. On failure returns the smallest message whose ball witnesses
+    three values.
     """
-    many = _at_least(value_balls(spec, rho), 3)
+    many = _at_least(value_balls(spec, rho) if balls is None else balls, 3)
     if many:
         return False, BitWord((many & -many).bit_length() - 1, spec.k)
     return True, None

@@ -377,13 +377,14 @@ def _wt_parity_base(t: int) -> Code:
     return Code.of((w.split(kept)[0] for w in rows), kept)
 
 
-def wt_cyclic_encoder(k: int, t: int) -> FccEncoder:
+def wt_cyclic_encoder(k: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
     """Weight-protecting encoder: parity = base word for wt(u) mod the cycle.
 
     Weights whose difference is below 2t+1 need parities making up the gap;
     the base cycle's distances cover every residue offset, and weights a full
     cycle apart are already 2t+1 apart in the message alone. Redundancy 3
-    for t=1 and 6 for t=2 (both optimal), the base length beyond.
+    for t=1 and 6 for t=2 (both optimal), the base length beyond. `spec`,
+    when given, is wt_spec(k) built already.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -391,7 +392,7 @@ def wt_cyclic_encoder(k: int, t: int) -> FccEncoder:
         raise ValueError(f"need k > t, got k={k}, t={t}")
     base = _wt_parity_base(t)
     period = base.size
-    spec = wt_spec(k)
+    spec = spec or wt_spec(k)
     words = tuple(base[wgt % period].value for wgt in range(k + 1))
     return FccEncoder(spec, t, base.length, words)
 
@@ -433,12 +434,12 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    ok, witness = fcc.is_locally_binary(spec, 2 * t)
+    balls = fcc.value_balls(spec, 2 * t)
+    ok, witness = fcc.is_locally_binary(spec, 2 * t, balls)
     if not ok:
         raise ValueError(
             f"{spec.name} is not {2 * t}-locally binary (witness {witness})"
         )
-    balls = fcc.value_balls(spec, 2 * t)
     top = above = 0
     for i in sorted(range(spec.expressiveness), key=spec.image.__getitem__, reverse=True):
         top |= spec.preimage_masks[i] & ~above
@@ -451,16 +452,17 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
 # --- min-max -----------------------------------------------------------------
 
 
-def minmax_parity_encoder(w: int, l: int, t: int) -> FccEncoder:
+def minmax_parity_encoder(w: int, l: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
     """Min-max encoder from a replicated even-weight code.
 
     Distinct values sit at message distance >= 1, so parities pairwise 2t
     apart suffice; replicating a distance-2 even-weight code t-fold provides
-    w(w-1) of them at length t(ceil(log2(w(w-1))) + 1).
+    w(w-1) of them at length t(ceil(log2(w(w-1))) + 1). `spec`, when given,
+    is minmax_spec(w, l) built already.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    spec = minmax_spec(w, l)
+    spec = spec or minmax_spec(w, l)
     e = spec.expressiveness
     width = (max(e - 1, 1)).bit_length() + 1  # ceil(log2 e) + 1
     base = construct.even_weight_subcode(e, width)
@@ -468,18 +470,19 @@ def minmax_parity_encoder(w: int, l: int, t: int) -> FccEncoder:
     return FccEncoder(spec, t, code.length, tuple(w.value for w in code.words))
 
 
-def minmax_rm_encoder(w: int, t: int, l: int = 3) -> FccEncoder:
+def minmax_rm_encoder(w: int, t: int, l: int = 3, spec: FunctionSpec | None = None) -> FccEncoder:
     """Min-max encoder drawing parities from a Reed-Muller code.
 
     Picks the smallest m (then the smallest order) whose RM(order, m) has
     min distance >= 2t and at least w(w-1) codewords; the first w(w-1)
     codewords become the parities. Redundancy 2^m — asymptotically near 4t
     when w is small relative to t. The block length l only sizes the message
-    domain; the parities depend on (w, t) alone.
+    domain; the parities depend on (w, t) alone. `spec`, when given, is
+    minmax_spec(w, l) built already.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    spec = minmax_spec(w, l)
+    spec = spec or minmax_spec(w, l)
     e = spec.expressiveness
     need_dim = (max(e - 1, 1)).bit_length()  # ceil(log2 e)
     dist_gap = (2 * t - 1).bit_length()  # smallest g with 2^g >= 2t
@@ -530,14 +533,22 @@ def _build_indicator(p: dict[str, str]) -> FunctionSpec:
     return indicator_spec(code, name=f"indicator:path={path}")
 
 
+def _fraction(key: str, text: str) -> Fraction:
+    """A parameter's number; a zero denominator is a ValueError naming it."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{key}={text} has a zero denominator") from None
+
+
 def ml_kind_from_pairs(name: str, a: str | None, b: str | None) -> MlFunctionKind:
     """The kind a registry string or the CLI names with a= and b=: the
     interval [a, b] of a bijective kind, the cutoff a (or b) of a symmetric
     one. relu has no interval, and a symmetric kind one cutoff, so the other
     combinations are rejected rather than dropped."""
     style = _ML_DEFAULTS.get(name, (None, None, None))[0]
-    lo = Fraction(a) if a is not None else None
-    hi = Fraction(b) if b is not None else None
+    lo = _fraction("a", a) if a is not None else None
+    hi = _fraction("b", b) if b is not None else None
     if style == BIJECTIVE_POSITIVE and (lo, hi) != (None, None):
         raise ValueError(f"{name} has no interval to override: it takes no a= or b=")
     if style == SYMMETRIC and lo is not None and hi is not None:
@@ -551,7 +562,7 @@ def _build_ml(p: dict[str, str]) -> FunctionSpec:
     if "arg" not in p:
         raise ValueError("ml needs a kind, e.g. ml:sigmoid,k=5,eps=1")
     kind = ml_kind_from_pairs(p["arg"], p.get("a"), p.get("b"))
-    q = Quantizer(_get(p, "k", int), _get(p, "eps", Fraction))
+    q = Quantizer(_get(p, "k", int), _fraction("eps", _get(p, "eps", str)))
     return ml_spec(kind, q)
 
 

@@ -3,8 +3,10 @@
 One row per function family, four columns: the best lower bound on
 function-correcting redundancy, the cost of protecting all the data, the
 cost of protecting a separately transmitted function value, and the
-redundancy our constructions actually achieve. Entries that are estimates
-rather than exact values carry a '*' (and exact=False).
+redundancy our constructions actually achieve. That last entry is one rule,
+`best_encoder`, which `fcc-build --construction auto` builds too: the least r
+over the constructions that apply, wherever k is known. Entries that are
+estimates rather than exact values carry a '*' (and exact=False).
 """
 
 from __future__ import annotations
@@ -83,13 +85,64 @@ def row_keys(family: str) -> frozenset[str]:
     return frozenset({"k"}) if family == "binary" else fcc.spec_keys(family)
 
 
+def family_lower_bound(family: str, t: int, w: int = 2) -> int:
+    """The closed-form lower bound a family's row prints: wt's
+    (`bounds.wt_lower_bound`), min-max's on w >= 3 blocks, floored at 2t,
+    else 2t."""
+    if family == "wt":
+        return bounds.wt_lower_bound(t).integer_value
+    if family == "minmax" and w >= 3:
+        return max(2 * t, bounds.minmax_lower_bound(w, t).integer_value)
+    return 2 * t
+
+
+def best_encoder(spec: fcc.FunctionSpec, t: int) -> tuple[str, fcc.FccEncoder]:
+    """The encoder `auto` builds, and the name of its construction: the least
+    r over the per-value family constructions that apply to the family the
+    spec's name gives (wt-cycle when k > t; minmax-spc, then minmax-rm), then
+    the greedy build (`fcc.build_function_value_encoder`), a tie going to
+    the earlier. The search stops once an r meets `family_lower_bound`, and
+    the greedy encoder is built only where its GV length beats the best r so
+    far; where the greedy route refuses to tabulate a large k, the best
+    family construction stands. The family constructions reuse `spec`.
+
+    Delta-ramp and locally-binary are left out: wherever delta-ramp applies
+    the GV length is already its 2t, and the locally-binary test grows a ball
+    per value over all 2^k messages.
+    """
+    family, w, tries = spec.name.partition(":")[0], 2, []
+    if family == "wt" and spec.k > t:
+        tries.append(("wt-cycle", lambda: functions.wt_cyclic_encoder(spec.k, t, spec)))
+    if family == "minmax":  # minmax_spec names its w and l
+        pairs = fcc.parse_spec_string(spec.name)[1]
+        w, l = int(pairs["w"]), int(pairs["l"])
+        tries.append(("minmax-spc", lambda: functions.minmax_parity_encoder(w, l, t, spec)))
+        tries.append(("minmax-rm", lambda: functions.minmax_rm_encoder(w, t, l, spec)))
+    best, lower = None, family_lower_bound(family, t, w)
+    for name, build in tries:
+        encoder = build()
+        if best is None or encoder.r < best[1].r:
+            best = name, encoder
+        if best[1].r <= lower:
+            return best
+    try:
+        greedy = fcc.build_function_value_encoder(spec, t, None if best is None else best[1].r)
+    except ValueError:
+        if best is None:
+            raise
+        return best
+    return best if greedy is None else ("greedy", greedy)
+
+
 def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
     """Assemble one comparison row for a function family or registry string.
 
     Known families get their sharp special-case entries, whether their
     parameters come inline ("delta_T:k=8,T=3") or in `params`; any other
     registered name falls back to the generic bounds computed from its spec
-    (which then needs enough parameters to build, e.g. k).
+    (which then needs enough parameters to build, e.g. k). Where k is known,
+    the achieved entry is `best_encoder`'s r; without it a family row prints
+    the closed form of its family construction.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -113,41 +166,17 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             fcc_redundancy=_exact(2 * t),
         )
 
+    symbolic = "log E + t log log E"
     if family == "wt":
-        achieved = functions._wt_parity_base(t).length
-        return TableRow(
-            "wt",
-            t,
-            lower_bound=_exact(bounds.wt_lower_bound(t).integer_value),
-            ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_ecc_values_entry(
-                k + 1 if k is not None else None, t, "log k + t log log k"
-            ),
-            fcc_redundancy=_exact(achieved),
-        )
-
-    if family == "delta_T":
+        label, lower, e = "wt", family_lower_bound("wt", t), (k + 1 if k is not None else None)
+        fcc_entry, symbolic = _exact(functions._wt_parity_base(t).length), "log k + t log log k"
+    elif family == "delta_T":
         T = int(p.get("T", 0))
         if T < 1:  # delta_spec's condition, and the row cannot do without T
             raise ValueError(f"delta_T row needs T >= 1, got T={p.get('T')}")
-        e = (k // T + 1) if k is not None else None
-        if 2 * t + 1 <= T:
-            fcc_entry = _exact(2 * t)
-        elif k is not None:
-            spec = functions.delta_spec(k, T)
-            fcc_entry = _approx(fcc.build_function_value_encoder(spec, t).r)
-        else:
-            fcc_entry = _symbolic("needs 2t+1 <= T")
-        return TableRow(
-            f"delta_T(T={T})",
-            t,
-            lower_bound=_exact(2 * t),
-            ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_ecc_values_entry(e, t),
-            fcc_redundancy=fcc_entry,
-        )
-
-    if family == "minmax":
+        label, lower, e = f"delta_T(T={T})", 2 * t, (k // T + 1) if k is not None else None
+        fcc_entry = _exact(2 * t) if 2 * t + 1 <= T else _symbolic("needs 2t+1 <= T")
+    elif family == "minmax":
         w, l = int(p.get("w", 0)), int(p.get("l", 2))
         if w < 2 or l < 2:  # minmax_spec's conditions; the row cannot do without w
             raise ValueError(f"minmax row needs w >= 2 and l >= 2, got w={p.get('w')}, l={p.get('l')}")
@@ -157,21 +186,17 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             k = w * l
         if k is not None and (k % w or k < 2 * w):  # a k without l
             raise ValueError(f"k={k} is not w*l for w={w} and any block length l >= 2")
-        lower = 2 * t
-        if w >= 3:
-            lower = max(lower, bounds.minmax_lower_bound(w, t).integer_value)
-        achieved = t * ((max(e - 1, 1)).bit_length() + 1)  # t(ceil(log2 e)+1)
-        return TableRow(
-            f"minmax(w={w})",
-            t,
-            lower_bound=_exact(lower),
-            ecc_on_data=_ecc_data_entry(k, t),
-            ecc_on_function_values=_ecc_values_entry(e, t),
-            fcc_redundancy=_exact(achieved),
-        )
-
-    # generic fallback: anything registered, with real matrices behind it
-    return spec_row(fcc.spec_from_string(name, defaults=p), t)
+        if k is not None:  # the block length of the spec built below
+            p["l"] = str(k // w)
+        label, lower = f"minmax(w={w})", family_lower_bound("minmax", t, w)
+        fcc_entry = _exact(t * ((max(e - 1, 1)).bit_length() + 1))  # t(ceil(log2 e)+1)
+    else:
+        # generic fallback: anything registered, with real matrices behind it
+        return spec_row(fcc.spec_from_string(name, defaults=p), t)
+    if k is not None:  # what `auto` builds, else the k-free closed form above
+        fcc_entry = _exact(best_encoder(fcc.spec_from_string(name, defaults=p), t)[1].r)
+    return TableRow(label, t, _exact(lower), _ecc_data_entry(k, t),
+                    _ecc_values_entry(e, t, symbolic), fcc_entry)
 
 
 def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
@@ -182,7 +207,7 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
     map, a the least weight of the value), floored at 2t.
     Every encoder must meet the requirements of any message subset (paper
     Thm. 2), so the bound holds whichever representatives are taken. The
-    achieved entry is the per-value greedy build.
+    achieved entry is the r of `best_encoder`, which `auto` builds.
     """
     e = spec.expressiveness
     if e < 2:
@@ -199,7 +224,7 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
         lower_bound=_exact(max(2 * t, bounds.plotkin_irregular(dmat).integer_value)),
         ecc_on_data=_ecc_data_entry(spec.k, t),
         ecc_on_function_values=_ecc_values_entry(e, t),
-        fcc_redundancy=_exact(fcc.build_function_value_encoder(spec, t).r),
+        fcc_redundancy=_exact(best_encoder(spec, t)[1].r),
     )
 
 

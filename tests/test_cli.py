@@ -705,7 +705,8 @@ def test_fcc_build_json_reports_the_encoder_written(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     stats = data.pop("stats")
-    assert data == {"k": 8, "t": 1, "r": 3, "mode": fcc.PER_VALUE, "out": str(path)}
+    assert data == {"k": 8, "t": 1, "r": 3, "mode": fcc.PER_VALUE, "out": str(path),
+                    "construction": "wt-cycle"}
     assert set(stats) == {"elapsed_s"} and stats["elapsed_s"] >= 0
     # the stderr line and the file are those of a run without --json
     text = path.read_text(encoding="utf-8")
@@ -813,23 +814,25 @@ _WT30 = ["--function", "wt", "--k", "30", "--t", "2"]
 
 def test_weight_families_build_encode_and_row_beyond_the_tables(capsys, tmp_path):
     # README's k = 30 and k = 40 lines: their value distances come off the
-    # k+1 weights, where a 2^k table could not be built
+    # k+1 weights, where a 2^k table could not be built. At k = 30, t = 2
+    # `auto` takes the weight cycle (r = 6, the lower bound), and the k = 40
+    # row's r is built by the greedy route, so it is exact
     path = tmp_path / "wt30.txt"
     code, payload, _ = run_json(capsys, "fcc-build", *_WT30, "--out", str(path))
-    assert (code, payload) == (0, {"k": 30, "t": 2, "r": 7, "mode": fcc.PER_VALUE,
-                                   "out": str(path)})
+    assert (code, payload) == (0, {"k": 30, "t": 2, "r": 6, "mode": fcc.PER_VALUE,
+                                   "out": str(path), "construction": "wt-cycle"})
     enc = fcc.encoder_from_text(path.read_text(encoding="utf-8"))
     assert fcc._verify_exhaustive(enc, 2) == fcc.VerifyResult(True, None, 31 * 30 // 2, "class")
     u = "10" * 15
     code, out, _ = run(capsys, "fcc-encode", "--encoder", str(path), "--u", u)
-    assert (code, out) == (0, u + format(enc.words[15], "07b") + "\n")
+    assert (code, out) == (0, u + format(enc.words[15], "06b") + "\n")
     code, out, _ = run(capsys, "table", "--function", "delta_T:k=40,T=3", "--t", "2")
-    assert code == 0 and out.split()[-1] == "fcc=5*"
+    assert code == 0 and out.split()[-1] == "fcc=5"
 
 
 @pytest.mark.parametrize("argv", [
     ["fcc-verify", "--sample", "100"],
-    ["fcc-decode", "--y", "0" * 37],
+    ["fcc-decode", "--y", "0" * 36],
     # beyond the encoder's t the certificate fails, so the trials run
     ["simulate", "--channel", "random", "--channel-t", "3"],
 ], ids=["sampled-verify", "decode", "simulate"])
@@ -1424,6 +1427,21 @@ def test_a_numeric_flag_agrees_with_an_equal_pair(capsys, tmp_path):
     assert run(capsys, "fcc-verify", "--encoder", str(enc), "--eps", "0.6")[:2] == (0, "OK\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["fcc-build", "--function", "ml:sigmoid,k=4,eps=1/0", "--t", "1"],
+     "error: eps=1/0 has a zero denominator\n"),
+    (["table", "--function", "ml:tanh,k=3", "--eps", "1/0", "--t", "1"],
+     "error: eps=1/0 has a zero denominator\n"),
+    (["table", "--function", "ml:sigmoid,k=4,eps=1,a=1/0", "--t", "1"],
+     "error: a=1/0 has a zero denominator\n"),
+    # a flag whose number does not parse agrees with no pair
+    (["table", "--function", "ml:tanh,k=6,eps=3/5", "--eps", "1/0", "--t", "1"],
+     "error: --eps 1/0 contradicts eps=3/5 in 'ml:tanh,k=6,eps=3/5'\n"),
+], ids=["eps-pair", "eps-flag", "a-pair", "eps-flag-against-pair"])
+def test_a_zero_denominator_is_a_usage_error(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_an_encoder_header_names_the_family_whose_flags_count(capsys, tmp_path):
     enc = tmp_path / "enc.txt"
     run(capsys, "fcc-build", "--function", "wt", "--k", "6", "--t", "1", "--out", str(enc))
@@ -1559,7 +1577,8 @@ _GARBAGE_FILES = {
     "no-mode.txt": _ENCODER.replace("# mode: per-function-value\n", "") + "000\n" * 5,
     "bits.txt": _ENCODER + "000\n01x\n" + "000\n" * 3,
 }
-_BAD_FUNCTIONS = ["nosuch:k=4", "wt:k=3,k=4", "wt:k=four", "wt:k=4,bogus=1", "ml:sigmoid,tanh,k=4"]
+_BAD_FUNCTIONS = ["nosuch:k=4", "wt:k=3,k=4", "wt:k=four", "wt:k=4,bogus=1", "ml:sigmoid,tanh,k=4",
+                  "ml:sigmoid,k=4,eps=1/0", "ml:sigmoid,k=4,eps=1,a=1/0"]
 
 
 def _garbage_calls():

@@ -614,6 +614,21 @@ def test_weight_specs_build_and_verify_without_a_2k_table(call):
     assert peak < 64 << 10, peak
 
 
+def test_value_distances_refuse_a_large_k_before_the_rows():
+    # 20,002 values at k = 25: the E x E rows would take gigabytes, and the
+    # preimage masks, read first, refuse k > 24 before any is made
+    spec = fcc.spec_from_string("ml:sigmoid,k=25,eps=1/1000")
+    assert spec.expressiveness == 20_002
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^k=25 too large to tabulate$"):
+            fcc.value_distances(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+
+
 def test_function_distance_matrix_requirements():
     spec = functions.parity_spec(3)
     d = fcc.function_distance_matrix(spec, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import runpy
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fcodes import construct, fcc, tables
+from fcodes import cli, construct, fcc, functions, tables
 
 
 def test_binary_rows():
@@ -61,9 +62,10 @@ def test_delta_row_wide_blocks():
 
 def test_delta_row_narrow_blocks_falls_back():
     # 2t+1 > T: the ramp construction does not apply; with k given the
-    # generic builder supplies an achieved (approximate) redundancy
+    # generic builder supplies the achieved redundancy, which is built, so
+    # it is exact
     row = tables.table_row("delta_T", 2, {"T": "3", "k": "6"})
-    assert not row.fcc_redundancy.exact
+    assert row.fcc_redundancy.exact
     assert row.fcc_redundancy.value >= 4
 
 
@@ -148,3 +150,78 @@ def test_generic_lower_bound_never_exceeds_exact_optimum():
             assert row.lower_bound.value <= exact.value, (spec.k, t, spec.index_table)
         assert row.lower_bound.value <= row.fcc_redundancy.value
     assert proven >= 150
+
+
+# --- one rule for the achieved r: `table`'s fcc is `auto`'s r -------------------
+
+_RULE_ROWS = [
+    *[(["--function", "minmax", "--w", str(w), "--l", str(l)], t)
+      for w in (3, 4, 5) for l in (2, 3) for t in (1, 2, 3)],
+    *[(["--function", "wt", "--k", str(k)], t) for k in (8, 12, 16) for t in (1, 2, 3)],
+    *[(["--function", f"delta_T:k={k},T={T}"], t)
+      for k, T, t in ((8, 5, 3), (6, 2, 2), (10, 5, 2), (9, 4, 1), (40, 3, 2))],
+    *[(["--function", f], t) for f, t in (("ml:sigmoid,k=6,eps=1", 1), ("ml:sigmoid,k=6,eps=1", 2),
+                                          ("ml:relu,k=6,eps=1", 1), ("ml:tanh,k=7,eps=3/10", 2))],
+]
+
+
+def _cli_json(capsys, *argv: str) -> dict:
+    assert cli.main([*argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _candidate_rs(spec: fcc.FunctionSpec, t: int) -> dict[str, int]:
+    """The r of every construction `auto` may take for `spec`, each built,
+    in the order ties go."""
+    family, pairs = fcc.parse_spec_string(spec.name)
+    rs = {}
+    if family == "wt" and spec.k > t:
+        rs["wt-cycle"] = functions.wt_cyclic_encoder(spec.k, t).r
+    if family == "minmax":
+        w, l = int(pairs["w"]), int(pairs["l"])
+        rs["minmax-spc"] = functions.minmax_parity_encoder(w, l, t).r
+        rs["minmax-rm"] = functions.minmax_rm_encoder(w, t, l).r
+    rs["greedy"] = fcc.build_function_value_encoder(spec, t).r
+    return rs
+
+
+@pytest.mark.parametrize("function_args, t", _RULE_ROWS,
+                         ids=[" ".join(a[1:]) + f" t={t}" for a, t in _RULE_ROWS])
+def test_table_fcc_is_the_auto_r_which_is_the_least_candidate_r(capsys, tmp_path, function_args, t):
+    path = tmp_path / "auto.txt"
+    row = _cli_json(capsys, "table", *function_args, "--t", str(t))
+    built = _cli_json(capsys, "fcc-build", *function_args, "--t", str(t), "--out", str(path))
+    encoder = fcc.encoder_from_text(path.read_text(encoding="utf-8"))
+    rs = _candidate_rs(encoder.spec, t)
+    assert row["fcc_redundancy"] == {"text": str(built["r"]), "value": built["r"], "exact": True}
+    # the least r, a tie going to the earlier candidate
+    assert built["construction"] == min(rs, key=rs.get)
+    assert built["r"] == encoder.r == rs[built["construction"]]
+    assert row["lower_bound"]["value"] <= built["r"]
+    if encoder.spec.k <= 14:
+        assert fcc.verify_fcc(encoder).ok
+
+
+@pytest.mark.parametrize("argv, fcc_text", [
+    (["--function", "wt", "--k", "12", "--t", "3"], "fcc=11"),
+    (["--function", "minmax", "--w", "4", "--l", "2", "--t", "2"], "fcc=8"),
+    (["--function", "delta_T", "--k", "8", "--T", "5", "--t", "3"], "fcc=6"),
+])
+def test_table_prints_the_built_r_unstarred(capsys, argv, fcc_text):
+    assert cli.main(["table", *argv]) == 0
+    assert capsys.readouterr().out.split()[-1] == fcc_text
+
+
+def test_rows_without_k_keep_their_closed_forms():
+    assert tables.table_row("wt", 3).fcc_redundancy == tables.TableEntry("14", 14, True)
+    assert tables.table_row("minmax", 2, {"w": "4"}).fcc_redundancy.value == 10
+    assert tables.table_row("delta_T", 3, {"T": "5"}).fcc_redundancy.text == "needs 2t+1 <= T*"
+
+
+def test_auto_keeps_the_family_construction_where_greedy_cannot_tabulate():
+    # k = 25 is past the value tables the greedy route needs; min-max's
+    # parities do not read them
+    name, encoder = tables.best_encoder(functions.minmax_spec(5, 5), 1)
+    assert (name, encoder.r) == ("minmax-spc", 6)
+    with pytest.raises(ValueError, match="too large to tabulate"):
+        tables.best_encoder(fcc.spec_from_string("ml:sigmoid,k=25,eps=1/1000"), 1)
