@@ -22,19 +22,19 @@ import sys
 from fcodes import fcc, functions
 from fcodes.simulate import ChannelModel, simulate
 
-# (label, encoder builder): the per-value `auto` encoder of each registry
+# (label, encoder builder): the per-value greedy encoder of each registry
 # family, then the named constructions (per-value and per-message)
 _ENCODERS = [
-    ("wt:k=6 auto", lambda t: fcc.build_function_value_encoder(functions.wt_spec(6), t)),
-    ("parity:k=6 auto", lambda t: fcc.build_function_value_encoder(functions.parity_spec(6), t)),
-    ("or:k=6 auto", lambda t: fcc.build_function_value_encoder(functions.or_spec(6), t)),
-    ("delta_T:k=7,T=3 auto",
+    ("wt:k=6 greedy", lambda t: fcc.build_function_value_encoder(functions.wt_spec(6), t)),
+    ("parity:k=6 greedy", lambda t: fcc.build_function_value_encoder(functions.parity_spec(6), t)),
+    ("or:k=6 greedy", lambda t: fcc.build_function_value_encoder(functions.or_spec(6), t)),
+    ("delta_T:k=7,T=3 greedy",
      lambda t: fcc.build_function_value_encoder(functions.delta_spec(7, 3), t)),
-    ("minmax:w=3,l=2 auto",
+    ("minmax:w=3,l=2 greedy",
      lambda t: fcc.build_function_value_encoder(functions.minmax_spec(3, 2), t)),
-    ("ml:sigmoid,k=6,eps=1 auto",
+    ("ml:sigmoid,k=6,eps=1 greedy",
      lambda t: fcc.build_function_value_encoder(fcc.spec_from_string("ml:sigmoid,k=6,eps=1"), t)),
-    ("ml:relu,k=5,eps=1 auto",
+    ("ml:relu,k=5,eps=1 greedy",
      lambda t: fcc.build_function_value_encoder(fcc.spec_from_string("ml:relu,k=5,eps=1"), t)),
     ("wt:k=7 wt-cycle", lambda t: functions.wt_cyclic_encoder(7, t)),
     ("delta_T:k=7,T=5 delta-ramp", lambda t: functions.delta_ramp_encoder(7, 5, t)),

@@ -9,8 +9,9 @@ genuinely real-valued bounds go through a guarded ceiling.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .bits import DistanceMatrix, Record, sphere_size
@@ -90,9 +91,36 @@ def plotkin_regular(size: int, dist: int) -> BoundResult:
     return _lower(Fraction(2 * dist * (size - 1), size), "plotkin-regular")
 
 
+def _placements(dmat: DistanceMatrix, order: Sequence[int] | None) -> list[tuple[int, ...]]:
+    """The distinct placements of a greedy build in `order`: placement j's
+    earlier rows counted by requirement, as the counts of each d = 1..D_max;
+    placements with equal counts appear once."""
+    m, rows = dmat.dim, dmat.entries
+    if order is not None:
+        if sorted(order) != list(range(m)):
+            raise ValueError(f"order is not a permutation of 0..{m - 1}")
+        if m > 1:  # rows and columns reindexed by order
+            pick = itemgetter(*order)
+            rows = [pick(rows[i]) for i in order]
+    needs = range(1, max(map(max, rows), default=0) + 1)
+    return list({tuple(map(row[:j].count, needs)) for j, row in enumerate(rows)})
+
+
+def _first_full(profiles: list[tuple[int, ...]], row: list[int], r: int) -> int | None:
+    """The index of the first placement whose forbidden volume
+    sum_d count[d] * V(r, d - 1) reaches 2^r, or None when every placement
+    fits; row[i] is C(r, i) for every radius i below D_max."""
+    volume = list(accumulate(row))  # volume[d - 1] = V(r, d - 1)
+    space = 1 << r
+    for i, profile in enumerate(profiles):
+        if sum(map(mul, profile, volume)) >= space:
+            return i
+    return None
+
+
 def gv_irregular_threshold(
-    dmat: DistanceMatrix, order: Sequence[int] | None = None
-) -> int:
+    dmat: DistanceMatrix, order: Sequence[int] | None = None, below: int | None = None
+) -> int | None:
     """Greedy sphere-covering upper bound on N(M, D).
 
     Words are placed one by one in the given order; the j-th placement
@@ -101,33 +129,36 @@ def gv_irregular_threshold(
     that provably admits a satisfying code). Zero requirements contribute
     nothing (an empty sphere). Placement j counts its earlier rows by
     requirement value d once, so at each r its forbidden volume is
-    sum_d count_j[d] * V(r, d - 1), with one sphere_size per distinct d;
-    placements with equal counts are checked once. The search starts where
-    2^r first exceeds the number of nonzero requirements of some placement,
-    the volume when every sphere is one word.
+    sum_d count_j[d] * V(r, d - 1), with the binomials C(r, i) kept from one
+    r to the next by Pascal's rule; placements with equal counts are checked
+    once, the one that failed last first. The search starts where 2^r first
+    exceeds the number of nonzero requirements of some placement, the volume
+    when every sphere is one word.
+
+    As V(r + 1, d) <= 2 V(r, d), no placement's share of the space
+    V(r, d - 1) / 2^r rises with r, so a length where every placement fits
+    bounds the threshold from above. With `below`, the result is None where
+    the threshold is not below it, settled by one test at below - 1 before
+    any search.
     """
-    m = dmat.dim
-    if order is None:
-        order = range(m)
-    else:
-        if sorted(order) != list(range(m)):
-            raise ValueError(f"order is not a permutation of 0..{m - 1}")
-    pi = list(order)
-    profiles = set()
-    for j in range(m):
-        count = Counter(map(dmat.entries[pi[j]].__getitem__, pi[:j]))
-        count.pop(0, None)
-        profiles.add(tuple(sorted(count.items())))
-    needs = {need for profile in profiles for need, _ in profile}
+    profiles = _placements(dmat, order)
+    top = len(profiles[0]) if profiles else 0
     # every nonzero requirement forbids at least its own word
-    r = max((sum(c for _, c in profile).bit_length() for profile in profiles), default=0)
+    r = max(map(sum, profiles), default=0).bit_length()
+    if below is not None and (
+        below <= r
+        or _first_full(profiles, [math.comb(below - 1, i) for i in range(top)], below - 1)
+        is not None
+    ):
+        return None
+    row = [math.comb(r, i) for i in range(top)]
     while True:
-        volume = {need: sphere_size(r, need - 1) for need in needs}
-        if all(
-            sum(c * volume[need] for need, c in profile) < 1 << r for profile in profiles
-        ):
+        full = _first_full(profiles, row, r)
+        if full is None:
             return r
+        profiles[0], profiles[full] = profiles[full], profiles[0]
         r += 1
+        row = [1, *map(add, row[1:], row)]  # C(r + 1, i) = C(r, i) + C(r, i - 1)
 
 
 def heuristic_row_order(dmat: DistanceMatrix) -> tuple[int, ...]:
@@ -136,14 +167,20 @@ def heuristic_row_order(dmat: DistanceMatrix) -> tuple[int, ...]:
     return tuple(sorted(range(dmat.dim), key=lambda i: (-sums[i], i)))
 
 
-def gv_threshold_and_order(dmat: DistanceMatrix) -> tuple[int, tuple[int, ...] | None]:
+def gv_threshold_and_order(
+    dmat: DistanceMatrix, below: int | None = None
+) -> tuple[int, tuple[int, ...] | None] | None:
     """The greedy length and row order of every greedy build: the smaller
     `gv_irregular_threshold` of the identity order (None, which wins ties)
-    and `heuristic_row_order`. Either threshold bounds N(M, D) above."""
-    r = gv_irregular_threshold(dmat)
+    and `heuristic_row_order`. Either threshold bounds N(M, D) above. The
+    heuristic order is searched only where it could win, below the identity
+    order's length; with `below`, None where neither length is below it."""
+    r = gv_irregular_threshold(dmat, None, below)
     order = heuristic_row_order(dmat)
-    r_heur = gv_irregular_threshold(dmat, order)
-    return (r_heur, order) if r_heur < r else (r, None)
+    r_heur = gv_irregular_threshold(dmat, order, below if r is None else r)
+    if r_heur is not None:
+        return r_heur, order
+    return None if r is None else (r, None)
 
 
 def hadamard_upper(size: int, dist: int) -> BoundResult | None:

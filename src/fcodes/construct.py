@@ -401,19 +401,18 @@ def even_weight_subcode(count: int, length: int) -> Code:
 
 
 def replicate_bits(code: Code, factor: int) -> Code:
-    """Repeat every bit of every word `factor` times in place.
+    """Repeat every bit of every word `factor` times in place, each word
+    spread as one string of its digits; factor 1 is the code itself.
 
     Scales every pairwise distance by exactly `factor`.
     """
     if factor < 1:
         raise ValueError(f"need factor >= 1, got {factor}")
-    out = []
-    for w in code:
-        bits = []
-        for b in w.bits():
-            bits.extend([b] * factor)
-        out.append(BitWord.from_bits(bits))
-    return Code.of(out, code.length * factor)
+    if factor == 1:
+        return code
+    spread, n = str.maketrans({"0": "0" * factor, "1": "1" * factor}), code.length * factor
+    digits = f"0{code.length}b"
+    return Code.of((BitWord(int(format(w.value, digits).translate(spread), 2), n) for w in code), n)
 
 
 def min_distance(code: Code) -> int:

@@ -407,8 +407,9 @@ def _keyed(values: Sequence[int]) -> tuple[tuple[int, ...], Sequence[int]]:
 
 
 def build_function_value_encoder(
-    spec: FunctionSpec, t: int, shorter_than: int | None = None
-) -> FccEncoder | None:
+    spec: FunctionSpec, t: int, dmat: DistanceMatrix | None = None,
+    gv: tuple[int, tuple[int, ...] | None] | None = None,
+) -> FccEncoder:
     """Encoder whose parity depends on the function value only.
 
     Builds the value-level requirement matrix and fills the parities
@@ -416,12 +417,12 @@ def build_function_value_encoder(
     picks. The greedy build cannot fail there, and the resulting encoder
     protects f against t substitutions: messages with different values are
     either 2t+1 apart already or their parities make up the difference.
-    With `shorter_than`, a length not below it is None, with no build.
+    `dmat` and `gv`, when given, are that matrix and that length and order,
+    found already.
     """
-    dmat = function_distance_matrix(spec, t)
-    r, order = bounds.gv_threshold_and_order(dmat)
-    if shorter_than is not None and r >= shorter_than:
-        return None
+    if dmat is None:
+        dmat = function_distance_matrix(spec, t)
+    r, order = gv or bounds.gv_threshold_and_order(dmat)
     code = construct.greedy_irregular_code(dmat, r, order)
     if code is None:  # pragma: no cover - contradicts the threshold guarantee
         raise RuntimeError("greedy build failed at its own existence threshold")

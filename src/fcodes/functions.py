@@ -116,6 +116,21 @@ def minmax_spec(w: int, l: int) -> FunctionSpec:
     return FunctionSpec(k, fn, image, name=f"minmax:w={w},l={l}", bulk_table=bulk)
 
 
+_STEP_UP = b"\0" * 256 + b"\xff" * 256
+_STEP_DOWN = _STEP_UP[::-1]
+_BYTES = bytes(range(256))
+
+
+def _block_marks(size: int) -> list[tuple[bytes, bytes, bytes, bytes]]:
+    """`_minmax_table`'s four translate tables of each block value b below
+    `size`, indexed by the suffix's byte v: b <= v and b > v as 0xff masks,
+    min(v, b) and max(v, b). Each is sliced from the constants above, with
+    b's own run as one repeat."""
+    return [(_STEP_UP[256 - b:512 - b], _STEP_DOWN[256 - b:512 - b],
+             _BYTES[:b] + bytes([b]) * (256 - b), bytes([b]) * (b + 1) + _BYTES[b + 1:])
+            for b in range(size)]
+
+
 def _minmax_table(w: int, l: int) -> bytes:
     """Image index of minmax_spec(w, l) for every message (l <= 8).
 
@@ -127,12 +142,9 @@ def _minmax_table(w: int, l: int) -> bytes:
     big ints for the positions.
     """
     size = 1 << l
-    mins = maxs = bytes(range(size))
+    mins = maxs = _BYTES[:size]
     argmin = argmax = bytes([w - 1]) * size
-    # the four translate tables of each block value b, built once
-    marks = [(b"\0" * b + b"\xff" * (256 - b), b"\xff" * b + b"\0" * (256 - b),
-              bytes(range(b)) + bytes([b]) * (256 - b),
-              bytes([b]) * (b + 1) + bytes(range(b + 1, 256))) for b in range(size)]
+    marks = _block_marks(size)
     for i in range(w - 2, -1, -1):
         n = len(mins)
         here = int.from_bytes(bytes([i]) * n, "big")
@@ -414,8 +426,9 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
         raise ValueError(f"need 2t+1 <= T, got t={t}, T={T}")
     r = 2 * t
     words = tuple(((1 << ones) - 1) << (r - ones) for ones in range(r + 1))
-    step_of_weight = bytes(min(v % T, r) for v in range(256))
-    return FccEncoder(delta_spec(k, T), t, r, words, _weight_table(k).translate(step_of_weight))
+    weights = _weight_table(k)  # weights 0..k, so k + 1 steps
+    step_of_weight = bytes(min(v % T, r) for v in range(k + 1)).ljust(256, b"\0")
+    return FccEncoder(delta_spec(k, T), t, r, words, weights.translate(step_of_weight))
 
 
 # --- locally binary functions ------------------------------------------------
@@ -463,38 +476,48 @@ def minmax_parity_encoder(w: int, l: int, t: int, spec: FunctionSpec | None = No
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     spec = spec or minmax_spec(w, l)
-    e = spec.expressiveness
-    width = (max(e - 1, 1)).bit_length() + 1  # ceil(log2 e) + 1
-    base = construct.even_weight_subcode(e, width)
-    code = construct.replicate_bits(base, t)
-    return FccEncoder(spec, t, code.length, tuple(w.value for w in code.words))
+    r = minmax_parity_redundancy(w, t)
+    code = construct.replicate_bits(construct.even_weight_subcode(spec.expressiveness, r // t), t)
+    return FccEncoder(spec, t, r, tuple(w.value for w in code.words))
+
+
+def minmax_parity_redundancy(w: int, t: int) -> int:
+    """`minmax_parity_encoder`'s r, t(ceil(log2 E) + 1) for E = w(w-1): the
+    even-weight code's width, replicated t-fold."""
+    return t * ((max(w * (w - 1) - 1, 1)).bit_length() + 1)
 
 
 def minmax_rm_encoder(w: int, t: int, l: int = 3, spec: FunctionSpec | None = None) -> FccEncoder:
     """Min-max encoder drawing parities from a Reed-Muller code.
 
-    Picks the smallest m (then the smallest order) whose RM(order, m) has
-    min distance >= 2t and at least w(w-1) codewords; the first w(w-1)
-    codewords become the parities. Redundancy 2^m — asymptotically near 4t
-    when w is small relative to t. The block length l only sizes the message
-    domain; the parities depend on (w, t) alone. `spec`, when given, is
-    minmax_spec(w, l) built already.
+    Takes `minmax_rm_shape`'s RM(order, m), the smallest m (then the
+    smallest order) with min distance >= 2t and at least w(w-1) codewords;
+    the first w(w-1) codewords become the parities. Redundancy 2^m —
+    asymptotically near 4t when w is small relative to t. The block length
+    l only sizes the message domain; the parities depend on (w, t) alone.
+    `spec`, when given, is minmax_spec(w, l) built already.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     spec = spec or minmax_spec(w, l)
     e = spec.expressiveness
-    need_dim = (max(e - 1, 1)).bit_length()  # ceil(log2 e)
-    dist_gap = (2 * t - 1).bit_length()  # smallest g with 2^g >= 2t
-    # the least m, then order, with distance 2^(m - order) >= 2t and dimension >= need_dim
-    m, order = next((m, o) for m in count() for o in range(m - dist_gap + 1)
-                    if sum(math.comb(m, i) for i in range(o + 1)) >= need_dim)
+    m, order = minmax_rm_shape(w, t)
     rm = construct.reed_muller_code(order, m)
     parities = tuple(rm.words[:e])
     sub = Code.of(parities, rm.length)
     if construct.min_distance(sub) < 2 * t:  # pragma: no cover - by design
         raise AssertionError("Reed-Muller subcode lost its distance")
     return FccEncoder(spec, t, rm.length, tuple(w.value for w in parities))
+
+
+def minmax_rm_shape(w: int, t: int) -> tuple[int, int]:
+    """The (m, order) of `minmax_rm_encoder`'s RM(order, m), whose r is 2^m:
+    the least m, then order, with distance 2^(m - order) >= 2t and
+    dimension >= ceil(log2 w(w-1))."""
+    need_dim = (max(w * (w - 1) - 1, 1)).bit_length()  # ceil(log2 E)
+    dist_gap = (2 * t - 1).bit_length()  # smallest g with 2^g >= 2t
+    return next((m, o) for m in count() for o in range(m - dist_gap + 1)
+                if sum(math.comb(m, i) for i in range(o + 1)) >= need_dim)
 
 
 # --- registry glue -----------------------------------------------------------

@@ -4,15 +4,21 @@ One row per function family, four columns: the best lower bound on
 function-correcting redundancy, the cost of protecting all the data, the
 cost of protecting a separately transmitted function value, and the
 redundancy our constructions actually achieve. That last entry is one rule,
-`best_encoder`, which `fcc-build --construction auto` builds too: the least r
-over the constructions that apply, wherever k is known. Entries that are
-estimates rather than exact values carry a '*' (and exact=False).
+`best_construction`, whose winner `fcc-build --construction auto` builds: the
+least r over the constructions that apply, wherever k is known, ranked
+before any is built. Entries that are estimates rather than exact values
+carry a '*' (and exact=False).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import bounds, fcc, functions
 from .bits import BitWord, Record
+
+# a construction `auto` may build: its name, its r, and the call that builds it
+Candidate = tuple[str, int, Callable[[], fcc.FccEncoder]]
 
 
 class TableEntry(Record):
@@ -96,42 +102,63 @@ def family_lower_bound(family: str, t: int, w: int = 2) -> int:
     return 2 * t
 
 
-def best_encoder(spec: fcc.FunctionSpec, t: int) -> tuple[str, fcc.FccEncoder]:
-    """The encoder `auto` builds, and the name of its construction: the least
-    r over the per-value family constructions that apply to the family the
-    spec's name gives (wt-cycle when k > t; minmax-spc, then minmax-rm), then
-    the greedy build (`fcc.build_function_value_encoder`), a tie going to
-    the earlier. The search stops once an r meets `family_lower_bound`, and
-    the greedy encoder is built only where its GV length beats the best r so
-    far; where the greedy route refuses to tabulate a large k, the best
-    family construction stands. The family constructions reuse `spec`.
+def _family_candidates(spec: fcc.FunctionSpec, t: int) -> tuple[list[Candidate], int]:
+    """The per-value family constructions that apply to the family the spec's
+    name gives, in ranking order (wt-cycle when k > t; minmax-spc, then
+    minmax-rm), each with its r and its build, which reuses `spec`; and the
+    family's `family_lower_bound`."""
+    family, w, tries = spec.name.partition(":")[0], 2, []
+    if family == "wt" and spec.k > t:
+        tries.append(("wt-cycle", functions._wt_parity_base(t).length,
+                      lambda: functions.wt_cyclic_encoder(spec.k, t, spec)))
+    if family == "minmax":  # minmax_spec names its w and l
+        pairs = fcc.parse_spec_string(spec.name)[1]
+        w, l = int(pairs["w"]), int(pairs["l"])
+        tries.append(("minmax-spc", functions.minmax_parity_redundancy(w, t),
+                      lambda: functions.minmax_parity_encoder(w, l, t, spec)))
+        tries.append(("minmax-rm", 1 << functions.minmax_rm_shape(w, t)[0],
+                      lambda: functions.minmax_rm_encoder(w, t, l, spec)))
+    return tries, family_lower_bound(family, t, w)
+
+
+def best_construction(spec: fcc.FunctionSpec, t: int) -> Candidate:
+    """The construction `auto` builds, ranked by r before any is built: its
+    name, its r and its build. The least r over the family constructions
+    (`_family_candidates`), then the greedy build at the GV length
+    (`fcc.build_function_value_encoder`), a tie going to the earlier. The
+    search stops once an r meets `family_lower_bound`, and the GV length is
+    sought only below the best r so far (`bounds.gv_threshold_and_order`'s
+    `below`); where the greedy route refuses to tabulate a large k, the best
+    family construction stands.
 
     Delta-ramp and locally-binary are left out: wherever delta-ramp applies
     the GV length is already its 2t, and the locally-binary test grows a ball
     per value over all 2^k messages.
     """
-    family, w, tries = spec.name.partition(":")[0], 2, []
-    if family == "wt" and spec.k > t:
-        tries.append(("wt-cycle", lambda: functions.wt_cyclic_encoder(spec.k, t, spec)))
-    if family == "minmax":  # minmax_spec names its w and l
-        pairs = fcc.parse_spec_string(spec.name)[1]
-        w, l = int(pairs["w"]), int(pairs["l"])
-        tries.append(("minmax-spc", lambda: functions.minmax_parity_encoder(w, l, t, spec)))
-        tries.append(("minmax-rm", lambda: functions.minmax_rm_encoder(w, t, l, spec)))
-    best, lower = None, family_lower_bound(family, t, w)
-    for name, build in tries:
-        encoder = build()
-        if best is None or encoder.r < best[1].r:
-            best = name, encoder
-        if best[1].r <= lower:
+    tries, lower = _family_candidates(spec, t)
+    best = None
+    for candidate in tries:
+        if best is None or candidate[1] < best[1]:
+            best = candidate
+        if best[1] <= lower:
             return best
     try:
-        greedy = fcc.build_function_value_encoder(spec, t, None if best is None else best[1].r)
+        dmat = fcc.function_distance_matrix(spec, t)
+        gv = bounds.gv_threshold_and_order(dmat, None if best is None else best[1])
     except ValueError:
         if best is None:
             raise
         return best
-    return best if greedy is None else ("greedy", greedy)
+    if gv is None:
+        return best
+    return "greedy", gv[0], lambda: fcc.build_function_value_encoder(spec, t, dmat, gv)
+
+
+def best_encoder(spec: fcc.FunctionSpec, t: int) -> tuple[str, fcc.FccEncoder]:
+    """The encoder `auto` builds, and the name of its construction: the
+    winner of `best_construction`, the only candidate built."""
+    name, _, build = best_construction(spec, t)
+    return name, build()
 
 
 def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
@@ -141,8 +168,8 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     parameters come inline ("delta_T:k=8,T=3") or in `params`; any other
     registered name falls back to the generic bounds computed from its spec
     (which then needs enough parameters to build, e.g. k). Where k is known,
-    the achieved entry is `best_encoder`'s r; without it a family row prints
-    the closed form of its family construction.
+    the achieved entry is `best_construction`'s r; without it a family row
+    prints the closed form of its family construction.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -189,12 +216,12 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
         if k is not None:  # the block length of the spec built below
             p["l"] = str(k // w)
         label, lower = f"minmax(w={w})", family_lower_bound("minmax", t, w)
-        fcc_entry = _exact(t * ((max(e - 1, 1)).bit_length() + 1))  # t(ceil(log2 e)+1)
+        fcc_entry = _exact(functions.minmax_parity_redundancy(w, t))
     else:
         # generic fallback: anything registered, with real matrices behind it
         return spec_row(fcc.spec_from_string(name, defaults=p), t)
     if k is not None:  # what `auto` builds, else the k-free closed form above
-        fcc_entry = _exact(best_encoder(fcc.spec_from_string(name, defaults=p), t)[1].r)
+        fcc_entry = _exact(best_construction(fcc.spec_from_string(name, defaults=p), t)[1])
     return TableRow(label, t, _exact(lower), _ecc_data_entry(k, t),
                     _ecc_values_entry(e, t, symbolic), fcc_entry)
 
@@ -207,7 +234,8 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
     map, a the least weight of the value), floored at 2t.
     Every encoder must meet the requirements of any message subset (paper
     Thm. 2), so the bound holds whichever representatives are taken. The
-    achieved entry is the r of `best_encoder`, which `auto` builds.
+    achieved entry is the r of `best_construction`, whose winner `auto`
+    builds.
     """
     e = spec.expressiveness
     if e < 2:
@@ -224,7 +252,7 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
         lower_bound=_exact(max(2 * t, bounds.plotkin_irregular(dmat).integer_value)),
         ecc_on_data=_ecc_data_entry(spec.k, t),
         ecc_on_function_values=_ecc_values_entry(e, t),
-        fcc_redundancy=_exact(best_encoder(spec, t)[1].r),
+        fcc_redundancy=_exact(best_construction(spec, t)[1]),
     )
 
 

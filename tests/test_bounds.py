@@ -149,6 +149,24 @@ def test_gv_threshold_matches_the_per_pair_oracle_on_300_random_matrices():
                 d.entries, pi)
 
 
+def test_one_test_below_b_settles_the_threshold_on_300_random_matrices():
+    # the test at b - 1 alone says whether the threshold is below b, for
+    # every b from 0 past the threshold; gv_threshold_and_order agrees
+    rng = random.Random(90210)
+    for _ in range(300):
+        d = random_requirement_matrix(rng)
+        order = list(range(d.dim))
+        rng.shuffle(order)
+        for pi in (None, order, bounds.heuristic_row_order(d)):
+            ref = reference_gv_threshold(d, pi)
+            for b in range(ref + 3):
+                assert bounds.gv_irregular_threshold(d, pi, b) == (ref if ref < b else None), (
+                    d.entries, pi, b)
+        full = bounds.gv_threshold_and_order(d)
+        for b in range(full[0] + 3):
+            assert bounds.gv_threshold_and_order(d, b) == (full if full[0] < b else None)
+
+
 @pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize(
     "text",

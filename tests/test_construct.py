@@ -591,6 +591,27 @@ def test_replicate_preserves_order():
     assert list(construct.replicate_bits(base, 1)) == list(base)
 
 
+def _replicate_bit_by_bit(code: Code, factor: int) -> Code:
+    """The bit-by-bit loop replicate_bits replaced."""
+    out = []
+    for w in code:
+        bits = []
+        for b in w.bits():
+            bits.extend([b] * factor)
+        out.append(BitWord.from_bits(bits))
+    return Code.of(out, code.length * factor)
+
+
+def test_replicate_matches_the_bit_by_bit_loop():
+    rng = random.Random(7)
+    codes = [Code.of([BitWord(0, 0)] * 2, 0), construct.even_weight_subcode(12, 5)]
+    codes += [Code.of([BitWord(rng.getrandbits(n), n) for _ in range(rng.randint(1, 9))], n)
+              for n in (1, 3, 8, 17, 40)]
+    for code in codes:
+        for factor in (1, 2, 3, 5):
+            assert construct.replicate_bits(code, factor) == _replicate_bit_by_bit(code, factor)
+
+
 def test_min_distance_needs_two_words():
     with pytest.raises(ValueError):
         construct.min_distance(Code.from_strings(["0101"]))

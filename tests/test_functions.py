@@ -93,6 +93,16 @@ def test_delta_tables_match_fn(k):
         assert_matches_oracle(functions.delta_spec(k, T), lambda u: u.bit_count() // T)
 
 
+def test_minmax_block_marks_match_the_bytes_range_tables():
+    # the translate tables _minmax_table once built with bytes(range(...))
+    for l in range(2, 9):
+        size = 1 << l
+        assert functions._block_marks(size) == [
+            (b"\0" * b + b"\xff" * (256 - b), b"\xff" * b + b"\0" * (256 - b),
+             bytes(range(b)) + bytes([b]) * (256 - b),
+             bytes([b]) * (b + 1) + bytes(range(b + 1, 256))) for b in range(size)], l
+
+
 def test_minmax_tables_match_fn():
     # every layout up to k = 12, and the k = 15-16 ones of the slowest studies
     layouts = [(w, l) for w in range(2, 7) for l in range(2, 7) if w * l <= 12]

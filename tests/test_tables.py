@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import runpy
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fcodes import cli, construct, fcc, functions, tables
+from fcodes import bounds, cli, construct, fcc, functions, tables
 
 
 def test_binary_rows():
@@ -216,6 +217,62 @@ def test_rows_without_k_keep_their_closed_forms():
     assert tables.table_row("wt", 3).fcc_redundancy == tables.TableEntry("14", 14, True)
     assert tables.table_row("minmax", 2, {"w": "4"}).fcc_redundancy.value == 10
     assert tables.table_row("delta_T", 3, {"T": "5"}).fcc_redundancy.text == "needs 2t+1 <= T*"
+
+
+def _design_studies() -> list[tuple[list[str], int]]:
+    """(function arguments, t) of every `design` job of seeds 0-3, from
+    perfbench/workloads.py, loaded read-only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return [(job.function_args, job.t) for seed in range(4)
+            for job in workloads.design_jobs(seed, Path("unused"))]
+
+
+def _rule_specs() -> list[tuple[fcc.FunctionSpec, int]]:
+    """The spec and t of every _RULE_ROWS row and every `design` study, once
+    each; ["--function", f, "--w", "3", ...] is f with defaults {"w": "3"}."""
+    studies = {(tuple(args), t) for args, t in _RULE_ROWS + _design_studies()}
+    return [(fcc.spec_from_string(args[1], defaults=dict(zip((a[2:] for a in args[2::2]),
+                                                               args[3::2]))), t)
+            for args, t in sorted(studies)]
+
+
+def test_every_candidate_builds_the_r_it_was_ranked_by():
+    specs = _rule_specs()
+    assert len(specs) > 60
+    for spec, t in specs:
+        tries, lower = tables._family_candidates(spec, t)
+        rs = {name: r for name, r, _ in tries}
+        for name, r, build in tries:
+            assert build().r == r, (spec.name, t, name)
+        dmat = fcc.function_distance_matrix(spec, t)
+        rs["greedy"] = bounds.gv_threshold_and_order(dmat)[0]
+        assert fcc.build_function_value_encoder(spec, t).r == rs["greedy"]
+        name, r, build = tables.best_construction(spec, t)
+        # the least r, a tie going to the earlier; none is below the family's bound
+        assert name == min(rs, key=rs.get) and r == rs[name] >= lower
+        assert build().r == r and tables.best_encoder(spec, t)[0] == name
+
+
+def test_table_rows_build_no_encoder(monkeypatch):
+    rows = [("wt", t, {"k": k}) for k in ("8", "13") for t in (1, 2, 3)]
+    rows += [("minmax", t, {"w": w, "l": l}) for w, l in (("3", "2"), ("4", "2"), ("5", "3"))
+             for t in (1, 2, 3)]
+    rows += [("delta_T", t, {"k": "10", "T": T}) for T in ("2", "5") for t in (1, 2)]
+    rows += [("ml:sigmoid,k=6,eps=1", t, {}) for t in (1, 2)] + [("wt", 1, {"k": "1"})]
+    expected = [tables.table_row(*row).fcc_redundancy for row in rows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table row built an encoder")
+
+    for owner, name in ((construct, "greedy_irregular_code"), (functions, "wt_cyclic_encoder"),
+                        (functions, "minmax_parity_encoder"), (functions, "minmax_rm_encoder"),
+                        (construct, "even_weight_subcode"), (construct, "reed_muller_code")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [tables.table_row(*row).fcc_redundancy for row in rows] == expected
+    assert tables.spec_row(fcc.spec_from_string("parity:k=8"), 2).fcc_redundancy.value == 4
 
 
 def test_auto_keeps_the_family_construction_where_greedy_cannot_tabulate():
