@@ -68,17 +68,25 @@ def plotkin_irregular(dmat: DistanceMatrix) -> BoundResult:
     With M words, column sums of any code are most spread at M/2, which caps
     the total pairwise distance per coordinate at M²/4 (even M) or (M²−1)/4
     (odd M); dividing the required distance total by that cap bounds the
-    length from below.
+    length from below. Fewer than two words need no length: 0.
     """
     return _lower(Fraction(*plotkin_ratio(dmat)), "plotkin-irregular")
 
 
 def plotkin_ratio(dmat: DistanceMatrix) -> tuple[int, int]:
-    """`plotkin_irregular`'s value as (4 · required distance total, M² − (M mod 2))."""
+    """`plotkin_irregular`'s value: `total_plotkin_ratio` of the matrix's
+    required distance total."""
     m = dmat.dim
-    if m < 2:
-        raise ValueError(f"need at least 2 rows, got {m}")
     total = sum(dmat.entries[i][j] for i in range(m) for j in range(i + 1, m))
+    return total_plotkin_ratio(total, m)
+
+
+def total_plotkin_ratio(total: int, m: int) -> tuple[int, int]:
+    """The averaging bound on m words whose required pairwise distances add
+    up to `total`, as (4 · total, M² − (M mod 2)); (0, 1) for M <= 1, where
+    the empty code of length 0 does."""
+    if m < 2:
+        return 0, 1
     return 4 * total, m * m - m % 2
 
 
@@ -92,17 +100,14 @@ def plotkin_regular(size: int, dist: int) -> BoundResult:
 
 
 def _placements(dmat: DistanceMatrix, order: Sequence[int] | None) -> list[tuple[int, ...]]:
-    """The distinct placements of a greedy build in `order`: placement j's
-    earlier rows counted by requirement, as the counts of each d = 1..D_max;
-    placements with equal counts appear once."""
-    m, rows = dmat.dim, dmat.entries
-    if order is not None:
-        if sorted(order) != list(range(m)):
-            raise ValueError(f"order is not a permutation of 0..{m - 1}")
-        if m > 1:  # rows and columns reindexed by order
-            pick = itemgetter(*order)
-            rows = [pick(rows[i]) for i in order]
-    needs = range(1, max(map(max, rows), default=0) + 1)
+    """The distinct placements of a greedy build in `order`, a permutation of
+    the rows: placement j's earlier rows counted by requirement, as the counts
+    of each d = 1..D_max; placements with equal counts appear once."""
+    rows = dmat.entries
+    if order is not None and len(order) > 1:  # rows and columns reindexed by order
+        pick = itemgetter(*order)
+        rows = [pick(rows[i]) for i in order]
+    needs = range(1, dmat.max_entry + 1)
     return list({tuple(map(row[:j].count, needs)) for j, row in enumerate(rows)})
 
 
@@ -116,6 +121,22 @@ def _first_full(profiles: list[tuple[int, ...]], row: list[int], r: int) -> int 
         if sum(map(mul, profile, volume)) >= space:
             return i
     return None
+
+
+def _start(profiles: list[tuple[int, ...]]) -> int:
+    """The least r where 2^r exceeds some placement's number of nonzero
+    requirements, the volume when every sphere is one word: no greedy length
+    is shorter."""
+    return max(map(sum, profiles), default=0).bit_length()
+
+
+def _not_below(profiles: list[tuple[int, ...]], below: int, top: int) -> bool:
+    """Whether some of these placements keep the greedy length at `below` or
+    more: one starts there, or is full at below - 1; `top` is D_max."""
+    if below <= _start(profiles):
+        return True
+    row = [math.comb(below - 1, i) for i in range(top)]
+    return _first_full(profiles, row, below - 1) is not None
 
 
 def gv_irregular_threshold(
@@ -137,20 +158,23 @@ def gv_irregular_threshold(
 
     As V(r + 1, d) <= 2 V(r, d), no placement's share of the space
     V(r, d - 1) / 2^r rises with r, so a length where every placement fits
-    bounds the threshold from above. With `below`, the result is None where
-    the threshold is not below it, settled by one test at below - 1 before
-    any search.
+    bounds the threshold from above, and one where a placement is full
+    bounds it from below. With `below`, the result is None where the
+    threshold is not below it, settled by tests at below - 1 before any
+    search: first of the last placement alone, whose earlier rows are its
+    whole row, then of every placement.
     """
+    m, top = dmat.dim, dmat.max_entry
+    if order is not None and sorted(order) != list(range(m)):
+        raise ValueError(f"order is not a permutation of 0..{m - 1}")
+    if below is not None and m:
+        row = dmat.entries[m - 1 if order is None else order[-1]]
+        if _not_below([tuple(map(row.count, range(1, top + 1)))], below, top):
+            return None
     profiles = _placements(dmat, order)
-    top = len(profiles[0]) if profiles else 0
-    # every nonzero requirement forbids at least its own word
-    r = max(map(sum, profiles), default=0).bit_length()
-    if below is not None and (
-        below <= r
-        or _first_full(profiles, [math.comb(below - 1, i) for i in range(top)], below - 1)
-        is not None
-    ):
+    if below is not None and _not_below(profiles, below, top):
         return None
+    r = _start(profiles)
     row = [math.comb(r, i) for i in range(top)]
     while True:
         full = _first_full(profiles, row, r)
@@ -173,14 +197,16 @@ def gv_threshold_and_order(
     """The greedy length and row order of every greedy build: the smaller
     `gv_irregular_threshold` of the identity order (None, which wins ties)
     and `heuristic_row_order`. Either threshold bounds N(M, D) above. The
-    heuristic order is searched only where it could win, below the identity
-    order's length; with `below`, None where neither length is below it."""
-    r = gv_irregular_threshold(dmat, None, below)
+    heuristic order is searched first, and the identity order only where it
+    could win, at or below the heuristic length, where its last placement
+    often settles it alone; with `below`, None where neither length is
+    below it."""
     order = heuristic_row_order(dmat)
-    r_heur = gv_irregular_threshold(dmat, order, below if r is None else r)
-    if r_heur is not None:
-        return r_heur, order
-    return None if r is None else (r, None)
+    r_heur = gv_irregular_threshold(dmat, order, below)
+    r = gv_irregular_threshold(dmat, None, below if r_heur is None else r_heur + 1)
+    if r is not None:
+        return r, None
+    return None if r_heur is None else (r_heur, order)
 
 
 def hadamard_upper(size: int, dist: int) -> BoundResult | None:

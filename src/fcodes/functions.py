@@ -383,10 +383,17 @@ def _wt_parity_base(t: int) -> Code:
                 "000001", "110010", "001110", "111101",
             ]
         )
-    n = 1 << (4 * t - 1).bit_length()
-    kept = n // 2 + 2 * t
-    rows = construct.hadamard_code(n // 2).words[: 2 * t + 1]
+    kept = wt_cycle_redundancy(t)
+    rows = construct.hadamard_code(kept - 2 * t).words[: 2 * t + 1]  # length n
     return Code.of((w.split(kept)[0] for w in rows), kept)
+
+
+def wt_cycle_redundancy(t: int) -> int:
+    """`_wt_parity_base(t)`'s length, which is `wt_cyclic_encoder`'s r, without
+    building the cycle: 3, 6, and beyond n/2 + 2t for n = 2^ceil(log2 4t)."""
+    if t <= 2:
+        return 3 * t
+    return (1 << (4 * t - 1).bit_length()) // 2 + 2 * t
 
 
 def wt_cyclic_encoder(k: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:

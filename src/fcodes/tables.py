@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import bounds, fcc, functions
-from .bits import BitWord, Record
+from .bits import Record
 
 # a construction `auto` may build: its name, its r, and the call that builds it
 Candidate = tuple[str, int, Callable[[], fcc.FccEncoder]]
@@ -109,7 +109,7 @@ def _family_candidates(spec: fcc.FunctionSpec, t: int) -> tuple[list[Candidate],
     family's `family_lower_bound`."""
     family, w, tries = spec.name.partition(":")[0], 2, []
     if family == "wt" and spec.k > t:
-        tries.append(("wt-cycle", functions._wt_parity_base(t).length,
+        tries.append(("wt-cycle", functions.wt_cycle_redundancy(t),
                       lambda: functions.wt_cyclic_encoder(spec.k, t, spec)))
     if family == "minmax":  # minmax_spec names its w and l
         pairs = fcc.parse_spec_string(spec.name)[1]
@@ -196,7 +196,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     symbolic = "log E + t log log E"
     if family == "wt":
         label, lower, e = "wt", family_lower_bound("wt", t), (k + 1 if k is not None else None)
-        fcc_entry, symbolic = _exact(functions._wt_parity_base(t).length), "log k + t log log k"
+        fcc_entry, symbolic = _exact(functions.wt_cycle_redundancy(t)), "log k + t log log k"
     elif family == "delta_T":
         T = int(p.get("T", 0))
         if T < 1:  # delta_spec's condition, and the row cannot do without T
@@ -227,11 +227,15 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
 
 
 def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
-    """The generic comparison row of any spec, from its matrices.
+    """The generic comparison row of any spec.
 
-    The lower bound is Plotkin over the message-level requirement matrix of
-    one representative per value (its smallest preimage: 2^a - 1 on a weight
-    map, a the least weight of the value), floored at 2t.
+    The lower bound is Plotkin over the requirements of one representative
+    per value (its smallest preimage: 2^a - 1 on a weight map, a the least
+    weight of the value), floored at 2t. The representatives carry distinct
+    values, so each pair needs max(2t+1 - d(u_i, u_j), 0) parity distance;
+    their total, summed from popcounts without building the requirement
+    matrix, gives the ceiling of `bounds.total_plotkin_ratio`, 4 times the
+    total over E^2 - (E mod 2).
     Every encoder must meet the requirements of any message subset (paper
     Thm. 2), so the bound holds whichever representatives are taken. The
     achieved entry is the r of `best_construction`, whose winner `auto`
@@ -241,15 +245,20 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
     if e < 2:
         return TableRow(spec.name, t, _exact(0), _ecc_data_entry(spec.k, t), _exact(0), _exact(0))
     if spec.weight_index is None:
-        firsts = [(m & -m).bit_length() - 1 for m in spec.preimage_masks]
+        reps = [(m & -m).bit_length() - 1 for m in spec.preimage_masks]
     else:
-        firsts = [(1 << spec.weight_index.index(i)) - 1 for i in range(e)]
-    reps = [BitWord(u, spec.k) for u in firsts]
-    dmat = fcc.distance_requirement_matrix(spec, t, reps)
+        reps = [(1 << spec.weight_index.index(i)) - 1 for i in range(e)]
+    need, total = 2 * t + 1, 0
+    for i, u in enumerate(reps):
+        for v in reps[i + 1:]:
+            d = (u ^ v).bit_count()
+            if d < need:
+                total += need - d
+    num, den = bounds.total_plotkin_ratio(total, e)
     return TableRow(
         spec.name,
         t,
-        lower_bound=_exact(max(2 * t, bounds.plotkin_irregular(dmat).integer_value)),
+        lower_bound=_exact(max(2 * t, -(-num // den))),
         ecc_on_data=_ecc_data_entry(spec.k, t),
         ecc_on_function_values=_ecc_values_entry(e, t),
         fcc_redundancy=_exact(best_construction(spec, t)[1]),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcodes import bounds, fcc, functions
+from fcodes import bounds, construct, fcc, functions
 from fcodes.bits import DistanceMatrix, sphere_size
 from fcodes.functions import wt_requirement_matrix
 
@@ -89,6 +89,15 @@ def test_plotkin_even_vs_odd_size():
     assert bounds.plotkin_irregular(d_odd).value == Fraction(4 * 3 * 3, 8)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_plotkin_on_fewer_than_two_words_is_zero(m):
+    # one word needs no length, as exact search and the greedy bound say
+    d = DistanceMatrix.uniform(m, 3)
+    assert bounds.plotkin_irregular(d).integer_value == 0
+    assert bounds.plotkin_irregular(d).value == 0
+    assert construct.exact_min_length(d).value == bounds.gv_irregular_threshold(d) == 0
+
+
 # --- Gilbert-Varshamov threshold ------------------------------------------------
 
 
@@ -149,9 +158,21 @@ def test_gv_threshold_matches_the_per_pair_oracle_on_300_random_matrices():
                 d.entries, pi)
 
 
+def reference_gv_threshold_and_order(dmat: DistanceMatrix, below=None):
+    """The identity-first search gv_threshold_and_order replaced: the
+    identity order's length, then the heuristic order's only below it."""
+    r = bounds.gv_irregular_threshold(dmat, None, below)
+    order = bounds.heuristic_row_order(dmat)
+    r_heur = bounds.gv_irregular_threshold(dmat, order, below if r is None else r)
+    if r_heur is not None:
+        return r_heur, order
+    return None if r is None else (r, None)
+
+
 def test_one_test_below_b_settles_the_threshold_on_300_random_matrices():
-    # the test at b - 1 alone says whether the threshold is below b, for
-    # every b from 0 past the threshold; gv_threshold_and_order agrees
+    # the tests at b - 1 alone say whether the threshold is below b, for
+    # every b from 0 past the threshold; gv_threshold_and_order, heuristic
+    # order first, agrees with the identity-first search in both row orders
     rng = random.Random(90210)
     for _ in range(300):
         d = random_requirement_matrix(rng)
@@ -159,12 +180,17 @@ def test_one_test_below_b_settles_the_threshold_on_300_random_matrices():
         rng.shuffle(order)
         for pi in (None, order, bounds.heuristic_row_order(d)):
             ref = reference_gv_threshold(d, pi)
-            for b in range(ref + 3):
-                assert bounds.gv_irregular_threshold(d, pi, b) == (ref if ref < b else None), (
-                    d.entries, pi, b)
-        full = bounds.gv_threshold_and_order(d)
-        for b in range(full[0] + 3):
-            assert bounds.gv_threshold_and_order(d, b) == (full if full[0] < b else None)
+            for b in (None, *range(ref + 3)):
+                assert bounds.gv_irregular_threshold(d, pi, b) == (
+                    ref if b is None or ref < b else None), (d.entries, pi, b)
+        for dm in (d, d.permuted(order)):
+            full = reference_gv_threshold_and_order(dm)
+            assert full[0] == min(reference_gv_threshold(dm, pi)
+                                  for pi in (None, bounds.heuristic_row_order(dm)))
+            for b in (None, *range(full[0] + 3)):
+                expected = reference_gv_threshold_and_order(dm, b)
+                assert expected == (full if b is None or full[0] < b else None)
+                assert bounds.gv_threshold_and_order(dm, b) == expected, (dm.entries, b)
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -176,6 +202,9 @@ def test_gv_threshold_matches_the_per_pair_oracle_on_ml_value_matrices(text, t):
     d = fcc.function_distance_matrix(fcc.spec_from_string(text), t)
     for pi in (None, bounds.heuristic_row_order(d)):
         assert bounds.gv_irregular_threshold(d, pi) == reference_gv_threshold(d, pi)
+    full = bounds.gv_threshold_and_order(d)
+    for b in (None, full[0], full[0] + 1):
+        assert bounds.gv_threshold_and_order(d, b) == reference_gv_threshold_and_order(d, b)
 
 
 def test_heuristic_row_order_sorts_by_row_sum():

@@ -51,6 +51,15 @@ def test_bounds_plotkin_json(capsys):
     assert data["integer_value"] == 5
 
 
+@pytest.mark.parametrize("method, text", [("plotkin", "0 (ceil 0)"), ("gv", "0")])
+def test_bounds_on_a_one_valued_function_are_zero(capsys, method, text):
+    code, out, _ = run(
+        capsys, "bounds", "--method", method, "--matrix", "function",
+        "--function", "constant:k=3", "--t", "1",
+    )
+    assert (code, out.strip()) == (0, text)
+
+
 def test_bounds_gv_function_matrix(capsys):
     code, out, _ = run(
         capsys, "bounds", "--matrix", "function", "--function", "parity:k=3",

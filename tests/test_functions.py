@@ -192,6 +192,11 @@ def test_wt_parity_base_offset_profile(t):
             assert (base[a] ^ base[(a + delta) % period]).weight() >= need
 
 
+@pytest.mark.parametrize("t", range(1, 11))
+def test_wt_cycle_redundancy_is_the_base_length_without_building_it(t):
+    assert functions.wt_cycle_redundancy(t) == functions._wt_parity_base(t).length
+
+
 def test_wt_parity_base_builds_without_search():
     # every base up to t = 12 is built outright; a search behind any t (the
     # old first-fit build took half a minute at t = 7) would show here

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fcodes import bounds, cli, construct, fcc, functions, tables
+from fcodes.bits import BitWord
 
 
 def test_binary_rows():
@@ -237,6 +238,46 @@ def _rule_specs() -> list[tuple[fcc.FunctionSpec, int]]:
     return [(fcc.spec_from_string(args[1], defaults=dict(zip((a[2:] for a in args[2::2]),
                                                                args[3::2]))), t)
             for args, t in sorted(studies)]
+
+
+def _plotkin_row_lower(spec: fcc.FunctionSpec, t: int) -> int:
+    """spec_row's lower bound by its old route: Plotkin over the requirement
+    matrix of one representative per value, floored at 2t."""
+    if spec.expressiveness < 2:
+        return 0
+    if spec.weight_index is None:
+        firsts = [(m & -m).bit_length() - 1 for m in spec.preimage_masks]
+    else:
+        firsts = [(1 << spec.weight_index.index(i)) - 1 for i in range(spec.expressiveness)]
+    dmat = fcc.distance_requirement_matrix(spec, t, [BitWord(u, spec.k) for u in firsts])
+    return max(2 * t, bounds.plotkin_irregular(dmat).integer_value)
+
+
+def _random_table_spec(rng: random.Random) -> fcc.FunctionSpec:
+    """k 1-6 and 2-8 values, each attained."""
+    k = rng.randint(1, 6)
+    values = rng.randint(2, min(8, 1 << k))
+    table = [rng.randrange(values) for _ in range(1 << k)]
+    for v, u in enumerate(rng.sample(range(1 << k), values)):
+        table[u] = v
+    return fcc.FunctionSpec(k, table.__getitem__, range(values))
+
+
+def test_spec_row_lower_is_plotkin_over_the_representatives(monkeypatch):
+    rng = random.Random(38)
+    specs = {spec.name: spec for spec, _ in _rule_specs()}
+    specs = list(specs.values()) + [fcc.spec_from_string(f"{f}:k={k}")
+                                    for f in ("parity", "or") for k in (1, 2, 5, 9)]
+    specs += [_random_table_spec(rng) for _ in range(200)]
+    cases = [(spec, t) for spec in specs for t in (1, 2, 3)]
+    expected = [_plotkin_row_lower(spec, t) for spec, t in cases]
+    assert any(lower > 2 * t for lower, (_, t) in zip(expected, cases))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spec_row built a requirement matrix")
+
+    monkeypatch.setattr(fcc, "distance_requirement_matrix", refuse)
+    assert [tables.spec_row(spec, t).lower_bound.value for spec, t in cases] == expected
 
 
 def test_every_candidate_builds_the_r_it_was_ranked_by():
