@@ -20,12 +20,9 @@ from . import bounds, construct, fcc, functions, tables
 from .bits import BitWord, Code, DistanceMatrix
 from .simulate import ChannelModel, SimulationReport, simulate
 
-_CONSTRUCTION_ALIASES = {
-    "1": "wt-cycle",
-    "2": "delta-ramp",
-    "3": "minmax-spc",
-    "4": "minmax-rm",
-}
+# --construction 1-4 name the first four entries of the table: wt-cycle,
+# delta-ramp, minmax-spc, minmax-rm
+_CONSTRUCTION_ALIASES = dict(zip("1234", tables.CONSTRUCTIONS))
 
 
 def _trace(line: str) -> None:
@@ -154,7 +151,7 @@ def _function(command: str, params: dict[str, str]) -> tuple[str | None, dict[st
     text, pairs = params.get("function"), {}
     if text is None and command not in ("bounds", "build-code"):  # an encoder's function
         name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
-        text = _CONSTRUCTIONS[name][0] if name in _CONSTRUCTIONS else None
+        text = tables.CONSTRUCTIONS[name][0] if name in tables.CONSTRUCTIONS else None
         if "encoder" in params:  # the reader's own headers
             headers = fcc.encoder_headers(params["encoder_text"])[0]
             text, pairs = headers.get("function"), {"k": headers["k"]} if "k" in headers else {}
@@ -346,20 +343,11 @@ def cmd_build_code(args, params: dict[str, str]) -> _Result:
     return _built(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
 
 
-# construction -> (the family it protects, name of the `functions` builder,
-# the values it takes)
-_CONSTRUCTIONS = {
-    "wt-cycle": ("wt", "wt_cyclic_encoder", ("k", "t")),
-    "delta-ramp": ("delta_T", "delta_ramp_encoder", ("k", "T", "t")),
-    "minmax-spc": ("minmax", "minmax_parity_encoder", ("w", "l", "t")),
-    "minmax-rm": ("minmax", "minmax_rm_encoder", ("w", "t", "l")),
-}
-
-
 def _resolve_encoder(params: dict[str, str]) -> tuple[str | None, fcc.FccEncoder]:
-    """Encoder from --encoder file, or built from --function/--construction,
-    and the construction that built it (None for a file; `auto` names the
-    one `tables.best_encoder` picks)."""
+    """Encoder from --encoder file, or built from --function by the
+    --construction named (`auto`, or an entry of `tables.CONSTRUCTIONS`), and
+    the construction that built it (None for a file; `auto` names the one
+    `tables.best_construction` picks, the only one it builds)."""
     if "encoder" in params:
         spec = _spec(params) if "function" in params else None
         encoder = fcc.encoder_from_text(params["encoder_text"], spec)
@@ -370,21 +358,17 @@ def _resolve_encoder(params: dict[str, str]) -> tuple[str | None, fcc.FccEncoder
                                      encoder.message_key)
         return None, encoder
     name = _CONSTRUCTION_ALIASES.get(params["construction"], params["construction"])
-    if name in _CONSTRUCTIONS:
-        expected, builder, needs = _CONSTRUCTIONS[name]
-        family = fcc.parse_spec_string(params["function"])[0]
-        if family != expected:
-            raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
-        values = [_need(params, n, int) for n in needs]
-        if expected == "minmax":
-            functions.check_minmax_k(params.get("k"), int(params["w"]), int(params["l"]))
-        return name, getattr(functions, builder)(*values)
     t = _need(params, "t", int)
-    if name == "locally-binary":
-        return name, functions.locally_binary_encoder(_spec(params), t)
     if name == "auto":
-        return tables.best_encoder(_spec(params), t)
-    raise ValueError(f"unknown construction {params['construction']!r}")
+        name, _, build = tables.best_construction(_spec(params), t)
+        return name, build()
+    if name not in tables.CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {params['construction']!r}")
+    expected, _, build = tables.CONSTRUCTIONS[name]
+    family = fcc.parse_spec_string(_need(params, "function"))[0]
+    if expected not in (None, family):
+        raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
+    return name, build(_spec(params), params, t)
 
 
 def cmd_fcc_build(args, params: dict[str, str]) -> _Result:

@@ -416,7 +416,7 @@ def wt_cyclic_encoder(k: int, t: int, spec: FunctionSpec | None = None) -> FccEn
     return FccEncoder(spec, t, base.length, words)
 
 
-def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
+def delta_ramp_encoder(k: int, T: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
     """Weight-block encoder with ramp parities of length exactly 2t.
 
     Parity for weight wgt is 1^(wgt mod T) padded with zeros when that prefix
@@ -425,7 +425,8 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
     block boundary the ramp wraps from all-ones back to all-zeros, paying the
     full 2t where the messages themselves differ least. The words are the
     2t+1 ramp steps, and the message key is the weight table mapped to
-    steps (`_weight_table`, which bounds k).
+    steps (`_weight_table`, which bounds k). `spec`, when given, is
+    delta_spec(k, T) built already.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -435,7 +436,7 @@ def delta_ramp_encoder(k: int, T: int, t: int) -> FccEncoder:
     words = tuple(((1 << ones) - 1) << (r - ones) for ones in range(r + 1))
     weights = _weight_table(k)  # weights 0..k, so k + 1 steps
     step_of_weight = bytes(min(v % T, r) for v in range(k + 1)).ljust(256, b"\0")
-    return FccEncoder(delta_spec(k, T), t, r, words, weights.translate(step_of_weight))
+    return FccEncoder(spec or delta_spec(k, T), t, r, words, weights.translate(step_of_weight))
 
 
 # --- locally binary functions ------------------------------------------------

@@ -12,14 +12,11 @@ carry a '*' (and exact=False).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from . import bounds, fcc, functions
 from .bits import Record
-
-# a construction `auto` may build: its name, its r, and the call that builds it
-Candidate = tuple[str, int, Callable[[], fcc.FccEncoder]]
-
 
 class TableEntry(Record):
     __slots__ = _fields = ("text", "value", "exact")
@@ -102,44 +99,66 @@ def family_lower_bound(family: str, t: int, w: int = 2) -> int:
     return 2 * t
 
 
-def _family_candidates(spec: fcc.FunctionSpec, t: int) -> tuple[list[Candidate], int]:
-    """The per-value family constructions that apply to the family the spec's
-    name gives, in ranking order (wt-cycle when k > t; minmax-spc, then
-    minmax-rm), each with its r and its build, which reuses `spec`; and the
-    family's `family_lower_bound`."""
-    family, w, tries = spec.name.partition(":")[0], 2, []
-    if family == "wt" and spec.k > t:
-        tries.append(("wt-cycle", functions.wt_cycle_redundancy(t),
-                      lambda: functions.wt_cyclic_encoder(spec.k, t, spec)))
-    if family == "minmax":  # minmax_spec names its w and l
-        pairs = fcc.parse_spec_string(spec.name)[1]
-        w, l = int(pairs["w"]), int(pairs["l"])
-        tries.append(("minmax-spc", functions.minmax_parity_redundancy(w, t),
-                      lambda: functions.minmax_parity_encoder(w, l, t, spec)))
-        tries.append(("minmax-rm", 1 << functions.minmax_rm_shape(w, t)[0],
-                      lambda: functions.minmax_rm_encoder(w, t, l, spec)))
-    return tries, family_lower_bound(family, t, w)
+# name -> (the family it protects, None for any function; its r from the
+# family's key=value pairs and t, None where it does not apply or is known
+# only once built; its build from a spec, those pairs and t). Each build looks
+# its `functions` builder up when it runs, so a wrapper put there is called.
+CONSTRUCTIONS = {
+    "wt-cycle": (
+        "wt",
+        lambda p, t: None if "k" in p and int(p["k"]) <= t else functions.wt_cycle_redundancy(t),
+        lambda spec, p, t: functions.wt_cyclic_encoder(spec.k, t, spec)),
+    "delta-ramp": (
+        "delta_T",
+        lambda p, t: 2 * t if 2 * t + 1 <= int(p["T"]) else None,
+        lambda spec, p, t: functions.delta_ramp_encoder(spec.k, int(p["T"]), t, spec)),
+    "minmax-spc": (
+        "minmax",
+        lambda p, t: functions.minmax_parity_redundancy(int(p["w"]), t),
+        lambda spec, p, t: functions.minmax_parity_encoder(int(p["w"]), int(p["l"]), t, spec)),
+    "minmax-rm": (
+        "minmax",
+        lambda p, t: 1 << functions.minmax_rm_shape(int(p["w"]), t)[0],
+        lambda spec, p, t: functions.minmax_rm_encoder(int(p["w"]), t, int(p["l"]), spec)),
+    "locally-binary": (None, None, lambda spec, p, t: functions.locally_binary_encoder(spec, t)),
+}
+# the constructions `auto` ranks, in the order that breaks ties. Delta-ramp and
+# locally-binary are left out: wherever delta-ramp applies the GV length is
+# already its 2t, and the locally-binary test grows a ball per value over all
+# 2^k messages.
+AUTO_ORDER = ("wt-cycle", "minmax-spc", "minmax-rm")
 
 
-def best_construction(spec: fcc.FunctionSpec, t: int) -> Candidate:
+def family_redundancies(family: str, pairs: dict[str, str], t: int,
+                        names=tuple(CONSTRUCTIONS)) -> list[tuple[str, int]]:
+    """The name and r of each construction among `names` that protects
+    `family` and applies at its `pairs` and t, in the order of `names`."""
+    rs = [(name, CONSTRUCTIONS[name][1](pairs, t))
+          for name in names if CONSTRUCTIONS[name][0] == family]
+    return [(name, r) for name, r in rs if r is not None]
+
+
+def best_construction(spec: fcc.FunctionSpec,
+                      t: int) -> tuple[str, int, Callable[[], fcc.FccEncoder]]:
     """The construction `auto` builds, ranked by r before any is built: its
-    name, its r and its build. The least r over the family constructions
-    (`_family_candidates`), then the greedy build at the GV length
+    name, its r and its build, which reuses `spec`. The least r over the
+    constructions of `AUTO_ORDER` that apply to the family the spec's name
+    gives, then the greedy build at the GV length
     (`fcc.build_function_value_encoder`), a tie going to the earlier. The
     search stops once an r meets `family_lower_bound`, and the GV length is
     sought only below the best r so far (`bounds.gv_threshold_and_order`'s
     `below`); where the greedy route refuses to tabulate a large k, the best
     family construction stands.
-
-    Delta-ramp and locally-binary are left out: wherever delta-ramp applies
-    the GV length is already its 2t, and the locally-binary test grows a ball
-    per value over all 2^k messages.
     """
-    tries, lower = _family_candidates(spec, t)
-    best = None
-    for candidate in tries:
-        if best is None or candidate[1] < best[1]:
-            best = candidate
+    # only a family `auto` ranks needs its pairs; another spec's name may not
+    # parse (an indicator's path may hold commas)
+    family, pairs = spec.name.partition(":")[0], {}
+    if any(CONSTRUCTIONS[name][0] == family for name in AUTO_ORDER):
+        pairs = fcc.parse_spec_string(spec.name)[1]
+    lower, best = family_lower_bound(family, t, int(pairs.get("w", 2))), None
+    for name, r in family_redundancies(family, pairs, t, AUTO_ORDER):
+        if best is None or r < best[1]:
+            best = name, r, functools.partial(CONSTRUCTIONS[name][2], spec, pairs, t)
         if best[1] <= lower:
             return best
     try:
@@ -154,13 +173,6 @@ def best_construction(spec: fcc.FunctionSpec, t: int) -> Candidate:
     return "greedy", gv[0], lambda: fcc.build_function_value_encoder(spec, t, dmat, gv)
 
 
-def best_encoder(spec: fcc.FunctionSpec, t: int) -> tuple[str, fcc.FccEncoder]:
-    """The encoder `auto` builds, and the name of its construction: the
-    winner of `best_construction`, the only candidate built."""
-    name, _, build = best_construction(spec, t)
-    return name, build()
-
-
 def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableRow:
     """Assemble one comparison row for a function family or registry string.
 
@@ -169,7 +181,7 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     registered name falls back to the generic bounds computed from its spec
     (which then needs enough parameters to build, e.g. k). Where k is known,
     the achieved entry is `best_construction`'s r; without it a family row
-    prints the closed form of its family construction.
+    prints the least r over its family's `CONSTRUCTIONS`.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -193,16 +205,14 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             fcc_redundancy=_exact(2 * t),
         )
 
-    symbolic = "log E + t log log E"
+    symbolic, w = "log E + t log log E", 2
     if family == "wt":
-        label, lower, e = "wt", family_lower_bound("wt", t), (k + 1 if k is not None else None)
-        fcc_entry, symbolic = _exact(functions.wt_cycle_redundancy(t)), "log k + t log log k"
+        label, e, symbolic = "wt", (k + 1 if k is not None else None), "log k + t log log k"
     elif family == "delta_T":
         T = int(p.get("T", 0))
         if T < 1:  # delta_spec's condition, and the row cannot do without T
             raise ValueError(f"delta_T row needs T >= 1, got T={p.get('T')}")
-        label, lower, e = f"delta_T(T={T})", 2 * t, (k // T + 1) if k is not None else None
-        fcc_entry = _exact(2 * t) if 2 * t + 1 <= T else _symbolic("needs 2t+1 <= T")
+        label, e = f"delta_T(T={T})", (k // T + 1) if k is not None else None
     elif family == "minmax":
         w, l = int(p.get("w", 0)), int(p.get("l", 2))
         if w < 2 or l < 2:  # minmax_spec's conditions; the row cannot do without w
@@ -215,14 +225,16 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
             raise ValueError(f"k={k} is not w*l for w={w} and any block length l >= 2")
         if k is not None:  # the block length of the spec built below
             p["l"] = str(k // w)
-        label, lower = f"minmax(w={w})", family_lower_bound("minmax", t, w)
-        fcc_entry = _exact(functions.minmax_parity_redundancy(w, t))
+        label = f"minmax(w={w})"
     else:
         # generic fallback: anything registered, with real matrices behind it
         return spec_row(fcc.spec_from_string(name, defaults=p), t)
-    if k is not None:  # what `auto` builds, else the k-free closed form above
+    if k is not None:  # what `auto` builds
         fcc_entry = _exact(best_construction(fcc.spec_from_string(name, defaults=p), t)[1])
-    return TableRow(label, t, _exact(lower), _ecc_data_entry(k, t),
+    else:  # the least r of the family's constructions; only delta-ramp may not apply
+        rs = [r for _, r in family_redundancies(family, p, t)]
+        fcc_entry = _exact(min(rs)) if rs else _symbolic("needs 2t+1 <= T")
+    return TableRow(label, t, _exact(family_lower_bound(family, t, w)), _ecc_data_entry(k, t),
                     _ecc_values_entry(e, t, symbolic), fcc_entry)
 
 

@@ -945,6 +945,23 @@ def test_minmax_k_is_checked_without_a_function(capsys, construction):
     assert len(err.strip().splitlines()) == 1 and "k=9" in err and "w*l=6" in err
 
 
+@pytest.mark.parametrize("construction, message", [
+    ("minmax-rm", "error: construction 'minmax-rm' protects 'minmax', not 'wt'"),
+    ("7", "error: unknown construction '7'"),
+])
+def test_a_construction_for_another_family_or_none_is_usage_error(capsys, construction, message):
+    code, out, err = run(capsys, "fcc-build", "--construction", construction,
+                         "--function", "wt", "--k", "8", "--t", "1")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_a_named_construction_reads_k_as_auto_does(capsys):
+    for construction in ("auto", "1"):
+        code, out, err = run(capsys, "fcc-build", "--construction", construction,
+                             "--function", "wt", "--t", "1")
+        assert (code, out, err) == (2, "", "error: missing parameter 'k'\n")
+
+
 def test_minmax_consistent_k_is_accepted(capsys):
     code, _, _ = run(
         capsys, "fcc-verify", "--function", "minmax", "--construction", "minmax-spc",

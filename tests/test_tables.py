@@ -216,19 +216,23 @@ def test_table_prints_the_built_r_unstarred(capsys, argv, fcc_text):
 
 def test_rows_without_k_keep_their_closed_forms():
     assert tables.table_row("wt", 3).fcc_redundancy == tables.TableEntry("14", 14, True)
-    assert tables.table_row("minmax", 2, {"w": "4"}).fcc_redundancy.value == 10
+    assert tables.table_row("minmax", 2, {"w": "4"}).fcc_redundancy.value == 8
     assert tables.table_row("delta_T", 3, {"T": "5"}).fcc_redundancy.text == "needs 2t+1 <= T*"
 
 
-def _design_studies() -> list[tuple[list[str], int]]:
-    """(function arguments, t) of every `design` job of seeds 0-3, from
-    perfbench/workloads.py, loaded read-only."""
+def _design_jobs() -> list:
+    """Every `design` job of seeds 0-3, from perfbench/workloads.py, loaded
+    read-only."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     module_spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(workloads)
-    return [(job.function_args, job.t) for seed in range(4)
-            for job in workloads.design_jobs(seed, Path("unused"))]
+    return [job for seed in range(4) for job in workloads.design_jobs(seed, Path("unused"))]
+
+
+def _design_studies() -> list[tuple[list[str], int]]:
+    """(function arguments, t) of every `design` job of seeds 0-3."""
+    return [(job.function_args, job.t) for job in _design_jobs()]
 
 
 def _rule_specs() -> list[tuple[fcc.FunctionSpec, int]]:
@@ -283,18 +287,103 @@ def test_spec_row_lower_is_plotkin_over_the_representatives(monkeypatch):
 def test_every_candidate_builds_the_r_it_was_ranked_by():
     specs = _rule_specs()
     assert len(specs) > 60
+    built = set()
     for spec, t in specs:
-        tries, lower = tables._family_candidates(spec, t)
-        rs = {name: r for name, r, _ in tries}
-        for name, r, build in tries:
-            assert build().r == r, (spec.name, t, name)
+        family, pairs = fcc.parse_spec_string(spec.name)
+        rs = dict(tables.family_redundancies(family, pairs, t))
+        for name, r in rs.items():
+            assert tables.CONSTRUCTIONS[name][2](spec, pairs, t).r == r, (spec.name, t, name)
+            built.add(name)
+        rs = {name: rs[name] for name in tables.AUTO_ORDER if name in rs}
         dmat = fcc.function_distance_matrix(spec, t)
         rs["greedy"] = bounds.gv_threshold_and_order(dmat)[0]
         assert fcc.build_function_value_encoder(spec, t).r == rs["greedy"]
         name, r, build = tables.best_construction(spec, t)
         # the least r, a tie going to the earlier; none is below the family's bound
+        lower = tables.family_lower_bound(family, t, int(pairs.get("w", 2)))
         assert name == min(rs, key=rs.get) and r == rs[name] >= lower
-        assert build().r == r and tables.best_encoder(spec, t)[0] == name
+        assert build().r == r
+    # every entry with an r, delta-ramp included, was built at least once
+    assert built == {name for name, entry in tables.CONSTRUCTIONS.items() if entry[1]}
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_a_minmax_row_without_k_is_the_least_r_its_constructions_build(w, t):
+    # minmax-rm's parities do not depend on l, so a row without k may take them
+    least = min(functions.minmax_parity_encoder(w, 2, t).r, functions.minmax_rm_encoder(w, t, 2).r)
+    assert tables.table_row("minmax", t, {"w": str(w)}).fcc_redundancy == tables._exact(least)
+
+
+def _direct_build(name: str, p: dict[str, str], t: int) -> fcc.FccEncoder:
+    """The encoder construction `name` gives, from its `functions` builder
+    called on the values the CLI would read."""
+    if name == "wt-cycle":
+        return functions.wt_cyclic_encoder(int(p["k"]), t)
+    if name == "delta-ramp":
+        return functions.delta_ramp_encoder(int(p["k"]), int(p["T"]), t)
+    if name == "minmax-spc":
+        return functions.minmax_parity_encoder(int(p["w"]), int(p["l"]), t)
+    if name == "minmax-rm":
+        return functions.minmax_rm_encoder(int(p["w"]), t, int(p["l"]))
+    assert name == "locally-binary"
+    return functions.locally_binary_encoder(fcc.spec_from_string(p["function"], defaults=p), t)
+
+
+def test_named_constructions_write_what_their_builders_write(capsys, tmp_path):
+    assert cli._CONSTRUCTION_ALIASES == {"1": "wt-cycle", "2": "delta-ramp", "3": "minmax-spc",
+                                         "4": "minmax-rm"}
+    aliases = {name: alias for alias, name in cli._CONSTRUCTION_ALIASES.items()}
+    path, built = tmp_path / "enc.txt", set()
+    for job in {(tuple(job.function_args), job.t, tuple(job.constructions)): job
+                for job in _design_jobs()}.values():
+        family, pairs = fcc.parse_spec_string(job.function_args[1])
+        p = {**dict(zip((a[2:] for a in job.function_args[2::2]), job.function_args[3::2])),
+             **pairs, "function": job.function_args[1]}
+        for name, (protects, _, _) in tables.CONSTRUCTIONS.items():
+            if protects != family and name not in job.constructions:
+                continue
+            try:
+                expected = fcc.encoder_to_text(_direct_build(name, p, job.t))
+            except ValueError as exc:  # a construction that does not apply
+                expected = f"error: {exc}\n"
+            for called in (name, aliases.get(name, name)):
+                code = cli.main(["fcc-build", *job.function_args, "--t", str(job.t),
+                                 "--construction", called, "--out", str(path)])
+                err = capsys.readouterr().err
+                if expected.startswith("error: "):
+                    assert (code, err) == (2, expected), (job.id, called)
+                else:
+                    assert code == 0 and path.read_text(encoding="utf-8") == expected, (job.id, called)
+                    built.add(called)
+    assert built == {*tables.CONSTRUCTIONS, *aliases.values()}
+
+
+def test_constructions_look_their_builders_up_when_they_run(monkeypatch):
+    # a tracer wraps the builders by module attribute, so the table must call
+    # whatever `functions` holds when it runs
+    calls = []
+    for builder in ("wt_cyclic_encoder", "delta_ramp_encoder", "minmax_parity_encoder",
+                    "minmax_rm_encoder", "locally_binary_encoder"):
+        real = getattr(functions, builder)
+        monkeypatch.setattr(functions, builder,
+                            lambda *a, real=real, builder=builder: calls.append(builder) or real(*a))
+    cases = [("wt-cycle", "wt:k=6"), ("delta-ramp", "delta_T:k=8,T=5"),
+             ("minmax-spc", "minmax:w=3,l=2"), ("minmax-rm", "minmax:w=3,l=2"),
+             ("locally-binary", "delta_T:k=8,T=5")]
+    for name, text in cases:
+        spec = fcc.spec_from_string(text)
+        assert tables.CONSTRUCTIONS[name][2](spec, fcc.parse_spec_string(text)[1], 1).spec is spec
+    assert calls == ["wt_cyclic_encoder", "delta_ramp_encoder", "minmax_parity_encoder",
+                     "minmax_rm_encoder", "locally_binary_encoder"]
+
+
+def test_a_spec_name_is_parsed_only_where_a_construction_reads_it(tmp_path):
+    # "indicator:path=a,b,c.txt" holds two bare tokens, so it does not parse
+    path = tmp_path / "a,b,c.txt"
+    path.write_text("000\n111\n", encoding="utf-8")
+    row = tables.table_row("indicator", 1, {"path": str(path)})
+    assert row.fcc_redundancy == tables.TableEntry("2", 2, True)
 
 
 def test_table_rows_build_no_encoder(monkeypatch):
@@ -319,7 +408,7 @@ def test_table_rows_build_no_encoder(monkeypatch):
 def test_auto_keeps_the_family_construction_where_greedy_cannot_tabulate():
     # k = 25 is past the value tables the greedy route needs; min-max's
     # parities do not read them
-    name, encoder = tables.best_encoder(functions.minmax_spec(5, 5), 1)
-    assert (name, encoder.r) == ("minmax-spc", 6)
+    name, r, build = tables.best_construction(functions.minmax_spec(5, 5), 1)
+    assert (name, r, build().r) == ("minmax-spc", 6, 6)
     with pytest.raises(ValueError, match="too large to tabulate"):
-        tables.best_encoder(fcc.spec_from_string("ml:sigmoid,k=25,eps=1/1000"), 1)
+        tables.best_construction(fcc.spec_from_string("ml:sigmoid,k=25,eps=1/1000"), 1)
