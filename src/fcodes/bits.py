@@ -87,44 +87,11 @@ class BitWord(Record):
         return cls(int(text, 2) if text else 0, len(text))
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> BitWord:
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            n += 1
-        return cls(value, n)
-
-    @classmethod
     def zeros(cls, n: int) -> BitWord:
         return cls(0, n)
 
-    @classmethod
-    def ones(cls, n: int) -> BitWord:
-        return cls((1 << n) - 1, n)
-
-    def bit(self, i: int) -> int:
-        """Bit at position i, counting 0 = leftmost/most significant."""
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> (self.length - 1 - i)) & 1
-
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> (self.length - 1 - i)) & 1 for i in range(self.length))
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def flip(self, positions: Iterable[int]) -> BitWord:
-        """Flip the bits at the given positions (0 = leftmost)."""
-        mask = 0
-        for i in positions:
-            if not 0 <= i < self.length:
-                raise IndexError(f"bit index {i} out of range for length {self.length}")
-            mask |= 1 << (self.length - 1 - i)
-        return BitWord(self.value ^ mask, self.length)
 
     def concat(self, other: BitWord) -> BitWord:
         return BitWord((self.value << other.length) | other.value, self.length + other.length)
@@ -319,26 +286,12 @@ class DistanceMatrix(Record):
     def dim(self) -> int:
         return len(self.entries)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     @cached_property
     def max_entry(self) -> int:
-        return max((e for row in self.entries for e in row), default=0)
+        return max(map(max, self.entries), default=0)
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
-
-    def permuted(self, order: Sequence[int]) -> DistanceMatrix:
-        """The matrix with rows and columns reindexed by `order`."""
-        if sorted(order) != list(range(self.dim)):
-            raise ValueError(f"not a permutation of 0..{self.dim - 1}: {order}")
-        return DistanceMatrix(
-            tuple(tuple(self.entries[i][j] for j in order) for i in order)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "entries": [list(r) for r in self.entries]})
 
     @classmethod
     def from_json(cls, text: str) -> DistanceMatrix:

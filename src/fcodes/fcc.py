@@ -39,7 +39,7 @@ class FunctionSpec:
     `bulk_table`, when given, returns the whole `index_table` at once (a
     family's own whole-space builder: byte tables for the weight families
     and min-max, the quantizer layout for the ML activations); it
-    must agree with tabulating `fn`, which `eval` and the message-level
+    must agree with tabulating `fn`, which encoding and the message-level
     matrices keep calling. Without it, `index_table` calls `fn` once per
     message; either way `_compact` packs it once, as it packs message keys.
     `weight_index`, for a function of the weight alone, is the image index
@@ -96,11 +96,6 @@ class FunctionSpec:
     @property
     def expressiveness(self) -> int:
         return len(self.image)
-
-    def eval(self, u: BitWord) -> FunctionValue:
-        if u.length != self.k:
-            raise ValueError(f"message length {u.length}, expected {self.k}")
-        return self.fn(u.value)
 
     def index_of(self, value: FunctionValue) -> int:
         try:
@@ -307,11 +302,11 @@ class FccEncoder(Record):
     whole table is wanted and never stored. With it the encoder is
     per-message: the words are distinct, and `message_key` holds one word
     index per message integer, packed and checked as `spec.index_table` is
-    (`_compact`), compared by `==` but not hashed. `parities` and
-    `parity_ints`, one entry per value or per message, are views.
+    (`_compact`), compared by `==` but not hashed. `parity_ints`, the
+    parity of every message, is a cached view.
     """
 
-    _fields = ("spec", "t", "r", "words", "message_key")  # no __slots__: cached views
+    _fields = ("spec", "t", "r", "words", "message_key")  # no __slots__: a cached view
     _hashed = 4
 
     def __init__(self, spec: FunctionSpec, t: int, r: int, words: tuple[int, ...],
@@ -359,12 +354,6 @@ class FccEncoder(Record):
 
     def encode(self, u: BitWord) -> BitWord:
         return u.concat(self.parity(u))
-
-    @cached_property
-    def parities(self) -> tuple[BitWord, ...]:
-        """The parity words as BitWords: one per image index, or one per message."""
-        words = [BitWord(w, self.r) for w in self.words]
-        return tuple(words if self.message_key is None else map(words.__getitem__, self.message_key))
 
     @cached_property
     def parity_ints(self) -> list[int]:
@@ -751,8 +740,9 @@ def decode(encoder: FccEncoder, y: BitWord) -> DecodeResult:
     return DecodeResult(spec.image[min(best_indices)], out, best_d)
 
 
-def _nearest_value_masks(encoder: FccEncoder, depth: int) -> list[int]:
-    """Per image index, the received words that decode to that value.
+def _nearest_value_masks(encoder: FccEncoder, depth: int) -> tuple[list[int], int]:
+    """Per image index, the received words that decode to that value; and
+    the set of codewords.
 
     Bit y of mask i is set when y lies within `depth` of a codeword and
     image[i] is what decode returns for y: the value of its nearest
@@ -769,16 +759,17 @@ def _nearest_value_masks(encoder: FccEncoder, depth: int) -> list[int]:
         balls[i][c >> 3] |= 1 << (c & 7)
     # one shell generator per value, advanced in lock-step: one ball set alive
     balls = [_shells(int.from_bytes(b, "little"), n) for b in balls]
-    claimed = [0] * len(balls)
-    region, everything = 0, (1 << (1 << n)) - 1  # words labelled so far, all words
-    for _ in range(min(depth, n) + 1):
+    claimed = [next(ball) for ball in balls]  # level 0: the codewords, all distinct
+    code = region = sum(claimed)  # words labelled so far
+    everything = (1 << (1 << n)) - 1
+    for _ in range(min(depth, n)):
         if region == everything:
             break
         for i, ball in enumerate(balls):
             new = next(ball) & ~region
             claimed[i] |= new
             region |= new
-    return claimed
+    return claimed, code
 
 
 def exact_optimal_redundancy(

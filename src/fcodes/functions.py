@@ -557,6 +557,9 @@ def _build_minmax(p: dict[str, str]) -> FunctionSpec:
 
 def _build_indicator(p: dict[str, str]) -> FunctionSpec:
     path = _get(p, "path", str)
+    if "," in path or path != path.strip():  # the spec's name could not carry it
+        raise ValueError(f"indicator path {path!r}: a function string cannot carry "
+                         "a comma or spaces at either end")
     with open(path, "r", encoding="utf-8") as fh:
         code = Code.from_text(fh.read())
     if "k" in p and int(p["k"]) != code.length:

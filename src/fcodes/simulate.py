@@ -148,9 +148,8 @@ def simulate(
     k, r = spec.k, encoder.r
     n = k + r
     depth = min(channel.t, n)
-    msgs = range(1 << k)
     if channel.mode == "exhaustive":
-        trials, seed = len(msgs) * sphere_size(n, depth), None
+        trials, seed = sphere_size(n, depth) << k, None
     else:
         trials, seed = channel.trials, channel.seed
     checking = time.perf_counter()
@@ -165,9 +164,9 @@ def simulate(
         return SimulationReport(trials, 0, None, channel.mode, seed, 0, "certified")
     groups: Iterable[tuple[int, Sequence[int]]]
     if channel.mode == "exhaustive":
-        groups = _exhaustive_trials(msgs, n, depth)
+        groups = _exhaustive_trials(k, n, depth)
     else:
-        groups = _random_trials(msgs, n, channel)
+        groups = _random_trials(k, n, channel)
     idx = spec.index_table
     par = encoder.parity_ints
     image = spec.image
@@ -188,10 +187,10 @@ def simulate(
     if bits <= _TABLE_BITS_PER_TRIAL * trials:
         route = "tables"
         building = time.perf_counter()
-        tables = _nearest_value_masks(encoder, depth)
+        tables, code = _nearest_value_masks(encoder, depth)
         by_pattern = (
             channel.mode == "exhaustive"
-            and ((len(tables) - 1).bit_length() + 1) << n <= _WALK_BITS_PER_TRIAL * len(msgs)
+            and ((len(tables) - 1).bit_length() + 1) << n <= _WALK_BITS_PER_TRIAL << k
         )
         if not by_pattern:
             size = ((1 << n) + 7) >> 3
@@ -202,7 +201,7 @@ def simulate(
             trace(f"route=tables E={len(image)} n={n} depth={depth} mask_bits={bits} "
                   f"build_ms={build_ms:.3f} settle={'patterns' if by_pattern else 'trials'}")
         if by_pattern:
-            counted, first = _failures_by_pattern(tables, msgs, par, r, n, depth)
+            counted, first = _failures_by_pattern(tables, code, r, n, depth)
             if first is not None:
                 judge(*first)  # decoded for the witness only
             failures = counted
@@ -228,11 +227,11 @@ def simulate(
 
 
 def _failures_by_pattern(
-    tables: list[int], msgs: Sequence[int], par: Sequence[int], r: int, n: int, depth: int
+    tables: list[int], code: int, r: int, n: int, depth: int
 ) -> tuple[int, tuple[int, int] | None]:
-    """How many trials fail over every message in `msgs` (all of them, in
-    ascending order) and every n-bit pattern of weight 0..depth, and the
-    first failure in (message, `error_patterns`) order as (u, e), or None.
+    """How many trials fail over every codeword in the set `code` (one per
+    message) and every n-bit pattern of weight 0..depth, and the first
+    failure in (message, `error_patterns`) order as (u, e), or None.
 
     Label plane b is the set of words whose image index in `tables` has bit
     b set. Codewords are distinct, so each is labelled with its own value,
@@ -249,11 +248,6 @@ def _failures_by_pattern(
         for b in range(len(labels)):
             if i >> b & 1:
                 labels[b] |= mask
-    marks = bytearray(((1 << n) + 7) >> 3)
-    for u in msgs:
-        c = (u << r) | par[u]
-        marks[c >> 3] |= 1 << (c & 7)
-    code = int.from_bytes(marks, "little")
     failures, best = 0, None
     for e, _, moved in _translated_planes(labels, n, depth):
         wrong = 0
@@ -270,25 +264,21 @@ def _failures_by_pattern(
     return failures, (best[0] >> r, -best[2])
 
 
-def _exhaustive_trials(
-    msgs: Sequence[int], n: int, depth: int
-) -> Iterator[tuple[int, list[int]]]:
-    """(message, every pattern of weight 0..depth) for each message in turn;
-    the patterns are listed when the first message is asked for."""
+def _exhaustive_trials(k: int, n: int, depth: int) -> Iterator[tuple[int, list[int]]]:
+    """(message, every pattern of weight 0..depth) for each k-bit message in
+    turn; the patterns are listed when the first message is asked for."""
     patterns = [p.value for p in error_patterns(n, depth)]
-    for u in msgs:
+    for u in range(1 << k):
         yield u, patterns
 
 
-def _random_trials(
-    msgs: Sequence[int], n: int, channel: ChannelModel
-) -> Iterator[tuple[int, tuple[int]]]:
-    """channel.trials seeded (message, (pattern,)) draws: a message, a weight
-    in 0..min(t, n), then that many distinct positions."""
+def _random_trials(k: int, n: int, channel: ChannelModel) -> Iterator[tuple[int, tuple[int]]]:
+    """channel.trials seeded (message, (pattern,)) draws: a k-bit message, a
+    weight in 0..min(t, n), then that many distinct positions."""
     rng = random.Random(channel.seed)
     top = min(channel.t, n)
     for _ in range(channel.trials):
-        u = rng.choice(msgs)
+        u = rng.randrange(1 << k)
         wgt = rng.randint(0, top)
         e = 0
         for pos in rng.sample(range(n), wgt) if wgt else ():

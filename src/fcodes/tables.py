@@ -151,7 +151,7 @@ def best_construction(spec: fcc.FunctionSpec,
     family construction stands.
     """
     # only a family `auto` ranks needs its pairs; another spec's name may not
-    # parse (an indicator's path may hold commas)
+    # parse (a spec built in Python may take any name)
     family, pairs = spec.name.partition(":")[0], {}
     if any(CONSTRUCTIONS[name][0] == family for name in AUTO_ORDER):
         pairs = fcc.parse_spec_string(spec.name)[1]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fcodes import bounds, construct, fcc, functions, tables
-from fcodes.bits import Code, DistanceMatrix, all_words, satisfies_distance_matrix
+from fcodes.bits import BitWord, Code, DistanceMatrix, all_words, satisfies_distance_matrix
 from fcodes.functions import MinMaxValue
 from fcodes.simulate import ChannelModel, error_patterns, simulate
 
@@ -36,7 +36,7 @@ def test_criterion_02_weight_redundancy_t2_is_six():
     for k in range(3, 13):
         enc = functions.wt_cyclic_encoder(k, 2)
         assert enc.r == 6
-        code = Code.of([enc.parities[w] for w in range(k + 1)])
+        code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
         ok, witness = satisfies_distance_matrix(
             code, functions.wt_requirement_matrix(k, 2)
         )
@@ -68,7 +68,7 @@ def test_criterion_05_locally_binary_certificate_and_exhaustive_decoding():
     failures = 0
     for u in all_words(9):
         c = enc.encode(u)
-        expected = spec.eval(u)
+        expected = spec.fn(u.value)
         for pattern in error_patterns(c.length, t):
             if fcc.decode(enc, c ^ pattern).value != expected:
                 failures += 1
@@ -90,9 +90,9 @@ def test_criterion_06_minmax_oracle_reproduces_value_distance_structure():
                 continue
             vi, vj = spec.image[i], spec.image[j]
             swapped = vi == MinMaxValue(vj.argmax_index, vj.argmin_index)
-            assert req.at(i, j) == (2 * t - 1 if swapped else 2 * t)
+            assert req.entries[i][j] == (2 * t - 1 if swapped else 2 * t)
     total_2t = sum(
-        1 for i in range(6) for j in range(6) if i != j and req.at(i, j) == 2 * t
+        1 for i in range(6) for j in range(6) if i != j and req.entries[i][j] == 2 * t
     )
     assert total_2t == 4 * w * (w - 1) * (w - 2)
 

@@ -183,7 +183,8 @@ def test_one_test_below_b_settles_the_threshold_on_300_random_matrices():
             for b in (None, *range(ref + 3)):
                 assert bounds.gv_irregular_threshold(d, pi, b) == (
                     ref if b is None or ref < b else None), (d.entries, pi, b)
-        for dm in (d, d.permuted(order)):
+        permuted = DistanceMatrix(tuple(tuple(d.entries[i][j] for j in order) for i in order))
+        for dm in (d, permuted):
             full = reference_gv_threshold_and_order(dm)
             assert full[0] == min(reference_gv_threshold(dm, pi)
                                   for pi in (None, bounds.heuristic_row_order(dm)))

@@ -1167,6 +1167,23 @@ def test_table_generic_lower_bound_is_sound(capsys, tmp_path):
     assert json.loads(out)["lower_bound"] == {"text": "4", "value": 4, "exact": True}
 
 
+def test_an_indicator_path_the_function_string_cannot_carry_is_refused(capsys, tmp_path):
+    # the encoder file's function header names the path, and a comma there
+    # would split it on read-back: fcc-build refuses it and writes nothing,
+    # and a table row, whose name holds the path too, refuses it as well
+    for name in ("a,b.txt", "plain.txt"):
+        (tmp_path / name).write_text("000\n111\n", encoding="utf-8")
+    out = tmp_path / "ind.txt"
+    argv = ["fcc-build", "--function", "indicator", "--t", "1", "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--path", str(tmp_path / "a,b.txt"))
+    assert code == 2 and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "a,b.txt" in err
+    table = ["table", "--function", "indicator", "--t", "1", "--path", str(tmp_path / "a,b.txt")]
+    assert run(capsys, *table)[0] == 2
+    assert run(capsys, *argv, "--path", str(tmp_path / "plain.txt"))[0] == 0
+    assert run(capsys, "fcc-verify", "--encoder", str(out))[:2] == (0, "OK\n")
+
+
 def test_oracle_minmax(capsys):
     # there is no `oracle` subcommand: its old call is argparse's usage error
     with pytest.raises(SystemExit) as exc:

@@ -151,6 +151,12 @@ def _mutate(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parity_table(enc: fcc.FccEncoder) -> tuple[BitWord, ...]:
+    """The parity words as the reference returns them: one per value or per message."""
+    words = enc.words if enc.mode == fcc.PER_VALUE else enc.parity_ints
+    return tuple(BitWord(w, enc.r) for w in words)
+
+
 def _parse(parser, text):
     try:
         return parser(text)
@@ -176,7 +182,7 @@ def test_bulk_parser_agrees_with_the_line_by_line_one_on_mutated_files():
             spec, t, r, mode, parities = want
             assert (got.spec.name, got.spec.k, got.t, got.r, got.mode) == (
                 spec.name, spec.k, t, r, mode)
-            assert got.parities == parities
+            assert _parity_table(got) == parities
             outcomes["same"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
@@ -185,7 +191,7 @@ def test_bulk_parser_takes_a_given_spec():
     text = fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))
     spec = functions.delta_spec(6, 3)
     enc = fcc.encoder_from_text(text, spec)
-    assert enc.spec is spec and enc.parities == reference_encoder_from_text(text, spec)[4]
+    assert enc.spec is spec and _parity_table(enc) == reference_encoder_from_text(text, spec)[4]
 
 
 def test_per_message_files_with_more_than_256_words_round_trip():
@@ -196,5 +202,5 @@ def test_per_message_files_with_more_than_256_words_round_trip():
     assert len(enc.words) > 256 and not isinstance(enc.message_key, bytes)
     text = fcc.encoder_to_text(enc)
     again = fcc.encoder_from_text(text)
-    assert again.parities == enc.parities == reference_encoder_from_text(text)[4]
+    assert _parity_table(again) == _parity_table(enc) == reference_encoder_from_text(text)[4]
     assert fcc.encoder_to_text(again) == text

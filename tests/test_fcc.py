@@ -44,9 +44,9 @@ def naive_verify(encoder: fcc.FccEncoder) -> tuple[bool, tuple | None]:
     spec, t = encoder.spec, encoder.t
     words = list(all_words(spec.k))
     for u1, u2 in itertools.combinations(words, 2):
-        if spec.eval(u1) == spec.eval(u2):
+        if spec.fn(u1.value) == spec.fn(u2.value):
             continue
-        if (encoder.encode(u1) ^ encoder.encode(u2)).weight() < 2 * t + 1:
+        if (encoder.encode(u1) ^ encoder.encode(u2)).value.bit_count() < 2 * t + 1:
             return False, (u1, u2)
     return True, None
 
@@ -102,8 +102,8 @@ def full_scan_nearest(encoder: fcc.FccEncoder, y: BitWord) -> tuple[int, set[int
     best_d = y.length + 1
     best_indices: set[int] = set()
     for u in all_words(spec.k):
-        d = (encoder.encode(u) ^ y).weight()
-        i = spec.index_of(spec.eval(u))
+        d = (encoder.encode(u) ^ y).value.bit_count()
+        i = spec.index_of(spec.fn(u.value))
         if d < best_d:
             best_d, best_indices = d, {i}
         elif d == best_d:
@@ -157,6 +157,11 @@ def full_scan_decode(encoder: fcc.FccEncoder, y: BitWord) -> fcc.DecodeResult:
     return fcc.DecodeResult(encoder.spec.image[min(indices)], out, d)
 
 
+def _flip(word: BitWord, positions) -> BitWord:
+    """word with the bits at `positions` (0 = leftmost) flipped."""
+    return BitWord(word.value ^ sum(1 << (word.length - 1 - i) for i in positions), word.length)
+
+
 def reference_simulate(encoder, channel) -> SimulationReport:
     """Every trial through `decode`, in the canonical (message, pattern) order."""
     spec = encoder.spec
@@ -167,7 +172,7 @@ def reference_simulate(encoder, channel) -> SimulationReport:
 
     def run(u, pattern):
         nonlocal trials, failures, witness
-        expected = spec.eval(u)
+        expected = spec.fn(u.value)
         got = fcc.decode(encoder, encoder.encode(u) ^ pattern)
         trials += 1
         if got.value != expected:
@@ -185,7 +190,7 @@ def reference_simulate(encoder, channel) -> SimulationReport:
     for _ in range(channel.trials):
         u = rng.choice(msg_list)
         wgt = rng.randint(0, min(channel.t, n))
-        run(u, BitWord.zeros(n).flip(rng.sample(range(n), wgt) if wgt else []))
+        run(u, _flip(BitWord.zeros(n), rng.sample(range(n), wgt) if wgt else []))
     return SimulationReport(trials, failures, witness, "random", channel.seed)
 
 
@@ -298,7 +303,7 @@ def test_spec_index_table_rejects_value_outside_image_above_k16():
 def test_spec_eval_and_index():
     spec = functions.wt_spec(4)
     assert spec.expressiveness == 5
-    assert spec.eval(BitWord.from_string("1011")) == 3
+    assert spec.fn(0b1011) == 3
     assert spec.index_of(3) == 3
     with pytest.raises(ValueError):
         spec.index_of(99)
@@ -365,7 +370,7 @@ def test_requirement_matrix_zero_when_values_agree():
     spec = functions.parity_spec(3)
     us = [BitWord.from_string("000"), BitWord.from_string("011")]
     d = fcc.distance_requirement_matrix(spec, 2, us)
-    assert d.at(0, 1) == 0
+    assert d.entries[0][1] == 0
 
 
 def test_requirement_matrix_rejects_duplicates():
@@ -943,9 +948,9 @@ def test_sampled_witness_violates_and_lies_within_2t(spec, t):
         res = fcc.verify_fcc(enc, sample=2000, seed=seed)
         assert not res.ok and res.route == "sampled" and 1 <= res.pairs_checked <= 2000
         lo, hi = res.witness
-        assert lo.value < hi.value and spec.eval(lo) != spec.eval(hi)
-        assert 1 <= (lo ^ hi).weight() <= 2 * t
-        assert (enc.encode(lo) ^ enc.encode(hi)).weight() < 2 * t + 1
+        assert lo.value < hi.value and spec.fn(lo.value) != spec.fn(hi.value)
+        assert 1 <= (lo ^ hi).value.bit_count() <= 2 * t
+        assert (enc.encode(lo) ^ enc.encode(hi)).value.bit_count() < 2 * t + 1
 
 
 @pytest.mark.parametrize("bad", [False, True])
@@ -968,7 +973,7 @@ def test_sampled_when_2t_reaches_k(k, t):
     assert res.ok and res.pairs_checked <= 500
     assert fcc.verify_fcc(good).ok
     bad = fcc.verify_fcc(_zero_parity_encoder(spec, t, good.r), sample=500, seed=1)
-    assert not bad.ok and spec.eval(bad.witness[0]) != spec.eval(bad.witness[1])
+    assert not bad.ok and spec.fn(bad.witness[0].value) != spec.fn(bad.witness[1].value)
 
 
 def test_verify_rejects_a_zero_budget_on_every_route():
@@ -1025,7 +1030,7 @@ def test_message_draws_are_the_draws_of_random_choices(k):
 
 def _flipped(enc: fcc.FccEncoder, rng: random.Random, flips: int) -> fcc.FccEncoder:
     """enc with `flips` parity bits flipped, each in a drawn parity word."""
-    parities = list(enc.parities)
+    parities = _parity_table(enc)
     for _ in range(flips):
         i = rng.randrange(len(parities))
         parities[i] = BitWord(parities[i].value ^ 1 << rng.randrange(enc.r), enc.r)
@@ -1296,8 +1301,8 @@ def test_representative_plotkin_consistency():
     assert fcc.verify_fcc(enc).ok
     reps = []
     for value in spec.image:
-        reps.append(next(u for u in all_words(6) if spec.eval(u) == value))
-    e_star = max((a ^ b).weight() for a, b in itertools.combinations(reps, 2))
+        reps.append(next(u for u in all_words(6) if spec.fn(u.value) == value))
+    e_star = max((a ^ b).value.bit_count() for a, b in itertools.combinations(reps, 2))
     if 2 * t + 1 - e_star > 0:
         bound = bounds.plotkin_regular(spec.expressiveness, 2 * t + 1 - e_star)
         assert bound.integer_value <= enc.r + e_star
@@ -1324,9 +1329,9 @@ def test_decode_recovers_under_budget(k, t):
     for _ in range(40):
         u = BitWord(rng.randrange(1 << k), k)
         wgt = rng.randint(0, t)
-        y = enc.encode(u).flip(rng.sample(range(n), wgt))
+        y = _flip(enc.encode(u), rng.sample(range(n), wgt))
         res = fcc.decode(enc, y)
-        assert res.value == enc.spec.eval(u)
+        assert res.value == enc.spec.fn(u.value)
         assert not res.out_of_model
 
 
@@ -1336,7 +1341,7 @@ def test_decode_flags_heavy_errors():
     # 2 from the true codeword 000000000 and from every weight-2 codeword,
     # distance >= 3 from everything else - nothing within the t=1 budget
     y = BitWord.from_string("000000011")
-    best = min((y ^ enc.encode(u)).weight() for u in all_words(6))
+    best = min((y ^ enc.encode(u)).value.bit_count() for u in all_words(6))
     assert best > enc.t
     res = fcc.decode(enc, y)
     assert res.out_of_model
@@ -1367,7 +1372,7 @@ def test_decode_tie_beyond_t_outside_the_radius_t_ball():
     # around y's message part, and wins the tie.
     spec = functions.wt_spec(3)
     parities = [BitWord.zeros(2)] * 8
-    parities[0] = BitWord.ones(2)
+    parities[0] = BitWord(0b11, 2)
     enc = fcc.per_message_encoder(spec, 1, parities)
     y = BitWord.from_string("01111")
     res = fcc.decode(enc, y)
@@ -1385,6 +1390,12 @@ def _random_encoder(rng: random.Random) -> fcc.FccEncoder:
     count = spec.expressiveness if mode == fcc.PER_VALUE else 1 << k
     parities = tuple(BitWord(rng.randrange(1 << r), r) for _ in range(count))
     return _encoder_of(spec, t, r, mode, parities)
+
+
+def _parity_table(enc: fcc.FccEncoder) -> list[BitWord]:
+    """The parity words as `_encoder_of` takes them: one per value or per message."""
+    words = enc.words if enc.mode == fcc.PER_VALUE else enc.parity_ints
+    return [BitWord(w, enc.r) for w in words]
 
 
 def _encoder_of(spec, t, r, mode, parities) -> fcc.FccEncoder:
@@ -1413,15 +1424,18 @@ def test_decode_matches_full_scan_on_random_encoders():
 
 def test_nearest_value_masks_match_decode_on_every_word():
     # each word within `depth` of the code is in the table of the value decode
-    # returns for it, ties to the smallest index included; no other word is
+    # returns for it, ties to the smallest index included; no other word is.
+    # The set returned beside the tables is the code: every (u << r) | p(u)
     rng = random.Random(5150)
     ties_within_t = ties_beyond_t = 0
     for _ in range(120):
         enc = _random_encoder(rng)
         n = enc.block_length
         decoded = [fcc.decode(enc, y) for y in all_words(n)]
+        codewords = {(u << enc.r) | p for u, p in enumerate(enc.parity_ints)}
         for depth in (*range(enc.t + 3), n + 1):
-            masks = fcc._nearest_value_masks(enc, depth)
+            masks, code = fcc._nearest_value_masks(enc, depth)
+            assert {y for y in range(1 << n) if code >> y & 1} == codewords
             assert len(masks) == enc.spec.expressiveness
             for y, got in enumerate(decoded):
                 holders = [i for i, m in enumerate(masks) if m >> y & 1]
@@ -1468,7 +1482,7 @@ def test_simulate_matches_reference_on_random_encoders():
 
 def _corrupted(enc: fcc.FccEncoder, rng: random.Random) -> fcc.FccEncoder:
     """enc with one parity word replaced by a random word of the same length."""
-    parities = list(enc.parities)
+    parities = _parity_table(enc)
     parities[rng.randrange(len(parities))] = BitWord(rng.randrange(1 << enc.r), enc.r)
     return _encoder_of(enc.spec, enc.t, enc.r, enc.mode, parities)
 
@@ -1784,7 +1798,7 @@ def test_encoder_text_roundtrip():
     again = fcc.encoder_from_text(text)
     assert again.spec.name == enc.spec.name
     assert (again.t, again.r, again.mode) == (enc.t, enc.r, enc.mode)
-    assert again.parities == enc.parities
+    assert again.words == enc.words
     for u in all_words(6):
         assert again.encode(u) == enc.encode(u)
 
@@ -1818,9 +1832,9 @@ def test_encoder_text_roundtrip_is_byte_identical(make):
     enc = make()
     text = fcc.encoder_to_text(enc)
     body = [line for line in text.splitlines() if not line.startswith("#")]
-    assert body == [str(p) for p in enc.parities]
+    assert body == [str(p) for p in _parity_table(enc)]
     again = fcc.encoder_from_text(text)
-    assert again.parities == enc.parities
+    assert _parity_table(again) == _parity_table(enc)
     assert fcc.encoder_to_text(again) == text
 
 

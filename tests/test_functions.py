@@ -30,14 +30,14 @@ from fcodes.simulate import ChannelModel, error_patterns, simulate
 
 def test_wt_spec_values():
     spec = functions.wt_spec(5)
-    assert spec.eval(BitWord.from_string("10110")) == 3
+    assert spec.fn(0b10110) == 3
     assert spec.image == (0, 1, 2, 3, 4, 5)
 
 
 def test_parity_or_constant():
-    assert functions.parity_spec(4).eval(BitWord.from_string("1101")) == 1
-    assert functions.or_spec(4).eval(BitWord.from_string("0000")) == 0
-    assert functions.or_spec(4).eval(BitWord.from_string("0100")) == 1
+    assert functions.parity_spec(4).fn(0b1101) == 1
+    assert functions.or_spec(4).fn(0b0000) == 0
+    assert functions.or_spec(4).fn(0b0100) == 1
     assert functions.constant_spec(4).expressiveness == 1
 
 
@@ -45,15 +45,15 @@ def test_delta_spec_blocks():
     spec = functions.delta_spec(9, 5)
     # floor(wt/5) over 9 bits: values 0 and 1
     assert spec.image == (0, 1)
-    assert spec.eval(BitWord.from_string("111110000")) == 1
-    assert spec.eval(BitWord.from_string("111100000")) == 0
+    assert spec.fn(0b111110000) == 1
+    assert spec.fn(0b111100000) == 0
 
 
 def test_indicator_spec_membership():
     code = Code.from_strings(["000", "111"])
     spec = functions.indicator_spec(code)
-    assert spec.eval(BitWord.from_string("111")) == 2  # 1-based codeword index
-    assert spec.eval(BitWord.from_string("101")) == 0
+    assert spec.fn(0b111) == 2  # 1-based codeword index
+    assert spec.fn(0b101) == 0
 
 
 # --- whole-space tables against tabulating fn ---------------------------------------
@@ -113,9 +113,9 @@ def test_minmax_tables_match_fn():
         assert spec.bulk_table is not None
         assert list(spec.index_table) == tabulated(spec), (w, l)
     # every tie kind occurs: all blocks equal, a tied minimum, a tied maximum
-    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("010101")) == MinMaxValue(1, 3)
-    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110101")) == MinMaxValue(2, 1)
-    assert functions.minmax_spec(3, 2).eval(BitWord.from_string("110011")) == MinMaxValue(2, 3)
+    assert functions.minmax_spec(3, 2).fn(0b010101) == MinMaxValue(1, 3)
+    assert functions.minmax_spec(3, 2).fn(0b110101) == MinMaxValue(2, 1)
+    assert functions.minmax_spec(3, 2).fn(0b110011) == MinMaxValue(2, 3)
 
 
 @pytest.mark.parametrize("name", [
@@ -166,7 +166,7 @@ def test_wt_requirement_matrix_entries():
     for i in range(7):
         for j in range(7):
             want = max(5 - abs(i - j), 0) if i != j else 0
-            assert d.at(i, j) == want
+            assert d.entries[i][j] == want
 
 
 # --- construction 1: cyclic weight parities ---------------------------------------
@@ -189,7 +189,7 @@ def test_wt_parity_base_offset_profile(t):
     for a in range(period):
         for delta in range(1, 2 * t + 1):
             need = 2 * t + 1 - delta
-            assert (base[a] ^ base[(a + delta) % period]).weight() >= need
+            assert (base[a] ^ base[(a + delta) % period]).value.bit_count() >= need
 
 
 @pytest.mark.parametrize("t", range(1, 11))
@@ -231,7 +231,7 @@ def test_wt_cyclic_encoder_verified_beyond_t2(t):
 def test_wt_cyclic_encoder_t1_all_k(t, k):
     enc = functions.wt_cyclic_encoder(k, t)
     assert enc.r == 3
-    parities = [enc.parities[w] for w in range(k + 1)]
+    parities = [BitWord(enc.words[w], enc.r) for w in range(k + 1)]
     code = Code.of(parities)
     ok, witness = satisfies_distance_matrix(code, functions.wt_requirement_matrix(k, t))
     assert ok, witness
@@ -241,7 +241,7 @@ def test_wt_cyclic_encoder_t1_all_k(t, k):
 def test_wt_cyclic_encoder_t2_all_k(k):
     enc = functions.wt_cyclic_encoder(k, 2)
     assert enc.r == 6
-    code = Code.of([enc.parities[w] for w in range(k + 1)])
+    code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
     ok, witness = satisfies_distance_matrix(code, functions.wt_requirement_matrix(k, 2))
     assert ok, witness
 
@@ -249,7 +249,7 @@ def test_wt_cyclic_encoder_t2_all_k(k):
 @pytest.mark.parametrize("k", [4, 7, 12])
 def test_wt_cyclic_encoder_t3(k):
     enc = functions.wt_cyclic_encoder(k, 3)
-    code = Code.of([enc.parities[w] for w in range(k + 1)])
+    code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
     ok, witness = satisfies_distance_matrix(code, functions.wt_requirement_matrix(k, 3))
     assert ok, witness
 
@@ -274,7 +274,7 @@ def test_delta_ramp_parities_follow_residue():
     # residue 0 -> 00, 1 -> 10, 2 -> 11 (capped at 2t ones)
     by_weight = {}
     for u in all_words(8):
-        by_weight.setdefault(u.weight() % 3, set()).add(str(enc.parity(u)))
+        by_weight.setdefault(u.value.bit_count() % 3, set()).add(str(enc.parity(u)))
     assert by_weight == {0: {"00"}, 1: {"10"}, 2: {"11"}}
 
 
@@ -282,8 +282,8 @@ def test_delta_ramp_parities_follow_residue():
 def test_delta_ramp_parities_match_per_message_weights(k, T, t):
     enc = functions.delta_ramp_encoder(k, T, t)
     r = 2 * t
-    ramp = [BitWord.ones(min(c, r)).concat(BitWord.zeros(r - min(c, r))) for c in range(T)]
-    assert enc.parities == tuple(ramp[u.bit_count() % T] for u in range(1 << k))
+    ramp = [((1 << min(c, r)) - 1) << (r - min(c, r)) for c in range(T)]
+    assert enc.parity_ints == [ramp[u.bit_count() % T] for u in range(1 << k)]
 
 
 def test_delta_ramp_builds_past_k16_and_passes_sampled_verify():
@@ -342,7 +342,7 @@ def reference_locally_binary_parities(spec: fcc.FunctionSpec, t: int) -> tuple[B
     out = []
     for u in all_words(spec.k):
         top = max(fcc.function_ball(spec, u, 2 * t))
-        out.append(BitWord.ones(2 * t) if spec.eval(u) == top else BitWord.zeros(2 * t))
+        out.append(BitWord((1 << 2 * t) - 1 if spec.fn(u.value) == top else 0, 2 * t))
     return tuple(out)
 
 
@@ -375,7 +375,8 @@ def test_locally_binary_encoder_matches_function_balls():
             rng.shuffle(table)
             spec = fcc.FunctionSpec(k, table.__getitem__, rng.sample(range(e), e))
         enc = functions.locally_binary_encoder(spec, t)
-        assert enc.parities == reference_locally_binary_parities(spec, t)
+        parities = tuple(BitWord(p, enc.r) for p in enc.parity_ints)
+        assert parities == reference_locally_binary_parities(spec, t)
         assert fcc.verify_fcc(enc).ok
         tried += spec.expressiveness >= 3
     assert tried >= 10, tried
@@ -398,8 +399,8 @@ def locally_binary_decode(spec: fcc.FunctionSpec, t: int, y: BitWord):
     if len(ball_t) == 1:
         return next(iter(ball_t))
     ball_2t = fcc.function_ball(spec, u, 2 * t)
-    own = 1 if spec.eval(u) == max(ball_2t) else 0
-    votes = own + p.weight()
+    own = 1 if spec.fn(u.value) == max(ball_2t) else 0
+    votes = own + p.value.bit_count()
     return max(ball_t) if votes >= t + 1 else min(ball_t)
 
 
@@ -412,8 +413,8 @@ def test_locally_binary_decode_all_patterns():
     for u in all_words(7):
         c = enc.encode(u)
         for pattern in error_patterns(c.length, t):
-            assert locally_binary_decode(spec, t, c ^ pattern) == spec.eval(u)
-            assert fcc.decode(enc, c ^ pattern).value == spec.eval(u)
+            assert locally_binary_decode(spec, t, c ^ pattern) == spec.fn(u.value)
+            assert fcc.decode(enc, c ^ pattern).value == spec.fn(u.value)
 
 
 def test_locally_binary_decode_length_check():
@@ -440,15 +441,15 @@ def test_locally_binary_indicator_roundtrip():
 def test_minmax_example_from_blocks():
     spec = functions.minmax_spec(3, 3)
     u = BitWord.from_string("100010010")
-    assert spec.eval(u) == MinMaxValue(2, 1)
+    assert spec.fn(u.value) == MinMaxValue(2, 1)
 
 
 def test_minmax_tie_rules():
     spec = functions.minmax_spec(3, 2)
     # all blocks equal: min takes the first, max takes the last
-    assert spec.eval(BitWord.from_string("010101")) == MinMaxValue(1, 3)
+    assert spec.fn(0b010101) == MinMaxValue(1, 3)
     # two-way tie for max between blocks 1 and 2
-    assert spec.eval(BitWord.from_string("111100")) == MinMaxValue(3, 2)
+    assert spec.fn(0b111100) == MinMaxValue(3, 2)
 
 
 def test_minmax_image_is_all_ordered_pairs():
@@ -474,7 +475,7 @@ def test_minmax_claims_hold(w, l):
     assert all(row.count(1) == 4 * (w - 2) for row in d)
     for t in (1, 2):
         req = fcc.function_distance_matrix(spec, t)
-        assert sum(req.at(i, j) == 2 * t for i, j in pairs) == 4 * w * (w - 1) * (w - 2)
+        assert sum(req.entries[i][j] == 2 * t for i, j in pairs) == 4 * w * (w - 1) * (w - 2)
 
 
 @pytest.mark.parametrize("w", [4, 5])
@@ -531,7 +532,7 @@ def test_minmax_requirement_totals_w3():
         1
         for i in range(req.dim)
         for j in range(req.dim)
-        if i != j and req.at(i, j) == 2
+        if i != j and req.entries[i][j] == 2
     )
     assert total_2t == 4 * 3 * 2 * 1  # 4w(w-1)(w-2)
 
@@ -646,7 +647,7 @@ def test_registry_indicator_from_file(tmp_path):
     path.write_text(construct.reed_muller_code(1, 3).to_text())
     spec = fcc.spec_from_string(f"indicator:path={path},k=8")
     assert spec.k == 8
-    assert spec.eval(BitWord.zeros(8)) != 0
+    assert spec.fn(0) != 0
 
 
 def test_registry_indicator_k_mismatch(tmp_path):

@@ -378,12 +378,13 @@ def test_constructions_look_their_builders_up_when_they_run(monkeypatch):
                      "minmax_rm_encoder", "locally_binary_encoder"]
 
 
-def test_a_spec_name_is_parsed_only_where_a_construction_reads_it(tmp_path):
-    # "indicator:path=a,b,c.txt" holds two bare tokens, so it does not parse
-    path = tmp_path / "a,b,c.txt"
-    path.write_text("000\n111\n", encoding="utf-8")
-    row = tables.table_row("indicator", 1, {"path": str(path)})
-    assert row.fcc_redundancy == tables.TableEntry("2", 2, True)
+def test_a_spec_name_is_parsed_only_where_a_construction_reads_it():
+    # "f:a,b" holds two bare tokens, so it does not parse; no construction
+    # `auto` ranks protects a family "f", so its pairs are never read
+    spec = fcc.FunctionSpec(3, lambda u: {0: 1, 7: 2}.get(u, 0), (0, 1, 2), name="f:a,b")
+    with pytest.raises(ValueError, match="more than one bare parameter"):
+        fcc.parse_spec_string(spec.name)
+    assert tables.best_construction(spec, 1)[:2] == ("greedy", 2)
 
 
 def test_table_rows_build_no_encoder(monkeypatch):
