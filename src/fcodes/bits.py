@@ -90,9 +90,6 @@ class BitWord(Record):
     def zeros(cls, n: int) -> BitWord:
         return cls(0, n)
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.length - 1 - i)) & 1 for i in range(self.length))
-
     def concat(self, other: BitWord) -> BitWord:
         return BitWord((self.value << other.length) | other.value, self.length + other.length)
 

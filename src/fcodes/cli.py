@@ -401,6 +401,8 @@ def cmd_fcc_verify(args, params: dict[str, str]) -> _Result:
         payload["witness"] = [str(w) for w in result.witness]
     if result.ok:  # a sample proves nothing, so its OK names the route and count
         return 0, payload, f"OK (sampled: {result.pairs_checked} pairs checked)\n" if sample else "OK\n"
+    if result.witness is None:  # proven on the classes above k = 14, where no kernel runs
+        return 1, payload, "VIOLATION (proven on the classes; no witness searched within budget)\n"
     u1, u2 = result.witness
     return 1, payload, f"VIOLATION u1={u1} u2={u2}\n"
 
@@ -479,11 +481,13 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
 def _add_encoder_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--encoder", help="encoder file written by fcc-build")
     p.add_argument("--function", help="registry string, e.g. wt or delta_T:T=3")
+    alias = {name: a for a, name in _CONSTRUCTION_ALIASES.items()}
     p.add_argument(
         "--construction",
-        help="auto (the least r of wt-cycle, minmax-spc, minmax-rm and the greedy build, "
-        "where each applies) | wt-cycle/1 | delta-ramp/2 | minmax-spc/3 | minmax-rm/4 | "
-        "locally-binary",
+        help=f"auto (the least r of {', '.join(tables.AUTO_ORDER)} and the greedy build, "
+        "where each applies) | "
+        + " | ".join(f"{name}/{alias[name]}" if name in alias else name
+                     for name in tables.CONSTRUCTIONS),
     )
 
 

@@ -3,7 +3,8 @@
 The greedy builder realises the sphere-covering existence argument behind
 `bounds.gv_irregular_threshold`: each word is the first one outside the
 Hamming balls around the words placed before it, read off a bitset of those
-balls. The exact search settles N(M, D) on desk-scale instances by
+balls over one block of at most 2^16 words at a time, lowest block first.
+The exact search settles N(M, D) on desk-scale instances by
 depth-first backtracking, run as an iterative kernel over row depths: each
 row's domain is a cached mask of the balls of all but its last earlier row,
 plus one ball per candidate. That mask is read one row early, so a row whose
@@ -58,7 +59,7 @@ class ExactLengthResult(Record):
         _set(self, "refute_nodes", refute_nodes)
 
 
-_GREEDY_WINDOW = 16  # greedy_irregular_code's first window, in bits
+_GREEDY_WINDOW = 16  # the width of greedy_irregular_code's blocks, in bits
 
 
 def greedy_irregular_code(
@@ -67,15 +68,13 @@ def greedy_irregular_code(
     """First-fit code for a requirement matrix at a fixed length.
 
     Rows are processed in `order`; each gets the smallest length-r word far
-    enough from all previously placed ones. That word is the lowest clear
-    bit of the union of the balls `_ball` around the placed words (radius
-    D[i][j] - 1), a mask over the window of words below 2^s, the word an
-    ascending scan of all 2^r candidates would stop at. The window starts
-    at s = min(r, 16) bits and grows by one whenever it is full; every
-    placed word lies inside it, so beyond 2^16 a mask never spans more than
-    twice the largest word placed. That word is not small on matrices with
-    many rows at high requirement: it grows roughly as 2^r (a uniform 12 on
-    13 rows at r = 31 places one near 2^23), and time and memory with it.
+    enough from all previously placed ones, the word an ascending scan of
+    all 2^r candidates would stop at. The scan goes a block of 2^s words at
+    a time, s = min(r, 16), block `top` holding the words whose top r - s
+    bits are top. There a placed word w with requirement d blocks the ball
+    `_ball` of radius d - 1 - d(top, w's top bits) around its low s bits (all
+    of the block once that radius reaches s), and the first block with a
+    word outside every ball gives it. So no mask is wider than 2^16 bits.
     Returns None if some row exhausts the whole space, which provably cannot
     happen at r >= gv_irregular_threshold(dmat, order).
     """
@@ -86,25 +85,24 @@ def greedy_irregular_code(
     if sorted(pi) != list(range(m)):
         raise ValueError(f"order is not a permutation of 0..{m - 1}")
     s = min(r, _GREEDY_WINDOW)
+    block = (1 << (1 << s)) - 1
     balls: dict[int, dict[int, int]] = defaultdict(dict)
-    words: dict[int, int] = {}
+    placed: dict[int, tuple[int, int]] = {}  # row -> its word's top and low bits
     for j in pi:
         row = dmat.entries[j]
-        while True:
+        for top in range(1 << (r - s)):
             blocked = 0
-            for i, w in words.items():
-                d = row[i]
-                if d:
-                    blocked |= balls[d].get(w) or _ball(balls, s, d, w)
-            free = ~blocked & ((1 << (1 << s)) - 1)
+            for i, (hi, lo) in placed.items():
+                d = row[i] - (top ^ hi).bit_count()  # what the low bits must still make up
+                if d > 0:
+                    blocked |= balls[d].get(lo) or _ball(balls, s, d, lo)
+            free = block ^ blocked
             if free:
-                words[j] = (free & -free).bit_length() - 1
+                placed[j] = top, (free & -free).bit_length() - 1
                 break
-            if s == r:
-                return None
-            s += 1
-            balls.clear()
-    return Code.of((BitWord(words[i], r) for i in range(m)), r)
+        else:
+            return None
+    return Code.of((BitWord(placed[i][0] << s | placed[i][1], r) for i in range(m)), r)
 
 
 def _interchange_groups(dmat: DistanceMatrix) -> list[int | None]:

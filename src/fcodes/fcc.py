@@ -29,6 +29,7 @@ from .bits import _at_least, _bit_set_patterns, _byte_planes, _expand_once, _low
 from .bits import _shells, _weight_shell
 
 FunctionValue = Any  # any value with equality and a stable total order
+TABLE_MAX_K = 24  # the largest k whose 2^k-entry value table is built
 
 
 class FunctionSpec:
@@ -109,7 +110,7 @@ class FunctionSpec:
 
         Raises ValueError at the first message whose value is not in the
         image, and at a `bulk_table` index beyond it."""
-        if self.k > 24:
+        if self.k > TABLE_MAX_K:
             raise ValueError(f"k={self.k} too large to tabulate")
         idx, fn, e = self._index, self.fn, len(self.image)
         if self.bulk_table is not None:
@@ -495,7 +496,9 @@ def verify_fcc(
     The witness, if any, is the lexicographically smallest violating
     (u1, u2) with u1 < u2, and pairs_checked on a violation counts the pairs
     whose u1 is at most the witness's, as a row-by-row scan stopping after
-    row u1 would. An exhaustive check over budget (`_classes`) raises
+    row u1 would. Above k = EXHAUSTIVE_MAX_K, where the kernel is not
+    admitted, a violation the class check proves comes back without a
+    witness. An exhaustive check over budget (`_classes`) raises
     ValueError naming its cost: pass `sample` then. Both need t >= 1.
 
     A sample draws `sample` >= 1 close pairs (u, u ^ e), deterministic per
@@ -562,18 +565,15 @@ def _verify_exhaustive(encoder: FccEncoder, t: int, *, witness: bool = True) -> 
         ok = all(near[i][j] > lim[j] for i, (js, lim) in enumerate(zip(pending, limits)) for j in js)
     else:
         ok = not _closest_approaches(masks, encoder.spec.k, pending, limits)
-    if ok or not witness:
-        return VerifyResult(ok, None, pairs, "class")
-    _classes(encoder, t, kernel=True)  # the witness is the kernel's, if admitted
+    if ok or not witness or encoder.spec.k > EXHAUSTIVE_MAX_K:
+        return VerifyResult(ok, None, pairs, "class")  # above that k, no kernel is admitted
     return _verify_message_level(encoder, t, witness)
 
 
-def _classes(
-    encoder: FccEncoder, t: int, *, kernel: bool = False
-) -> tuple[Sequence[int], ...] | None:
+def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
     """The masks, image indices and parities of the (value, parity) classes,
-    or None for the message-level kernel (all that `kernel` asks for);
-    raises `_OverBudget` where neither route is admitted.
+    or None for the message-level kernel; raises `_OverBudget` where neither
+    route is admitted.
 
     A per-value encoder's word index is its value index, so its values are
     its classes, without masks (None) on a weight map. A per-message
@@ -591,15 +591,12 @@ def _classes(
     budget = 5 * (sphere_size(cap, 2 * t) - 1) * planes >> (k - cap)
     most = math.isqrt(budget // t)  # E' <= most iff E'^2 t <= budget
 
-    def fallback(count: int) -> None:  # the kernel, where admitted; count 0 names its cost
+    def fallback(count: int) -> None:  # the kernel, where admitted
         if k > cap:
-            cost = count * count * t if count else 5 * (sphere_size(k, 2 * t) - 1) * planes
-            raise _OverBudget(f"exhaustive verification at k={k}, t={t} costs at least {cost} "
-                              f"operations on 2^{k}-bit masks, over its budget of {budget}; "
-                              "pass --sample N")
+            raise _OverBudget(f"exhaustive verification at k={k}, t={t} costs at least "
+                              f"{count * count * t} operations on 2^{k}-bit masks, over its "
+                              f"budget of {budget}; pass --sample N")
 
-    if kernel:
-        return fallback(0)
     weights = key is None and spec.weight_index is not None
     if e > most and not (weights and k > cap):
         return fallback(e)

@@ -28,7 +28,7 @@ def _weight_table(k: int) -> bytes:
     """wt(u) for every k-bit message u, one byte each, by doubling: the
     messages with the new top bit set weigh one more than those without.
     k is bounded as `FunctionSpec.index_table` is."""
-    if k > 24:
+    if k > fcc.TABLE_MAX_K:
         raise ValueError(f"k={k} too large to tabulate")
     table = b"\0"
     for _ in range(k):

@@ -89,9 +89,9 @@ def row_keys(family: str) -> frozenset[str]:
 
 
 def family_lower_bound(family: str, t: int, w: int = 2) -> int:
-    """The closed-form lower bound a family's row prints: wt's
-    (`bounds.wt_lower_bound`), min-max's on w >= 3 blocks, floored at 2t,
-    else 2t."""
+    """The closed-form lower bound of a family's row, and `auto`'s early
+    stop: wt's (`bounds.wt_lower_bound`), min-max's on w >= 3 blocks,
+    floored at 2t, else 2t."""
     if family == "wt":
         return bounds.wt_lower_bound(t).integer_value
     if family == "minmax" and w >= 3:
@@ -180,8 +180,10 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     parameters come inline ("delta_T:k=8,T=3") or in `params`; any other
     registered name falls back to the generic bounds computed from its spec
     (which then needs enough parameters to build, e.g. k). Where k is known,
-    the achieved entry is `best_construction`'s r; without it a family row
-    prints the least r over its family's `CONSTRUCTIONS`.
+    the achieved entry is `best_construction`'s r, and the lower bound the
+    larger of `family_lower_bound` and `_plotkin_lower` where the spec is
+    read without tabulating `fn`; without k a family row prints the least r
+    over its family's `CONSTRUCTIONS` and the closed form.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
@@ -229,33 +231,32 @@ def table_row(name: str, t: int, params: dict[str, str] | None = None) -> TableR
     else:
         # generic fallback: anything registered, with real matrices behind it
         return spec_row(fcc.spec_from_string(name, defaults=p), t)
-    if k is not None:  # what `auto` builds
-        fcc_entry = _exact(best_construction(fcc.spec_from_string(name, defaults=p), t)[1])
+    lower = family_lower_bound(family, t, w)
+    if k is not None:  # what `auto` builds; Plotkin's bound where `fn` need not be tabulated
+        spec = fcc.spec_from_string(name, defaults=p)
+        fcc_entry = _exact(best_construction(spec, t)[1])
+        if spec.weight_index is not None or spec.bulk_table is not None and k <= fcc.TABLE_MAX_K:
+            lower = max(lower, _plotkin_lower(spec, t))
     else:  # the least r of the family's constructions; only delta-ramp may not apply
         rs = [r for _, r in family_redundancies(family, p, t)]
         fcc_entry = _exact(min(rs)) if rs else _symbolic("needs 2t+1 <= T")
-    return TableRow(label, t, _exact(family_lower_bound(family, t, w)), _ecc_data_entry(k, t),
+    return TableRow(label, t, _exact(lower), _ecc_data_entry(k, t),
                     _ecc_values_entry(e, t, symbolic), fcc_entry)
 
 
-def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
-    """The generic comparison row of any spec.
+def _plotkin_lower(spec: fcc.FunctionSpec, t: int) -> int:
+    """Plotkin over the requirements of one representative per value (its
+    smallest preimage: 2^a - 1 on a weight map, a the least weight of the
+    value), floored at 2t, for a spec of at least two values.
 
-    The lower bound is Plotkin over the requirements of one representative
-    per value (its smallest preimage: 2^a - 1 on a weight map, a the least
-    weight of the value), floored at 2t. The representatives carry distinct
-    values, so each pair needs max(2t+1 - d(u_i, u_j), 0) parity distance;
-    their total, summed from popcounts without building the requirement
-    matrix, gives the ceiling of `bounds.total_plotkin_ratio`, 4 times the
-    total over E^2 - (E mod 2).
+    The representatives carry distinct values, so each pair needs
+    max(2t+1 - d(u_i, u_j), 0) parity distance; their total, summed from
+    popcounts without building the requirement matrix, gives the ceiling of
+    `bounds.total_plotkin_ratio`, 4 times the total over E^2 - (E mod 2).
     Every encoder must meet the requirements of any message subset (paper
-    Thm. 2), so the bound holds whichever representatives are taken. The
-    achieved entry is the r of `best_construction`, whose winner `auto`
-    builds.
+    Thm. 2), so the bound holds whichever representatives are taken.
     """
     e = spec.expressiveness
-    if e < 2:
-        return TableRow(spec.name, t, _exact(0), _ecc_data_entry(spec.k, t), _exact(0), _exact(0))
     if spec.weight_index is None:
         reps = [(m & -m).bit_length() - 1 for m in spec.preimage_masks]
     else:
@@ -267,10 +268,20 @@ def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
             if d < need:
                 total += need - d
     num, den = bounds.total_plotkin_ratio(total, e)
+    return max(2 * t, -(-num // den))
+
+
+def spec_row(spec: fcc.FunctionSpec, t: int) -> TableRow:
+    """The generic comparison row of any spec: the lower bound is
+    `_plotkin_lower`'s, and the achieved entry is the r of
+    `best_construction`, whose winner `auto` builds."""
+    e = spec.expressiveness
+    if e < 2:
+        return TableRow(spec.name, t, _exact(0), _ecc_data_entry(spec.k, t), _exact(0), _exact(0))
     return TableRow(
         spec.name,
         t,
-        lower_bound=_exact(max(2 * t, -(-num // den))),
+        lower_bound=_exact(_plotkin_lower(spec, t)),
         ecc_on_data=_ecc_data_entry(spec.k, t),
         ecc_on_function_values=_ecc_values_entry(e, t),
         fcc_redundancy=_exact(best_construction(spec, t)[1]),

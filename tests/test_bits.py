@@ -41,7 +41,7 @@ def w(text: str) -> BitWord:
 
 def test_bit_zero_is_leftmost():
     u = w("1000")
-    assert u.bits() == (1, 0, 0, 0)
+    assert u.value == 0b1000
     assert str(u) == "1000"
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fcodes import bounds, cli, construct, fcc, functions
+from fcodes import bounds, cli, construct, fcc, functions, tables
 from fcodes.bits import BitWord
 from fcodes.cli import main
 
@@ -550,6 +550,20 @@ def test_fcc_verify_explicit_t_overrides_stored_t(capsys, tmp_path):
     code, out, _ = run(capsys, "fcc-verify", "--encoder", str(enc_path))
     assert code == 0
     assert out.strip() == "OK"
+
+
+def test_fcc_verify_proven_violation_above_k14_exits_1_without_a_witness(capsys, tmp_path):
+    # the class check proves the violation, and the kernel that would find a
+    # witness is not admitted at k = 16: a violation, not a budget refusal
+    enc_path = tmp_path / "w16.txt"
+    run(capsys, "fcc-build", "--function", "wt", "--k", "16", "--t", "1",
+        "--construction", "1", "--out", str(enc_path))
+    code, out, err = run(capsys, "fcc-verify", "--encoder", str(enc_path), "--t", "2")
+    assert (code, err) == (1, "")
+    assert out == "VIOLATION (proven on the classes; no witness searched within budget)\n"
+    code, payload, _ = run_json(capsys, "fcc-verify", "--encoder", str(enc_path), "--t", "2")
+    assert code == 1 and payload == {"ok": False, "pairs_checked": 136, "mode": "exhaustive",
+                                     "route": "class"}
 
 
 def test_fcc_verify_json_witness(capsys, tmp_path):
@@ -1278,6 +1292,20 @@ def test_usage_errors_and_help_keep_argparse_exit_codes(capsys, argv, exit_code,
     assert exc.value.code == exit_code
     captured = capsys.readouterr()
     assert text in (captured.out if exit_code == 0 else captured.err)
+
+
+def test_construction_help_names_every_entry_and_alias():
+    # the help is made from the construction table, so a new entry or alias
+    # shows in it; every subcommand that builds an encoder takes the flag
+    alias = {name: a for a, name in cli._CONSTRUCTION_ALIASES.items()}
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    helps = [action.help for parser in commands.values() for action in parser._actions
+             if action.dest == "construction"]
+    assert len(helps) >= 5
+    for text in helps:
+        assert text.startswith(f"auto (the least r of {', '.join(tables.AUTO_ORDER)} and")
+        names = text.split(" | ")[1:]
+        assert names == [f"{n}/{alias[n]}" if n in alias else n for n in tables.CONSTRUCTIONS]
 
 
 # --- one parameter layer ----------------------------------------------------------

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from collections import defaultdict
 from math import comb
 from pathlib import Path
@@ -108,8 +109,9 @@ def test_greedy_matches_the_word_scan_on_ml_value_matrices(text, t):
         assert_greedy_matches_scan(d, order)
 
 
-def test_greedy_window_growth_matches_the_word_scan(monkeypatch):
-    # a 1-bit first window must grow, bit by bit, to the words the scan finds
+def test_greedy_in_one_bit_blocks_matches_the_word_scan(monkeypatch):
+    # blocks of two words: nearly every word lies past the first block, so
+    # the per-block ball radii must give the words the scan finds
     monkeypatch.setattr(construct, "_GREEDY_WINDOW", 1)
     rng = random.Random(77)
     for _ in range(60):
@@ -125,6 +127,22 @@ def test_greedy_far_above_the_threshold_stays_in_a_small_window():
     for _ in range(20):
         d = random_matrix(rng, max_dim=8, max_entry=6)
         assert greedy_words(d, 48) == reference_greedy(d, 48)
+
+
+def test_greedy_at_high_t_stays_in_one_block_of_memory():
+    # delta_T k=16 T=3 at t = 9 places a word past 2^25; a mask grown to
+    # cover it peaked at 799 MiB RSS, a block of 2^16 words holds 8 KiB
+    spec = fcc.spec_from_string("delta_T:k=16,T=3")
+    dmat = fcc.function_distance_matrix(spec, 9)
+    gv = bounds.gv_threshold_and_order(dmat)
+    tracemalloc.start()
+    try:
+        enc = fcc.build_function_value_encoder(spec, 9, dmat, gv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    assert max(enc.words).bit_length() > 25 and fcc.verify_fcc(enc).ok
 
 
 def test_greedy_threshold_never_fails_on_100_random_matrices():
@@ -601,9 +619,9 @@ def _replicate_bit_by_bit(code: Code, factor: int) -> Code:
     out = []
     for w in code:
         bits = []
-        for b in w.bits():
+        for b in str(w):
             bits.extend([b] * factor)
-        out.append(BitWord.from_string("".join(map(str, bits))))
+        out.append(BitWord.from_string("".join(bits)))
     return Code.of(out, code.length * factor)
 
 

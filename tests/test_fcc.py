@@ -1083,13 +1083,11 @@ def test_verify_exhaustive_guard():
 # --- exhaustive checks admitted by cost -----------------------------------------
 
 
-def _parent_classes(encoder, t, *, kernel=False):
+def _parent_classes(encoder, t):
     """The route rule of `fcc._classes` when the kernel was admitted at every
     k <= 14 and refused above by k alone: the class check while its E'^2 t
     ANDs are at most the kernel's 5 * translations * planes, else None (the
-    kernel, also all that `kernel` asked for). The oracle at k <= 14."""
-    if kernel:
-        return None
+    kernel). The oracle at k <= 14."""
     spec, key, e = encoder.spec, encoder.message_key, len(encoder.spec.image)
     planes = (e - 1).bit_length() + encoder.r
     most = math.isqrt(5 * (sphere_size(spec.k, 2 * t) - 1) * planes // t)
@@ -1195,7 +1193,7 @@ def _above_k14() -> dict[str, fcc.FccEncoder]:
 def test_checks_admitted_above_k14_agree_with_the_kernel():
     # the kernel itself is not admitted there: called directly, it is the
     # oracle of each admitted check and of a flipped copy; a copy that fails
-    # would need the kernel for its witness, so verify_fcc refuses it
+    # is a proven violation, which verify_fcc reports without a witness
     rng = random.Random(1516)
     verdicts = {True: 0, False: 0}
     for name, enc in _above_k14().items():
@@ -1204,11 +1202,8 @@ def test_checks_admitted_above_k14_agree_with_the_kernel():
             ok = fcc._verify_message_level(case, case.t, False).ok
             quick = fcc._verify_exhaustive(case, case.t, witness=False)
             assert (quick.ok, quick.route) == (ok, "class"), name
-            if ok:
-                assert fcc.verify_fcc(case) == quick
-            else:
-                with pytest.raises(ValueError, match="over its budget"):
-                    fcc.verify_fcc(case)
+            assert fcc.verify_fcc(case) == quick
+            assert quick.witness is None
             verdicts[ok] += 1
     assert min(verdicts.values()) >= 3, verdicts
     assert verdicts[True] >= 7  # every unflipped encoder passes

@@ -284,6 +284,36 @@ def test_spec_row_lower_is_plotkin_over_the_representatives(monkeypatch):
     assert [tables.spec_row(spec, t).lower_bound.value for spec, t in cases] == expected
 
 
+def test_a_family_row_with_k_prints_the_larger_of_its_lower_bounds():
+    # the family's closed form, or Plotkin over one representative per value
+    rows = [("wt", {"k": str(k)}) for k in range(2, 11)]
+    rows += [("delta_T", {"k": str(k), "T": str(T)}) for k in range(4, 10) for T in (1, 2, 3)]
+    rows += [("minmax", {"w": str(w), "l": "2"}) for w in (2, 3, 4)]
+    rose = 0
+    for family, params in rows:
+        spec = fcc.spec_from_string(family, defaults=params)
+        for t in (1, 2, 3):
+            closed = tables.family_lower_bound(family, t, int(params.get("w", 2)))
+            lower = max(closed, _plotkin_row_lower(spec, t))
+            assert tables.table_row(family, t, params).lower_bound.value == lower, (params, t)
+            rose += lower > closed
+    assert rose >= 5
+    assert tables.table_row("delta_T", 3, {"k": "4", "T": "1"}).lower_bound.value == 9
+    assert tables.table_row("minmax", 2, {"w": "3", "l": "2"}).lower_bound.value == 6
+
+
+def test_a_family_row_tabulates_no_fn_for_its_lower_bound(monkeypatch):
+    # k = 25 is past any table, and min-max at l > 8 has no bulk table, so
+    # the closed form stands there; the second row reads no index table
+    assert tables.table_row("minmax", 1, {"w": "5", "l": "5"}).lower_bound.value == 2
+
+    def refuse(self):
+        raise AssertionError("table_row tabulated the spec")
+
+    monkeypatch.setattr(fcc.FunctionSpec, "index_table", property(refuse))
+    assert tables.table_row("minmax", 1, {"w": "2", "l": "10"}).lower_bound.value == 2
+
+
 def test_every_candidate_builds_the_r_it_was_ranked_by():
     specs = _rule_specs()
     assert len(specs) > 60
