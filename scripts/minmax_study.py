@@ -43,7 +43,7 @@ def main() -> int:
             generic = bounds.gv_irregular_threshold(
                 fcc.function_distance_matrix(spec, t)
             )
-            enc = functions.minmax_parity_encoder(w, args.l, t)
+            enc = functions.minmax_parity_encoder(spec, t)
             lower = bounds.minmax_lower_bound(w, t)
             print(f"  t={t}: lower {lower.integer_value}, closed-form gv {closed}, "
                   f"generic gv {generic}, even-weight construction r={enc.r}")

@@ -36,10 +36,13 @@ _ENCODERS = [
      lambda t: fcc.build_function_value_encoder(fcc.spec_from_string("ml:sigmoid,k=6,eps=1"), t)),
     ("ml:relu,k=5,eps=1 greedy",
      lambda t: fcc.build_function_value_encoder(fcc.spec_from_string("ml:relu,k=5,eps=1"), t)),
-    ("wt:k=7 wt-cycle", lambda t: functions.wt_cyclic_encoder(7, t)),
-    ("delta_T:k=7,T=5 delta-ramp", lambda t: functions.delta_ramp_encoder(7, 5, t)),
-    ("minmax:w=3,l=2 minmax-spc", lambda t: functions.minmax_parity_encoder(3, 2, t)),
-    ("minmax:w=3,l=2 minmax-rm", lambda t: functions.minmax_rm_encoder(3, t, 2)),
+    ("wt:k=7 wt-cycle", lambda t: functions.wt_cyclic_encoder(functions.wt_spec(7), t)),
+    ("delta_T:k=7,T=5 delta-ramp",
+     lambda t: functions.delta_ramp_encoder(functions.delta_spec(7, 5), t)),
+    ("minmax:w=3,l=2 minmax-spc",
+     lambda t: functions.minmax_parity_encoder(functions.minmax_spec(3, 2), t)),
+    ("minmax:w=3,l=2 minmax-rm",
+     lambda t: functions.minmax_rm_encoder(functions.minmax_spec(3, 2), t)),
 ]
 
 

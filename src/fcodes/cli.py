@@ -364,11 +364,11 @@ def _resolve_encoder(params: dict[str, str]) -> tuple[str | None, fcc.FccEncoder
         return name, build()
     if name not in tables.CONSTRUCTIONS:
         raise ValueError(f"unknown construction {params['construction']!r}")
-    expected, _, build = tables.CONSTRUCTIONS[name]
+    expected = tables.CONSTRUCTIONS[name][0]
     family = fcc.parse_spec_string(_need(params, "function"))[0]
     if expected not in (None, family):
         raise ValueError(f"construction {name!r} protects {expected!r}, not {family!r}")
-    return name, build(_spec(params), params, t)
+    return name, tables.build_construction(name, _spec(params), t)
 
 
 def cmd_fcc_build(args, params: dict[str, str]) -> _Result:

@@ -593,9 +593,12 @@ def _classes(encoder: FccEncoder, t: int) -> tuple[Sequence[int], ...] | None:
 
     def fallback(count: int) -> None:  # the kernel, where admitted
         if k > cap:
-            raise _OverBudget(f"exhaustive verification at k={k}, t={t} costs at least "
-                              f"{count * count * t} operations on 2^{k}-bit masks, over its "
-                              f"budget of {budget}; pass --sample N")
+            cost = (f"exhaustive verification at k={k}, t={t} costs at least "
+                    f"{count * count * t} operations on 2^{k}-bit masks")
+            if k > TABLE_MAX_K:  # a sample reads the value table, not built up here
+                raise _OverBudget(f"{cost}, and above k={TABLE_MAX_K} no value table is built "
+                                  f"to sample: verify the construction at a k <= {TABLE_MAX_K}")
+            raise _OverBudget(f"{cost}, over its budget of {budget}; pass --sample N")
 
     weights = key is None and spec.weight_index is not None
     if e > most and not (weights and k > cap):

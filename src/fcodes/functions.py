@@ -396,27 +396,32 @@ def wt_cycle_redundancy(t: int) -> int:
     return (1 << (4 * t - 1).bit_length()) // 2 + 2 * t
 
 
-def wt_cyclic_encoder(k: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
+def _family_pairs(spec: FunctionSpec, family: str, t: int) -> dict[str, str]:
+    """A family builder's registry pairs; another family, or t < 1, is a ValueError."""
+    if spec.name.partition(":")[0] != family:
+        raise ValueError(f"{spec.name} is not a {family} function")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
+    return fcc.parse_spec_string(spec.name)[1]
+
+
+def wt_cyclic_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Weight-protecting encoder: parity = base word for wt(u) mod the cycle.
 
     Weights whose difference is below 2t+1 need parities making up the gap;
     the base cycle's distances cover every residue offset, and weights a full
     cycle apart are already 2t+1 apart in the message alone. Redundancy 3
-    for t=1 and 6 for t=2 (both optimal), the base length beyond. `spec`,
-    when given, is wt_spec(k) built already.
+    for t=1 and 6 for t=2 (both optimal), the base length beyond.
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if k <= t:
-        raise ValueError(f"need k > t, got k={k}, t={t}")
+    _family_pairs(spec, "wt", t)
+    if spec.k <= t:
+        raise ValueError(f"need k > t, got k={spec.k}, t={t}")
     base = _wt_parity_base(t)
-    period = base.size
-    spec = spec or wt_spec(k)
-    words = tuple(base[wgt % period].value for wgt in range(k + 1))
+    words = tuple(base[wgt % base.size].value for wgt in range(spec.k + 1))
     return FccEncoder(spec, t, base.length, words)
 
 
-def delta_ramp_encoder(k: int, T: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
+def delta_ramp_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Weight-block encoder with ramp parities of length exactly 2t.
 
     Parity for weight wgt is 1^(wgt mod T) padded with zeros when that prefix
@@ -425,18 +430,16 @@ def delta_ramp_encoder(k: int, T: int, t: int, spec: FunctionSpec | None = None)
     block boundary the ramp wraps from all-ones back to all-zeros, paying the
     full 2t where the messages themselves differ least. The words are the
     2t+1 ramp steps, and the message key is the weight table mapped to
-    steps (`_weight_table`, which bounds k). `spec`, when given, is
-    delta_spec(k, T) built already.
+    steps (`_weight_table`, which bounds k). T is read off the spec's name.
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+    k, T = spec.k, int(_family_pairs(spec, "delta_T", t)["T"])
     if 2 * t + 1 > T:
         raise ValueError(f"need 2t+1 <= T, got t={t}, T={T}")
     r = 2 * t
     words = tuple(((1 << ones) - 1) << (r - ones) for ones in range(r + 1))
     weights = _weight_table(k)  # weights 0..k, so k + 1 steps
     step_of_weight = bytes(min(v % T, r) for v in range(k + 1)).ljust(256, b"\0")
-    return FccEncoder(spec or delta_spec(k, T), t, r, words, weights.translate(step_of_weight))
+    return FccEncoder(spec, t, r, words, weights.translate(step_of_weight))
 
 
 # --- locally binary functions ------------------------------------------------
@@ -473,56 +476,49 @@ def locally_binary_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
 # --- min-max -----------------------------------------------------------------
 
 
-def minmax_parity_encoder(w: int, l: int, t: int, spec: FunctionSpec | None = None) -> FccEncoder:
+def minmax_parity_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Min-max encoder from a replicated even-weight code.
 
     Distinct values sit at message distance >= 1, so parities pairwise 2t
     apart suffice; replicating a distance-2 even-weight code t-fold provides
-    w(w-1) of them at length t(ceil(log2(w(w-1))) + 1). `spec`, when given,
-    is minmax_spec(w, l) built already.
+    E = w(w-1) of them at length t(ceil(log2 E) + 1).
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    spec = spec or minmax_spec(w, l)
-    r = minmax_parity_redundancy(w, t)
+    _family_pairs(spec, "minmax", t)
+    r = minmax_parity_redundancy(spec.expressiveness, t)
     code = construct.replicate_bits(construct.even_weight_subcode(spec.expressiveness, r // t), t)
     return FccEncoder(spec, t, r, tuple(w.value for w in code.words))
 
 
-def minmax_parity_redundancy(w: int, t: int) -> int:
-    """`minmax_parity_encoder`'s r, t(ceil(log2 E) + 1) for E = w(w-1): the
-    even-weight code's width, replicated t-fold."""
-    return t * ((max(w * (w - 1) - 1, 1)).bit_length() + 1)
+def minmax_parity_redundancy(e: int, t: int) -> int:
+    """`minmax_parity_encoder`'s r for E = w(w-1) values, t(ceil(log2 E) + 1):
+    the even-weight code's width, replicated t-fold."""
+    return t * ((max(e - 1, 1)).bit_length() + 1)
 
 
-def minmax_rm_encoder(w: int, t: int, l: int = 3, spec: FunctionSpec | None = None) -> FccEncoder:
+def minmax_rm_encoder(spec: FunctionSpec, t: int) -> FccEncoder:
     """Min-max encoder drawing parities from a Reed-Muller code.
 
     Takes `minmax_rm_shape`'s RM(order, m), the smallest m (then the
-    smallest order) with min distance >= 2t and at least w(w-1) codewords;
-    the first w(w-1) codewords become the parities. Redundancy 2^m —
-    asymptotically near 4t when w is small relative to t. The block length
-    l only sizes the message domain; the parities depend on (w, t) alone.
-    `spec`, when given, is minmax_spec(w, l) built already.
+    smallest order) with min distance >= 2t and at least E = w(w-1)
+    codewords; the first E codewords become the parities. Redundancy 2^m —
+    asymptotically near 4t when w is small relative to t. The parities
+    depend on (E, t) alone, not on the block length l.
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    spec = spec or minmax_spec(w, l)
+    _family_pairs(spec, "minmax", t)
     e = spec.expressiveness
-    m, order = minmax_rm_shape(w, t)
+    m, order = minmax_rm_shape(e, t)
     rm = construct.reed_muller_code(order, m)
     parities = tuple(rm.words[:e])
-    sub = Code.of(parities, rm.length)
-    if construct.min_distance(sub) < 2 * t:  # pragma: no cover - by design
+    if construct.min_distance(Code.of(parities, rm.length)) < 2 * t:  # pragma: no cover - by design
         raise AssertionError("Reed-Muller subcode lost its distance")
     return FccEncoder(spec, t, rm.length, tuple(w.value for w in parities))
 
 
-def minmax_rm_shape(w: int, t: int) -> tuple[int, int]:
-    """The (m, order) of `minmax_rm_encoder`'s RM(order, m), whose r is 2^m:
-    the least m, then order, with distance 2^(m - order) >= 2t and
-    dimension >= ceil(log2 w(w-1))."""
-    need_dim = (max(w * (w - 1) - 1, 1)).bit_length()  # ceil(log2 E)
+def minmax_rm_shape(e: int, t: int) -> tuple[int, int]:
+    """The (m, order) of `minmax_rm_encoder`'s RM(order, m) for E = w(w-1)
+    values, whose r is 2^m: the least m, then order, with distance
+    2^(m - order) >= 2t and dimension >= ceil(log2 E)."""
+    need_dim = (max(e - 1, 1)).bit_length()  # ceil(log2 E)
     dist_gap = (2 * t - 1).bit_length()  # smallest g with 2^g >= 2t
     return next((m, o) for m in count() for o in range(m - dist_gap + 1)
                 if sum(math.comb(m, i) for i in range(o + 1)) >= need_dim)

@@ -101,32 +101,34 @@ def family_lower_bound(family: str, t: int, w: int = 2) -> int:
 
 # name -> (the family it protects, None for any function; its r from the
 # family's key=value pairs and t, None where it does not apply or is known
-# only once built; its build from a spec, those pairs and t). Each build looks
-# its `functions` builder up when it runs, so a wrapper put there is called.
+# only once built; the name of its `functions` builder of (spec, t), looked
+# up when it builds (`build_construction`), so that a wrapper put there runs).
 CONSTRUCTIONS = {
-    "wt-cycle": (
-        "wt",
-        lambda p, t: None if "k" in p and int(p["k"]) <= t else functions.wt_cycle_redundancy(t),
-        lambda spec, p, t: functions.wt_cyclic_encoder(spec.k, t, spec)),
-    "delta-ramp": (
-        "delta_T",
-        lambda p, t: 2 * t if 2 * t + 1 <= int(p["T"]) else None,
-        lambda spec, p, t: functions.delta_ramp_encoder(spec.k, int(p["T"]), t, spec)),
-    "minmax-spc": (
-        "minmax",
-        lambda p, t: functions.minmax_parity_redundancy(int(p["w"]), t),
-        lambda spec, p, t: functions.minmax_parity_encoder(int(p["w"]), int(p["l"]), t, spec)),
-    "minmax-rm": (
-        "minmax",
-        lambda p, t: 1 << functions.minmax_rm_shape(int(p["w"]), t)[0],
-        lambda spec, p, t: functions.minmax_rm_encoder(int(p["w"]), t, int(p["l"]), spec)),
-    "locally-binary": (None, None, lambda spec, p, t: functions.locally_binary_encoder(spec, t)),
+    "wt-cycle": ("wt", lambda p, t: None if "k" in p and int(p["k"]) <= t
+                 else functions.wt_cycle_redundancy(t), "wt_cyclic_encoder"),
+    "delta-ramp": ("delta_T", lambda p, t: 2 * t if 2 * t + 1 <= int(p["T"]) else None,
+                   "delta_ramp_encoder"),
+    "minmax-spc": ("minmax", lambda p, t: functions.minmax_parity_redundancy(_minmax_e(p), t),
+                   "minmax_parity_encoder"),
+    "minmax-rm": ("minmax", lambda p, t: 1 << functions.minmax_rm_shape(_minmax_e(p), t)[0],
+                  "minmax_rm_encoder"),
+    "locally-binary": (None, None, "locally_binary_encoder"),
 }
 # the constructions `auto` ranks, in the order that breaks ties. Delta-ramp and
 # locally-binary are left out: wherever delta-ramp applies the GV length is
 # already its 2t, and the locally-binary test grows a ball per value over all
 # 2^k messages.
 AUTO_ORDER = ("wt-cycle", "minmax-spc", "minmax-rm")
+
+
+def _minmax_e(pairs: dict[str, str]) -> int:
+    """The image size w(w-1) of a min-max row's w."""
+    return int(pairs["w"]) * (int(pairs["w"]) - 1)
+
+
+def build_construction(name: str, spec: fcc.FunctionSpec, t: int) -> fcc.FccEncoder:
+    """The encoder the entry `name` of `CONSTRUCTIONS` builds for spec and t."""
+    return getattr(functions, CONSTRUCTIONS[name][2])(spec, t)
 
 
 def family_redundancies(family: str, pairs: dict[str, str], t: int,
@@ -158,7 +160,7 @@ def best_construction(spec: fcc.FunctionSpec,
     lower, best = family_lower_bound(family, t, int(pairs.get("w", 2))), None
     for name, r in family_redundancies(family, pairs, t, AUTO_ORDER):
         if best is None or r < best[1]:
-            best = name, r, functools.partial(CONSTRUCTIONS[name][2], spec, pairs, t)
+            best = name, r, functools.partial(build_construction, name, spec, t)
         if best[1] <= lower:
             return best
     try:

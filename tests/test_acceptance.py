@@ -24,7 +24,7 @@ def test_criterion_01_exact_weight_redundancy_and_cyclic_encoder_t1():
     assert res.proven and res.value == 3
     # the cyclic three-word parity scheme achieves that for every k up to 12
     for k in range(2, 13):
-        enc = functions.wt_cyclic_encoder(k, 1)
+        enc = functions.wt_cyclic_encoder(functions.wt_spec(k), 1)
         assert enc.r == 3
         assert fcc.verify_fcc(enc).ok, f"k={k}"
 
@@ -34,7 +34,7 @@ def test_criterion_02_weight_redundancy_t2_is_six():
     assert lower.value == Fraction(21, 4)
     assert lower.integer_value == 6
     for k in range(3, 13):
-        enc = functions.wt_cyclic_encoder(k, 2)
+        enc = functions.wt_cyclic_encoder(functions.wt_spec(k), 2)
         assert enc.r == 6
         code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
         ok, witness = satisfies_distance_matrix(
@@ -54,7 +54,7 @@ def test_criterion_03_binary_functions_need_exactly_2t():
 
 def test_criterion_04_threshold_ramp_achieves_the_2t_floor():
     for k, T, t in ((8, 3, 1), (9, 5, 2)):
-        enc = functions.delta_ramp_encoder(k, T, t)
+        enc = functions.delta_ramp_encoder(functions.delta_spec(k, T), t)
         assert enc.r == 2 * t
         assert fcc.verify_fcc(enc).ok, (k, T, t)
 
@@ -98,7 +98,7 @@ def test_criterion_06_minmax_oracle_reproduces_value_distance_structure():
 
 
 def test_criterion_07_minmax_parity_encoder_verifies_and_simulates_clean():
-    enc = functions.minmax_parity_encoder(3, 3, 1)
+    enc = functions.minmax_parity_encoder(functions.minmax_spec(3, 3), 1)
     assert enc.r == 4 == 1 * (math.ceil(math.log2(6)) + 1)
     assert fcc.verify_fcc(enc).ok
     report = simulate(enc, ChannelModel(t=1, mode="exhaustive"))

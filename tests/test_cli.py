@@ -682,6 +682,26 @@ def test_fcc_verify_above_the_exhaustive_limit_names_the_sample_flag(capsys):
                    "on 2^16-bit masks, over its budget of 1706; pass --sample N\n")
 
 
+def test_fcc_verify_above_the_table_limit_names_no_sample(capsys, tmp_path):
+    # k = 64 min-max: no value table is built above k = 24, so a sample could
+    # not run either; the refusal names a k that can be checked instead
+    path = tmp_path / "mm64.txt"
+    assert run(capsys, "fcc-build", "--function", "minmax", "--w", "8", "--l", "8", "--t", "1",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "fcc-verify", "--encoder", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: exhaustive verification at k=64, t=1 costs at least 3136 operations "
+                   "on 2^64-bit masks, and above k=24 no value table is built to sample: "
+                   "verify the construction at a k <= 24\n")
+    # the same parities at k = 24 (E = 56 either way) take that route
+    code, out, err = run(capsys, "fcc-verify", "--function", "minmax", "--w", "8", "--l", "3",
+                         "--t", "1", "--construction", "minmax-spc")
+    assert code == 2 and err.endswith("; pass --sample N\n")
+    code, out, _ = run(capsys, "fcc-verify", "--function", "minmax", "--w", "8", "--l", "3",
+                       "--t", "1", "--construction", "minmax-spc", "--sample", "200")
+    assert code == 0 and out.startswith("OK (sampled: ")
+
+
 def test_fcc_verify_admits_a_cheap_proof_above_k14(capsys):
     # a weight cycle's class check reads its k+1 weights, so no k caps it
     code, out, _ = run(capsys, "fcc-verify", "--function", "wt", "--k", "15", "--t", "1",

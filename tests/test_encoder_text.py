@@ -76,11 +76,11 @@ GOLDEN = {
         "3ad359a6d1c2a04a49e8236c7b1eacac9b5dfabf994212f97824b253f09f0db5",
     ),
     "wt-cycle": (
-        lambda: functions.wt_cyclic_encoder(8, 2),
+        lambda: functions.wt_cyclic_encoder(functions.wt_spec(8), 2),
         "fb07e8fe70d6b772d72eb159befd3e3e9a902615a178cb61c5325a5c87581c99",
     ),
     "delta-ramp": (
-        lambda: functions.delta_ramp_encoder(10, 5, 2),
+        lambda: functions.delta_ramp_encoder(functions.delta_spec(10, 5), 2),
         "acf27444de348205e6fc2eaedb88c61c97f82a296fc69e9cad683073282bfd2f",
     ),
     "locally-binary": (
@@ -88,11 +88,11 @@ GOLDEN = {
         "4acf331dcaf88658107157b7fa8e79da7411bc5a95e1743b3df5ba71da22376a",
     ),
     "minmax-spc": (
-        lambda: functions.minmax_parity_encoder(3, 2, 1),
+        lambda: functions.minmax_parity_encoder(functions.minmax_spec(3, 2), 1),
         "2094fb5666e255f0985f934b7697563341f1a3c076c0a43571743236137ca011",
     ),
     "minmax-rm": (
-        lambda: functions.minmax_rm_encoder(3, 1, 2),
+        lambda: functions.minmax_rm_encoder(functions.minmax_spec(3, 2), 1),
         "66035d82f3743e6ed4d45dce1e2b74b29c70ec2eb556c278cb2ebf0bf1585532",
     ),
 }
@@ -110,7 +110,7 @@ def _files() -> list[str]:
     """Real encoder files, both modes, with and without parity bits."""
     encoders = [make() for make, _ in GOLDEN.values()]
     encoders += [
-        functions.delta_ramp_encoder(6, 3, 1),
+        functions.delta_ramp_encoder(functions.delta_spec(6, 3), 1),
         fcc.build_function_value_encoder(functions.constant_spec(4), 1),  # r = 0
         fcc.per_message_encoder(functions.parity_spec(3), 1, [BitWord.zeros(0)] * 8),
         # wider than a byte, with a bytes key
@@ -188,7 +188,7 @@ def test_bulk_parser_agrees_with_the_line_by_line_one_on_mutated_files():
 
 
 def test_bulk_parser_takes_a_given_spec():
-    text = fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))
+    text = fcc.encoder_to_text(functions.delta_ramp_encoder(functions.delta_spec(6, 3), 1))
     spec = functions.delta_spec(6, 3)
     enc = fcc.encoder_from_text(text, spec)
     assert enc.spec is spec and _parity_table(enc) == reference_encoder_from_text(text, spec)[4]

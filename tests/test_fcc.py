@@ -559,7 +559,7 @@ def test_weight_verify_equals_the_ball_route(k):
     rng, seen = random.Random(k), {"class": 0, "message-level": 0, "fail": 0}
     for t in (1, 2, 3):
         encoders = [fcc.build_function_value_encoder(spec, t) for spec in _weight_families(k)]
-        encoders += [functions.wt_cyclic_encoder(k, t)] if k > t else []
+        encoders += [functions.wt_cyclic_encoder(functions.wt_spec(k), t)] if k > t else []
         flipped = [_flipped(base, rng, 1) for base in encoders if base.r]
         for enc in encoders + flipped:
             plain = fcc.FccEncoder(_without_weights(enc.spec), enc.t, enc.r, enc.words, enc.message_key)
@@ -604,7 +604,7 @@ def test_a_weight_map_names_every_weight():
 @pytest.mark.parametrize("call", [
     lambda: fcc.build_function_value_encoder(functions.wt_spec(20), 2),
     lambda: tables.table_row("delta_T:k=20,T=3", 2),
-    lambda: fcc.verify_fcc(functions.wt_cyclic_encoder(14, 2)),
+    lambda: fcc.verify_fcc(functions.wt_cyclic_encoder(functions.wt_spec(14), 2)),
 ], ids=["auto-wt20", "table-delta20", "verify-wt14"])
 def test_weight_specs_build_and_verify_without_a_2k_table(call):
     # a 2^k byte table at k = 20 alone is 1 MiB; through the tables these
@@ -666,7 +666,7 @@ def test_function_distance_matrix_matches_brute_force_min():
 
 
 def test_encoder_systematic_shape():
-    enc = functions.wt_cyclic_encoder(5, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(5), 1)
     u = BitWord.from_string("11010")
     c = enc.encode(u)
     assert c.length == enc.block_length == 5 + enc.r
@@ -676,7 +676,7 @@ def test_encoder_systematic_shape():
 
 
 def test_verify_matches_naive_oracle_on_good_and_bad():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     good = fcc.verify_fcc(enc)
     assert good.ok and (good.route, good.mode) == ("class", "exhaustive")
     assert naive_verify(enc)[0]
@@ -825,9 +825,9 @@ def test_verify_cost_rule_picks_the_route_by_class_count():
     # class route; a weight cycle (r=3, 4 index planes) with x low message
     # bits appended has 9 * 2^x classes at most, against 5 * 36 * (7 + x)
     for T in (3, 4, 5):
-        res = fcc.verify_fcc(functions.delta_ramp_encoder(8, T, 1))
+        res = fcc.verify_fcc(functions.delta_ramp_encoder(functions.delta_spec(8, T), 1))
         assert res.ok and res.route == "class"
-    base = functions.wt_cyclic_encoder(8, 1)
+    base = functions.wt_cyclic_encoder(functions.wt_spec(8), 1)
     for x, route in ((1, "class"), (2, "class"), (3, "message-level")):
         enc = fcc.per_message_encoder(base.spec, 1, [
             BitWord(p << x | u & ((1 << x) - 1), 3 + x) for u, p in enumerate(base.parity_ints)])
@@ -928,7 +928,7 @@ def test_verify_witness_is_lexicographically_smallest():
 
 
 def test_verify_sampled_mode():
-    enc = functions.wt_cyclic_encoder(10, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(10), 1)
     res = fcc.verify_fcc(enc, sample=500, seed=3)
     assert res.ok and res.mode == res.route == "sampled" and res.pairs_checked <= 500
 
@@ -955,7 +955,7 @@ def test_sampled_witness_violates_and_lies_within_2t(spec, t):
 
 @pytest.mark.parametrize("bad", [False, True])
 def test_sampled_is_deterministic_per_seed_and_counts_at_most_the_draws(bad):
-    enc = functions.wt_cyclic_encoder(15, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(15), 1)
     if bad:
         enc = _zero_parity_encoder(enc.spec, 1, enc.r)
     for seed in (0, 1, 99):
@@ -1045,9 +1045,9 @@ def test_sampled_verify_matches_the_draw_by_draw_loop(case):
     k, t, flips = rng.randint(2, 16), rng.randint(1, 3), case % 3
     if case % 2:
         t = min(t, k - 1)
-        enc = functions.wt_cyclic_encoder(k, t)
+        enc = functions.wt_cyclic_encoder(functions.wt_spec(k), t)
     else:
-        enc = functions.delta_ramp_encoder(k, 2 * t + 1 + rng.randrange(3), t)
+        enc = functions.delta_ramp_encoder(functions.delta_spec(k, 2 * t + 1 + rng.randrange(3)), t)
     enc = _flipped(enc, rng, flips)
     for sample in (1, 4096, 4097, 20_000):
         seed = rng.randrange(100)
@@ -1057,14 +1057,14 @@ def test_sampled_verify_matches_the_draw_by_draw_loop(case):
 
 
 def test_sampled_per_value_verify_builds_no_message_parity_table():
-    enc = functions.wt_cyclic_encoder(16, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(16), 1)
     assert fcc.verify_fcc(enc, sample=500).ok
     assert "parity_ints" not in enc.__dict__
 
 
 def test_verify_rejects_a_negative_seed():
     # Random(-s) draws what Random(s) draws, so -1 would silently mean 1
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     for sample in (None, 10):
         with pytest.raises(ValueError, match="seed >= 0"):
             fcc.verify_fcc(enc, sample=sample, seed=-1)
@@ -1126,7 +1126,8 @@ def _route_corpus(rng: random.Random) -> list[fcc.FccEncoder]:
         make = rng.choice((functions.wt_spec, functions.parity_spec, functions.or_spec,
                            lambda k: functions.delta_spec(k, rng.randint(2, k))))
         encs.append(fcc.build_function_value_encoder(make(k), t))
-        encs.append(functions.wt_cyclic_encoder(k, rng.randint(1, min(2, k - 1))))
+        encs.append(functions.wt_cyclic_encoder(functions.wt_spec(k),
+                                                rng.randint(1, min(2, k - 1))))
     for _ in range(16):
         k, t = rng.randint(1, 8), rng.randint(1, 3)
         spec = _shuffled_spec(rng, k, rng.randint(1, min(1 << k, 8)))
@@ -1138,7 +1139,7 @@ def _route_corpus(rng: random.Random) -> list[fcc.FccEncoder]:
     for spec in ("ml:sigmoid,k=8,eps=1/4", "ml:relu,k=7,eps=1", "minmax:w=3,l=3"):
         encs.append(fcc.build_function_value_encoder(fcc.spec_from_string(spec), 1))
     for k, T, t in ((6, 3, 1), (10, 5, 2), (12, 7, 3), (14, 3, 1)):
-        encs.append(functions.delta_ramp_encoder(k, T, t))
+        encs.append(functions.delta_ramp_encoder(functions.delta_spec(k, T), t))
     encs += [_flipped(enc, rng, 1) for enc in encs if enc.r]
     k = rng.randint(1, 14)
     encs += [fcc.FccEncoder(functions.constant_spec(k), 1, 0, (0,)),
@@ -1180,11 +1181,11 @@ def test_exhaustive_routes_at_k14_and_below_are_the_parent_rules(monkeypatch):
 def _above_k14() -> dict[str, fcc.FccEncoder]:
     auto = lambda spec: fcc.build_function_value_encoder(spec, 1)
     return {
-        "wt16-cycle": functions.wt_cyclic_encoder(16, 1),
-        "ramp16-T3": functions.delta_ramp_encoder(16, 3, 1),
-        "ramp16-T5-t2": functions.delta_ramp_encoder(16, 5, 2),
+        "wt16-cycle": functions.wt_cyclic_encoder(functions.wt_spec(16), 1),
+        "ramp16-T3": functions.delta_ramp_encoder(functions.delta_spec(16, 3), 1),
+        "ramp16-T5-t2": functions.delta_ramp_encoder(functions.delta_spec(16, 5), 2),
         "minmax5x3-auto": auto(functions.minmax_spec(5, 3)),
-        "minmax5x3-spc": functions.minmax_parity_encoder(5, 3, 1),
+        "minmax5x3-spc": functions.minmax_parity_encoder(functions.minmax_spec(5, 3), 1),
         "minmax4x4-auto": auto(functions.minmax_spec(4, 4)),
         "sigmoid16": auto(fcc.spec_from_string("ml:sigmoid,k=16,eps=1")),
     }
@@ -1318,7 +1319,7 @@ def test_constant_function_needs_nothing():
 def test_decode_recovers_under_budget(k, t):
     if k <= t:
         k = t + 1
-    enc = functions.wt_cyclic_encoder(k, t)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(k), t)
     rng = random.Random(k * 31 + t)
     n = enc.block_length
     for _ in range(40):
@@ -1331,7 +1332,7 @@ def test_decode_recovers_under_budget(k, t):
 
 
 def test_decode_flags_heavy_errors():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     # 000000011 pairs the all-zero message with the weight-2 parity: distance
     # 2 from the true codeword 000000000 and from every weight-2 codeword,
     # distance >= 3 from everything else - nothing within the t=1 budget
@@ -1344,7 +1345,7 @@ def test_decode_flags_heavy_errors():
 
 
 def test_decode_length_check():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     with pytest.raises(ValueError):
         fcc.decode(enc, BitWord.zeros(4))
 
@@ -1548,7 +1549,7 @@ def test_simulate_runs_the_trials_above_the_exhaustive_check_limit():
 
 
 def test_simulate_decodes_only_the_witness_on_the_table_route():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     for mode, beyond_t in (("exhaustive", 2), ("random", 3)):
         clean = simulate(enc, ChannelModel(1, mode, seed=4, trials=400))
         assert (clean.failures, clean.decodes, clean.route) == (0, 0, "certified")
@@ -1642,7 +1643,7 @@ def test_simulate_settles_high_redundancy_and_unsorted_lists_by_trials():
         assert got.failures > 0 and got.decodes == 1
     # random draws come unsorted and with repeats, so they keep the loop,
     # while the exhaustive run of the same encoder is walked
-    wt = functions.wt_cyclic_encoder(5, 1)
+    wt = functions.wt_cyclic_encoder(functions.wt_spec(5), 1)
     for seed in (0, 1):
         channel = ChannelModel(2, "random", seed=seed, trials=200)
         got, settle = _settle(wt, channel)
@@ -1655,7 +1656,7 @@ def test_simulate_settles_high_redundancy_and_unsorted_lists_by_trials():
 
 def test_simulate_trace_names_the_route():
     # channels beyond the encoder's t = 1, so the check fails and trials run
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     n = enc.block_length
     lines = []
     report = simulate(enc, ChannelModel(2, "exhaustive"), trace=lines.append)
@@ -1787,7 +1788,7 @@ def test_spec_from_string_flag_overrides_default():
 
 
 def test_encoder_text_roundtrip():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     text = fcc.encoder_to_text(enc)
     assert text.splitlines()[0] == "# fcodes encoder v1"
     again = fcc.encoder_from_text(text)
@@ -1799,7 +1800,7 @@ def test_encoder_text_roundtrip():
 
 
 def test_encoder_text_roundtrip_per_message():
-    enc = functions.delta_ramp_encoder(8, 3, 1)
+    enc = functions.delta_ramp_encoder(functions.delta_spec(8, 3), 1)
     again = fcc.encoder_from_text(fcc.encoder_to_text(enc))
     assert again.mode == fcc.PER_MESSAGE
     for u in all_words(8):
@@ -1807,8 +1808,9 @@ def test_encoder_text_roundtrip_per_message():
 
 
 def test_encoder_text_of_a_per_message_file_holds_two_copies_at_most():
-    enc = functions.delta_ramp_encoder(16, 3, 1)
-    fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))  # first-call caches out
+    enc = functions.delta_ramp_encoder(functions.delta_spec(16, 3), 1)
+    # first-call caches out
+    fcc.encoder_to_text(functions.delta_ramp_encoder(functions.delta_spec(6, 3), 1))
     tracemalloc.start()
     try:
         text = fcc.encoder_to_text(enc)
@@ -1821,7 +1823,8 @@ def test_encoder_text_of_a_per_message_file_holds_two_copies_at_most():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: functions.delta_ramp_encoder(10, 4, 1), lambda: functions.wt_cyclic_encoder(8, 1)],
+    [lambda: functions.delta_ramp_encoder(functions.delta_spec(10, 4), 1),
+     lambda: functions.wt_cyclic_encoder(functions.wt_spec(8), 1)],
 )
 def test_encoder_text_roundtrip_is_byte_identical(make):
     enc = make()
@@ -1834,7 +1837,7 @@ def test_encoder_text_roundtrip_is_byte_identical(make):
 
 
 def test_encoder_text_rejects_malformed_parity_lines():
-    text = fcc.encoder_to_text(functions.delta_ramp_encoder(6, 3, 1))
+    text = fcc.encoder_to_text(functions.delta_ramp_encoder(functions.delta_spec(6, 3), 1))
     lines = text.splitlines(keepends=True)
     last = lines[-1].strip()
     for bad in ("0" * len(last) + "x", last + "0", ""):  # not bits, too long, missing
@@ -1850,7 +1853,7 @@ def test_encoder_text_zero_redundancy():
 
 
 def test_encoder_text_k_mismatch_rejected():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     text = fcc.encoder_to_text(enc)
     wrong_spec = functions.wt_spec(7)
     with pytest.raises(ValueError):

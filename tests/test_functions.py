@@ -222,14 +222,14 @@ def test_wt_parity_base_words():
 @pytest.mark.parametrize("t", [3, 4, 5, 6])
 def test_wt_cyclic_encoder_verified_beyond_t2(t):
     for k in range(t + 1, 11):
-        enc = functions.wt_cyclic_encoder(k, t)
+        enc = functions.wt_cyclic_encoder(functions.wt_spec(k), t)
         assert enc.r == WT_BASE_LENGTHS[t]
         assert fcc.verify_fcc(enc).ok, k
 
 
 @pytest.mark.parametrize("t,k", [(1, k) for k in range(2, 13)])
 def test_wt_cyclic_encoder_t1_all_k(t, k):
-    enc = functions.wt_cyclic_encoder(k, t)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(k), t)
     assert enc.r == 3
     parities = [BitWord(enc.words[w], enc.r) for w in range(k + 1)]
     code = Code.of(parities)
@@ -239,7 +239,7 @@ def test_wt_cyclic_encoder_t1_all_k(t, k):
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_wt_cyclic_encoder_t2_all_k(k):
-    enc = functions.wt_cyclic_encoder(k, 2)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(k), 2)
     assert enc.r == 6
     code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
     ok, witness = satisfies_distance_matrix(code, functions.wt_requirement_matrix(k, 2))
@@ -248,29 +248,29 @@ def test_wt_cyclic_encoder_t2_all_k(k):
 
 @pytest.mark.parametrize("k", [4, 7, 12])
 def test_wt_cyclic_encoder_t3(k):
-    enc = functions.wt_cyclic_encoder(k, 3)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(k), 3)
     code = Code.of([BitWord(enc.words[w], enc.r) for w in range(k + 1)])
     ok, witness = satisfies_distance_matrix(code, functions.wt_requirement_matrix(k, 3))
     assert ok, witness
 
 
 def test_wt_cyclic_encoder_verified_exhaustively():
-    assert fcc.verify_fcc(functions.wt_cyclic_encoder(8, 1)).ok
-    assert fcc.verify_fcc(functions.wt_cyclic_encoder(9, 2)).ok
+    assert fcc.verify_fcc(functions.wt_cyclic_encoder(functions.wt_spec(8), 1)).ok
+    assert fcc.verify_fcc(functions.wt_cyclic_encoder(functions.wt_spec(9), 2)).ok
 
 
 def test_wt_cyclic_encoder_guards():
     with pytest.raises(ValueError):
-        functions.wt_cyclic_encoder(1, 1)  # k must exceed t
+        functions.wt_cyclic_encoder(functions.wt_spec(1), 1)  # k must exceed t
     with pytest.raises(ValueError):
-        functions.wt_cyclic_encoder(5, 0)
+        functions.wt_cyclic_encoder(functions.wt_spec(5), 0)
 
 
 # --- construction 2: threshold ramp ------------------------------------------------
 
 
 def test_delta_ramp_parities_follow_residue():
-    enc = functions.delta_ramp_encoder(8, 3, 1)
+    enc = functions.delta_ramp_encoder(functions.delta_spec(8, 3), 1)
     # residue 0 -> 00, 1 -> 10, 2 -> 11 (capped at 2t ones)
     by_weight = {}
     for u in all_words(8):
@@ -280,7 +280,7 @@ def test_delta_ramp_parities_follow_residue():
 
 @pytest.mark.parametrize("k,T,t", [(1, 3, 1), (8, 3, 1), (11, 7, 3), (12, 5, 2)])
 def test_delta_ramp_parities_match_per_message_weights(k, T, t):
-    enc = functions.delta_ramp_encoder(k, T, t)
+    enc = functions.delta_ramp_encoder(functions.delta_spec(k, T), t)
     r = 2 * t
     ramp = [((1 << min(c, r)) - 1) << (r - min(c, r)) for c in range(T)]
     assert enc.parity_ints == [ramp[u.bit_count() % T] for u in range(1 << k)]
@@ -288,20 +288,20 @@ def test_delta_ramp_parities_match_per_message_weights(k, T, t):
 
 def test_delta_ramp_builds_past_k16_and_passes_sampled_verify():
     # words plus a weight-derived key: no 2^k parity tuple, so k = 20 builds
-    enc = functions.delta_ramp_encoder(20, 5, 2)
+    enc = functions.delta_ramp_encoder(functions.delta_spec(20, 5), 2)
     assert (enc.words, len(enc.message_key)) == ((0b0000, 0b1000, 0b1100, 0b1110, 0b1111), 1 << 20)
     assert "parities" not in enc.__dict__ and "parity_ints" not in enc.__dict__
     res = fcc.verify_fcc(enc, sample=2000, seed=1)
     assert res.ok and res.route == "sampled" and res.pairs_checked > 0
     with pytest.raises(ValueError):
-        functions.delta_ramp_encoder(25, 5, 2)  # past index_table's k = 24
+        functions.delta_ramp_encoder(functions.delta_spec(25, 5), 2)  # past index_table's k = 24
 
 
 def test_the_weight_table_holds_the_tabulation_cap():
     # the ramp's key is the weight table mapped to steps, so the table's own
     # check refuses it, as `index_table` refuses a weight spec's table; the
     # spec itself builds at any k, off its weight map
-    for make in (lambda: functions.delta_ramp_encoder(25, 3, 1),
+    for make in (lambda: functions.delta_ramp_encoder(functions.delta_spec(25, 3), 1),
                  lambda: functions._weight_table(25), lambda: functions.wt_spec(30).index_table):
         with pytest.raises(ValueError, match=r"^k=(25|30) too large to tabulate$"):
             make()
@@ -310,7 +310,7 @@ def test_the_weight_table_holds_the_tabulation_cap():
 
 @pytest.mark.parametrize("k,T,t", [(8, 3, 1), (9, 5, 2)])
 def test_delta_ramp_exhaustive_verify(k, T, t):
-    enc = functions.delta_ramp_encoder(k, T, t)
+    enc = functions.delta_ramp_encoder(functions.delta_spec(k, T), t)
     assert enc.r == 2 * t
     assert enc.mode == fcc.PER_MESSAGE
     assert fcc.verify_fcc(enc).ok
@@ -318,7 +318,42 @@ def test_delta_ramp_exhaustive_verify(k, T, t):
 
 def test_delta_ramp_needs_wide_blocks():
     with pytest.raises(ValueError):
-        functions.delta_ramp_encoder(8, 2, 1)  # needs 2t+1 <= T
+        functions.delta_ramp_encoder(functions.delta_spec(8, 2), 1)  # needs 2t+1 <= T
+
+
+def test_delta_ramp_reads_T_off_its_spec():
+    # T comes from the spec alone, so no second copy of it can disagree
+    enc = functions.delta_ramp_encoder(functions.delta_spec(8, 5), 1)
+    assert enc.spec.name == "delta_T:k=8,T=5" and fcc.verify_fcc(enc).ok
+    assert enc.message_key[(1 << 5) - 1] == 0  # weight 5 starts a block: step 0
+    # a one-valued spec (k < T) still carries T, so the 2t+1 <= T rule holds there
+    assert functions.delta_ramp_encoder(functions.delta_spec(3, 5), 2).r == 4
+    with pytest.raises(ValueError, match="need 2t\\+1 <= T, got t=3, T=5"):
+        functions.delta_ramp_encoder(functions.delta_spec(3, 5), 3)
+
+
+@pytest.mark.parametrize("builder, spec", [
+    (functions.wt_cyclic_encoder, functions.delta_spec(6, 2)),
+    (functions.wt_cyclic_encoder, functions.parity_spec(6)),
+    (functions.delta_ramp_encoder, functions.wt_spec(8)),
+    (functions.minmax_parity_encoder, functions.wt_spec(4)),
+    (functions.minmax_rm_encoder, functions.delta_spec(4, 2)),
+    (functions.minmax_rm_encoder, fcc.FunctionSpec(2, lambda u: u & 1, (0, 1))),
+])
+def test_a_family_builder_refuses_a_spec_of_another_family(builder, spec):
+    with pytest.raises(ValueError, match=f"{spec.name} is not a"):
+        builder(spec, 1)
+
+
+@pytest.mark.parametrize("builder, spec", [
+    (functions.wt_cyclic_encoder, functions.wt_spec(5)),
+    (functions.delta_ramp_encoder, functions.delta_spec(8, 5)),
+    (functions.minmax_parity_encoder, functions.minmax_spec(3, 2)),
+    (functions.minmax_rm_encoder, functions.minmax_spec(3, 2)),
+])
+def test_a_family_builder_needs_t_at_least_1(builder, spec):
+    with pytest.raises(ValueError, match="need t >= 1, got 0"):
+        builder(spec, 0)
 
 
 # --- locally binary -----------------------------------------------------------------
@@ -538,13 +573,13 @@ def test_minmax_requirement_totals_w3():
 
 
 def test_minmax_parity_encoder_w3():
-    enc = functions.minmax_parity_encoder(3, 3, 1)
+    enc = functions.minmax_parity_encoder(functions.minmax_spec(3, 3), 1)
     assert enc.r == 4
     assert fcc.verify_fcc(enc).ok
 
 
 def test_minmax_parity_encoder_w2():
-    enc = functions.minmax_parity_encoder(2, 3, 1)
+    enc = functions.minmax_parity_encoder(functions.minmax_spec(2, 3), 1)
     assert enc.r == 2
     assert fcc.verify_fcc(enc).ok
 
@@ -553,19 +588,28 @@ def test_minmax_parity_redundancy_formula():
     for w, t in [(2, 1), (3, 1), (3, 2), (4, 1)]:
         e = w * (w - 1)
         width = (e - 1).bit_length() + 1
-        enc = functions.minmax_parity_encoder(w, 2, t)
+        enc = functions.minmax_parity_encoder(functions.minmax_spec(w, 2), t)
         assert enc.r == t * width
 
 
 def test_minmax_rm_encoder_parameters():
-    assert functions.minmax_rm_encoder(3, 2).r == 8
-    assert functions.minmax_rm_encoder(3, 1).r == 4
-    assert functions.minmax_rm_encoder(2, 1).r == 2
+    assert functions.minmax_rm_encoder(functions.minmax_spec(3, 3), 2).r == 8
+    assert functions.minmax_rm_encoder(functions.minmax_spec(3, 3), 1).r == 4
+    assert functions.minmax_rm_encoder(functions.minmax_spec(2, 3), 1).r == 2
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 5])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_minmax_parities_depend_on_the_image_size_alone(w, t):
+    # the words come from E = w(w-1) and t, whatever the block length
+    for builder in (functions.minmax_parity_encoder, functions.minmax_rm_encoder):
+        short, long = (builder(functions.minmax_spec(w, l), t) for l in (2, 9))
+        assert (short.r, short.words) == (long.r, long.words)
 
 
 def test_minmax_rm_encoder_verifies():
-    assert fcc.verify_fcc(functions.minmax_rm_encoder(3, 1)).ok
-    enc = functions.minmax_rm_encoder(3, 2)
+    assert fcc.verify_fcc(functions.minmax_rm_encoder(functions.minmax_spec(3, 3), 1)).ok
+    enc = functions.minmax_rm_encoder(functions.minmax_spec(3, 3), 2)
     assert fcc.verify_fcc(enc, sample=1500, seed=5).ok  # k=9, exhaustive is fine too
     assert fcc.verify_fcc(enc).ok
 
@@ -580,7 +624,7 @@ def test_minmax_ordering_is_total():
 
 
 def test_simulate_exhaustive_counts():
-    enc = functions.wt_cyclic_encoder(5, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(5), 1)
     report = simulate(enc, ChannelModel(t=1, mode="exhaustive"))
     # 2^5 messages times (1 + 8 single-bit patterns)
     assert report.trials == 32 * 9
@@ -589,14 +633,14 @@ def test_simulate_exhaustive_counts():
 
 
 def test_simulate_random_reproducible():
-    enc = functions.wt_cyclic_encoder(6, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(6), 1)
     a = simulate(enc, ChannelModel(t=1, mode="random", seed=11, trials=200))
     b = simulate(enc, ChannelModel(t=1, mode="random", seed=11, trials=200))
     assert (a.trials, a.failures) == (b.trials, b.failures) == (200, 0)
 
 
 def test_simulate_detects_broken_encoder():
-    enc = functions.wt_cyclic_encoder(4, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(4), 1)
     bad = fcc.FccEncoder(enc.spec, enc.t, enc.r, (enc.words[1],) + enc.words[1:])
     report = simulate(bad, ChannelModel(t=1, mode="exhaustive"))
     assert report.failures > 0
@@ -605,7 +649,7 @@ def test_simulate_detects_broken_encoder():
 
 
 def test_simulate_channel_beyond_design_budget():
-    enc = functions.wt_cyclic_encoder(5, 1)
+    enc = functions.wt_cyclic_encoder(functions.wt_spec(5), 1)
     report = simulate(enc, ChannelModel(t=3, mode="exhaustive"))
     assert report.failures > 0  # three substitutions exceed what r=3 protects
 

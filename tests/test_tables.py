@@ -175,14 +175,13 @@ def _cli_json(capsys, *argv: str) -> dict:
 def _candidate_rs(spec: fcc.FunctionSpec, t: int) -> dict[str, int]:
     """The r of every construction `auto` may take for `spec`, each built,
     in the order ties go."""
-    family, pairs = fcc.parse_spec_string(spec.name)
+    family = spec.name.partition(":")[0]
     rs = {}
     if family == "wt" and spec.k > t:
-        rs["wt-cycle"] = functions.wt_cyclic_encoder(spec.k, t).r
+        rs["wt-cycle"] = functions.wt_cyclic_encoder(spec, t).r
     if family == "minmax":
-        w, l = int(pairs["w"]), int(pairs["l"])
-        rs["minmax-spc"] = functions.minmax_parity_encoder(w, l, t).r
-        rs["minmax-rm"] = functions.minmax_rm_encoder(w, t, l).r
+        rs["minmax-spc"] = functions.minmax_parity_encoder(spec, t).r
+        rs["minmax-rm"] = functions.minmax_rm_encoder(spec, t).r
     rs["greedy"] = fcc.build_function_value_encoder(spec, t).r
     return rs
 
@@ -322,7 +321,7 @@ def test_every_candidate_builds_the_r_it_was_ranked_by():
         family, pairs = fcc.parse_spec_string(spec.name)
         rs = dict(tables.family_redundancies(family, pairs, t))
         for name, r in rs.items():
-            assert tables.CONSTRUCTIONS[name][2](spec, pairs, t).r == r, (spec.name, t, name)
+            assert tables.build_construction(name, spec, t).r == r, (spec.name, t, name)
             built.add(name)
         rs = {name: rs[name] for name in tables.AUTO_ORDER if name in rs}
         dmat = fcc.function_distance_matrix(spec, t)
@@ -341,7 +340,8 @@ def test_every_candidate_builds_the_r_it_was_ranked_by():
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_a_minmax_row_without_k_is_the_least_r_its_constructions_build(w, t):
     # minmax-rm's parities do not depend on l, so a row without k may take them
-    least = min(functions.minmax_parity_encoder(w, 2, t).r, functions.minmax_rm_encoder(w, t, 2).r)
+    spec = functions.minmax_spec(w, 2)
+    least = min(functions.minmax_parity_encoder(spec, t).r, functions.minmax_rm_encoder(spec, t).r)
     assert tables.table_row("minmax", t, {"w": str(w)}).fcc_redundancy == tables._exact(least)
 
 
@@ -349,13 +349,13 @@ def _direct_build(name: str, p: dict[str, str], t: int) -> fcc.FccEncoder:
     """The encoder construction `name` gives, from its `functions` builder
     called on the values the CLI would read."""
     if name == "wt-cycle":
-        return functions.wt_cyclic_encoder(int(p["k"]), t)
+        return functions.wt_cyclic_encoder(functions.wt_spec(int(p["k"])), t)
     if name == "delta-ramp":
-        return functions.delta_ramp_encoder(int(p["k"]), int(p["T"]), t)
+        return functions.delta_ramp_encoder(functions.delta_spec(int(p["k"]), int(p["T"])), t)
     if name == "minmax-spc":
-        return functions.minmax_parity_encoder(int(p["w"]), int(p["l"]), t)
+        return functions.minmax_parity_encoder(functions.minmax_spec(int(p["w"]), int(p["l"])), t)
     if name == "minmax-rm":
-        return functions.minmax_rm_encoder(int(p["w"]), t, int(p["l"]))
+        return functions.minmax_rm_encoder(functions.minmax_spec(int(p["w"]), int(p["l"])), t)
     assert name == "locally-binary"
     return functions.locally_binary_encoder(fcc.spec_from_string(p["function"], defaults=p), t)
 
@@ -403,7 +403,7 @@ def test_constructions_look_their_builders_up_when_they_run(monkeypatch):
              ("locally-binary", "delta_T:k=8,T=5")]
     for name, text in cases:
         spec = fcc.spec_from_string(text)
-        assert tables.CONSTRUCTIONS[name][2](spec, fcc.parse_spec_string(text)[1], 1).spec is spec
+        assert tables.build_construction(name, spec, 1).spec is spec
     assert calls == ["wt_cyclic_encoder", "delta_ramp_encoder", "minmax_parity_encoder",
                      "minmax_rm_encoder", "locally_binary_encoder"]
 
@@ -443,3 +443,65 @@ def test_auto_keeps_the_family_construction_where_greedy_cannot_tabulate():
     assert (name, r, build().r) == ("minmax-spc", 6, 6)
     with pytest.raises(ValueError, match="too large to tabulate"):
         tables.best_construction(fcc.spec_from_string("ml:sigmoid,k=25,eps=1/1000"), 1)
+
+
+# the construction census: (function, its parameters, t) rows; a row without
+# k has no spec, so only the r formulas answer there
+_CENSUS_CORPUS = [
+    ("wt", {}, 1), ("wt", {}, 3), ("delta_T", {"T": "5"}, 1), ("delta_T", {"T": "7"}, 3),
+    ("minmax", {"w": "4"}, 1), ("minmax", {"w": "4"}, 2),
+    ("wt", {"k": "8"}, 1), ("wt", {"k": "8"}, 2), ("delta_T", {"k": "8", "T": "5"}, 2),
+    ("minmax", {"w": "3", "l": "2"}, 1), ("minmax", {"w": "3", "l": "2"}, 2),
+    ("minmax", {"w": "8", "l": "8"}, 1),  # k = 64: past the tables greedy reads
+    ("cyclic", {}, 1),  # (wt(u) div 5) mod 3 at k = 15: 2-locally binary
+]
+
+
+def _census_spec(function: str, params: dict[str, str]) -> fcc.FunctionSpec:
+    if function == "cyclic":
+        return fcc.FunctionSpec(15, lambda u: (u.bit_count() // 5) % 3, range(3), name="cyclic")
+    return fcc.spec_from_string(function, defaults=params)
+
+
+def _census_answers(function: str, params: dict[str, str], t: int) -> dict[str, int]:
+    """The r of each construction that answers on a row, and of `greedy`,
+    the GV-length build `auto` falls back to: built through
+    `build_construction` where the row has a spec (a ValueError is no
+    answer), else read off the r formulas."""
+    if function != "cyclic" and not {"k", "l"} & set(params):  # no k: no spec
+        return dict(tables.family_redundancies(function, params, t))
+    spec, answers = _census_spec(function, params), {}
+    for name in tables.CONSTRUCTIONS:
+        try:
+            answers[name] = tables.build_construction(name, spec, t).r
+        except ValueError:
+            continue
+    try:
+        answers["greedy"] = fcc.build_function_value_encoder(spec, t).r
+    except ValueError:  # too large to tabulate
+        pass
+    return answers
+
+
+def test_census_every_construction_is_strictly_least_or_alone_on_some_row():
+    wins: dict[str, list[str]] = {}
+    for function, params, t in _CENSUS_CORPUS:
+        answers = _census_answers(function, params, t)
+        for name, r in answers.items():
+            if all(r < other for rival, other in answers.items() if rival != name):
+                wins.setdefault(name, []).append(f"{function} {params} t={t}")
+    assert [name for name in tables.CONSTRUCTIONS if name not in wins] == []
+    # the witness rows each entry is kept for
+    assert {"wt {} t=1", "wt {} t=3"} <= set(wins["wt-cycle"])
+    assert wins["delta-ramp"] == ["delta_T {'T': '5'} t=1", "delta_T {'T': '7'} t=3"]
+    assert wins["minmax-spc"] == ["minmax {'w': '4'} t=1", "minmax {'w': '8', 'l': '8'} t=1"]
+    assert wins["minmax-rm"] == ["minmax {'w': '4'} t=2"]
+    assert wins["locally-binary"] == ["cyclic {} t=1"]
+
+
+def test_the_census_witness_rows_answer_with_these_r():
+    assert _census_answers("minmax", {"w": "4"}, 1) == {"minmax-spc": 5, "minmax-rm": 8}
+    assert _census_answers("minmax", {"w": "4"}, 2) == {"minmax-spc": 10, "minmax-rm": 8}
+    assert _census_answers("minmax", {"w": "8", "l": "8"}, 1) == {"minmax-spc": 7, "minmax-rm": 8}
+    assert _census_answers("cyclic", {}, 1) == {"locally-binary": 2, "greedy": 4}
+    assert tables.best_construction(_census_spec("cyclic", {}), 1)[:2] == ("greedy", 4)
