@@ -185,6 +185,14 @@ def _at_least(masks: Iterable[int], m: int) -> int:
     return reach[-1]
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of the bits set in a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 _WEIGHT_SHELLS: dict[int, list[list[int]]] = {}
 
 
@@ -220,6 +228,33 @@ def _byte_planes(table: bytes) -> list[int]:
         x ^= swap ^ (swap << s)
     columns = x.to_bytes(8 * size, "little")
     return [int.from_bytes(columns[b::8], "little") for b in range(8)]
+
+
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+
+
+def _popcount_rows(words: Sequence[int], n: int) -> Iterator[bytes]:
+    """For each of the n-bit words in turn, its Hamming distance to every
+    word, one byte each, in the words' order; 1 <= n <= 255, so no distance
+    leaves its byte.
+
+    Byte plane s holds byte s of every word, one word per byte lane. The
+    row's byte goes into every lane at once (a multiple of 0x0101...), and
+    one XOR and one translate through a popcount table give every lane's
+    distance over that plane; the planes' distances add lane by lane."""
+    count = len(words)
+    lanes = int.from_bytes(b"\1" * count, "little")
+    (_, low), *high = [(s, int.from_bytes(bytes([w >> s & 255 for w in words]), "little"))
+                       for s in range(0, n, 8)]
+    for w in words:
+        row = (low ^ (w & 255) * lanes).to_bytes(count, "little").translate(_POPCOUNT)
+        if high:
+            total = int.from_bytes(row, "little")
+            for s, plane in high:
+                xor = plane ^ (w >> s & 255) * lanes
+                total += int.from_bytes(xor.to_bytes(count, "little").translate(_POPCOUNT), "little")
+            row = total.to_bytes(count, "little")
+        yield row
 
 
 def sphere_size(n: int, radius: int) -> int:

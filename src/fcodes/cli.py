@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -272,6 +273,17 @@ def _not_built(message: str, length: int | None = None) -> _Result:
     return 1, {"length": length, "code": None}, ""
 
 
+CODE_BUDGET_BITS = 1 << 20  # the most bits, words times their length, that build-code lists
+
+
+def _listable(size: str, bits: int) -> None:
+    """Refuse, before any word is listed, a code of `bits` bits (words
+    times their length), `size` in words, beyond CODE_BUDGET_BITS."""
+    if bits > CODE_BUDGET_BITS:
+        raise ValueError(f"the code holds {size}, over build-code's budget of "
+                         f"{CODE_BUDGET_BITS} bits (words times their length)")
+
+
 # kind -> the flags `build-code --kind` takes besides --out and --json, where
 # "matrix" is the requirement matrix
 _KINDS = {
@@ -326,20 +338,27 @@ def cmd_build_code(args, params: dict[str, str]) -> _Result:
         dist = _need(params, "dist", int)
         if dist < 1:
             raise ValueError(f"need --dist >= 1, got {dist}")
+        _listable(f"{4 * dist} words of {2 * dist} bits", 8 * dist * dist)
         code = construct.hadamard_code(dist)
         if code is None:
             return _not_built(f"no Sylvester order for distance {dist}")
         return _built(code, out, f"hadamard-derived code, distance {dist}")
     if kind == "reed-muller":
         order, m = _need(params, "rm_order", int), _need(params, "log_length", int)
+        if 0 <= order <= m:  # else reed_muller_code names the bad pair
+            dim = sum(math.comb(m, i) for i in range(order + 1))
+            # 2^dim words of 2^m bits, counted no further than 2^64: the budget is far below
+            _listable(f"2^{dim} words of 2^{m} bits", 1 << min(dim + m, 64))
         return _built(construct.reed_muller_code(order, m), out, f"RM({order},{m})")
     if kind == "even-weight":
         count, length = _need(params, "count", int), _need(params, "length", int)
+        _listable(f"{count} words of {length} bits", count * length)
         return _built(construct.even_weight_subcode(count, length), out, "even-weight subcode")
     # replicate, the last of --kind's choices
     with open(_need(params, "infile"), "r", encoding="utf-8") as fh:
         code = Code.from_text(fh.read())
     factor = _need(params, "factor", int)
+    _listable(f"{code.size} words of {code.length * factor} bits", code.size * code.length * factor)
     return _built(construct.replicate_bits(code, factor), out, f"replicated x{factor}")
 
 

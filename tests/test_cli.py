@@ -446,6 +446,35 @@ def test_build_code_exact_json_writes_its_out_file(capsys, tmp_path):
     assert path.read_text() == text == "# exact witness\n000\n011\n100\n001\n010\n"
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["--kind", "reed-muller", "--rm-order", "3", "--log-length", "8"], "2^93 words of 2^8 bits"),
+    (["--kind", "reed-muller", "--rm-order", "3", "--log-length", "5"], "2^26 words of 2^5 bits"),
+    (["--kind", "reed-muller", "--rm-order", "2", "--log-length", "6"], "2^22 words of 2^6 bits"),
+    (["--kind", "hadamard", "--dist", "65536"], "262144 words of 131072 bits"),
+    (["--kind", "even-weight", "--count", "50000000", "--length", "40"],
+     "50000000 words of 40 bits"),
+    (["--kind", "replicate", "--factor", "100000000"], "2 words of 200000000 bits"),
+], ids=["rm-3-8", "rm-3-5", "rm-2-6", "hadamard", "even-weight", "replicate"])
+def test_build_code_refuses_a_code_over_its_budget_before_listing_it(capsys, tmp_path, argv, size):
+    # the size is known before any word is built: exit 2 and one line, at once
+    src = tmp_path / "in.txt"
+    src.write_text("01\n10\n")
+    argv = [*argv, "--in", str(src)] if "replicate" in argv else argv
+    code, out, err = run(capsys, "build-code", *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the code holds {size}, over build-code's budget of "
+                   f"{cli.CODE_BUDGET_BITS} bits (words times their length)\n")
+
+
+def test_build_code_lists_a_code_at_its_budget(capsys):
+    # RM(1, 9): 2^10 words of 2^9 bits, half the budget; RM(1, 10) is twice it
+    code, out, _ = run(capsys, "build-code", "--kind", "reed-muller", "--rm-order", "1",
+                       "--log-length", "9")
+    assert code == 0 and len(out.splitlines()) == 1 + 1024
+    assert run(capsys, "build-code", "--kind", "reed-muller", "--rm-order", "1",
+               "--log-length", "10")[0] == 2
+
+
 def test_build_code_replicate(capsys, tmp_path):
     src = tmp_path / "in.txt"
     src.write_text("01\n10\n")

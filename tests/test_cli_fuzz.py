@@ -77,8 +77,8 @@ def _value(rng: random.Random, dest: str, files: dict[str, list[str]]) -> str:
     low, high, *bad = {
         "t": (1, 3, 0), "T": (1, 6, 0), "w": (2, 4, 1), "l": (2, 2, 1),
         "length": (1, 14, 0, -1), "max_length": (0, 14),
-        # RM(order, m) lists all its 2^dimension words: m <= 4 keeps that small
-        "rm_order": (0, 4, -1), "log_length": (0, 4, -1),
+        # RM(order, m) has 2^dimension words: build-code refuses those over its budget
+        "rm_order": (0, 8, -1), "log_length": (0, 8, -1),
         "max_nodes": (0, 2000), "sample": (1, 50, 0, -1), "seed": (0, 3, -1),
         "trials": (0, 50), "channel_t": (0, 3),
     }.get(dest, (1, 8, 0, -1))  # k and the other small counts

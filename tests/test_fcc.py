@@ -17,6 +17,9 @@ tables of `fcc._nearest_value_masks`. `reference_uniform_sample` is the
 sampled route before it drew close pairs: two uniform messages per draw;
 `reference_sampled_verify` is the close-pair route one draw at a time,
 before it drew messages in bulk and read parities through the value index.
+`ball_route_value_distances` and `ball_route_verify` grow every value's or
+class's ball from both sides, as value distances and the class check did
+before one-message values and classes were split off.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -515,6 +519,219 @@ def test_value_distances_match_the_one_sided_search_on_families(name):
     spec = fcc.spec_from_string(name)
     for max_d in range(spec.k + 3):
         assert fcc.value_distances(spec, max_d) == reference_value_distances(spec, max_d), max_d
+
+
+# --- one-message values and classes against the ball route ----------------------
+
+
+def ball_route_value_distances(spec, max_d):
+    """`fcc.value_distances` before preimages split by size: every two
+    values grow from both sides (`fcc._closest_approaches`), one-message
+    values too."""
+    e = spec.expressiveness
+    rows = [[max_d + 1] * e for _ in range(e)]
+    for i in range(e):
+        rows[i][i] = 0
+    pending = [range(i + 1, e) if max_d >= 1 else () for i in range(e)]
+    fcc._closest_approaches(spec.preimage_masks, spec.k, pending, [[max_d] * e] * e, rows)
+    return rows
+
+
+def ball_route_verify(encoder, t, witness=True):
+    """`fcc._verify_exhaustive` before classes split by size: every two
+    classes with different values grow towards each other to their limit,
+    one-message classes too."""
+    classes = fcc._classes(encoder, t)
+    if classes is None:
+        return fcc._verify_message_level(encoder, t, witness)
+    masks, values, parities = classes
+    e = len(values)
+    limits = [[0] * (i + 1) + [2 * t - (p ^ q).bit_count() if w != v else 0
+                               for w, q in zip(values[i + 1:], parities[i + 1:])]
+              for i, (v, p) in enumerate(zip(values, parities))]
+    pending = [[j for j in range(i + 1, e) if lim[j] >= 1] for i, lim in enumerate(limits)]
+    pairs = (e * e - sum(c * c for c in Counter(values).values())) // 2
+    if masks is None:
+        near = fcc.value_distances(encoder.spec, 2 * t)
+        ok = all(near[i][j] > lim[j] for i, (js, lim) in enumerate(zip(pending, limits)) for j in js)
+    else:
+        ok = not fcc._closest_approaches(masks, encoder.spec.k, pending, limits)
+    if ok or not witness or encoder.spec.k > fcc.EXHAUSTIVE_MAX_K:
+        return fcc.VerifyResult(ok, None, pairs, "class")
+    return fcc._verify_message_level(encoder, t, witness)
+
+
+def _assert_verify_is_the_ball_route(encoder, ts=(1, 2, 3)):
+    """The whole result at each t, and the witness-free one, is the ball
+    route's; returns the verdicts."""
+    verdicts = []
+    for t in ts:
+        for witness in (True, False):
+            got = fcc._verify_exhaustive(encoder, t, witness=witness)
+            assert got == ball_route_verify(encoder, t, witness), (encoder.spec.name, t, witness)
+            verdicts.append(got.ok)
+    return verdicts
+
+
+def _mixed_spec(rng: random.Random, k: int) -> fcc.FunctionSpec:
+    """A random function of up to 3 many-message values and up to 24
+    one-message ones, the image in shuffled order."""
+    n = 1 << k
+    many = rng.randint(1, 3)
+    table = [rng.randrange(many) for _ in range(n)]
+    for value, u in enumerate(rng.sample(range(n), rng.randint(0, min(n, 24))), many):
+        table[u] = value
+    image = sorted(set(table))
+    rng.shuffle(image)
+    return fcc.FunctionSpec(k, table.__getitem__, image)
+
+
+def _sizes(masks) -> set[str]:
+    return {"one" if m.bit_count() == 1 else "many" for m in masks}
+
+
+def _split(masks) -> bool:
+    """Whether one-message sets are split off: more than twice the others,
+    and some of those others too."""
+    return bool(fcc._one_message(masks)) and "many" in _sizes(masks)
+
+
+def test_value_distances_split_by_size_equal_the_ball_route_on_mixed_specs():
+    rng, split = random.Random(4301), 0
+    for _ in range(80):
+        spec = _mixed_spec(rng, rng.randint(1, 10))
+        split += _split(spec.preimage_masks)
+        for max_d in range(spec.k + 2):
+            assert fcc.value_distances(spec, max_d) == ball_route_value_distances(spec, max_d), (
+                spec.k, max_d)
+    assert split >= 30
+
+
+def test_class_check_split_by_size_equals_the_ball_route_on_mixed_specs():
+    # the `auto` encoder of each spec, a copy with one parity bit flipped,
+    # and random parities, which mostly violate
+    rng, verdicts = random.Random(4302), set()
+    for _ in range(60):
+        spec = _mixed_spec(rng, rng.randint(1, 8))
+        t = rng.randint(1, 2)
+        enc = fcc.build_function_value_encoder(spec, t)
+        words = list(enc.words)
+        if enc.r:
+            words[rng.randrange(len(words))] ^= 1 << rng.randrange(enc.r)
+        r = rng.randint(0, 6)
+        rand = tuple(rng.randrange(1 << r) for _ in enc.words)
+        for case in (enc, fcc.FccEncoder(spec, t, enc.r, tuple(words)),
+                     fcc.FccEncoder(spec, t, r, rand)):
+            verdicts.update(_assert_verify_is_the_ball_route(case))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("words", [["0110"], ["000", "111"], ["000", "011", "101"],
+                                   ["00000", "00011", "11100"],
+                                   ["0" * 6, "1" * 6, "010101", "101010"], None])
+def test_indicator_specs_from_code_files_equal_the_ball_route(tmp_path, words):
+    # each codeword is a one-message value, the rest of the space value 0,
+    # split off from three codewords on; None is RM(1, 3): 16 of the 256
+    # words of length 8
+    path = tmp_path / "code.txt"
+    path.write_text(construct.reed_muller_code(1, 3).to_text() if words is None
+                    else "\n".join(words) + "\n")
+    spec = fcc.spec_from_string(f"indicator:path={path}")
+    assert _split(spec.preimage_masks) == (words is None or len(words) > 2)
+    for max_d in range(spec.k + 2):
+        assert fcc.value_distances(spec, max_d) == ball_route_value_distances(spec, max_d)
+    for t in (1, 2):
+        enc = fcc.build_function_value_encoder(spec, t)
+        assert _assert_verify_is_the_ball_route(enc)[2 * t - 2]  # passes at its own t
+
+
+@pytest.mark.parametrize("kind", sorted(functions._ML_DEFAULTS))
+def test_every_ml_kind_equals_the_ball_route(kind):
+    # the bijective kinds are mostly one-message values, the symmetric ones
+    # (two messages per value) none: they take the ball route unchanged
+    for k, eps in ((5, "2"), (6, "1"), (8, "1/4")):  # centers out to +-32 at each k
+        spec = fcc.spec_from_string(f"ml:{kind},k={k},eps={eps}")
+        assert _split(spec.preimage_masks) == ("derivative" not in kind)
+        for max_d in range(k + 2):
+            assert fcc.value_distances(spec, max_d) == ball_route_value_distances(spec, max_d)
+        for t in (1, 2):
+            _assert_verify_is_the_ball_route(fcc.build_function_value_encoder(spec, t), (t, t + 1))
+
+
+def test_per_message_one_message_classes_that_share_a_value_or_differ():
+    # a passing encoder's words, each with x low bits appended per message:
+    # random bits split a value into classes, many of one message sharing
+    # the value, and the message's own bits make every class one message
+    rng, verdicts = random.Random(4303), set()
+    for _ in range(40):
+        spec = _mixed_spec(rng, rng.randint(2, 7))
+        t = rng.randint(1, 2)
+        enc = fcc.build_function_value_encoder(spec, t)
+        key, k = spec.index_table, spec.k
+        for own in (False, True):
+            x = k if own else 2
+            parities = [BitWord(enc.words[key[u]] << x | (u if own else rng.randrange(4)), enc.r + x)
+                        for u in range(1 << k)]
+            case = fcc.per_message_encoder(spec, t, parities)
+            if own and (classes := fcc._classes(case, t)) is not None:
+                assert _sizes(classes[0]) == {"one"}
+            verdicts.update(_assert_verify_is_the_ball_route(case))
+    assert verdicts == {True, False}
+
+
+def _spec_of(table: list[int]) -> fcc.FunctionSpec:
+    return fcc.FunctionSpec(len(table).bit_length() - 1, table.__getitem__, sorted(set(table)))
+
+
+def test_a_violation_between_two_one_message_classes():
+    # messages 0, 1 and 2 are one-message values 1, 2 and 3, value 0 the
+    # rest; values 1 and 2 are one bit apart, and with equal parities violate
+    spec = _spec_of([1, 2, 3] + [0] * 13)
+    assert _split(spec.preimage_masks)
+    for t in (1, 2):
+        far = fcc.build_function_value_encoder(spec, t)
+        assert _assert_verify_is_the_ball_route(far, (t,)) == [True, True]
+        near = fcc.FccEncoder(spec, t, far.r, far.words[:2] + far.words[1:2] + far.words[3:])
+        assert _assert_verify_is_the_ball_route(near, (t,)) == [False, False]
+        assert fcc.verify_fcc(near).witness == (BitWord(0, 4), BitWord(1, 4))
+
+
+def test_a_violation_between_a_one_message_and_a_many_message_class():
+    # messages 0, 14 and 15 are one-message values 1, 2 and 3; value 0, the
+    # rest, is one bit from message 0, and with its parity there violates
+    spec = _spec_of([1] + [0] * 13 + [2, 3])
+    assert _split(spec.preimage_masks)
+    for t in (1, 2):
+        far = fcc.build_function_value_encoder(spec, t)
+        assert _assert_verify_is_the_ball_route(far, (t,)) == [True, True]
+        near = fcc.FccEncoder(spec, t, far.r, far.words[:1] * 2 + far.words[2:])
+        assert _assert_verify_is_the_ball_route(near, (t,)) == [False, False]
+        assert fcc.verify_fcc(near).witness == (BitWord(0, 4), BitWord(1, 4))
+
+
+def test_class_check_on_codewords_past_a_byte_of_lanes_takes_the_ball_route():
+    # k + r > 255: a codeword distance may not fit its byte lane, so
+    # one-message classes grow balls as many-message ones do. Messages 0000
+    # and 1111 are one-message values whose parities differ in every bit, so
+    # their codewords are k + r apart: 255, the most a lane holds, at r = 251
+    spec = _spec_of([1, 3] + [0] * 13 + [2])
+    assert _split(spec.preimage_masks)
+    for r in (251, 252):
+        ones = (1 << r) - 1
+        enc = fcc.FccEncoder(spec, 2, r, (ones >> r // 2, 0, ones, 255))
+        assert _assert_verify_is_the_ball_route(enc, (1, 2)) == [True] * 4
+
+
+def test_a_value_never_attained_is_past_every_cap():
+    # above k = 16 the image is checked on a sample, so a value may have no
+    # preimage: it is max_d + 1 from every value, one-message ones included
+    # (the top 20 messages are values 1-20, the rest value 0)
+    spec = fcc.FunctionSpec(17, lambda u: max(u + 21 - (1 << 17), 0), range(22))
+    assert spec.preimage_masks[21] == 0
+    for max_d in (1, 8, 18):
+        rows = fcc.value_distances(spec, max_d)
+        assert rows == ball_route_value_distances(spec, max_d)
+        assert rows[21] == [max_d + 1] * 21 + [0]
 
 
 # --- weight specs against the same functions without their weight map ----------
